@@ -19,6 +19,7 @@ rewrite the bases the worked examples pin down.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import NamedTuple, Optional
 
@@ -27,6 +28,7 @@ from .poly import (
     Mono,
     Term,
     Vector,
+    exps_add,
     exps_sub,
     mono_divides,
     poly_mul_vector,
@@ -53,15 +55,10 @@ class GroebnerBasis(NamedTuple):
     pseudo_reduced: bool
 
 
-def _ring_poly_ambient(ambient):
-    from .poly import Ambient
-
-    return Ambient(ambient.ring, ambient.nvars, 1)
-
-
-def _quotient_vector(ambient, order, acc):
-    ring_amb = _ring_poly_ambient(ambient)
-    return Vector(ring_amb, order, [Term(c, Mono(e, 0)) for e, c in acc.items()])
+def _quotient_vector(ring_amb, order, acc):
+    ring = ring_amb.ring
+    monos = sorted((Mono(e, 0) for e, c in acc.items() if not ring.is_zero(c)), key=order.key)
+    return Vector(ring_amb, order, [Term(acc[m.exps], m) for m in monos], _normalized=True)
 
 
 def _check_divisors(h, divisors):
@@ -69,6 +66,57 @@ def _check_divisors(h, divisors):
         if d.is_zero():
             raise UsageError("zero divisor in division")
         h._check_compatible(d)
+
+
+class _Work:
+    """The working polynomial of a division.
+
+    Coefficients live in a dict keyed by monomial, next to a min-heap of
+    (order key, monomial) that hands out the leading term. A monomial
+    whose coefficient cancels leaves the dict at once; its heap entry is
+    dropped when it surfaces.
+    """
+
+    __slots__ = ("ring", "key", "coeffs", "heap")
+
+    def __init__(self, h, order):
+        self.ring = h.ambient.ring
+        self.key = order.key
+        self.coeffs = {m: c for c, m in h.terms}
+        self.heap = [(self.key(m), m) for m in self.coeffs]
+        heapq.heapify(self.heap)
+
+    def lead(self):
+        """The leading term, or None for zero."""
+        heap, coeffs = self.heap, self.coeffs
+        while heap:
+            m = heap[0][1]
+            c = coeffs.get(m)
+            if c is not None:
+                return Term(c, m)
+            heapq.heappop(heap)
+        return None
+
+    def add(self, c, m):
+        """Add the term c * m."""
+        old = self.coeffs.get(m)
+        if old is None:
+            self.coeffs[m] = c
+            heapq.heappush(self.heap, (self.key(m), m))
+            return
+        s = self.ring.add(old, c)
+        if self.ring.is_zero(s):
+            del self.coeffs[m]
+        else:
+            self.coeffs[m] = s
+
+    def sub_term_mul(self, d, w, gamma):
+        """Subtract w * X^gamma * d, term by term."""
+        ring = self.ring
+        for c, m in d.terms:
+            p = ring.mul(w, c)
+            if not ring.is_zero(p):
+                self.add(ring.neg(p), Mono(exps_add(m.exps, gamma), m.pos))
 
 
 def divide(h, divisors, order=None, trace=None):
@@ -85,21 +133,22 @@ def divide(h, divisors, order=None, trace=None):
     q_acc = [dict() for _ in divisors]
     r_terms = []
     lead = [(d.lc(), d.lm()) for d in divisors]
-    work = h
-    while not work.is_zero():
-        lc, lm = work.terms[0]
+    work = _Work(h, order)
+    while (t := work.lead()) is not None:
+        lc, lm = t
         D = []
         for j, (_djc, djm) in enumerate(lead):
             gamma = mono_divides(djm, lm)
             if gamma is not None:
                 D.append((j, gamma))
         if not D:
-            r_terms.append(work.terms[0])
-            work = work.sub(Vector(work.ambient, order, [work.terms[0]], _normalized=True))
+            r_terms.append(t)
+            del work.coeffs[lm]
             continue
         if trace is not None:
             trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _ in D]})
         step = None
+        e = zero
         for j, gamma in D:
             q = ring.divides(lead[j][0], lc)
             if q is not None:
@@ -108,22 +157,27 @@ def divide(h, divisors, order=None, trace=None):
         if step is None:
             d, coeffs = ring.gcd_bezout([lead[j][0] for j, _ in D])
             c, e = ring.euclid_step(lc, d)
-            if not ring.is_zero(e):
-                r_terms.append(Term(e, lm))
             step = []
             for (j, gamma), cj in zip(D, coeffs):
                 w = ring.mul(c, cj)
                 if not ring.is_zero(w):
                     step.append((j, gamma, w))
-        new = work
         for j, gamma, w in step:
             q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), w)
-            new = new.sub(divisors[j].term_mul(w, gamma))
-        if r_terms and r_terms[-1].mono == lm:
-            new = new.sub(Vector(work.ambient, order, [r_terms[-1]], _normalized=True))
-        work = new
-    quotients = tuple(_quotient_vector(h.ambient, order, acc) for acc in q_acc)
-    return DivisionResult(quotients, Vector(h.ambient, order, r_terms))
+            work.sub_term_mul(divisors[j], w, gamma)
+        if not ring.is_zero(e):
+            r_terms.append(Term(e, lm))
+            work.add(ring.neg(e), lm)
+    return _division_result(h, order, q_acc, r_terms)
+
+
+def _division_result(h, order, q_acc, r_terms):
+    """Quotients from their accumulators. r_terms are already descending:
+    each step removes the leading term of the working polynomial and
+    adds only smaller ones."""
+    ring_amb = h.ambient._replace(rank=1)
+    quotients = tuple(_quotient_vector(ring_amb, order, acc) for acc in q_acc)
+    return DivisionResult(quotients, Vector(h.ambient, order, r_terms, _normalized=True))
 
 
 def divide_valuation(h, divisors, order=None, trace=None):
@@ -140,9 +194,9 @@ def divide_valuation(h, divisors, order=None, trace=None):
     zero = ring.zero()
     q_acc = [dict() for _ in divisors]
     r_terms = []
-    work = h
-    while not work.is_zero():
-        lc, lm = work.terms[0]
+    work = _Work(h, order)
+    while (t := work.lead()) is not None:
+        lc, lm = t
         hit = None
         for j, d in enumerate(divisors):
             gamma = mono_divides(d.lm(), lm)
@@ -153,16 +207,15 @@ def divide_valuation(h, divisors, order=None, trace=None):
                 hit = (j, gamma, c)
                 break
         if hit is None:
-            r_terms.append(work.terms[0])
-            work = work.sub(Vector(work.ambient, order, [work.terms[0]], _normalized=True))
+            r_terms.append(t)
+            del work.coeffs[lm]
             continue
         j, gamma, c = hit
         if trace is not None:
             trace({"event": "reduction_step", "lm": lm, "divisors": [j]})
         q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), c)
-        work = work.sub(divisors[j].term_mul(c, gamma))
-    quotients = tuple(_quotient_vector(h.ambient, order, acc) for acc in q_acc)
-    return DivisionResult(quotients, Vector(h.ambient, order, r_terms))
+        work.sub_term_mul(divisors[j], c, gamma)
+    return _division_result(h, order, q_acc, r_terms)
 
 
 def s_pair_indexed(f, g, order, auto):

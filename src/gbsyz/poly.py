@@ -5,11 +5,14 @@ indexed by the ambient's variable list (index 0 = lex-greatest by
 default). A vector is a descending-sorted tuple of (coeff, monomial)
 terms under its active order; the empty tuple is 0. Ring polynomials
 (division quotients, syzygy coordinates) are rank-1 vectors.
+
+An order is a sort key on monomials, where a smaller key is a greater
+monomial, so sorting by `order.key` gives the vector order and a
+min-heap pops the leading term.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -114,6 +117,8 @@ class TopLex:
         self.priority = tuple(priority) if priority is not None else tuple(range(nvars))
         if sorted(self.priority) != list(range(nvars)):
             raise UsageError(f"priority {priority!r} is not a permutation of 0..{nvars - 1}")
+        # memoised keys, one per monomial seen; they die with the order
+        self._keys = {}
 
     def __eq__(self, other):
         return type(other) is TopLex and other.priority == self.priority
@@ -121,19 +126,16 @@ class TopLex:
     def __hash__(self):
         return hash(("toplex", self.priority))
 
-    def compare_exps(self, a, b):
-        for i in self.priority:
-            if a[i] != b[i]:
-                return 1 if a[i] > b[i] else -1
-        return 0
+    def key(self, m):
+        """Sort key of a monomial: a smaller key is a greater monomial."""
+        k = self._keys.get(m)
+        if k is None:
+            exps = m.exps
+            k = self._keys[m] = (tuple([-exps[i] for i in self.priority]), m.pos)
+        return k
 
     def compare(self, m, n):
-        c = self.compare_exps(m.exps, n.exps)
-        if c:
-            return c
-        if m.pos != n.pos:
-            return 1 if m.pos < n.pos else -1
-        return 0
+        return _compare_keys(self.key(m), self.key(n))
 
 
 class Schreyer:
@@ -152,19 +154,24 @@ class Schreyer:
         self.images = tuple(images)
         self.parent = parent
         self._lms = tuple(g.lm() for g in self.images)
+        # memoised keys, one per monomial seen; they die with the order
+        self._keys = {}
+
+    def key(self, m):
+        """Sort key of a monomial: a smaller key is a greater monomial."""
+        k = self._keys.get(m)
+        if k is None:
+            lm = self._lms[m.pos]
+            k = self._keys[m] = (self.parent.key(Mono(exps_add(m.exps, lm.exps), lm.pos)), m.pos)
+        return k
 
     def compare(self, m, n):
-        lm_l = self._lms[m.pos]
-        lm_k = self._lms[n.pos]
-        c = self.parent.compare(
-            Mono(exps_add(m.exps, lm_l.exps), lm_l.pos),
-            Mono(exps_add(n.exps, lm_k.exps), lm_k.pos),
-        )
-        if c:
-            return c
-        if m.pos != n.pos:
-            return 1 if m.pos < n.pos else -1
-        return 0
+        return _compare_keys(self.key(m), self.key(n))
+
+
+def _compare_keys(k, l):
+    """1, 0 or -1 as the monomial of key k is greater than, equal to or less than l's."""
+    return (k < l) - (k > l)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +241,34 @@ class Vector:
     def add(self, other):
         self._check_compatible(other)
         ring = self.ambient.ring
-        cmp = self.order.compare
+        key = self.order.key
         out = []
-        i, j = 0, 0
         a, b = self.terms, other.terms
-        while i < len(a) and j < len(b):
-            c = cmp(a[i].mono, b[j].mono)
-            if c > 0:
-                out.append(a[i])
-                i += 1
-            elif c < 0:
-                out.append(b[j])
-                j += 1
-            else:
-                s = ring.add(a[i].coeff, b[j].coeff)
-                if not ring.is_zero(s):
-                    out.append(Term(s, a[i].mono))
-                i += 1
-                j += 1
+        i, j = 0, 0
+        if a and b:
+            ka, kb = key(a[0].mono), key(b[0].mono)
+            while True:
+                if ka < kb:
+                    out.append(a[i])
+                    i += 1
+                    if i == len(a):
+                        break
+                    ka = key(a[i].mono)
+                elif kb < ka:
+                    out.append(b[j])
+                    j += 1
+                    if j == len(b):
+                        break
+                    kb = key(b[j].mono)
+                else:
+                    s = ring.add(a[i].coeff, b[j].coeff)
+                    if not ring.is_zero(s):
+                        out.append(Term(s, a[i].mono))
+                    i += 1
+                    j += 1
+                    if i == len(a) or j == len(b):
+                        break
+                    ka, kb = key(a[i].mono), key(b[j].mono)
         out.extend(a[i:])
         out.extend(b[j:])
         return Vector(self.ambient, self.order, out, _normalized=True)
@@ -335,7 +352,7 @@ def _normalize(ambient, order, terms):
         else:
             merged[m] = c
     monos = [m for m, c in merged.items() if not ring.is_zero(c)]
-    monos.sort(key=functools.cmp_to_key(order.compare), reverse=True)
+    monos.sort(key=order.key)
     return tuple(Term(merged[m], m) for m in monos)
 
 
@@ -352,32 +369,15 @@ def poly_mul_vector(q, v):
     return acc
 
 
-def compare_vectors(order, u, v):
-    """Total deterministic comparison used to sort bases (descending)."""
-    ring = u.ambient.ring
-    for a, b in zip(u.terms, v.terms):
-        c = order.compare(a.mono, b.mono)
-        if c:
-            return c
-        ka, kb = ring.sort_key(a.coeff), ring.sort_key(b.coeff)
-        if ka != kb:
-            return -1 if ka > kb else 1
-    if len(u.terms) != len(v.terms):
-        return 1 if len(u.terms) > len(v.terms) else -1
-    return 0
+def vector_key(order, v):
+    """Total deterministic sort key of a vector, term by term: a smaller
+    key is a greater monomial, then a smaller coefficient sort key. The
+    closing (1,) sorts after every (0, ...) term key, so a vector that is
+    a prefix of another sorts after it."""
+    ring = v.ambient.ring
+    return tuple([(0, order.key(m), ring.sort_key(c)) for c, m in v.terms] + [(1,)])
 
 
 def sort_basis(vectors, order):
     """Descending by leading term, the stable display and Schreyer-source order."""
-
-    def cmp(u, v):
-        c = order.compare(u.lm(), v.lm())
-        if c:
-            return c
-        ring = u.ambient.ring
-        ka, kb = ring.sort_key(u.lc()), ring.sort_key(v.lc())
-        if ka != kb:
-            return -1 if ka > kb else 1
-        return compare_vectors(order, u, v)
-
-    return sorted(vectors, key=functools.cmp_to_key(cmp), reverse=True)
+    return sorted(vectors, key=lambda v: vector_key(order, v))

@@ -242,7 +242,10 @@ class Integers(Ring):
         d = gcd(b1, b2)
         b1p, b2p = b1 // d, b2 // d
         g, x, y = xgcd(abs(b1p), abs(b2p))
-        assert g == 1
+        if g != 1:
+            from .errors import InternalError
+
+            raise InternalError(f"strict_pair({b1}, {b2}): cofactors have gcd {g}")
         c1 = x if b1p >= 0 else -x
         c2 = y if b2p >= 0 else -y
         return d, b1p, b2p, c1, c2
@@ -366,7 +369,10 @@ class IntegersMod(Ring):
         g = gcd(r1, r2)
         b1p, b2p = r1 // g, r2 // g
         one, c1, c2 = xgcd(b1p, b2p)
-        assert one == 1
+        if one != 1:
+            from .errors import InternalError
+
+            raise InternalError(f"strict_pair({b1}, {b2}) in {self}: cofactors have gcd {one}")
         return g % self.n, b1p % self.n, b2p % self.n, c1 % self.n, c2 % self.n
 
     def ann_gen(self, a):
@@ -385,7 +391,10 @@ class IntegersMod(Ring):
         g = gcd(self.n, d)
         e = a % g
         c = self.divides(d, (a - e) % self.n)
-        assert c is not None
+        if c is None:
+            from .errors import InternalError
+
+            raise InternalError(f"euclid_step({a}, {d}) in {self}: {d} does not divide {a} - {e}")
         return c, e
 
     def normalize_unit(self, a):
@@ -467,12 +476,18 @@ class TruncatedF2y(Ring):
         return v % 2
 
     def valuation(self, a):
-        assert a
+        if not a:
+            from .errors import InternalError
+
+            raise InternalError(f"valuation of 0 in {self}")
         return (a & -a).bit_length() - 1
 
     def _unit_inv(self, u):
         # invert 1 + y*b bit by bit
-        assert u & 1
+        if not u & 1:
+            from .errors import InternalError
+
+            raise InternalError(f"{self.format(u)} is not a unit in {self}")
         x, prod = 1, u
         for i in range(1, self.r):
             if (prod >> i) & 1:
@@ -625,7 +640,10 @@ class IntegersLocalizedAt(Ring):
         return self._check(Fraction(num, den))
 
     def valuation(self, a):
-        assert a != 0
+        if a == 0:
+            from .errors import InternalError
+
+            raise InternalError(f"valuation of 0 in {self}")
         v, num = 0, abs(a.numerator)
         while num % self.p == 0:
             num //= self.p

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .errors import GuardExceeded, InternalError, UsageError
 from .groebner import (
     GroebnerBasis,
+    buchberger,
     divide,
     is_groebner,
     pseudo_reduce,
@@ -30,6 +31,7 @@ from .poly import (
     Term,
     TopLex,
     Vector,
+    reorder,
     sort_basis,
 )
 
@@ -258,8 +260,6 @@ def free_resolution(
         order = TopLex(amb.nvars)
     elif not isinstance(order, TopLex):
         raise UsageError("free_resolution requires the TOP-lex order (use unsafe_order to override)")
-    from .poly import reorder
-
     gens = [reorder(g, order) for g in gens]
     gb0, labels0 = _buchberger_level0(gens, order, labels, guard=guard, trace=trace)
     levels = [ResolutionLevel(gb0, order, labels0)]
@@ -320,8 +320,6 @@ def _assert_length_bound(res, order, unsafe_order):
 
 def _buchberger_level0(gens, order, labels, guard, trace=None):
     """Buchberger basis of the generators, sorted, with labels tracking elements."""
-    from .groebner import buchberger
-
     gb = buchberger(gens, order, guard=guard, trace=trace)
     names = list(labels) if labels is not None else []
     names += [f"g{i + 1}" for i in range(len(names), len(gb.elements))]

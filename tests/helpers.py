@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from gbsyz import (
     Ambient,
+    DivisionResult,
     Integers,
     IntegersLocalizedAt,
     IntegersMod,
@@ -13,6 +14,7 @@ from gbsyz import (
     Term,
     TruncatedF2y,
     Vector,
+    mono_divides,
     parse_problem,
 )
 from gbsyz.dsl import ProblemFile, parse_vector_literal
@@ -142,3 +144,81 @@ def vec(prob, text, order=None):
     if order is not None and order is not prob.order:
         return Vector(v.ambient, order, v.terms)
     return v
+
+
+def reference_divide(h, divisors, order, trace=None):
+    """Full-merge gcd-aggregating division: the working polynomial is a
+    Vector rebuilt by `sub` on every step. The reference for `divide`."""
+    ring = h.ambient.ring
+    q_acc = [dict() for _ in divisors]
+    r_terms = []
+    lead = [(d.lc(), d.lm()) for d in divisors]
+    work = h
+    while not work.is_zero():
+        lc, lm = work.terms[0]
+        D = [(j, g) for j, (_c, m) in enumerate(lead) if (g := mono_divides(m, lm)) is not None]
+        if not D:
+            r_terms.append(work.terms[0])
+            work = work.sub(Vector(work.ambient, order, [work.terms[0]]))
+            continue
+        if trace is not None:
+            trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _ in D]})
+        step = None
+        for j, gamma in D:
+            q = ring.divides(lead[j][0], lc)
+            if q is not None:
+                step = [(j, gamma, q)]
+                break
+        if step is None:
+            d, coeffs = ring.gcd_bezout([lead[j][0] for j, _ in D])
+            c, e = ring.euclid_step(lc, d)
+            if not ring.is_zero(e):
+                r_terms.append(Term(e, lm))
+            step = []
+            for (j, gamma), cj in zip(D, coeffs):
+                w = ring.mul(c, cj)
+                if not ring.is_zero(w):
+                    step.append((j, gamma, w))
+        new = work
+        for j, gamma, w in step:
+            q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, ring.zero()), w)
+            new = new.sub(divisors[j].term_mul(w, gamma))
+        if r_terms and r_terms[-1].mono == lm:
+            new = new.sub(Vector(work.ambient, order, [r_terms[-1]]))
+        work = new
+    return _reference_result(h, order, q_acc, r_terms)
+
+
+def reference_divide_valuation(h, divisors, order, trace=None):
+    """Full-merge first-divisor division: the reference for `divide_valuation`."""
+    ring = h.ambient.ring
+    q_acc = [dict() for _ in divisors]
+    r_terms = []
+    work = h
+    while not work.is_zero():
+        lc, lm = work.terms[0]
+        hit = None
+        for j, d in enumerate(divisors):
+            gamma = mono_divides(d.lm(), lm)
+            c = None if gamma is None else ring.divides(d.lc(), lc)
+            if c is not None:
+                hit = (j, gamma, c)
+                break
+        if hit is None:
+            r_terms.append(work.terms[0])
+            work = work.sub(Vector(work.ambient, order, [work.terms[0]]))
+            continue
+        j, gamma, c = hit
+        if trace is not None:
+            trace({"event": "reduction_step", "lm": lm, "divisors": [j]})
+        q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, ring.zero()), c)
+        work = work.sub(divisors[j].term_mul(c, gamma))
+    return _reference_result(h, order, q_acc, r_terms)
+
+
+def _reference_result(h, order, q_acc, r_terms):
+    ring_amb = Ambient(h.ambient.ring, h.ambient.nvars, 1)
+    quotients = tuple(
+        Vector(ring_amb, order, [Term(c, Mono(e, 0)) for e, c in acc.items()]) for acc in q_acc
+    )
+    return DivisionResult(quotients, Vector(h.ambient, order, r_terms))

@@ -14,10 +14,13 @@ from gbsyz import (
     term_module_member,
 )
 from helpers import (
+    GOLDEN,
     gens_of,
     problem,
     random_nonzero_vector,
     random_vector,
+    reference_divide,
+    reference_divide_valuation,
     rings_under_test,
     vec,
 )
@@ -176,3 +179,49 @@ def test_members_reduce_to_zero_under_both_divisions():
         )
         assert divide(member, list(gb), p.order).remainder.is_zero()
         assert divide_valuation(member, list(gb), p.order).remainder.is_zero()
+
+
+def _assert_same_division(h, divisors, order):
+    """divide (and divide_valuation on valuation rings) against the
+    full-merge references: identical terms and trace streams."""
+    pairs = [(divide, reference_divide)]
+    if h.ambient.ring.is_valuation_ring:
+        pairs.append((divide_valuation, reference_divide_valuation))
+    for fast, ref in pairs:
+        got_trace, want_trace = [], []
+        got = fast(h, divisors, order, trace=got_trace.append)
+        want = ref(h, divisors, order, trace=want_trace.append)
+        assert got.remainder.terms == want.remainder.terms
+        assert [q.terms for q in got.quotients] == [q.terms for q in want.quotients]
+        assert got_trace == want_trace
+
+
+def test_accumulator_matches_full_merge_on_golden_levels():
+    # every S-pair of every resolution level, under TOP-lex and the
+    # nested Schreyer orders, divided by its own level
+    from gbsyz import free_resolution, s_poly
+
+    for key in GOLDEN:
+        _, gens = gens_of(problem(key))
+        for level in free_resolution(gens).levels:
+            basis = list(level.basis)
+            for i in range(len(basis)):
+                for j in range(i, len(basis)):
+                    sp = s_poly(basis[i], basis[j], level.order).value
+                    if not sp.is_zero():
+                        _assert_same_division(sp, basis, level.order)
+                        _assert_same_division(sp.add(basis[i]), basis[j:], level.order)
+
+
+def test_accumulator_matches_full_merge_randomized():
+    rng = random.Random(2024)
+    for ring in rings_under_test():
+        amb = Ambient(ring, 2, 2)
+        order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
+        for _ in range(150):
+            h = random_vector(rng, amb, order, max_terms=5, max_exp=4)
+            divisors = [
+                random_nonzero_vector(rng, amb, order, max_terms=3, max_exp=2)
+                for _ in range(rng.randrange(1, 5))
+            ]
+            _assert_same_division(h, divisors, order)

@@ -1,5 +1,6 @@
 """Monomials, orders, and module-vector arithmetic."""
 
+import functools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from gbsyz import (
     mono_divides,
     positive_part,
     reorder,
+    sort_basis,
 )
 from helpers import (
     problem,
@@ -208,3 +210,102 @@ def test_schreyer_rejects_zero_images():
     p = problem("zint_ideal")
     with pytest.raises(UsageError):
         Schreyer([Vector.zero(p.ambient, p.order)], p.order)
+
+
+# -- sort keys against the recursive comparator they replaced ---------------
+
+
+def reference_compare(order, m, n):
+    """1, 0 or -1 as m is greater than, equal to or less than n, by the
+    definitions: lex along the priority then the smaller position for
+    TOP-lex; the parent order on LM(X^a g_l) then l < k for Schreyer."""
+    if isinstance(order, Schreyer):
+        lm_l, lm_k = order.images[m.pos].lm(), order.images[n.pos].lm()
+        c = reference_compare(
+            order.parent,
+            Mono(tuple(a + b for a, b in zip(m.exps, lm_l.exps)), lm_l.pos),
+            Mono(tuple(a + b for a, b in zip(n.exps, lm_k.exps)), lm_k.pos),
+        )
+        if c:
+            return c
+    else:
+        for i in order.priority:
+            if m.exps[i] != n.exps[i]:
+                return 1 if m.exps[i] > n.exps[i] else -1
+    if m.pos != n.pos:
+        return 1 if m.pos < n.pos else -1
+    return 0
+
+
+def reference_sort_basis(vectors, order):
+    def cmp(u, v):
+        ring = u.ambient.ring
+        for a, b in zip(u.terms, v.terms):
+            c = reference_compare(order, a.mono, b.mono)
+            if c:
+                return c
+            ka, kb = ring.sort_key(a.coeff), ring.sort_key(b.coeff)
+            if ka != kb:
+                return -1 if ka > kb else 1
+        return (len(u.terms) > len(v.terms)) - (len(u.terms) < len(v.terms))
+
+    return sorted(vectors, key=functools.cmp_to_key(cmp), reverse=True)
+
+
+def _order_tower(rng, ring, nvars, ranks):
+    """A random TOP-lex order and Schreyer orders nested on it, one per
+    entry of `ranks` (the rank each order acts on), with their ambients."""
+    base = TopLex(nvars, rng.sample(range(nvars), nvars))
+    tower = [(base, Ambient(ring, nvars, ranks[0]))]
+    for rank in ranks[1:]:
+        parent, amb = tower[-1]
+        images = [random_nonzero_vector(rng, amb, parent, 3, 3) for _ in range(rank)]
+        tower.append((Schreyer(images, parent), Ambient(ring, nvars, rank)))
+    return tower
+
+
+def test_keys_agree_with_reference_comparator():
+    rng = random.Random(29)
+    for ring in rings_under_test():
+        # TOP-lex, then Schreyer orders nested one, two and three levels deep
+        for order, amb in _order_tower(rng, ring, 3, [2, 3, 2, 3]):
+            for _ in range(400):
+                m = random_mono(rng, amb.nvars, amb.rank, 3)
+                n = m if rng.random() < 0.1 else random_mono(rng, amb.nvars, amb.rank, 3)
+                want = reference_compare(order, m, n)
+                km, kn = order.key(m), order.key(n)
+                assert (km < kn) - (km > kn) == want
+                assert order.compare(m, n) == want
+
+
+def test_normalize_and_sort_basis_follow_the_reference():
+    rng = random.Random(31)
+    for ring in rings_under_test():
+        for order, amb in _order_tower(rng, ring, 2, [2, 3, 2]):
+            vectors = []
+            for _ in range(40):
+                terms = [Term(random_element(rng, ring), random_mono(rng, 2, amb.rank, 3))
+                         for _ in range(rng.randrange(1, 7))]
+                v = Vector(amb, order, terms)
+                monos = sorted({t.mono for t in v.terms},
+                               key=functools.cmp_to_key(lambda m, n: reference_compare(order, m, n)),
+                               reverse=True)
+                assert [t.mono for t in v.terms] == monos
+                if not v.is_zero():
+                    # a proper prefix, and a copy with its leading coefficient changed
+                    vectors += [v, Vector(amb, order, v.terms[:-1], _normalized=True),
+                                Vector(amb, order, [v.terms[0]._replace(coeff=random_element(rng, ring))])]
+            vectors = [v for v in vectors if not v.is_zero()]
+            rng.shuffle(vectors)
+            assert [v.terms for v in sort_basis(vectors, order)] == [
+                v.terms for v in reference_sort_basis(vectors, order)
+            ]
+
+
+def test_equal_priorities_give_equal_keys():
+    rng = random.Random(37)
+    a, b = TopLex(3, (2, 0, 1)), TopLex(3, [2, 0, 1])
+    assert a == b and hash(a) == hash(b) and a != TopLex(3)
+    for _ in range(200):
+        m = random_mono(rng, 3, 2, 4)
+        assert a.key(m) == b.key(m)

@@ -8,6 +8,7 @@ import pytest
 from gbsyz import (
     Integers,
     IntegersLocalizedAt,
+    InternalError,
     IntegersMod,
     TruncatedF2y,
     UsageError,
@@ -234,3 +235,13 @@ def test_unit_inverse():
             if ring.is_unit(a):
                 inv = ring.unit_inverse(a)
                 assert ring.eq(ring.mul(a, inv), ring.one())
+
+
+def test_broken_preconditions_raise_internal_error(f2y2, z2loc):
+    # checks that must survive `python -O`, unlike a bare assert
+    with pytest.raises(InternalError):
+        f2y2.valuation(0)
+    with pytest.raises(InternalError):
+        z2loc.valuation(Fraction(0))
+    with pytest.raises(InternalError):
+        f2y2._unit_inv(0b10)
