@@ -10,6 +10,7 @@ included), 2 on usage or parse errors, 3 on broken internal invariants.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,7 +39,10 @@ _NORMALIZATION_NOTE = (
 )
 
 
+@functools.cache
 def _build_argparser():
+    """The argument parser, built on the first `main` call and reused
+    for the rest of the process (not at import, which stays cheap)."""
     ap = argparse.ArgumentParser(
         prog="gbsyz",
         description="Groebner bases, syzygies, and free resolutions over Z, Z/N, F2[y]/y^r, Z_(p).",

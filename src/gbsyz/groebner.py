@@ -119,51 +119,64 @@ class _Work:
                 self.add(ring.neg(p), Mono(exps_add(m.exps, gamma), m.pos))
 
 
-def divide(h, divisors, order=None, trace=None):
+def _leads_by_position(divisors):
+    """(index, LC, LM) of each divisor, grouped by leading position in
+    ascending index order: only same-position divisors can divide."""
+    by_pos = {}
+    for j, d in enumerate(divisors):
+        lc, lm = d.terms[0]
+        by_pos.setdefault(lm.pos, []).append((j, lc, lm))
+    return by_pos
+
+
+def divide(h, divisors, order=None, trace=None, *, quotients=True):
     """Divide h by the list of divisors (gcd-aggregating division).
 
     Returns quotients as rank-1 polynomials and a remainder none of
     whose terms lies in the leading-term module of the divisors. With
-    an empty divisor list the remainder is h itself.
+    an empty divisor list the remainder is h itself. With
+    `quotients=False` only the remainder is computed and the quotients
+    field is None; the remainder and the trace events are the same.
     """
     order = order or h.order
     _check_divisors(h, divisors)
     ring = h.ambient.ring
     zero = ring.zero()
-    q_acc = [dict() for _ in divisors]
+    q_acc = [dict() for _ in divisors] if quotients else None
     r_terms = []
-    lead = [(d.lc(), d.lm()) for d in divisors]
+    by_pos = _leads_by_position(divisors)
     work = _Work(h, order)
     while (t := work.lead()) is not None:
         lc, lm = t
         D = []
-        for j, (_djc, djm) in enumerate(lead):
+        for j, djc, djm in by_pos.get(lm.pos, ()):
             gamma = mono_divides(djm, lm)
             if gamma is not None:
-                D.append((j, gamma))
+                D.append((j, djc, gamma))
         if not D:
             r_terms.append(t)
             del work.coeffs[lm]
             continue
         if trace is not None:
-            trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _ in D]})
+            trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _, _ in D]})
         step = None
         e = zero
-        for j, gamma in D:
-            q = ring.divides(lead[j][0], lc)
+        for j, djc, gamma in D:
+            q = ring.divides(djc, lc)
             if q is not None:
                 step = [(j, gamma, q)]
                 break
         if step is None:
-            d, coeffs = ring.gcd_bezout([lead[j][0] for j, _ in D])
+            d, coeffs = ring.gcd_bezout([djc for _, djc, _ in D])
             c, e = ring.euclid_step(lc, d)
             step = []
-            for (j, gamma), cj in zip(D, coeffs):
+            for (j, _, gamma), cj in zip(D, coeffs):
                 w = ring.mul(c, cj)
                 if not ring.is_zero(w):
                     step.append((j, gamma, w))
         for j, gamma, w in step:
-            q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), w)
+            if q_acc is not None:
+                q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), w)
             work.sub_term_mul(divisors[j], w, gamma)
         if not ring.is_zero(e):
             r_terms.append(Term(e, lm))
@@ -172,12 +185,14 @@ def divide(h, divisors, order=None, trace=None):
 
 
 def _division_result(h, order, q_acc, r_terms):
-    """Quotients from their accumulators. r_terms are already descending:
-    each step removes the leading term of the working polynomial and
-    adds only smaller ones."""
+    """Quotients from their accumulators (None when q_acc is None).
+    r_terms are already descending: each step removes the leading term
+    of the working polynomial and adds only smaller ones."""
+    remainder = Vector(h.ambient, order, r_terms, _normalized=True)
+    if q_acc is None:
+        return DivisionResult(None, remainder)
     ring_amb = h.ambient._replace(rank=1)
-    quotients = tuple(_quotient_vector(ring_amb, order, acc) for acc in q_acc)
-    return DivisionResult(quotients, Vector(h.ambient, order, r_terms, _normalized=True))
+    return DivisionResult(tuple(_quotient_vector(ring_amb, order, acc) for acc in q_acc), remainder)
 
 
 def divide_valuation(h, divisors, order=None, trace=None):
@@ -194,15 +209,16 @@ def divide_valuation(h, divisors, order=None, trace=None):
     zero = ring.zero()
     q_acc = [dict() for _ in divisors]
     r_terms = []
+    by_pos = _leads_by_position(divisors)
     work = _Work(h, order)
     while (t := work.lead()) is not None:
         lc, lm = t
         hit = None
-        for j, d in enumerate(divisors):
-            gamma = mono_divides(d.lm(), lm)
+        for j, djc, djm in by_pos.get(lm.pos, ()):
+            gamma = mono_divides(djm, lm)
             if gamma is None:
                 continue
-            c = ring.divides(d.lc(), lc)
+            c = ring.divides(djc, lc)
             if c is not None:
                 hit = (j, gamma, c)
                 break
@@ -285,7 +301,7 @@ def buchberger(gens, order, guard=10_000, trace=None):
             trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
         if sp.value.is_zero():
             continue
-        rem = divide(sp.value, basis, order, trace=trace).remainder
+        rem = divide(sp.value, basis, order, trace=trace, quotients=False).remainder
         if rem.is_zero():
             continue
         basis.append(rem)
@@ -310,7 +326,7 @@ def is_groebner(elements, order) -> bool:
             sp = s_pair_indexed(elements[i], elements[j], order, auto=(i == j))
             if sp.value.is_zero():
                 continue
-            if not divide(sp.value, elements, order).remainder.is_zero():
+            if not divide(sp.value, elements, order, quotients=False).remainder.is_zero():
                 return False
     return True
 

@@ -13,6 +13,7 @@ min-heap pops the leading term.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -68,7 +69,7 @@ def exps_sub(a, b):
 
 
 def exps_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(m, n):

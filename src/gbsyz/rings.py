@@ -173,6 +173,10 @@ class Ring:
         """The DSL spelling of this ring (`ring <descriptor>;`)."""
         raise NotImplementedError
 
+    def random_element(self, rng):
+        """A small random element drawn from `rng` (zero included)."""
+        raise NotImplementedError
+
     def __repr__(self):
         return self.descriptor()
 
@@ -278,6 +282,9 @@ class Integers(Ring):
 
     def descriptor(self):
         return "Z"
+
+    def random_element(self, rng):
+        return rng.randint(-6, 6)
 
 
 class IntegersMod(Ring):
@@ -416,6 +423,9 @@ class IntegersMod(Ring):
 
     def descriptor(self):
         return f"Z/{self.n}"
+
+    def random_element(self, rng):
+        return rng.randrange(self.n)
 
 
 class TruncatedF2y(Ring):
@@ -584,6 +594,9 @@ class TruncatedF2y(Ring):
     def descriptor(self):
         return f"F2[y]/y^{self.r}"
 
+    def random_element(self, rng):
+        return rng.randrange(1 << self.r)
+
 
 class IntegersLocalizedAt(Ring):
     """Z localized at the prime p: reduced fractions a/s with p not dividing s."""
@@ -718,6 +731,12 @@ class IntegersLocalizedAt(Ring):
 
     def descriptor(self):
         return f"Z_({self.p})"
+
+    def random_element(self, rng):
+        den = rng.choice([1, 3, 5, 7])
+        while den % self.p == 0:
+            den += 2
+        return Fraction(rng.randint(-8, 8), den)
 
 
 def ring_from_descriptor(text):

@@ -31,6 +31,7 @@ from .poly import (
     Term,
     TopLex,
     Vector,
+    exps_add,
     reorder,
     sort_basis,
 )
@@ -362,6 +363,11 @@ def verify_resolution(res, samples=20, seed=0):
     sampled module combinations of each level reduce to zero against it,
     the final kernel vanishes for free tails, and periodic tails satisfy
     the annihilator alternation (including Ann(Ann(Ann)) = Ann).
+
+    A passing `groebner` check already implies, by Buchberger's
+    criterion, that every element of the level reduces to zero against
+    it. `kernel_sampling` is kept as an independent cross-check of the
+    division code, and the printed `(N checks)` counts it.
     """
     rng = random.Random(seed)
     ring = res.ambient.ring
@@ -386,13 +392,14 @@ def verify_resolution(res, samples=20, seed=0):
     for k, level in enumerate(res.levels):
         if not level.basis:
             continue
+        basis = list(level.basis)
         ok = True
         wit = None
         for _ in range(samples):
-            combo = _random_combination(rng, level.basis)
+            combo = _random_combination(rng, basis)
             if combo.is_zero():
                 continue
-            if not divide(combo, list(level.basis), level.order).remainder.is_zero():
+            if not divide(combo, basis, level.order, quotients=False).remainder.is_zero():
                 ok, wit = False, "sampled combination did not reduce to zero"
                 break
         record("kernel_sampling", k, ok, wit)
@@ -421,34 +428,17 @@ def verify_resolution(res, samples=20, seed=0):
 
 
 def _random_combination(rng, basis):
+    """sum c_v * X^a_v * v over a random subset of the basis, normalised once."""
     amb = basis[0].ambient
     ring = amb.ring
-    acc = Vector.zero(amb, basis[0].order)
+    terms = []
     for v in basis:
         if rng.random() < 0.5:
             continue
         exps = tuple(rng.randrange(3) for _ in range(amb.nvars))
-        coeff = _random_ring_element(rng, ring)
+        coeff = ring.random_element(rng)
         if ring.is_zero(coeff):
             continue
-        acc = acc.add(v.term_mul(coeff, exps))
-    return acc
-
-
-def _random_ring_element(rng, ring):
-    from . import rings
-
-    if isinstance(ring, rings.Integers):
-        return rng.randint(-6, 6)
-    if isinstance(ring, rings.IntegersMod):
-        return rng.randrange(ring.n)
-    if isinstance(ring, rings.TruncatedF2y):
-        return rng.randrange(1 << ring.r)
-    if isinstance(ring, rings.IntegersLocalizedAt):
-        from fractions import Fraction
-
-        den = rng.choice([1, 3, 5, 7])
-        while den % ring.p == 0:
-            den += 2
-        return Fraction(rng.randint(-8, 8), den)
-    raise InternalError(f"no random generator for {ring}")
+        for c, m in v.terms:
+            terms.append(Term(ring.mul(coeff, c), Mono(exps_add(m.exps, exps), m.pos)))
+    return Vector(amb, basis[0].order, terms)

@@ -222,3 +222,20 @@ def _reference_result(h, order, q_acc, r_terms):
         Vector(ring_amb, order, [Term(c, Mono(e, 0)) for e, c in acc.items()]) for acc in q_acc
     )
     return DivisionResult(quotients, Vector(h.ambient, order, r_terms))
+
+
+def reference_random_combination(rng, basis):
+    """Whole-vector-add sample builder: the reference for
+    `syzygy._random_combination`, with the same draws from `rng`."""
+    amb = basis[0].ambient
+    ring = amb.ring
+    acc = Vector.zero(amb, basis[0].order)
+    for v in basis:
+        if rng.random() < 0.5:
+            continue
+        exps = tuple(rng.randrange(3) for _ in range(amb.nvars))
+        coeff = random_element(rng, ring)
+        if ring.is_zero(coeff):
+            continue
+        acc = acc.add(v.term_mul(coeff, exps))
+    return acc

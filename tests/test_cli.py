@@ -1,9 +1,14 @@
 """End-to-end CLI checks over the worked-example corpus."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gbsyz
 from gbsyz.cli import main
 from helpers import GOLDEN, parse_in, problem
 
@@ -160,3 +165,53 @@ def test_trace_emits_events(goldens, capsys):
     events = [json.loads(line) for line in err.splitlines() if line.strip()]
     assert any(e.get("event") == "pair" for e in events)
     assert any(e.get("event") == "basis_added" for e in events)
+
+
+def _fresh_env():
+    src = str(Path(gbsyz.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _separate_call(argv):
+    """(exit code, stdout, stderr) of the command in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-m", "gbsyz.cli", *argv],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_matches_separate_calls(goldens, capsys):
+    # the parser is built once per process; flags set by one call must
+    # not leak into the next, and a usage error must not poison it
+    calls = [
+        ["gb", goldens["zint_ideal"], "--pseudo-reduce"],
+        ["gb", goldens["zint_ideal"]],
+        ["gb", goldens["zint_ideal"], "--bogus-flag"],
+        ["syz", goldens["z12_ideal"], "--format", "json-like", "--order", "X,Y"],
+        ["reduce", goldens["zloc2_ideal"], "2*Y", "--valuation-division"],
+        ["reduce", goldens["zint_ideal"], "4*Y^2 - 4*X^3 + 12*X^2"],
+        ["resolve", goldens["z12_ideal"], "--max-levels", "1"],
+        ["member", goldens["zint_ideal"], "12*X^2 - 12", "--trace"],
+        ["resolve", goldens["z12_ideal"]],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert [r[0] for r in in_process] == [0, 0, 2, 0, 0, 0, 3, 0, 0]
+    assert in_process[0][1] != in_process[1][1]  # --pseudo-reduce changes this basis
+    for argv, got in zip(calls, in_process):
+        assert got == _separate_call(argv), argv
+
+
+def test_import_does_not_build_the_parser():
+    # building the parser at import would move its cost into every startup
+    probe = (
+        "import gbsyz.cli as cli; n = cli._build_argparser.cache_info().currsize; "
+        "cli.main(['gb', '-']); print(n, cli._build_argparser.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], input=GOLDEN["zint_ideal"],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 1"

@@ -183,10 +183,12 @@ def test_members_reduce_to_zero_under_both_divisions():
 
 def _assert_same_division(h, divisors, order):
     """divide (and divide_valuation on valuation rings) against the
-    full-merge references: identical terms and trace streams."""
+    full-merge references: identical terms and trace streams. The
+    remainder-only mode of divide gives the same remainder and stream."""
     pairs = [(divide, reference_divide)]
     if h.ambient.ring.is_valuation_ring:
         pairs.append((divide_valuation, reference_divide_valuation))
+    streams = []
     for fast, ref in pairs:
         got_trace, want_trace = [], []
         got = fast(h, divisors, order, trace=got_trace.append)
@@ -194,6 +196,11 @@ def _assert_same_division(h, divisors, order):
         assert got.remainder.terms == want.remainder.terms
         assert [q.terms for q in got.quotients] == [q.terms for q in want.quotients]
         assert got_trace == want_trace
+        streams.append((want.remainder.terms, want_trace))
+    rem_trace = []
+    rem = divide(h, divisors, order, trace=rem_trace.append, quotients=False)
+    assert rem.quotients is None
+    assert (rem.remainder.terms, rem_trace) == streams[0]
 
 
 def test_accumulator_matches_full_merge_on_golden_levels():
@@ -214,14 +221,40 @@ def test_accumulator_matches_full_merge_on_golden_levels():
 
 
 def test_accumulator_matches_full_merge_randomized():
+    # rank 3 spreads up to six divisors over three positions
     rng = random.Random(2024)
-    for ring in rings_under_test():
-        amb = Ambient(ring, 2, 2)
-        order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
-        for _ in range(150):
-            h = random_vector(rng, amb, order, max_terms=5, max_exp=4)
-            divisors = [
-                random_nonzero_vector(rng, amb, order, max_terms=3, max_exp=2)
-                for _ in range(rng.randrange(1, 5))
-            ]
-            _assert_same_division(h, divisors, order)
+    for rank, trials, max_divisors in ((2, 150, 4), (3, 100, 6)):
+        for ring in rings_under_test():
+            amb = Ambient(ring, 2, rank)
+            order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
+            for _ in range(trials):
+                h = random_vector(rng, amb, order, max_terms=5, max_exp=4)
+                divisors = [
+                    random_nonzero_vector(rng, amb, order, max_terms=3, max_exp=2)
+                    for _ in range(rng.randrange(1, max_divisors + 1))
+                ]
+                _assert_same_division(h, divisors, order)
+
+
+def test_divisors_at_interleaved_positions():
+    # the divisor index groups by leading position; candidates must still
+    # be tried in ascending index order across the interleaved groups
+    from gbsyz import parse_problem
+
+    for ring, two in (("Z", "2"), ("Z/12", "2"), ("Z_(2)", "2"), ("F2[y]/y^3", "y")):
+        p = parse_problem(
+            f"ring {ring}; vars Y X; rank 3;"
+            f" d1 = [{two}*X, 0, 1]; d2 = [0, Y, X]; d3 = [0, 0, {two}*X^2];"
+            f" d4 = [{two}^2*Y, X, 0]; d5 = [0, {two}*Y^2, 0]; d6 = [0, 0, {two}*X^2 + X];"
+            " d7 = [X*Y, 0, 0];"
+        )
+        divisors = [v for _, v in p.generators]
+        assert [d.lp() for d in divisors] == [0, 1, 2, 0, 1, 2, 0]
+        h = vec(p, f"[{two}^2*X*Y^2 + 3*X*Y + X, 3*Y^3 + X^2, X^3 + 3*X^2 + 7]")
+        _assert_same_division(h, divisors, p.order)
+        events = []
+        divide(h, divisors, p.order, trace=events.append)
+        steps = [e["divisors"] for e in events]
+        assert any(len(js) > 1 for js in steps)
+        assert all(js == sorted(js) for js in steps)
+

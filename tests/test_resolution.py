@@ -20,7 +20,15 @@ from gbsyz import (
     free_resolution,
     verify_resolution,
 )
-from helpers import gens_of, problem, random_nonzero_vector, vec
+from gbsyz.syzygy import _random_combination
+from helpers import (
+    GOLDEN,
+    gens_of,
+    problem,
+    random_nonzero_vector,
+    reference_random_combination,
+    vec,
+)
 
 
 def rel_in(level, p, polys):
@@ -226,3 +234,19 @@ def test_random_domain_resolutions_free_and_bounded():
             assert isinstance(res.tail, FreeTail)
             assert res.quotient_length <= 3
             assert verify_resolution(res, samples=6).ok
+
+
+def test_random_combination_matches_whole_vector_adds():
+    # same samples and same rng state as the one-add-per-element builder,
+    # over all four rings, under TOP-lex and nested Schreyer orders
+    for key in GOLDEN:
+        _, gens = gens_of(problem(key))
+        for level in free_resolution(gens).levels:
+            basis = list(level.basis)
+            for seed in range(12):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = _random_combination(got_rng, basis)
+                want = reference_random_combination(want_rng, basis)
+                assert got.terms == want.terms
+                assert got.order is want.order
+                assert got_rng.getstate() == want_rng.getstate()
