@@ -61,11 +61,44 @@ def _quotient_vector(ring_amb, order, acc):
     return Vector(ring_amb, order, [Term(acc[m.exps], m) for m in monos], _normalized=True)
 
 
-def _check_divisors(h, divisors):
-    for d in divisors:
-        if d.is_zero():
+class Divisors:
+    """A divisor list prepared once for many divisions.
+
+    Each divisor is checked once: it must be nonzero and compatible with
+    `like` (by default the first divisor). The leading terms are indexed
+    as (index, LC, LM) by leading position, in ascending index order:
+    only same-position divisors can divide. `append` grows the set, as
+    Buchberger's basis grows.
+    """
+
+    __slots__ = ("vectors", "by_pos", "_ref")
+
+    def __init__(self, vectors=(), *, like=None):
+        self.vectors = []
+        self.by_pos = {}
+        self._ref = like
+        for v in vectors:
+            self.append(v)
+
+    def append(self, v):
+        if v.is_zero():
             raise UsageError("zero divisor in division")
-        h._check_compatible(d)
+        if self._ref is None:
+            self._ref = v
+        else:
+            self._ref._check_compatible(v)
+        lc, lm = v.terms[0]
+        self.by_pos.setdefault(lm.pos, []).append((len(self.vectors), lc, lm))
+        self.vectors.append(v)
+
+
+def _prepared(h, divisors):
+    """divisors as a Divisors checked against h."""
+    if isinstance(divisors, Divisors):
+        if divisors.vectors:
+            h._check_compatible(divisors.vectors[0])
+        return divisors
+    return Divisors(divisors, like=h)
 
 
 class _Work:
@@ -79,11 +112,11 @@ class _Work:
 
     __slots__ = ("ring", "key", "coeffs", "heap")
 
-    def __init__(self, h, order):
-        self.ring = h.ambient.ring
+    def __init__(self, ring, order, coeffs):
+        self.ring = ring
         self.key = order.key
-        self.coeffs = {m: c for c, m in h.terms}
-        self.heap = [(self.key(m), m) for m in self.coeffs]
+        self.coeffs = coeffs
+        self.heap = [(self.key(m), m) for m in coeffs]
         heapq.heapify(self.heap)
 
     def lead(self):
@@ -113,59 +146,62 @@ class _Work:
     def sub_term_mul(self, d, w, gamma):
         """Subtract w * X^gamma * d, term by term."""
         ring = self.ring
+        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+        coeffs, heap, key = self.coeffs, self.heap, self.key
+        nw = ring.neg(w)
         for c, m in d.terms:
-            p = ring.mul(w, c)
-            if not ring.is_zero(p):
-                self.add(ring.neg(p), Mono(exps_add(m.exps, gamma), m.pos))
+            p = mul(nw, c)
+            if is_zero(p):
+                continue
+            mono = Mono(exps_add(m.exps, gamma), m.pos)
+            old = coeffs.get(mono)
+            if old is None:
+                coeffs[mono] = p
+                heapq.heappush(heap, (key(mono), mono))
+                continue
+            s = add(old, p)
+            if is_zero(s):
+                del coeffs[mono]
+            else:
+                coeffs[mono] = s
 
 
-def _leads_by_position(divisors):
-    """(index, LC, LM) of each divisor, grouped by leading position in
-    ascending index order: only same-position divisors can divide."""
-    by_pos = {}
-    for j, d in enumerate(divisors):
-        lc, lm = d.terms[0]
-        by_pos.setdefault(lm.pos, []).append((j, lc, lm))
-    return by_pos
+def _reduce(work, index, q_acc, trace):
+    """The gcd-aggregating reduction loop: reduce work against the
+    prepared divisors until it is zero and return the remainder terms,
+    in descending order. Quotient terms accumulate in q_acc (one dict
+    per divisor) unless it is None.
 
-
-def divide(h, divisors, order=None, trace=None, *, quotients=True):
-    """Divide h by the list of divisors (gcd-aggregating division).
-
-    Returns quotients as rank-1 polynomials and a remainder none of
-    whose terms lies in the leading-term module of the divisors. With
-    an empty divisor list the remainder is h itself. With
-    `quotients=False` only the remainder is computed and the quotients
-    field is None; the remainder and the trace events are the same.
+    The divisors whose leading monomial divides the leading term are
+    scanned in index order; the first whose leading coefficient divides
+    too is used alone. Without a trace the scan stops there; with one it
+    goes on, because the `reduction_step` event names them all.
     """
-    order = order or h.order
-    _check_divisors(h, divisors)
-    ring = h.ambient.ring
+    ring = work.ring
     zero = ring.zero()
-    q_acc = [dict() for _ in divisors] if quotients else None
+    divides = ring.divides
+    by_pos, vectors = index.by_pos, index.vectors
     r_terms = []
-    by_pos = _leads_by_position(divisors)
-    work = _Work(h, order)
     while (t := work.lead()) is not None:
         lc, lm = t
         D = []
+        step = None
         for j, djc, djm in by_pos.get(lm.pos, ()):
             gamma = mono_divides(djm, lm)
-            if gamma is not None:
-                D.append((j, djc, gamma))
+            if gamma is None:
+                continue
+            D.append((j, djc, gamma))
+            if step is None and (q := divides(djc, lc)) is not None:
+                step = [(j, gamma, q)]
+                if trace is None:
+                    break
         if not D:
             r_terms.append(t)
             del work.coeffs[lm]
             continue
         if trace is not None:
             trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _, _ in D]})
-        step = None
         e = zero
-        for j, djc, gamma in D:
-            q = ring.divides(djc, lc)
-            if q is not None:
-                step = [(j, gamma, q)]
-                break
         if step is None:
             d, coeffs = ring.gcd_bezout([djc for _, djc, _ in D])
             c, e = ring.euclid_step(lc, d)
@@ -177,11 +213,38 @@ def divide(h, divisors, order=None, trace=None, *, quotients=True):
         for j, gamma, w in step:
             if q_acc is not None:
                 q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), w)
-            work.sub_term_mul(divisors[j], w, gamma)
+            work.sub_term_mul(vectors[j], w, gamma)
         if not ring.is_zero(e):
             r_terms.append(Term(e, lm))
             work.add(ring.neg(e), lm)
-    return _division_result(h, order, q_acc, r_terms)
+    return r_terms
+
+
+def divide(h, divisors, order=None, trace=None, *, quotients=True):
+    """Divide h by the list of divisors (gcd-aggregating division).
+
+    Returns quotients as rank-1 polynomials and a remainder none of
+    whose terms lies in the leading-term module of the divisors. With
+    an empty divisor list the remainder is h itself. `divisors` is a
+    sequence of vectors or a prepared `Divisors`; a prepared set was
+    checked when it was built, so h is checked against its first
+    divisor only. With
+    `quotients=False` only the remainder is computed and the quotients
+    field is None; the remainder and the trace events are the same.
+    """
+    order = order or h.order
+    index = _prepared(h, divisors)
+    q_acc = [dict() for _ in index.vectors] if quotients else None
+    work = _Work(h.ambient.ring, order, {m: c for c, m in h.terms})
+    return _division_result(h, order, q_acc, _reduce(work, index, q_acc, trace))
+
+
+def reduce_coeffs(coeffs, divisors, order, ring):
+    """The remainder terms, in descending order, of the polynomial over
+    `ring` given as a dict monomial -> nonzero coefficient (consumed),
+    divided by a prepared `Divisors` as `divide` does, without quotients
+    or trace."""
+    return _reduce(_Work(ring, order, coeffs), divisors, None, None)
 
 
 def _division_result(h, order, q_acc, r_terms):
@@ -200,21 +263,21 @@ def divide_valuation(h, divisors, order=None, trace=None):
 
     Scans for the first leading term that divides (as a term) and
     reduces by it alone; anything else moves to the remainder.
+    `divisors` is a sequence of vectors or a prepared `Divisors`.
     """
     order = order or h.order
     if not h.ambient.ring.is_valuation_ring:
         raise UsageError(f"{h.ambient.ring} is not a valuation ring")
-    _check_divisors(h, divisors)
+    index = _prepared(h, divisors)
     ring = h.ambient.ring
     zero = ring.zero()
-    q_acc = [dict() for _ in divisors]
+    q_acc = [dict() for _ in index.vectors]
     r_terms = []
-    by_pos = _leads_by_position(divisors)
-    work = _Work(h, order)
+    work = _Work(ring, order, {m: c for c, m in h.terms})
     while (t := work.lead()) is not None:
         lc, lm = t
         hit = None
-        for j, djc, djm in by_pos.get(lm.pos, ()):
+        for j, djc, djm in index.by_pos.get(lm.pos, ()):
             gamma = mono_divides(djm, lm)
             if gamma is None:
                 continue
@@ -230,7 +293,7 @@ def divide_valuation(h, divisors, order=None, trace=None):
         if trace is not None:
             trace({"event": "reduction_step", "lm": lm, "divisors": [j]})
         q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), c)
-        work.sub_term_mul(divisors[j], c, gamma)
+        work.sub_term_mul(index.vectors[j], c, gamma)
     return _division_result(h, order, q_acc, r_terms)
 
 
@@ -292,7 +355,8 @@ def buchberger(gens, order, guard=10_000, trace=None):
     for g in gens:
         if g.is_zero():
             raise UsageError("zero generator")
-    basis = list(gens)
+    index = Divisors(gens)
+    basis = index.vectors
     queue = deque((i, j) for i in range(len(basis)) for j in range(i, len(basis)))
     while queue:
         i, j = queue.popleft()
@@ -301,10 +365,10 @@ def buchberger(gens, order, guard=10_000, trace=None):
             trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
         if sp.value.is_zero():
             continue
-        rem = divide(sp.value, basis, order, trace=trace, quotients=False).remainder
+        rem = divide(sp.value, index, order, trace=trace, quotients=False).remainder
         if rem.is_zero():
             continue
-        basis.append(rem)
+        index.append(rem)
         t = len(basis) - 1
         if len(basis) > guard:
             raise GuardExceeded(f"basis grew past guard={guard}", tuple(basis))
@@ -321,12 +385,13 @@ def is_groebner(elements, order) -> bool:
     for g in elements:
         if g.is_zero():
             raise UsageError("zero element in candidate basis")
+    index = Divisors(elements)
     for i in range(len(elements)):
         for j in range(i, len(elements)):
             sp = s_pair_indexed(elements[i], elements[j], order, auto=(i == j))
             if sp.value.is_zero():
                 continue
-            if not divide(sp.value, elements, order, quotients=False).remainder.is_zero():
+            if not divide(sp.value, index, order, quotients=False).remainder.is_zero():
                 return False
     return True
 

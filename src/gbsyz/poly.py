@@ -132,11 +132,16 @@ class TopLex:
         k = self._keys.get(m)
         if k is None:
             exps = m.exps
-            k = self._keys[m] = (tuple([-exps[i] for i in self.priority]), m.pos)
+            k = self._keys[m] = tuple([-exps[i] for i in self.priority] + [m.pos])
         return k
 
     def compare(self, m, n):
         return _compare_keys(self.key(m), self.key(n))
+
+    def frame(self, pos):
+        """(shift, chain) of position pos: the key of X^a * e_pos is
+        -(a + shift) along the priority, followed by chain."""
+        return (0,) * self.nvars, (pos,)
 
 
 class Schreyer:
@@ -154,7 +159,14 @@ class Schreyer:
                 raise UsageError("Schreyer order images must be nonzero")
         self.images = tuple(images)
         self.parent = parent
-        self._lms = tuple(g.lm() for g in self.images)
+        self.priority = parent.priority
+        # X^a * eps_l sorts as X^(a + LM(g_l).exps) * e_LP(g_l) under the
+        # parent, ties broken by l: fold that down to the base TOP-lex order
+        self._frames = []
+        for l, g in enumerate(self.images):
+            lm = g.lm()
+            shift, chain = parent.frame(lm.pos)
+            self._frames.append((exps_add(lm.exps, shift), chain + (l,)))
         # memoised keys, one per monomial seen; they die with the order
         self._keys = {}
 
@@ -162,12 +174,17 @@ class Schreyer:
         """Sort key of a monomial: a smaller key is a greater monomial."""
         k = self._keys.get(m)
         if k is None:
-            lm = self._lms[m.pos]
-            k = self._keys[m] = (self.parent.key(Mono(exps_add(m.exps, lm.exps), lm.pos)), m.pos)
+            exps = m.exps
+            shift, chain = self._frames[m.pos]
+            k = self._keys[m] = tuple([-(exps[i] + shift[i]) for i in self.priority]) + chain
         return k
 
     def compare(self, m, n):
         return _compare_keys(self.key(m), self.key(n))
+
+    def frame(self, pos):
+        """(shift, chain) of position pos, as for TopLex.frame."""
+        return self._frames[pos]
 
 
 def _compare_keys(k, l):

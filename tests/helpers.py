@@ -239,3 +239,12 @@ def reference_random_combination(rng, basis):
             continue
         acc = acc.add(v.term_mul(coeff, exps))
     return acc
+
+
+def reference_apply_relation(rel, source):
+    """One whole-vector add per relation term: the reference for
+    `syzygy.apply_relation`."""
+    out = Vector.zero(source[0].ambient, source[0].order)
+    for c, m in rel.terms:
+        out = out.add(source[m.pos].term_mul(c, m.exps))
+    return out

@@ -6,6 +6,7 @@ import pytest
 
 from gbsyz import (
     Ambient,
+    Divisors,
     TopLex,
     UsageError,
     divide,
@@ -13,9 +14,11 @@ from gbsyz import (
     expand_combination,
     term_module_member,
 )
+from gbsyz.groebner import reduce_coeffs
 from helpers import (
     GOLDEN,
     gens_of,
+    parse_in,
     problem,
     random_nonzero_vector,
     random_vector,
@@ -184,7 +187,8 @@ def test_members_reduce_to_zero_under_both_divisions():
 def _assert_same_division(h, divisors, order):
     """divide (and divide_valuation on valuation rings) against the
     full-merge references: identical terms and trace streams. The
-    remainder-only mode of divide gives the same remainder and stream."""
+    remainder-only mode of divide gives the same remainder and stream,
+    and so do the prepared-divisor paths."""
     pairs = [(divide, reference_divide)]
     if h.ambient.ring.is_valuation_ring:
         pairs.append((divide_valuation, reference_divide_valuation))
@@ -201,6 +205,7 @@ def _assert_same_division(h, divisors, order):
     rem = divide(h, divisors, order, trace=rem_trace.append, quotients=False)
     assert rem.quotients is None
     assert (rem.remainder.terms, rem_trace) == streams[0]
+    _assert_same_kernel_paths(h, divisors, order)
 
 
 def test_accumulator_matches_full_merge_on_golden_levels():
@@ -234,6 +239,86 @@ def test_accumulator_matches_full_merge_randomized():
                     for _ in range(rng.randrange(1, max_divisors + 1))
                 ]
                 _assert_same_division(h, divisors, order)
+
+
+def _assert_same_kernel_paths(h, divisors, order):
+    """A prepared Divisors, reused, gives what the plain list gives: the
+    same quotients, remainder and reduction_step stream. Untraced divide
+    stops scanning at the first exactly dividing candidate and still
+    gives the traced result; reduce_coeffs gives the remainder."""
+    ring = h.ambient.ring
+    index = Divisors(divisors)
+    grown = Divisors(divisors[:1])
+    for d in divisors[1:]:
+        grown.append(d)
+    assert grown.by_pos == index.by_pos and grown.vectors == index.vectors
+    fns = [divide, divide_valuation] if ring.is_valuation_ring else [divide]
+    for fn in fns:
+        want_trace, got_trace = [], []
+        want = fn(h, divisors, order, trace=want_trace.append)
+        got = fn(h, index, order, trace=got_trace.append)
+        assert got_trace == want_trace
+        for res in (got, fn(h, index, order), fn(h, divisors, order)):
+            assert res.remainder.terms == want.remainder.terms
+            assert [q.terms for q in res.quotients] == [q.terms for q in want.quotients]
+    want = divide(h, divisors, order)
+    assert divide(h, index, order, quotients=False).remainder.terms == want.remainder.terms
+    coeffs = {m: c for c, m in h.terms}
+    assert reduce_coeffs(coeffs, index, order, ring) == list(want.remainder.terms)
+    assert reduce_coeffs({m: c for c, m in h.terms}, Divisors(), order, ring) == list(h.terms)
+
+
+def test_division_errors_keep_their_text():
+    # divisors are checked in list order, each for zero and then against h
+    p = problem("zloc2_ideal")
+    h, d, zero = vec(p, "X^2 + 1"), vec(p, "X"), vec(p, "0")
+    rank2 = parse_in(p, 2, "[X, 1]")
+    swapped = vec(p, "X", TopLex(2, (1, 0)))
+    zero_text = "zero divisor in division"
+    ambient_text = "vectors from different ambients"
+    order_text = "vectors under different monomial orders"
+    cases = [
+        ([zero], zero_text),
+        ([d, zero], zero_text),
+        ([rank2], ambient_text),
+        ([d, swapped], order_text),
+        ([rank2, zero], ambient_text),
+        ([zero, rank2], zero_text),
+        ([d, swapped, zero], order_text),
+        ([d, zero, swapped], zero_text),
+    ]
+    for divisors, text in cases:
+        for fn in (divide, divide_valuation):
+            with pytest.raises(UsageError, match=f"^{text}$"):
+                fn(h, divisors, p.order)
+        with pytest.raises(UsageError, match=f"^{text}$"):
+            divide(h, divisors, p.order, quotients=False)
+
+
+def test_prepared_divisor_errors_keep_their_text():
+    # a prepared set checks its divisors against its first one when it is
+    # built or grown, and divide checks h against that first divisor only
+    p = problem("zloc2_ideal")
+    h, d, zero = vec(p, "X^2 + 1"), vec(p, "X"), vec(p, "0")
+    rank2 = parse_in(p, 2, "[X, 1]")
+    swapped = vec(p, "X", TopLex(2, (1, 0)))
+    for divisors, text in (
+        ([zero], "zero divisor in division"),
+        ([d, zero], "zero divisor in division"),
+        ([d, rank2], "vectors from different ambients"),
+        ([d, swapped], "vectors under different monomial orders"),
+    ):
+        with pytest.raises(UsageError, match=f"^{text}$"):
+            Divisors(divisors)
+        index = Divisors(divisors[:1]) if divisors[0] is d else Divisors()
+        with pytest.raises(UsageError, match=f"^{text}$"):
+            index.append(divisors[-1])
+    index = Divisors([d])
+    for target, text in ((rank2, "vectors from different ambients"),
+                         (swapped, "vectors under different monomial orders")):
+        for fn in (divide, divide_valuation):
+            with pytest.raises(UsageError, match=f"^{text}$"):
+                fn(target, index, p.order)
 
 
 def test_divisors_at_interleaved_positions():

@@ -16,16 +16,20 @@ from gbsyz import (
     TopLex,
     UsageError,
     Vector,
+    apply_relation,
     divide,
     free_resolution,
+    parse_problem,
     verify_resolution,
 )
-from gbsyz.syzygy import _random_combination
+from gbsyz.syzygy import _random_sample
 from helpers import (
     GOLDEN,
     gens_of,
     problem,
     random_nonzero_vector,
+    random_vector,
+    reference_apply_relation,
     reference_random_combination,
     vec,
 )
@@ -237,16 +241,73 @@ def test_random_domain_resolutions_free_and_bounded():
 
 
 def test_random_combination_matches_whole_vector_adds():
-    # same samples and same rng state as the one-add-per-element builder,
-    # over all four rings, under TOP-lex and nested Schreyer orders
+    # the sample dict holds the same terms, and leaves the same rng state,
+    # as the one-add-per-element builder, over all four rings, under
+    # TOP-lex and nested Schreyer orders
     for key in GOLDEN:
         _, gens = gens_of(problem(key))
         for level in free_resolution(gens).levels:
             basis = list(level.basis)
+            ring = basis[0].ambient.ring
             for seed in range(12):
                 got_rng, want_rng = random.Random(seed), random.Random(seed)
-                got = _random_combination(got_rng, basis)
+                got = _random_sample(got_rng, basis)
                 want = reference_random_combination(want_rng, basis)
-                assert got.terms == want.terms
-                assert got.order is want.order
+                assert not any(ring.is_zero(c) for c in got.values())
+                monos = sorted(got, key=level.order.key)
+                assert [Term(got[m], m) for m in monos] == list(want.terms)
                 assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_verify_reports_a_free_tail_that_is_not_a_groebner_basis():
+    # the free tail's Schreyer syzygies cannot be computed on a level that
+    # is not a Groebner basis: reported as a failed check, not raised
+    p = parse_problem("ring Z; vars X Y; rank 1; f = X + 1;")
+    res = free_resolution([v for _, v in p.generators])
+    assert isinstance(res.tail, FreeTail) and len(res.levels) == 1
+    bad = (vec(p, "X*Y + 1"), vec(p, "X^2 + Y"))
+    broken = res._replace(levels=(res.levels[0]._replace(basis=bad, labels=("a", "b")),))
+    report = verify_resolution(broken)
+    assert not report.ok
+    failed = {(c["check"], c["level"]) for c in report.failures()}
+    assert failed == {("groebner", 0), ("kernel_sampling", 0), ("free_tail_kernel_zero", 0)}
+    (tail,) = [c for c in report.checks if c["check"] == "free_tail_kernel_zero"]
+    assert "not a Groebner basis" in tail["witness"]
+
+
+def test_apply_relation_matches_whole_vector_adds():
+    # every relation of every golden level against the level below it
+    # (zero), and random relations in the same module (mostly nonzero)
+    rng = random.Random(41)
+    for key in GOLDEN:
+        _, gens = gens_of(problem(key))
+        levels = free_resolution(gens).levels
+        for below, level in zip(levels, levels[1:]):
+            source = list(below.basis)
+            amb = level.basis[0].ambient
+            rels = list(level.basis) + [random_vector(rng, amb, level.order, 5, 2) for _ in range(8)]
+            for rel in rels:
+                got = apply_relation(rel, source)
+                want = reference_apply_relation(rel, source)
+                assert got.terms == want.terms and got.order is want.order
+
+
+def test_verify_prepares_divisors_once_per_level_and_check(monkeypatch):
+    # the groebner and kernel_sampling checks index each level once, not
+    # once per S-pair or per sample
+    from gbsyz import Divisors
+
+    built = []
+    init = Divisors.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    labels, gens = gens_of(problem("z12_ideal"))
+    res = free_resolution(gens, labels=labels)
+    monkeypatch.setattr(Divisors, "__init__", counting_init)
+    report = verify_resolution(res)
+    assert report.ok
+    levels = len(res.levels)
+    assert 0 < len(built) <= 2 * levels + isinstance(res.tail, FreeTail)
