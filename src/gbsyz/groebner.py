@@ -1,20 +1,25 @@
 """Division with remainder, S-polynomials, Buchberger's algorithm.
 
-The division aggregates every divisor whose leading monomial divides
-the working leading monomial and reduces by a Bezout combination of
-their leading coefficients, with one refinement: when a single leading
-coefficient already divides exactly, the first such divisor is used
-alone. That reproduces the hand computations of the worked examples
-while keeping the output contract (reconstruction identity, the
-LM(q_j)LM(h_j) <= LM(h) bound, and no remainder term lying in the
-leading-term module of the divisors).
+Every reduction here takes one step on a leading term lc * lm
+(`_lead_step`): of the divisors at lm's position whose leading monomial
+divides lm, the first whose leading coefficient divides lc is used
+alone; otherwise the step is the Bezout combination of all of them,
+with the Euclid residue of lc left over. That reproduces the hand
+computations of the worked examples while keeping the output contract
+(reconstruction identity, the LM(q_j)LM(h_j) <= LM(h) bound, and no
+remainder term lying in the leading-term module of the divisors). Each
+caller keeps its own rule for what is left over: `divide` moves it to
+the remainder; `divide_valuation` moves the term to the remainder
+unless a single divisor is exact.
 
 `pseudo_reduce` is the leading-term exhaustion used between syzygy
 levels: unit-normalize leading coefficients, reduce a leading term away
 whenever the other leading terms divide it, and replace coefficients by
 proper gcd combinations when they improve the displayed leading-term
-module. Tails are deliberately left alone; full tail reduction would
-rewrite the bases the worked examples pin down.
+module (its rule for a residue). Tails are deliberately left alone;
+full tail reduction would rewrite the bases the worked examples pin
+down. `term_module_member` decides membership of a term without the
+step, as an independent check of what the divisions leave.
 """
 
 from __future__ import annotations
@@ -110,10 +115,11 @@ class _Work:
     dropped when it surfaces.
     """
 
-    __slots__ = ("ring", "key", "coeffs", "heap")
+    __slots__ = ("ring", "order", "key", "coeffs", "heap")
 
     def __init__(self, ring, order, coeffs):
         self.ring = ring
+        self.order = order
         self.key = order.key
         self.coeffs = coeffs
         self.heap = [(self.key(m), m) for m in coeffs]
@@ -143,6 +149,18 @@ class _Work:
         else:
             self.coeffs[m] = s
 
+    def scale(self, u):
+        """Multiply by the unit u in place (no coefficient vanishes)."""
+        mul, coeffs = self.ring.mul, self.coeffs
+        for m, c in coeffs.items():
+            coeffs[m] = mul(u, c)
+
+    def vector(self, ambient):
+        """The working polynomial as a Vector in `ambient`."""
+        coeffs = self.coeffs
+        terms = [Term(coeffs[m], m) for m in sorted(coeffs, key=self.key)]
+        return Vector(ambient, self.order, terms, _normalized=True)
+
     def sub_term_mul(self, d, w, gamma):
         """Subtract w * X^gamma * d, term by term."""
         ring = self.ring
@@ -166,55 +184,74 @@ class _Work:
                 coeffs[mono] = s
 
 
+def _lead_step(index, ring, lc, lm, scan_all=False, bezout=True):
+    """The step every reduction takes on the leading term lc * lm.
+
+    Scans the candidates at lm's position in the prepared `index`, in
+    index order, and collects in D, as (j, LC_j, gamma), those whose
+    leading monomial divides lm. The first whose leading coefficient
+    divides lc too is taken alone: the step is [(j, gamma, q)] and the
+    scan stops there unless `scan_all`. Otherwise, when `bezout`, the
+    step is the Bezout combination of all of D: with d = sum c_j LC_j
+    their gcd and lc = c * d + e, it is [(j, gamma, c * c_j)], nonzero
+    entries only, and e is left on lm.
+
+    Returns (D, step, rest): step subtracts w * X^gamma * divisor j per
+    entry; it is None when D is empty, or when no candidate is exact and
+    not `bezout`. rest is None for an exact step and (e, d, [c_j]) for a
+    combination.
+    """
+    D = []
+    step = None
+    for j, djc, djm in index.by_pos.get(lm.pos, ()):
+        gamma = mono_divides(djm, lm)
+        if gamma is None:
+            continue
+        D.append((j, djc, gamma))
+        if step is None and (q := ring.divides(djc, lc)) is not None:
+            step = [(j, gamma, q)]
+            if not scan_all:
+                break
+    if step is not None or not D or not bezout:
+        return D, step, None
+    d, coeffs = ring.gcd_bezout([djc for _, djc, _ in D])
+    c, e = ring.euclid_step(lc, d)
+    step = []
+    for (j, _, gamma), cj in zip(D, coeffs):
+        w = ring.mul(c, cj)
+        if not ring.is_zero(w):
+            step.append((j, gamma, w))
+    return D, step, (e, d, coeffs)
+
+
 def _reduce(work, index, q_acc, trace):
     """The gcd-aggregating reduction loop: reduce work against the
     prepared divisors until it is zero and return the remainder terms,
     in descending order. Quotient terms accumulate in q_acc (one dict
-    per divisor) unless it is None.
+    per divisor) unless it is None. A leading term without divisors, and
+    the Euclid residue of a combination, move to the remainder.
 
-    The divisors whose leading monomial divides the leading term are
-    scanned in index order; the first whose leading coefficient divides
-    too is used alone. Without a trace the scan stops there; with one it
-    goes on, because the `reduction_step` event names them all.
+    With a trace the step scans every candidate, because the
+    `reduction_step` event names them all.
     """
     ring = work.ring
     zero = ring.zero()
-    divides = ring.divides
-    by_pos, vectors = index.by_pos, index.vectors
+    vectors = index.vectors
     r_terms = []
     while (t := work.lead()) is not None:
         lc, lm = t
-        D = []
-        step = None
-        for j, djc, djm in by_pos.get(lm.pos, ()):
-            gamma = mono_divides(djm, lm)
-            if gamma is None:
-                continue
-            D.append((j, djc, gamma))
-            if step is None and (q := divides(djc, lc)) is not None:
-                step = [(j, gamma, q)]
-                if trace is None:
-                    break
+        D, step, rest = _lead_step(index, ring, lc, lm, trace is not None)
         if not D:
             r_terms.append(t)
             del work.coeffs[lm]
             continue
         if trace is not None:
             trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _, _ in D]})
-        e = zero
-        if step is None:
-            d, coeffs = ring.gcd_bezout([djc for _, djc, _ in D])
-            c, e = ring.euclid_step(lc, d)
-            step = []
-            for (j, _, gamma), cj in zip(D, coeffs):
-                w = ring.mul(c, cj)
-                if not ring.is_zero(w):
-                    step.append((j, gamma, w))
         for j, gamma, w in step:
             if q_acc is not None:
                 q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), w)
             work.sub_term_mul(vectors[j], w, gamma)
-        if not ring.is_zero(e):
+        if rest is not None and not ring.is_zero(e := rest[0]):
             r_terms.append(Term(e, lm))
             work.add(ring.neg(e), lm)
     return r_terms
@@ -261,8 +298,9 @@ def _division_result(h, order, q_acc, r_terms):
 def divide_valuation(h, divisors, order=None, trace=None):
     """First-divisor division for the valuation-ring backends.
 
-    Scans for the first leading term that divides (as a term) and
-    reduces by it alone; anything else moves to the remainder.
+    Takes the shared step without the Bezout combination: the first
+    divisor whose leading term divides (as a term) is used alone, and a
+    leading term without one moves to the remainder.
     `divisors` is a sequence of vectors or a prepared `Divisors`.
     """
     order = order or h.order
@@ -276,20 +314,12 @@ def divide_valuation(h, divisors, order=None, trace=None):
     work = _Work(ring, order, {m: c for c, m in h.terms})
     while (t := work.lead()) is not None:
         lc, lm = t
-        hit = None
-        for j, djc, djm in index.by_pos.get(lm.pos, ()):
-            gamma = mono_divides(djm, lm)
-            if gamma is None:
-                continue
-            c = ring.divides(djc, lc)
-            if c is not None:
-                hit = (j, gamma, c)
-                break
-        if hit is None:
+        _, step, _ = _lead_step(index, ring, lc, lm, bezout=False)
+        if step is None:
             r_terms.append(t)
             del work.coeffs[lm]
             continue
-        j, gamma, c = hit
+        ((j, gamma, c),) = step
         if trace is not None:
             trace({"event": "reduction_step", "lm": lm, "divisors": [j]})
         q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), c)
@@ -409,63 +439,58 @@ def _unit_normalize(v):
     return v.scale(ring.unit_inverse(u))
 
 
-def _head_exhaust(g, others, order):
+def _head_exhaust(g, others):
     """Drive the leading term of g as low as the other elements allow.
+
+    g is reduced in an accumulator by the shared step, against the
+    others prepared as `Divisors`. When a combination leaves a residue,
+    the gcd combination c0 * g + c1 * sum c_j X^gamma_j o_j is formed
+    unless the gcd is an associate of LC(g): in place when c0 is a unit.
 
     Returns (new_g_or_None, extras): gcd combinations adjoined when the
     Bezout coefficient of g is not a unit. Such a combination joins the
     divisor set at once, so g's old leading term is reduced away before
     returning (otherwise the two could recreate each other forever).
     """
+    if g.is_zero():
+        return None, []
     ring = g.ambient.ring
-    others = list(others)
+    index = Divisors(others, like=g)
+    work = _Work(ring, g.order, {m: c for c, m in g.terms})
     extras = []
-    while True:
-        if g.is_zero():
-            return None, extras
-        g = _unit_normalize(g)
-        lc, lm = g.terms[0]
-        D = []
-        for o in others:
-            gamma = mono_divides(o.lm(), lm)
-            if gamma is not None:
-                D.append((o, gamma))
+    while (t := work.lead()) is not None:
+        lc, lm = t
+        u, _canon = ring.normalize_unit(lc)
+        if not ring.eq(u, ring.one()):
+            work.scale(ring.unit_inverse(u))
+            lc = work.coeffs[lm]
+        D, step, rest = _lead_step(index, ring, lc, lm)
         if not D:
-            return g, extras
-        single = None
-        for o, gamma in D:
-            q = ring.divides(o.lc(), lc)
-            if q is not None:
-                single = (o, gamma, q)
-                break
-        if single is not None:
-            o, gamma, q = single
-            g = g.sub(o.term_mul(q, gamma))
-            continue
-        d, coeffs = ring.gcd_bezout([o.lc() for o, _ in D])
-        c, e = ring.euclid_step(lc, d)
-        if ring.is_zero(e):
-            for (o, gamma), cj in zip(D, coeffs):
-                w = ring.mul(c, cj)
+            break
+        if rest is not None and not ring.is_zero(rest[0]):
+            _, d, coeffs = rest
+            dd, (c0, c1) = ring.gcd_bezout([lc, d])
+            if ring.divides(lc, dd) is not None:
+                break  # gcd is an associate of LC(g): nothing to gain
+            step = []
+            for (j, _, gamma), cj in zip(D, coeffs):
+                w = ring.mul(c1, cj)
                 if not ring.is_zero(w):
-                    g = g.sub(o.term_mul(w, gamma))
-            continue
-        dd, combo = ring.gcd_bezout([lc, d])
-        if ring.divides(lc, dd) is not None:
-            return g, extras  # gcd is an associate of LC(g): nothing to gain
-        c0, c1 = combo
-        mixed = Vector.zero(g.ambient, order)
-        for (o, gamma), cj in zip(D, coeffs):
-            w = ring.mul(c1, cj)
-            if not ring.is_zero(w):
-                mixed = mixed.add(o.term_mul(w, gamma))
-        comb = g.scale(c0).add(mixed)
-        if ring.is_unit(c0):
-            g = comb
-            continue
-        comb = _unit_normalize(comb)
-        extras.append(comb)
-        others.append(comb)
+                    step.append((j, gamma, ring.neg(w)))
+            if ring.is_unit(c0):
+                work.scale(c0)
+            else:
+                scaled = ((m, ring.mul(c0, c)) for m, c in work.coeffs.items())
+                comb = _Work(ring, g.order, {m: p for m, p in scaled if not ring.is_zero(p)})
+                for j, gamma, w in step:
+                    comb.sub_term_mul(index.vectors[j], w, gamma)
+                comb = _unit_normalize(comb.vector(g.ambient))
+                extras.append(comb)
+                index.append(comb)
+                continue
+        for j, gamma, w in step:
+            work.sub_term_mul(index.vectors[j], w, gamma)
+    return (work.vector(g.ambient) if work.coeffs else None), extras
 
 
 def pseudo_reduce(gb, order=None, guard=10_000):
@@ -494,7 +519,7 @@ def pseudo_reduce(gb, order=None, guard=10_000):
         idx = 0
         while idx < len(work):
             others = work[:idx] + work[idx + 1 :]
-            new, extras = _head_exhaust(work[idx], others, order)
+            new, extras = _head_exhaust(work[idx], others)
             for extra in extras:
                 if not extra.is_zero() and extra not in work:
                     work.append(extra)

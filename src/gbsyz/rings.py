@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import InternalError, UsageError
+
 
 def xgcd(a, b):
     """Extended gcd for nonnegative integers: returns (g, x, y) with x*a + y*b = g.
@@ -102,8 +104,6 @@ class Ring:
 
     def from_fraction(self, num, den):
         """Interpret a literal num/den, or raise UsageError if it has no meaning here."""
-        from .errors import UsageError
-
         if den == 0:
             raise UsageError("zero denominator")
         raise UsageError(f"fraction {num}/{den} is not a valid coefficient in {self}")
@@ -155,8 +155,6 @@ class Ring:
     def unit_inverse(self, u):
         inv = self.divides(u, self.one())
         if inv is None:
-            from .errors import InternalError
-
             raise InternalError(f"{self.format(u)} is not a unit in {self}")
         return inv
 
@@ -214,8 +212,6 @@ class Integers(Ring):
         return n
 
     def from_fraction(self, num, den):
-        from .errors import UsageError
-
         if den != 0 and num % den == 0:
             return num // den
         raise UsageError(f"{num}/{den} is not an integer coefficient")
@@ -226,8 +222,6 @@ class Integers(Ring):
         return b // a if b % a == 0 else None
 
     def gcd_bezout(self, items):
-        from .errors import UsageError
-
         if not items:
             raise UsageError("gcd_bezout of an empty list")
         d, coeffs = abs(items[0]), [1 if items[0] >= 0 else -1]
@@ -239,16 +233,12 @@ class Integers(Ring):
         return d, coeffs
 
     def strict_pair(self, b1, b2):
-        from .errors import UsageError
-
         if b1 == 0 and b2 == 0:
             raise UsageError("strict_pair(0, 0)")
         d = gcd(b1, b2)
         b1p, b2p = b1 // d, b2 // d
         g, x, y = xgcd(abs(b1p), abs(b2p))
         if g != 1:
-            from .errors import InternalError
-
             raise InternalError(f"strict_pair({b1}, {b2}): cofactors have gcd {g}")
         c1 = x if b1p >= 0 else -x
         c2 = y if b2p >= 0 else -y
@@ -293,8 +283,6 @@ class IntegersMod(Ring):
     has_zerodivisors = True
 
     def __init__(self, n):
-        from .errors import UsageError
-
         if not isinstance(n, int) or n < 2:
             raise UsageError(f"modulus must be an integer >= 2, got {n!r}")
         self.n = n
@@ -327,8 +315,6 @@ class IntegersMod(Ring):
         return v % self.n
 
     def from_fraction(self, num, den):
-        from .errors import UsageError
-
         inv = self.divides(den % self.n, self.one())
         if den == 0 or inv is None:
             raise UsageError(f"{num}/{den} is not a valid coefficient mod {self.n}")
@@ -346,8 +332,6 @@ class IntegersMod(Ring):
         return (b // g) * pow(a // g, -1, m) % m
 
     def gcd_bezout(self, items):
-        from .errors import UsageError
-
         if not items:
             raise UsageError("gcd_bezout of an empty list")
         reps = [a % self.n for a in items]
@@ -368,8 +352,6 @@ class IntegersMod(Ring):
         return d % self.n, out
 
     def strict_pair(self, b1, b2):
-        from .errors import UsageError
-
         r1, r2 = b1 % self.n, b2 % self.n
         if r1 == 0 and r2 == 0:
             raise UsageError("strict_pair(0, 0)")
@@ -377,8 +359,6 @@ class IntegersMod(Ring):
         b1p, b2p = r1 // g, r2 // g
         one, c1, c2 = xgcd(b1p, b2p)
         if one != 1:
-            from .errors import InternalError
-
             raise InternalError(f"strict_pair({b1}, {b2}) in {self}: cofactors have gcd {one}")
         return g % self.n, b1p % self.n, b2p % self.n, c1 % self.n, c2 % self.n
 
@@ -399,8 +379,6 @@ class IntegersMod(Ring):
         e = a % g
         c = self.divides(d, (a - e) % self.n)
         if c is None:
-            from .errors import InternalError
-
             raise InternalError(f"euclid_step({a}, {d}) in {self}: {d} does not divide {a} - {e}")
         return c, e
 
@@ -428,7 +406,21 @@ class IntegersMod(Ring):
         return rng.randrange(self.n)
 
 
-class TruncatedF2y(Ring):
+class _ValuationRing(Ring):
+    """What the two valuation rings share: the ideals form a chain, so of
+    two elements one divides the other."""
+
+    is_valuation_ring = True
+
+    def spair_cofactors(self, lc_f, lc_g):
+        # one cofactor is exactly 1
+        q = self.divides(lc_g, lc_f)
+        if q is not None:
+            return q, self.one()
+        return self.one(), self.divides(lc_f, lc_g)
+
+
+class TruncatedF2y(_ValuationRing):
     """F2[Y]/(Y^r), written F2[y]; elements are bit masks of length r.
 
     Bit i is the coefficient of y^i. A nonzero element factors uniquely
@@ -437,11 +429,8 @@ class TruncatedF2y(Ring):
     """
 
     has_zerodivisors = True
-    is_valuation_ring = True
 
     def __init__(self, r):
-        from .errors import UsageError
-
         if not isinstance(r, int) or r < 2:
             raise UsageError(f"truncation order must be an integer >= 2, got {r!r}")
         self.r = r
@@ -487,16 +476,12 @@ class TruncatedF2y(Ring):
 
     def valuation(self, a):
         if not a:
-            from .errors import InternalError
-
             raise InternalError(f"valuation of 0 in {self}")
         return (a & -a).bit_length() - 1
 
     def _unit_inv(self, u):
         # invert 1 + y*b bit by bit
         if not u & 1:
-            from .errors import InternalError
-
             raise InternalError(f"{self.format(u)} is not a unit in {self}")
         x, prod = 1, u
         for i in range(1, self.r):
@@ -519,8 +504,6 @@ class TruncatedF2y(Ring):
         return q & ((1 << (self.r - k)) - 1)
 
     def gcd_bezout(self, items):
-        from .errors import UsageError
-
         if not items:
             raise UsageError("gcd_bezout of an empty list")
         vals = [(self.valuation(a), i) for i, a in enumerate(items) if a & self.mask]
@@ -533,8 +516,6 @@ class TruncatedF2y(Ring):
         return d, coeffs
 
     def strict_pair(self, b1, b2):
-        from .errors import UsageError
-
         b1, b2 = b1 & self.mask, b2 & self.mask
         if b1 == 0 and b2 == 0:
             raise UsageError("strict_pair(0, 0)")
@@ -548,13 +529,6 @@ class TruncatedF2y(Ring):
         else:
             c1, c2 = 0, self._unit_inv(b2p)
         return d, b1p, b2p, c1, c2
-
-    def spair_cofactors(self, lc_f, lc_g):
-        # valuation-ring convention: one cofactor is exactly 1
-        q = self.divides(lc_g, lc_f)
-        if q is not None:
-            return q, self.one()
-        return self.one(), self.divides(lc_f, lc_g)
 
     def ann_gen(self, a):
         a &= self.mask
@@ -598,15 +572,12 @@ class TruncatedF2y(Ring):
         return rng.randrange(1 << self.r)
 
 
-class IntegersLocalizedAt(Ring):
+class IntegersLocalizedAt(_ValuationRing):
     """Z localized at the prime p: reduced fractions a/s with p not dividing s."""
 
     is_domain = True
-    is_valuation_ring = True
 
     def __init__(self, p):
-        from .errors import UsageError
-
         if not isinstance(p, int) or not _is_prime(p):
             raise UsageError(f"localization requires a prime, got {p!r}")
         self.p = p
@@ -618,8 +589,6 @@ class IntegersLocalizedAt(Ring):
         return hash(("Z_(p)", self.p))
 
     def _check(self, a):
-        from .errors import UsageError
-
         if a.denominator % self.p == 0:
             raise UsageError(f"{a} does not lie in Z localized at {self.p}")
         return a
@@ -646,16 +615,12 @@ class IntegersLocalizedAt(Ring):
         return Fraction(v)
 
     def from_fraction(self, num, den):
-        from .errors import UsageError
-
         if den == 0:
             raise UsageError("zero denominator")
         return self._check(Fraction(num, den))
 
     def valuation(self, a):
         if a == 0:
-            from .errors import InternalError
-
             raise InternalError(f"valuation of 0 in {self}")
         v, num = 0, abs(a.numerator)
         while num % self.p == 0:
@@ -673,8 +638,6 @@ class IntegersLocalizedAt(Ring):
         return None
 
     def gcd_bezout(self, items):
-        from .errors import UsageError
-
         if not items:
             raise UsageError("gcd_bezout of an empty list")
         vals = [(self.valuation(a), i) for i, a in enumerate(items) if a != 0]
@@ -687,8 +650,6 @@ class IntegersLocalizedAt(Ring):
         return d, coeffs
 
     def strict_pair(self, b1, b2):
-        from .errors import UsageError
-
         if b1 == 0 and b2 == 0:
             raise UsageError("strict_pair(0, 0)")
         v1 = self.valuation(b1) if b1 else None
@@ -701,12 +662,6 @@ class IntegersLocalizedAt(Ring):
         else:
             c1, c2 = Fraction(0), 1 / b2p
         return d, b1p, b2p, c1, c2
-
-    def spair_cofactors(self, lc_f, lc_g):
-        q = self.divides(lc_g, lc_f)
-        if q is not None:
-            return q, self.one()
-        return self.one(), self.divides(lc_f, lc_g)
 
     def ann_gen(self, a):
         return Fraction(1) if a == 0 else Fraction(0)
@@ -741,8 +696,6 @@ class IntegersLocalizedAt(Ring):
 
 def ring_from_descriptor(text):
     """Parse a ring descriptor string as written in the DSL."""
-    from .errors import UsageError
-
     s = text.strip()
     if s == "Z":
         return Integers()

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from gbsyz import (
     Ambient,
     DivisionResult,
+    GroebnerBasis,
+    GuardExceeded,
     Integers,
     IntegersLocalizedAt,
     IntegersMod,
     Mono,
     Term,
     TruncatedF2y,
+    UsageError,
     Vector,
     mono_divides,
     parse_problem,
+    sort_basis,
 )
 from gbsyz.dsl import ProblemFile, parse_vector_literal
 
@@ -248,3 +253,112 @@ def reference_apply_relation(rel, source):
     for c, m in rel.terms:
         out = out.add(source[m.pos].term_mul(c, m.exps))
     return out
+
+
+def _reference_unit_normalize(v):
+    ring = v.ambient.ring
+    u, _canon = ring.normalize_unit(v.lc())
+    if ring.eq(u, ring.one()):
+        return v
+    return v.scale(ring.unit_inverse(u))
+
+
+def _reference_head_exhaust(g, others, order, branches):
+    """Whole-vector leading-term exhaustion: every step rebuilds g by
+    `Vector.sub` and tests every other element. Each step on a leading
+    term is counted in `branches` under its kind."""
+    ring = g.ambient.ring
+    others = list(others)
+    extras = []
+    while True:
+        if g.is_zero():
+            return None, extras
+        g = _reference_unit_normalize(g)
+        lc, lm = g.terms[0]
+        D = []
+        for o in others:
+            gamma = mono_divides(o.lm(), lm)
+            if gamma is not None:
+                D.append((o, gamma))
+        if not D:
+            branches["no_divisor"] += 1
+            return g, extras
+        single = None
+        for o, gamma in D:
+            q = ring.divides(o.lc(), lc)
+            if q is not None:
+                single = (o, gamma, q)
+                break
+        if single is not None:
+            branches["exact"] += 1
+            o, gamma, q = single
+            g = g.sub(o.term_mul(q, gamma))
+            continue
+        d, coeffs = ring.gcd_bezout([o.lc() for o, _ in D])
+        c, e = ring.euclid_step(lc, d)
+        if ring.is_zero(e):
+            branches["bezout_exact"] += 1
+            for (o, gamma), cj in zip(D, coeffs):
+                w = ring.mul(c, cj)
+                if not ring.is_zero(w):
+                    g = g.sub(o.term_mul(w, gamma))
+            continue
+        dd, combo = ring.gcd_bezout([lc, d])
+        if ring.divides(lc, dd) is not None:
+            branches["associate_stop"] += 1
+            return g, extras  # gcd is an associate of LC(g): nothing to gain
+        c0, c1 = combo
+        mixed = Vector.zero(g.ambient, order)
+        for (o, gamma), cj in zip(D, coeffs):
+            w = ring.mul(c1, cj)
+            if not ring.is_zero(w):
+                mixed = mixed.add(o.term_mul(w, gamma))
+        comb = g.scale(c0).add(mixed)
+        if ring.is_unit(c0):
+            branches["unit_c0"] += 1
+            g = comb
+            continue
+        branches["extra"] += 1
+        comb = _reference_unit_normalize(comb)
+        extras.append(comb)
+        others.append(comb)
+
+
+def reference_pseudo_reduce(gb, order=None, guard=10_000, branches=None):
+    """Whole-vector pseudo-reduction: the reference for
+    `groebner.pseudo_reduce`. `branches`, a `collections.Counter` if
+    given, counts the steps of the exhaustion by kind: no_divisor,
+    exact, bezout_exact, associate_stop, unit_c0 and extra."""
+    branches = Counter() if branches is None else branches
+    if isinstance(gb, GroebnerBasis):
+        elements, order = list(gb.elements), gb.order
+    else:
+        if order is None:
+            raise UsageError("pseudo_reduce of a plain list needs the order")
+        elements = list(gb)
+    work = sort_basis([_reference_unit_normalize(v) for v in elements], order)
+    passes = 0
+    changed = True
+    while changed:
+        passes += 1
+        if passes > guard:
+            raise GuardExceeded("pseudo_reduce did not stabilise", tuple(work))
+        changed = False
+        idx = 0
+        while idx < len(work):
+            others = work[:idx] + work[idx + 1 :]
+            new, extras = _reference_head_exhaust(work[idx], others, order, branches)
+            for extra in extras:
+                if not extra.is_zero() and extra not in work:
+                    work.append(extra)
+                    changed = True
+            if new is None:
+                del work[idx]
+                changed = True
+                continue
+            if new != work[idx]:
+                changed = True
+            work[idx] = new
+            idx += 1
+        work = sort_basis(work, order)
+    return GroebnerBasis(tuple(work), order, pseudo_reduced=True)

@@ -2,15 +2,20 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from gbsyz import (
     Ambient,
     GuardExceeded,
+    Integers,
+    IntegersLocalizedAt,
+    IntegersMod,
     Mono,
     Term,
     TopLex,
+    TruncatedF2y,
     UsageError,
     Vector,
     buchberger,
@@ -20,16 +25,20 @@ from gbsyz import (
     module_member,
     pseudo_reduce,
     s_poly,
+    schreyer_syzygies,
     term_module_member,
     term_syzygies,
 )
+from gbsyz import groebner
 from helpers import (
+    GOLDEN,
     element_candidates,
     gens_of,
     problem,
     random_element,
     random_nonzero,
     random_nonzero_vector,
+    reference_pseudo_reduce,
     rings_under_test,
     vec,
 )
@@ -241,6 +250,67 @@ def test_pseudo_reduce_preserves_module():
                 assert divide(v, list(red.elements), order).remainder.is_zero()
             for v in red.elements:
                 assert divide(v, list(gb.elements), order).remainder.is_zero()
+
+
+def _assert_same_pseudo_reduction(monkeypatch, elements, order, branches):
+    """pseudo_reduce equals the whole-vector reference term for term, in
+    the same order, and takes one leading-term step per step of the
+    reference (a runaway loop fails at the first step too many). The
+    reference's steps are added to `branches` by kind."""
+    steps = Counter()
+    want = reference_pseudo_reduce(list(elements), order, branches=steps)
+    budget = [sum(steps.values())]
+    lead_step = groebner._lead_step
+
+    def counted(*args, **kwargs):
+        budget[0] -= 1
+        assert budget[0] >= 0, "more leading-term steps than the reference"
+        return lead_step(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_lead_step", counted)
+        got = pseudo_reduce(list(elements), order)
+    assert [v.terms for v in got.elements] == [v.terms for v in want.elements]
+    assert budget[0] == 0, "fewer leading-term steps than the reference"
+    branches.update(steps)
+
+
+def test_pseudo_reduce_matches_whole_vector_reference_on_golden_levels(monkeypatch):
+    # the syzygy relations of every level, as free_resolution exhausts
+    # them; the levels are built on the reference
+    from gbsyz import free_resolution, syzygy
+
+    for key in GOLDEN:
+        _, gens = gens_of(problem(key))
+        with monkeypatch.context() as m:
+            m.setattr(syzygy, "pseudo_reduce", reference_pseudo_reduce)
+            levels = free_resolution(gens).levels
+        for level in levels:
+            syz = schreyer_syzygies((level.basis, level.order), check=False)
+            if syz.relations:
+                _assert_same_pseudo_reduction(monkeypatch, syz.relations, syz.order, Counter())
+
+
+def test_pseudo_reduce_matches_whole_vector_reference_randomized(monkeypatch):
+    # plain lists, Buchberger bases and their syzygy relations over the
+    # four rings; the family must reach every kind of exhaustion step
+    rng = random.Random(5)
+    branches = Counter()
+    for ring in (Integers(), IntegersMod(12), TruncatedF2y(3), IntegersLocalizedAt(2)):
+        amb = Ambient(ring, 2, 2)
+        order = TopLex(2)
+        for _ in range(12):
+            gens = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(3)]
+            gb = buchberger(gens, order)
+            _assert_same_pseudo_reduction(monkeypatch, gb.elements, order, branches)
+            syz = schreyer_syzygies(gb)
+            if syz.relations:
+                _assert_same_pseudo_reduction(monkeypatch, syz.relations, syz.order, branches)
+        for _ in range(30):
+            elements = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(4)]
+            _assert_same_pseudo_reduction(monkeypatch, elements, order, branches)
+    kinds = ("exact", "bezout_exact", "associate_stop", "unit_c0", "extra")
+    assert all(branches[k] > 0 for k in kinds), branches
 
 
 # -- term-module membership --------------------------------------------------

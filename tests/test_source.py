@@ -41,3 +41,49 @@ def test_no_private_imports_between_package_modules():
     assert not found, found
     # an entry that is no longer imported must leave the allowlist
     assert allowed == PRIVATE_IMPORT_ALLOWLIST
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) of every function, methods and nested
+    functions included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".")
+
+
+def test_one_leading_term_step_in_groebner():
+    # every division and pseudo-reduction finds the divisors of a leading
+    # term through one step; term_module_member stays an independent check
+    tree = ast.parse((PACKAGE / "groebner.py").read_text())
+    callers = {
+        name
+        for name, fn in _functions(tree)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "mono_divides"
+    }
+    callers.discard("term_module_member")
+    assert len(callers) == 1, callers
+
+
+# `poly` and `dsl` import each other, so `Vector.__repr__` imports `dsl`
+# when it runs
+LOCAL_IMPORT_ALLOWLIST = {("poly.py", "Vector.__repr__", "dsl")}
+
+
+def test_no_package_imports_inside_functions():
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text(), str(path))):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("gbsyz")
+                ):
+                    found.add((path.name, name, node.module or "."))
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.startswith("gbsyz"):
+                            found.add((path.name, name, alias.name))
+    assert found == LOCAL_IMPORT_ALLOWLIST, found ^ LOCAL_IMPORT_ALLOWLIST
