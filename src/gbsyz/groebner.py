@@ -583,15 +583,6 @@ def module_member(h, gb):
     return None
 
 
-def leading_terms_by_position(elements):
-    """Group the leading terms of a basis by position for display."""
-    out = {}
-    for v in elements:
-        lt = v.lt()
-        out.setdefault(lt.mono.pos, []).append((lt.coeff, lt.mono.exps))
-    return out
-
-
 def expand_combination(quotients, vectors):
     """sum q_i * v_i for rank-1 quotients against module vectors."""
     if not vectors:

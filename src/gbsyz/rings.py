@@ -171,10 +171,6 @@ class Ring:
         """The DSL spelling of this ring (`ring <descriptor>;`)."""
         raise NotImplementedError
 
-    def random_element(self, rng):
-        """A small random element drawn from `rng` (zero included)."""
-        raise NotImplementedError
-
     def __repr__(self):
         return self.descriptor()
 
@@ -272,9 +268,6 @@ class Integers(Ring):
 
     def descriptor(self):
         return "Z"
-
-    def random_element(self, rng):
-        return rng.randint(-6, 6)
 
 
 class IntegersMod(Ring):
@@ -401,9 +394,6 @@ class IntegersMod(Ring):
 
     def descriptor(self):
         return f"Z/{self.n}"
-
-    def random_element(self, rng):
-        return rng.randrange(self.n)
 
 
 class _ValuationRing(Ring):
@@ -568,9 +558,6 @@ class TruncatedF2y(_ValuationRing):
     def descriptor(self):
         return f"F2[y]/y^{self.r}"
 
-    def random_element(self, rng):
-        return rng.randrange(1 << self.r)
-
 
 class IntegersLocalizedAt(_ValuationRing):
     """Z localized at the prime p: reduced fractions a/s with p not dividing s."""
@@ -686,12 +673,6 @@ class IntegersLocalizedAt(_ValuationRing):
 
     def descriptor(self):
         return f"Z_({self.p})"
-
-    def random_element(self, rng):
-        den = rng.choice([1, 3, 5, 7])
-        while den % self.p == 0:
-            den += 2
-        return Fraction(rng.randint(-8, 8), den)
 
 
 def ring_from_descriptor(text):

@@ -11,7 +11,6 @@ explicitly as a check and the rest reported symbolically.
 
 from __future__ import annotations
 
-import random
 import re
 from typing import NamedTuple
 
@@ -23,7 +22,6 @@ from .groebner import (
     divide,
     is_groebner,
     pseudo_reduce,
-    reduce_coeffs,
     s_pair_indexed,
 )
 from .poly import (
@@ -100,6 +98,21 @@ def _syzygies_of(source, order, divide_quotients, labels, trace=None):
     amb = Ambient(amb0.ring, amb0.nvars, len(source))
     index = Divisors(source) if divide_quotients else None
     relations, out_labels = [], []
+    for i, j, sp, res in _s_pairs(source, order, index, trace):
+        if res is not None and not res.remainder.is_zero():
+            raise UsageError("S-polynomial does not reduce to zero: not a Groebner basis")
+        rel = Vector(amb, sch, _lift(sp, i, j, res.quotients if res else (), amb.ring))
+        if rel.is_zero():
+            continue
+        relations.append(rel)
+        out_labels.append(_pair_label(labels or [None] * len(source), i, j))
+    return SyzygyBasis(tuple(relations), sch, tuple(source), tuple(out_labels))
+
+
+def _s_pairs(source, order, index=None, trace=None):
+    """(i, j, sp, res) for the S-pairs of source that carry a cofactor:
+    res divides the S-polynomial by the prepared `index`, and is None
+    without an index or for a zero S-polynomial."""
     for i in range(len(source)):
         for j in range(i, len(source)):
             if source[i].lp() != source[j].lp():
@@ -109,50 +122,58 @@ def _syzygies_of(source, order, divide_quotients, labels, trace=None):
                 continue
             if trace is not None:
                 trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
-            if divide_quotients and not sp.value.is_zero():
+            res = None
+            if index is not None and not sp.value.is_zero():
                 res = divide(sp.value, index, order, trace=trace)
-                if not res.remainder.is_zero():
-                    raise UsageError(
-                        "S-polynomial does not reduce to zero: not a Groebner basis"
-                    )
-                quotients = res.quotients
-            else:
-                quotients = tuple()
-            terms = []
-            b, bmono = sp.left_cofactor
-            terms.append(Term(b, Mono(bmono.exps, i)))
-            if sp.kind == "cross":
-                a, amono = sp.right_cofactor
-                terms.append(Term(amb.ring.neg(a), Mono(amono.exps, j)))
-            for ell, q in enumerate(quotients):
-                for c, m in q.terms:
-                    terms.append(Term(amb.ring.neg(c), Mono(m.exps, ell)))
-            rel = Vector(amb, sch, terms)
-            if rel.is_zero():
-                continue
-            relations.append(rel)
-            out_labels.append(
-                _pair_label(labels or [None] * len(source), i, j)
-            )
-    return SyzygyBasis(tuple(relations), sch, tuple(source), tuple(out_labels))
+            yield i, j, sp, res
 
 
-def apply_relation(rel, source):
-    """Evaluate a relation vector against its source: sum rel_l * source_l,
-    every product term collected first and normalised once."""
+def _lift(sp, i, j, quotients, ring):
+    """The terms of the lifted relation b X^beta eps_i - a X^alpha eps_j
+    - sum q_l eps_l of an S-pair with cofactors b X^beta and a X^alpha
+    (only the first for an auto pair) and quotients q_l."""
+    b, bmono = sp.left_cofactor
+    terms = [Term(b, Mono(bmono.exps, i))]
+    if sp.kind == "cross":
+        a, amono = sp.right_cofactor
+        terms.append(Term(ring.neg(a), Mono(amono.exps, j)))
+    for ell, q in enumerate(quotients):
+        for c, m in q.terms:
+            terms.append(Term(ring.neg(c), Mono(m.exps, ell)))
+    return terms
+
+
+def _combination(terms, source):
+    """sum c * X^m * source[m.pos] over the terms (c, m), by plain term
+    products, as a dict monomial -> coefficient without zeros."""
     if not source:
         raise UsageError("empty source")
     first = source[0]
     ring = first.ambient.ring
-    terms = []
-    for c, m in rel.terms:
+    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+    acc = {}
+    for c, m in terms:
         v = source[m.pos]
         first._check_compatible(v)
         for d, n in v.terms:
-            p = ring.mul(c, d)
-            if not ring.is_zero(p):
-                terms.append(Term(p, Mono(exps_add(n.exps, m.exps), n.pos)))
-    return Vector(first.ambient, first.order, terms)
+            p = mul(c, d)
+            if is_zero(p):
+                continue
+            mono = Mono(exps_add(n.exps, m.exps), n.pos)
+            old = acc.get(mono)
+            if old is None:
+                acc[mono] = p
+            elif is_zero(s := add(old, p)):
+                del acc[mono]
+            else:
+                acc[mono] = s
+    return acc
+
+
+def apply_relation(rel, source):
+    """Evaluate a relation vector against its source: sum rel_l * source_l."""
+    acc = _combination(rel.terms, source)
+    return Vector(source[0].ambient, source[0].order, [Term(c, m) for m, c in acc.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +390,18 @@ class VerificationReport(NamedTuple):
         return [c for c in self.checks if not c["ok"]]
 
 
-def verify_resolution(res, samples=20, seed=0):
+def verify_resolution(res):
     """Re-check a resolution and report each check, passed or failed.
 
     The checks, in this order:
     - `composite_zero`, levels 1..: each relation applied to the level
       below it vanishes (the witness is the first failing label);
-    - `groebner`, every level: Buchberger's criterion, each S-pair
-      divides to zero against the level;
-    - `kernel_sampling`, every nonempty level: `samples` random module
-      combinations of the level, drawn from `random.Random(seed)`,
-      divide to zero against it;
+    - `standard_representation`, every level: each S-pair S of the level
+      divides to a zero remainder with quotients q_l under the degree
+      bound LM(q_l) * LM(g_l) <= LM(S);
+    - `lift_identity`, every nonempty level: S = sum q_l g_l for those
+      quotients, S expanded from its cofactors, by plain term products
+      as in `composite_zero`: the lifted relation vanishes on the level;
     - free tails, `free_tail_kernel_zero` at the last level: its
       Schreyer syzygies are zero. If they cannot be computed because
       the level is not a Groebner basis, the check fails with the
@@ -387,15 +409,16 @@ def verify_resolution(res, samples=20, seed=0):
     - periodic tails: `tail_annihilation`, `tail_triple_ann`
       (Ann(Ann(Ann)) = Ann) and `tail_extra_level`.
 
-    A passing `groebner` check already implies, by Buchberger's
-    criterion, that every element of the level reduces to zero against
-    it. `kernel_sampling` is kept as an independent cross-check of the
-    division code: each sample is merged straight into a coefficient
-    dict and reduced by the same kernel as `divide`, against divisors
-    prepared once per level. The printed `(N checks)` counts every
-    check.
+    The middle two are a complete certificate that each level is a
+    Groebner basis, whatever the division code did. The S-pairs of a
+    level generate the syzygies of its leading terms (`term_syzygies`),
+    and the leading terms of each cancel, so LM(S) lies below the pair's
+    degree. A standard representation of every S-pair lifts every
+    generating syzygy, which is Schreyer's argument and Moeller's
+    lifting theorem (Moeller 1988; Adams and Loustaunau 1994, ch. 4).
+    The witnesses name the first failing S-pair. The printed
+    `(N checks)` counts every check.
     """
-    rng = random.Random(seed)
     ring = res.ambient.ring
     checks = []
 
@@ -403,30 +426,16 @@ def verify_resolution(res, samples=20, seed=0):
         checks.append({"check": name, "level": level, "ok": ok, "witness": witness})
 
     for k in range(1, len(res.levels)):
-        prev = res.levels[k - 1]
-        ok_wit = None
-        ok = True
-        for rel, lab in zip(res.levels[k].basis, res.levels[k].labels):
-            if not apply_relation(rel, list(prev.basis)).is_zero():
-                ok, ok_wit = False, lab
-                break
-        record("composite_zero", k, ok, ok_wit)
+        prev, level = list(res.levels[k - 1].basis), res.levels[k]
+        bad = [lab for rel, lab in zip(level.basis, level.labels) if _combination(rel.terms, prev)]
+        record("composite_zero", k, not bad, bad[0] if bad else None)
 
-    for k, level in enumerate(res.levels):
-        record("groebner", k, is_groebner(list(level.basis), level.order))
-
-    for k, level in enumerate(res.levels):
-        if not level.basis:
-            continue
-        index = Divisors(level.basis)
-        ok = True
-        wit = None
-        for _ in range(samples):
-            sample = _random_sample(rng, level.basis)
-            if sample and reduce_coeffs(sample, index, level.order, ring):
-                ok, wit = False, "sampled combination did not reduce to zero"
-                break
-        record("kernel_sampling", k, ok, wit)
+    certified = [_certify_level(level, ring) for level in res.levels]
+    for k, (standard, _) in enumerate(certified):
+        record("standard_representation", k, standard is None, standard)
+    for k, (_, identity) in enumerate(certified):
+        if res.levels[k].basis:
+            record("lift_identity", k, identity is None, identity)
 
     if isinstance(res.tail, FreeTail):
         last = res.levels[-1]
@@ -454,30 +463,26 @@ def verify_resolution(res, samples=20, seed=0):
     return VerificationReport(all(c["ok"] for c in checks), tuple(checks))
 
 
-def _random_sample(rng, basis):
-    """sum c_v * X^a_v * v over a random subset of the basis, as a dict
-    monomial -> coefficient that holds no zero coefficient."""
-    amb = basis[0].ambient
-    ring = amb.ring
-    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-    coeffs = {}
-    for v in basis:
-        if rng.random() < 0.5:
-            continue
-        exps = tuple(rng.randrange(3) for _ in range(amb.nvars))
-        coeff = ring.random_element(rng)
-        if is_zero(coeff):
-            continue
-        for c, m in v.terms:
-            p = mul(coeff, c)
-            if is_zero(p):
-                continue
-            mono = Mono(exps_add(m.exps, exps), m.pos)
-            old = coeffs.get(mono)
-            if old is None:
-                coeffs[mono] = p
-            elif is_zero(s := add(old, p)):
-                del coeffs[mono]
-            else:
-                coeffs[mono] = s
-    return coeffs
+def _certify_level(level, ring):
+    """(standard, identity): witnesses of the first S-pair of the level
+    without a zero remainder and bounded quotients, and of the first
+    whose lifted relation does not vanish on the level; None if none."""
+    basis, key = list(level.basis), level.order.key
+    lms = [g.lm() for g in basis]
+    standard = identity = None
+    for i, j, sp, res in _s_pairs(basis, level.order, Divisors(basis)):
+        pair = f"S-pair ({i + 1},{j + 1})"
+        quotients = res.quotients if res else ()
+        if standard is None and res is not None:
+            bound = key(sp.value.lm())
+            over = [ell + 1 for ell, q in enumerate(quotients) for _, m in q.terms
+                    if key(Mono(exps_add(m.exps, lms[ell].exps), lms[ell].pos)) < bound]
+            if not res.remainder.is_zero():
+                standard = f"{pair} leaves a nonzero remainder"
+            elif over:
+                standard = f"{pair} has LM(q{over[0]}) * LM(g{over[0]}) above LM(S)"
+        if identity is None and _combination(_lift(sp, i, j, quotients, ring), basis):
+            identity = f"{pair} differs from sum q_l g_l"
+        if standard is not None and identity is not None:
+            break
+    return standard, identity

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 from gbsyz import (
     Ambient,
     DivisionResult,
+    Divisors,
     GroebnerBasis,
     GuardExceeded,
     Integers,
@@ -18,11 +20,14 @@ from gbsyz import (
     TruncatedF2y,
     UsageError,
     Vector,
+    is_groebner,
     mono_divides,
     parse_problem,
     sort_basis,
 )
 from gbsyz.dsl import ProblemFile, parse_vector_literal
+from gbsyz.groebner import reduce_coeffs
+from gbsyz.poly import exps_add
 
 GOLDEN = {
     "f2y_spair": """ring F2[y]/y^2; vars X2 X1; rank 1;
@@ -229,21 +234,57 @@ def _reference_result(h, order, q_acc, r_terms):
     return DivisionResult(quotients, Vector(h.ambient, order, r_terms))
 
 
-def reference_random_combination(rng, basis):
-    """Whole-vector-add sample builder: the reference for
-    `syzygy._random_combination`, with the same draws from `rng`."""
+def random_sample(rng, basis):
+    """sum c_v * X^a_v * v over a random subset of the basis, as a dict
+    monomial -> coefficient that holds no zero coefficient."""
     amb = basis[0].ambient
     ring = amb.ring
-    acc = Vector.zero(amb, basis[0].order)
+    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+    coeffs = {}
     for v in basis:
         if rng.random() < 0.5:
             continue
         exps = tuple(rng.randrange(3) for _ in range(amb.nvars))
         coeff = random_element(rng, ring)
-        if ring.is_zero(coeff):
+        if is_zero(coeff):
             continue
-        acc = acc.add(v.term_mul(coeff, exps))
-    return acc
+        for c, m in v.terms:
+            p = mul(coeff, c)
+            if is_zero(p):
+                continue
+            mono = Mono(exps_add(m.exps, exps), m.pos)
+            old = coeffs.get(mono)
+            if old is None:
+                coeffs[mono] = p
+            elif is_zero(s := add(old, p)):
+                del coeffs[mono]
+            else:
+                coeffs[mono] = s
+    return coeffs
+
+
+def reference_level_verdicts(res, samples=20, seed=0):
+    """The per-level checks that `verify_resolution` used to run, as a
+    list of (groebner, kernel_sampling) per level: Buchberger's criterion
+    by `is_groebner`, then `samples` random module combinations of each
+    nonempty level, drawn from one `random.Random(seed)` across the
+    levels, reduced to zero against it (None for an empty level)."""
+    rng = random.Random(seed)
+    out = []
+    for level in res.levels:
+        groebner = is_groebner(list(level.basis), level.order)
+        sampling = None
+        if level.basis:
+            index = Divisors(level.basis)
+            ring = level.basis[0].ambient.ring
+            sampling = True
+            for _ in range(samples):
+                sample = random_sample(rng, level.basis)
+                if sample and reduce_coeffs(sample, index, level.order, ring):
+                    sampling = False
+                    break
+        out.append((groebner, sampling))
+    return out
 
 
 def reference_apply_relation(rel, source):

@@ -10,10 +10,12 @@ from gbsyz import (
     GuardExceeded,
     Integers,
     IntegersLocalizedAt,
+    IntegersMod,
     Mono,
     PeriodicTail,
     Term,
     TopLex,
+    TruncatedF2y,
     UsageError,
     Vector,
     apply_relation,
@@ -22,7 +24,8 @@ from gbsyz import (
     parse_problem,
     verify_resolution,
 )
-from gbsyz.syzygy import _random_sample
+from gbsyz import syzygy
+from gbsyz.syzygy import Resolution, ResolutionLevel
 from helpers import (
     GOLDEN,
     gens_of,
@@ -30,7 +33,7 @@ from helpers import (
     random_nonzero_vector,
     random_vector,
     reference_apply_relation,
-    reference_random_combination,
+    reference_level_verdicts,
     vec,
 )
 
@@ -208,10 +211,8 @@ def test_duplicate_generators_resolve():
     assert verify_resolution(res).ok
 
 
-def test_random_zerodivisor_resolutions_verify():
+def zerodivisor_resolutions():
     rng = random.Random(36)
-    from gbsyz import IntegersMod, TruncatedF2y
-
     for ring in [IntegersMod(6), TruncatedF2y(3)]:
         amb = Ambient(ring, 2, 2)
         order = TopLex(2)
@@ -220,11 +221,10 @@ def test_random_zerodivisor_resolutions_verify():
                 random_nonzero_vector(rng, amb, order, max_terms=2, max_exp=2)
                 for _ in range(2)
             ]
-            res = free_resolution(gens)
-            assert verify_resolution(res, samples=4).ok
+            yield free_resolution(gens)
 
 
-def test_random_domain_resolutions_free_and_bounded():
+def domain_resolutions():
     rng = random.Random(35)
     for ring in [Integers(), IntegersLocalizedAt(2)]:
         amb = Ambient(ring, 2, 1)
@@ -234,29 +234,19 @@ def test_random_domain_resolutions_free_and_bounded():
                 random_nonzero_vector(rng, amb, order, max_terms=2, max_exp=2)
                 for _ in range(2)
             ]
-            res = free_resolution(gens, resolve_quotient=True)
-            assert isinstance(res.tail, FreeTail)
-            assert res.quotient_length <= 3
-            assert verify_resolution(res, samples=6).ok
+            yield free_resolution(gens, resolve_quotient=True)
 
 
-def test_random_combination_matches_whole_vector_adds():
-    # the sample dict holds the same terms, and leaves the same rng state,
-    # as the one-add-per-element builder, over all four rings, under
-    # TOP-lex and nested Schreyer orders
-    for key in GOLDEN:
-        _, gens = gens_of(problem(key))
-        for level in free_resolution(gens).levels:
-            basis = list(level.basis)
-            ring = basis[0].ambient.ring
-            for seed in range(12):
-                got_rng, want_rng = random.Random(seed), random.Random(seed)
-                got = _random_sample(got_rng, basis)
-                want = reference_random_combination(want_rng, basis)
-                assert not any(ring.is_zero(c) for c in got.values())
-                monos = sorted(got, key=level.order.key)
-                assert [Term(got[m], m) for m in monos] == list(want.terms)
-                assert got_rng.getstate() == want_rng.getstate()
+def test_random_zerodivisor_resolutions_verify():
+    for res in zerodivisor_resolutions():
+        assert verify_resolution(res).ok
+
+
+def test_random_domain_resolutions_free_and_bounded():
+    for res in domain_resolutions():
+        assert isinstance(res.tail, FreeTail)
+        assert res.quotient_length <= 3
+        assert verify_resolution(res).ok
 
 
 def test_verify_reports_a_free_tail_that_is_not_a_groebner_basis():
@@ -270,7 +260,11 @@ def test_verify_reports_a_free_tail_that_is_not_a_groebner_basis():
     report = verify_resolution(broken)
     assert not report.ok
     failed = {(c["check"], c["level"]) for c in report.failures()}
-    assert failed == {("groebner", 0), ("kernel_sampling", 0), ("free_tail_kernel_zero", 0)}
+    assert failed == {
+        ("standard_representation", 0),
+        ("lift_identity", 0),
+        ("free_tail_kernel_zero", 0),
+    }
     (tail,) = [c for c in report.checks if c["check"] == "free_tail_kernel_zero"]
     assert "not a Groebner basis" in tail["witness"]
 
@@ -293,8 +287,8 @@ def test_apply_relation_matches_whole_vector_adds():
 
 
 def test_verify_prepares_divisors_once_per_level_and_check(monkeypatch):
-    # the groebner and kernel_sampling checks index each level once, not
-    # once per S-pair or per sample
+    # the certificate indexes each level once, not once per S-pair, and
+    # the free tail's Schreyer syzygies index the last level once more
     from gbsyz import Divisors
 
     built = []
@@ -310,4 +304,100 @@ def test_verify_prepares_divisors_once_per_level_and_check(monkeypatch):
     report = verify_resolution(res)
     assert report.ok
     levels = len(res.levels)
-    assert 0 < len(built) <= 2 * levels + isinstance(res.tail, FreeTail)
+    assert 0 < len(built) <= levels + isinstance(res.tail, FreeTail)
+
+
+def single_level(level):
+    """A resolution holding only `level`, without a tail to check."""
+    return Resolution(level.basis[0].ambient, (level,), None, False)
+
+
+def level_verdicts(report, nlevels):
+    """Per level: whether its standard_representation and lift_identity
+    records passed."""
+    ok = [True] * nlevels
+    for c in report.checks:
+        if c["check"] in ("standard_representation", "lift_identity"):
+            ok[c["level"]] = ok[c["level"]] and c["ok"]
+    return ok
+
+
+def test_certificate_agrees_with_the_groebner_and_sampling_reference():
+    # per level, the certificate passes exactly where Buchberger's
+    # criterion and 20 sampled combinations pass: on the golden and the
+    # seeded resolutions, and on every golden level with one element
+    # dropped (some of which are no longer Groebner bases)
+    resolutions = [free_resolution(gens_of(problem(key))[1]) for key in GOLDEN]
+    resolutions += list(zerodivisor_resolutions()) + list(domain_resolutions())
+    for res in resolutions:
+        report = verify_resolution(res)
+        assert report.ok
+        want = [g and s is not False for g, s in reference_level_verdicts(res)]
+        assert level_verdicts(report, len(res.levels)) == want
+    dropped = []
+    for res in resolutions[: len(GOLDEN)]:
+        for level in res.levels:
+            for k in range(len(level.basis) if len(level.basis) > 1 else 0):
+                basis = level.basis[:k] + level.basis[k + 1 :]
+                labels = level.labels[:k] + level.labels[k + 1 :]
+                dropped.append(single_level(level._replace(basis=basis, labels=labels)))
+    verdicts = []
+    for res in dropped:
+        report = verify_resolution(res)
+        (reference,) = reference_level_verdicts(res)
+        verdicts.append(report.ok)
+        assert report.ok == (reference == (True, True))
+        assert report.checks[0]["ok"] == reference[0]
+    assert True in verdicts and False in verdicts
+
+
+def not_groebner_level():
+    p = parse_problem("ring Z; vars X Y; rank 1; f = X + 1;")
+    return ResolutionLevel((vec(p, "X*Y + 1"), vec(p, "X^2 + Y")), p.order, ("a", "b"))
+
+
+def test_certificate_fails_on_a_level_that_is_not_a_groebner_basis():
+    report = verify_resolution(single_level(not_groebner_level()))
+    assert [(c["check"], c["ok"]) for c in report.checks] == [
+        ("standard_representation", False),
+        ("lift_identity", False),
+    ]
+    assert report.checks[0]["witness"] == "S-pair (1,2) leaves a nonzero remainder"
+    assert report.checks[1]["witness"] == "S-pair (1,2) differs from sum q_l g_l"
+
+
+def test_certificate_fails_when_the_division_drops_its_remainder(monkeypatch):
+    # a division that loses remainder terms reports a zero remainder with
+    # honest quotients: only the identity S = sum q_l g_l catches it
+    def lossy(h, divisors, order=None, trace=None, **kwargs):
+        res = divide(h, divisors, order, trace=trace, **kwargs)
+        return res._replace(remainder=Vector.zero(h.ambient, res.remainder.order))
+
+    monkeypatch.setattr(syzygy, "divide", lossy)
+    report = verify_resolution(single_level(not_groebner_level()))
+    assert [(c["check"], c["ok"]) for c in report.checks] == [
+        ("standard_representation", True),
+        ("lift_identity", False),
+    ]
+
+
+def test_certificate_fails_when_quotients_break_the_degree_bound(monkeypatch):
+    # quotients moved along the Koszul syzygy g2 e1 - g1 e2 still satisfy
+    # S = sum q_l g_l: only the degree bound catches them
+    level = free_resolution(gens_of(problem("zint_ideal"))[1]).levels[0]
+    g1, g2 = level.basis[:2]
+
+    def shifted(h, divisors, order=None, trace=None, **kwargs):
+        res = divide(h, divisors, order, trace=trace, **kwargs)
+        q = list(res.quotients)
+        q[0] = q[0].add(g2.term_mul(1, (2, 2)))
+        q[1] = q[1].sub(g1.term_mul(1, (2, 2)))
+        return res._replace(quotients=tuple(q))
+
+    monkeypatch.setattr(syzygy, "divide", shifted)
+    report = verify_resolution(single_level(level))
+    assert [(c["check"], c["ok"]) for c in report.checks] == [
+        ("standard_representation", False),
+        ("lift_identity", True),
+    ]
+    assert "LM(q1) * LM(g1) above LM(S)" in report.checks[0]["witness"]

@@ -87,3 +87,20 @@ def test_no_package_imports_inside_functions():
                         if alias.name.startswith("gbsyz"):
                             found.add((path.name, name, alias.name))
     assert found == LOCAL_IMPORT_ALLOWLIST, found ^ LOCAL_IMPORT_ALLOWLIST
+
+
+def test_no_module_imports_random():
+    # results are exact and deterministic: nothing in the package draws
+    # random numbers
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "random" or name.startswith("random.") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
