@@ -9,8 +9,10 @@ computations of the worked examples while keeping the output contract
 (reconstruction identity, the LM(q_j)LM(h_j) <= LM(h) bound, and no
 remainder term lying in the leading-term module of the divisors). Each
 caller keeps its own rule for what is left over: `divide` moves it to
-the remainder; `divide_valuation` moves the term to the remainder
-unless a single divisor is exact.
+the remainder. Over a valuation ring the gcd of the candidates is the
+one of least valuation, so a step with no exact candidate leaves the
+whole term over: `divide` then is the first-divisor division, and
+`divide_valuation` is `divide` restricted to those rings.
 
 `pseudo_reduce` is the leading-term exhaustion used between syzygy
 levels: unit-normalize leading coefficients, reduce a leading term away
@@ -184,22 +186,21 @@ class _Work:
                 coeffs[mono] = s
 
 
-def _lead_step(index, ring, lc, lm, scan_all=False, bezout=True):
+def _lead_step(index, ring, lc, lm, scan_all=False):
     """The step every reduction takes on the leading term lc * lm.
 
     Scans the candidates at lm's position in the prepared `index`, in
     index order, and collects in D, as (j, LC_j, gamma), those whose
     leading monomial divides lm. The first whose leading coefficient
     divides lc too is taken alone: the step is [(j, gamma, q)] and the
-    scan stops there unless `scan_all`. Otherwise, when `bezout`, the
-    step is the Bezout combination of all of D: with d = sum c_j LC_j
-    their gcd and lc = c * d + e, it is [(j, gamma, c * c_j)], nonzero
-    entries only, and e is left on lm.
+    scan stops there unless `scan_all`. Otherwise the step is the Bezout
+    combination of all of D: with d = sum c_j LC_j their gcd and
+    lc = c * d + e, it is [(j, gamma, c * c_j)], nonzero entries only,
+    and e is left on lm.
 
     Returns (D, step, rest): step subtracts w * X^gamma * divisor j per
-    entry; it is None when D is empty, or when no candidate is exact and
-    not `bezout`. rest is None for an exact step and (e, d, [c_j]) for a
-    combination.
+    entry; it is None when D is empty. rest is None for an exact step
+    and (e, d, [c_j]) for a combination.
     """
     D = []
     step = None
@@ -212,7 +213,7 @@ def _lead_step(index, ring, lc, lm, scan_all=False, bezout=True):
             step = [(j, gamma, q)]
             if not scan_all:
                 break
-    if step is not None or not D or not bezout:
+    if step is not None or not D:
         return D, step, None
     d, coeffs = ring.gcd_bezout([djc for _, djc, _ in D])
     c, e = ring.euclid_step(lc, d)
@@ -276,55 +277,31 @@ def divide(h, divisors, order=None, trace=None, *, quotients=True):
     return _division_result(h, order, q_acc, _reduce(work, index, q_acc, trace))
 
 
-def reduce_coeffs(coeffs, divisors, order, ring):
-    """The remainder terms, in descending order, of the polynomial over
-    `ring` given as a dict monomial -> nonzero coefficient (consumed),
-    divided by a prepared `Divisors` as `divide` does, without quotients
-    or trace."""
-    return _reduce(_Work(ring, order, coeffs), divisors, None, None)
-
-
 def _division_result(h, order, q_acc, r_terms):
-    """Quotients from their accumulators (None when q_acc is None).
-    r_terms are already descending: each step removes the leading term
-    of the working polynomial and adds only smaller ones."""
+    """Quotients from their accumulators (None when q_acc is None; an
+    empty accumulator is the zero quotient). r_terms are already
+    descending: each step removes the leading term of the working
+    polynomial and adds only smaller ones."""
     remainder = Vector(h.ambient, order, r_terms, _normalized=True)
     if q_acc is None:
         return DivisionResult(None, remainder)
     ring_amb = h.ambient._replace(rank=1)
-    return DivisionResult(tuple(_quotient_vector(ring_amb, order, acc) for acc in q_acc), remainder)
+    zero = Vector.zero(ring_amb, order)
+    quotients = tuple(_quotient_vector(ring_amb, order, acc) if acc else zero for acc in q_acc)
+    return DivisionResult(quotients, remainder)
 
 
 def divide_valuation(h, divisors, order=None, trace=None):
-    """First-divisor division for the valuation-ring backends.
-
-    Takes the shared step without the Bezout combination: the first
+    """First-divisor division for the valuation-ring backends: the first
     divisor whose leading term divides (as a term) is used alone, and a
-    leading term without one moves to the remainder.
-    `divisors` is a sequence of vectors or a prepared `Divisors`.
+    leading term without one moves to the remainder. On a valuation ring
+    that is what `divide` does, so this is `divide` with the ring
+    checked first. `divisors` is a sequence of vectors or a prepared
+    `Divisors`.
     """
-    order = order or h.order
     if not h.ambient.ring.is_valuation_ring:
         raise UsageError(f"{h.ambient.ring} is not a valuation ring")
-    index = _prepared(h, divisors)
-    ring = h.ambient.ring
-    zero = ring.zero()
-    q_acc = [dict() for _ in index.vectors]
-    r_terms = []
-    work = _Work(ring, order, {m: c for c, m in h.terms})
-    while (t := work.lead()) is not None:
-        lc, lm = t
-        _, step, _ = _lead_step(index, ring, lc, lm, bezout=False)
-        if step is None:
-            r_terms.append(t)
-            del work.coeffs[lm]
-            continue
-        ((j, gamma, c),) = step
-        if trace is not None:
-            trace({"event": "reduction_step", "lm": lm, "divisors": [j]})
-        q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), c)
-        work.sub_term_mul(index.vectors[j], c, gamma)
-    return _division_result(h, order, q_acc, r_terms)
+    return divide(h, divisors, order, trace=trace)
 
 
 def s_pair_indexed(f, g, order, auto):

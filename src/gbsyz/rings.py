@@ -398,9 +398,46 @@ class IntegersMod(Ring):
 
 class _ValuationRing(Ring):
     """What the two valuation rings share: the ideals form a chain, so of
-    two elements one divides the other."""
+    two elements one divides the other, and a gcd is the element of
+    least valuation. A nonzero a is u * t^k with k = valuation(a), t the
+    uniformizer and u a unit; subclasses give t^k (`_power`) and u
+    (`_unit_part`)."""
 
     is_valuation_ring = True
+
+    def gcd_bezout(self, items):
+        if not items:
+            raise UsageError("gcd_bezout of an empty list")
+        vals = [(self.valuation(a), i) for i, a in enumerate(items) if not self.is_zero(a)]
+        coeffs = [self.zero()] * len(items)
+        if not vals:
+            return self.zero(), coeffs
+        v, i0 = min(vals)
+        d = self._power(v)
+        coeffs[i0] = self.divides(items[i0], d)
+        return d, coeffs
+
+    def strict_pair(self, b1, b2):
+        if self.is_zero(b1) and self.is_zero(b2):
+            raise UsageError("strict_pair(0, 0)")
+        d, _ = self.gcd_bezout([b1, b2])
+        b1p, b2p = self.divides(d, b1), self.divides(d, b2)
+        c1 = self.divides(b1p, self.one())
+        if c1 is not None:
+            return d, b1p, b2p, c1, self.zero()
+        return d, b1p, b2p, self.zero(), self.unit_inverse(b2p)
+
+    def euclid_step(self, a, d):
+        q = self.divides(d, a)
+        if q is not None:
+            return q, self.zero()
+        return self.zero(), a
+
+    def normalize_unit(self, a):
+        if self.is_zero(a):
+            return self.one(), self.zero()
+        k = self.valuation(a)
+        return self._unit_part(a, k), self._power(k)
 
     def spair_cofactors(self, lc_f, lc_g):
         # one cofactor is exactly 1
@@ -469,6 +506,12 @@ class TruncatedF2y(_ValuationRing):
             raise InternalError(f"valuation of 0 in {self}")
         return (a & -a).bit_length() - 1
 
+    def _power(self, k):
+        return 1 << k
+
+    def _unit_part(self, a, k):
+        return (a & self.mask) >> k
+
     def _unit_inv(self, u):
         # invert 1 + y*b bit by bit
         if not u & 1:
@@ -493,33 +536,6 @@ class TruncatedF2y(_ValuationRing):
         # quotient is determined mod y^(r-k); clear the free high bits
         return q & ((1 << (self.r - k)) - 1)
 
-    def gcd_bezout(self, items):
-        if not items:
-            raise UsageError("gcd_bezout of an empty list")
-        vals = [(self.valuation(a), i) for i, a in enumerate(items) if a & self.mask]
-        if not vals:
-            return 0, [0] * len(items)
-        v, i0 = min(vals)
-        d = 1 << v
-        coeffs = [0] * len(items)
-        coeffs[i0] = self.divides(items[i0], d)
-        return d, coeffs
-
-    def strict_pair(self, b1, b2):
-        b1, b2 = b1 & self.mask, b2 & self.mask
-        if b1 == 0 and b2 == 0:
-            raise UsageError("strict_pair(0, 0)")
-        v1 = self.valuation(b1) if b1 else self.r
-        v2 = self.valuation(b2) if b2 else self.r
-        d = 1 << min(v1, v2)
-        b1p = self.divides(d, b1)
-        b2p = self.divides(d, b2)
-        if v1 <= v2:
-            c1, c2 = self._unit_inv(b1p), 0
-        else:
-            c1, c2 = 0, self._unit_inv(b2p)
-        return d, b1p, b2p, c1, c2
-
     def ann_gen(self, a):
         a &= self.mask
         if a == 0:
@@ -528,19 +544,6 @@ class TruncatedF2y(_ValuationRing):
         if k == 0:
             return 0
         return 1 << (self.r - k)
-
-    def euclid_step(self, a, d):
-        q = self.divides(d, a)
-        if q is not None:
-            return q, 0
-        return 0, a & self.mask
-
-    def normalize_unit(self, a):
-        a &= self.mask
-        if a == 0:
-            return 1, 0
-        k = self.valuation(a)
-        return a >> k, 1 << k
 
     def format(self, a):
         a &= self.mask
@@ -615,6 +618,12 @@ class IntegersLocalizedAt(_ValuationRing):
             v += 1
         return v
 
+    def _power(self, k):
+        return Fraction(self.p) ** k
+
+    def _unit_part(self, a, k):
+        return a / self.p**k
+
     def divides(self, a, b):
         if a == 0:
             return Fraction(0) if b == 0 else None
@@ -624,46 +633,8 @@ class IntegersLocalizedAt(_ValuationRing):
             return self._check(b / a)
         return None
 
-    def gcd_bezout(self, items):
-        if not items:
-            raise UsageError("gcd_bezout of an empty list")
-        vals = [(self.valuation(a), i) for i, a in enumerate(items) if a != 0]
-        if not vals:
-            return Fraction(0), [Fraction(0)] * len(items)
-        v, i0 = min(vals)
-        d = Fraction(self.p) ** v
-        coeffs = [Fraction(0)] * len(items)
-        coeffs[i0] = d / items[i0]
-        return d, coeffs
-
-    def strict_pair(self, b1, b2):
-        if b1 == 0 and b2 == 0:
-            raise UsageError("strict_pair(0, 0)")
-        v1 = self.valuation(b1) if b1 else None
-        v2 = self.valuation(b2) if b2 else None
-        vmin = min(v for v in (v1, v2) if v is not None)
-        d = Fraction(self.p) ** vmin
-        b1p, b2p = b1 / d, b2 / d
-        if v1 is not None and v1 == vmin:
-            c1, c2 = 1 / b1p, Fraction(0)
-        else:
-            c1, c2 = Fraction(0), 1 / b2p
-        return d, b1p, b2p, c1, c2
-
     def ann_gen(self, a):
         return Fraction(1) if a == 0 else Fraction(0)
-
-    def euclid_step(self, a, d):
-        q = self.divides(d, a)
-        if q is not None:
-            return q, Fraction(0)
-        return Fraction(0), a
-
-    def normalize_unit(self, a):
-        if a == 0:
-            return Fraction(1), Fraction(0)
-        canon = Fraction(self.p) ** self.valuation(a)
-        return a / canon, canon
 
     def format(self, a):
         return str(a)

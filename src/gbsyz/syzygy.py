@@ -204,7 +204,6 @@ class Resolution(NamedTuple):
     ambient: Ambient
     levels: tuple
     tail: object
-    quotient: bool
 
     @property
     def length(self):
@@ -235,31 +234,34 @@ def _exhausted_level(syz, guard):
 
 
 def _pseudo_reduce_labeled(relations, order, labels, guard):
-    """pseudo_reduce that keeps a display label attached to each element."""
+    """pseudo_reduce that keeps a display label attached to each element.
+
+    An element equal to an input takes its label. Otherwise it takes the
+    label of an input it equals after unit-normalizing that input, or
+    else of an input with its leading monomial, with a `'` added; the
+    first such input wins. Each element not equal to an input steps a
+    counter, and one that matches no input is `v{counter}`.
+    """
     reduced = pseudo_reduce(list(relations), order, guard=guard)
+    by_value, by_normalized, by_lm = {}, {}, {}
+    for r, lab in zip(relations, labels):
+        by_value.setdefault(r, lab)
+        if r.is_zero():
+            continue
+        ring = r.ambient.ring
+        u, _ = ring.normalize_unit(r.lc())
+        if not ring.eq(u, ring.one()):
+            by_normalized.setdefault(r.scale(ring.unit_inverse(u)), lab + "'")
+        by_lm.setdefault(r.lm(), lab + "'")
     out_labels = []
-    raw = list(zip(relations, labels))
     counter = 0
     for v in reduced.elements:
-        label = None
-        for r, lab in raw:
-            if v == r:
-                label = lab
-                break
+        label = by_value.get(v)
         if label is None:
-            ring = v.ambient.ring
-            for r, lab in raw:
-                u, _ = ring.normalize_unit(r.lc())
-                if not ring.eq(u, ring.one()) and v == r.scale(ring.unit_inverse(u)):
-                    label = lab + "'"
-                    break
+            label = by_normalized.get(v)
         if label is None:
             counter += 1
-            label = f"v{counter}"
-            for r, lab in raw:
-                if not r.is_zero() and not v.is_zero() and v.lm() == r.lm():
-                    label = lab + "'"
-                    break
+            label = by_lm.get(v.lm(), f"v{counter}")
         out_labels.append(label)
     return reduced, tuple(out_labels)
 
@@ -268,7 +270,6 @@ def free_resolution(
     gens,
     order=None,
     max_levels=32,
-    resolve_quotient=False,
     labels=None,
     guard=10_000,
     trace=None,
@@ -306,7 +307,7 @@ def free_resolution(
             b = tuple(v.lc() for v in cur.basis)
             ann_b = tuple(ring.canonical(ring.ann_gen(x)) for x in b)
             if all(ring.is_zero(a) for a in ann_b):
-                res = Resolution(amb, tuple(levels), FreeTail(), resolve_quotient)
+                res = Resolution(amb, tuple(levels), FreeTail())
                 _assert_length_bound(res, order, unsafe_order)
                 return res
             ann_ann_b = tuple(ring.canonical(ring.ann_gen(a)) for a in ann_b)
@@ -317,17 +318,17 @@ def free_resolution(
             _check_periodic_level(extra, ann_b, ring)
             levels.append(extra)
             tail = PeriodicTail(b, ann_b, ann_ann_b, positions, len(levels) - 2)
-            res = Resolution(amb, tuple(levels), tail, resolve_quotient)
+            res = Resolution(amb, tuple(levels), tail)
             _assert_length_bound(res, order, unsafe_order)
             return res
         if len(levels) > max_levels:
             raise GuardExceeded(
                 f"no stabilization after {max_levels} levels",
-                Resolution(amb, tuple(levels), None, resolve_quotient),
+                Resolution(amb, tuple(levels), None),
             )
         syz = schreyer_syzygies((cur.basis, cur.order), check=False, labels=cur.labels, trace=trace)
         if not syz.relations:
-            res = Resolution(amb, tuple(levels), FreeTail(), resolve_quotient)
+            res = Resolution(amb, tuple(levels), FreeTail())
             _assert_length_bound(res, order, unsafe_order)
             return res
         levels.append(_exhausted_level(syz, guard))
@@ -395,7 +396,8 @@ def verify_resolution(res):
 
     The checks, in this order:
     - `composite_zero`, levels 1..: each relation applied to the level
-      below it vanishes (the witness is the first failing label);
+      below it vanishes, and has that level's rank (the witness is the
+      first failing label);
     - `standard_representation`, every level: each S-pair S of the level
       divides to a zero remainder with quotients q_l under the degree
       bound LM(q_l) * LM(g_l) <= LM(S);
@@ -427,7 +429,8 @@ def verify_resolution(res):
 
     for k in range(1, len(res.levels)):
         prev, level = list(res.levels[k - 1].basis), res.levels[k]
-        bad = [lab for rel, lab in zip(level.basis, level.labels) if _combination(rel.terms, prev)]
+        bad = [lab for rel, lab in zip(level.basis, level.labels)
+               if rel.ambient.rank != len(prev) or _combination(rel.terms, prev)]
         record("composite_zero", k, not bad, bad[0] if bad else None)
 
     certified = [_certify_level(level, ring) for level in res.levels]

@@ -20,13 +20,13 @@ from gbsyz import (
     TruncatedF2y,
     UsageError,
     Vector,
+    divide,
     is_groebner,
     mono_divides,
     parse_problem,
     sort_basis,
 )
 from gbsyz.dsl import ProblemFile, parse_vector_literal
-from gbsyz.groebner import reduce_coeffs
 from gbsyz.poly import exps_add
 
 GOLDEN = {
@@ -91,6 +91,96 @@ def rings_under_test():
         TruncatedF2y(2),
         IntegersLocalizedAt(2),
     ]
+
+
+class ReferenceTruncatedF2y(TruncatedF2y):
+    """TruncatedF2y with its own gcd_bezout, strict_pair, euclid_step and
+    normalize_unit as they were before the shared `_ValuationRing` ones:
+    the reference for those."""
+
+    def gcd_bezout(self, items):
+        if not items:
+            raise UsageError("gcd_bezout of an empty list")
+        vals = [(self.valuation(a), i) for i, a in enumerate(items) if a & self.mask]
+        if not vals:
+            return 0, [0] * len(items)
+        v, i0 = min(vals)
+        d = 1 << v
+        coeffs = [0] * len(items)
+        coeffs[i0] = self.divides(items[i0], d)
+        return d, coeffs
+
+    def strict_pair(self, b1, b2):
+        b1, b2 = b1 & self.mask, b2 & self.mask
+        if b1 == 0 and b2 == 0:
+            raise UsageError("strict_pair(0, 0)")
+        v1 = self.valuation(b1) if b1 else self.r
+        v2 = self.valuation(b2) if b2 else self.r
+        d = 1 << min(v1, v2)
+        b1p = self.divides(d, b1)
+        b2p = self.divides(d, b2)
+        if v1 <= v2:
+            c1, c2 = self._unit_inv(b1p), 0
+        else:
+            c1, c2 = 0, self._unit_inv(b2p)
+        return d, b1p, b2p, c1, c2
+
+    def euclid_step(self, a, d):
+        q = self.divides(d, a)
+        if q is not None:
+            return q, 0
+        return 0, a & self.mask
+
+    def normalize_unit(self, a):
+        a &= self.mask
+        if a == 0:
+            return 1, 0
+        k = self.valuation(a)
+        return a >> k, 1 << k
+
+
+class ReferenceIntegersLocalizedAt(IntegersLocalizedAt):
+    """IntegersLocalizedAt with its own gcd_bezout, strict_pair,
+    euclid_step and normalize_unit as they were before the shared
+    `_ValuationRing` ones: the reference for those."""
+
+    def gcd_bezout(self, items):
+        if not items:
+            raise UsageError("gcd_bezout of an empty list")
+        vals = [(self.valuation(a), i) for i, a in enumerate(items) if a != 0]
+        if not vals:
+            return Fraction(0), [Fraction(0)] * len(items)
+        v, i0 = min(vals)
+        d = Fraction(self.p) ** v
+        coeffs = [Fraction(0)] * len(items)
+        coeffs[i0] = d / items[i0]
+        return d, coeffs
+
+    def strict_pair(self, b1, b2):
+        if b1 == 0 and b2 == 0:
+            raise UsageError("strict_pair(0, 0)")
+        v1 = self.valuation(b1) if b1 else None
+        v2 = self.valuation(b2) if b2 else None
+        vmin = min(v for v in (v1, v2) if v is not None)
+        d = Fraction(self.p) ** vmin
+        b1p, b2p = b1 / d, b2 / d
+        if v1 is not None and v1 == vmin:
+            c1, c2 = 1 / b1p, Fraction(0)
+        else:
+            c1, c2 = Fraction(0), 1 / b2p
+        return d, b1p, b2p, c1, c2
+
+    def euclid_step(self, a, d):
+        q = self.divides(d, a)
+        if q is not None:
+            return q, Fraction(0)
+        return Fraction(0), a
+
+    def normalize_unit(self, a):
+        if a == 0:
+            return Fraction(1), Fraction(0)
+        canon = Fraction(self.p) ** self.valuation(a)
+        return a / canon, canon
 
 
 def random_element(rng, ring):
@@ -276,11 +366,13 @@ def reference_level_verdicts(res, samples=20, seed=0):
         sampling = None
         if level.basis:
             index = Divisors(level.basis)
-            ring = level.basis[0].ambient.ring
+            amb = level.basis[0].ambient
             sampling = True
             for _ in range(samples):
                 sample = random_sample(rng, level.basis)
-                if sample and reduce_coeffs(sample, index, level.order, ring):
+                terms = [Term(c, m) for m, c in sample.items()]
+                h = Vector(amb, level.order, terms)
+                if not divide(h, index, level.order, quotients=False).remainder.is_zero():
                     sampling = False
                     break
         out.append((groebner, sampling))
@@ -403,3 +495,34 @@ def reference_pseudo_reduce(gb, order=None, guard=10_000, branches=None):
             idx += 1
         work = sort_basis(work, order)
     return GroebnerBasis(tuple(work), order, pseudo_reduced=True)
+
+
+def reference_labels(reduced, relations, labels):
+    """Labels for the elements of `reduced` (a pseudo-reduced basis of
+    `relations`) by scanning the inputs for each element: the reference
+    for `syzygy._pseudo_reduce_labeled`."""
+    out_labels = []
+    raw = list(zip(relations, labels))
+    counter = 0
+    for v in reduced.elements:
+        label = None
+        for r, lab in raw:
+            if v == r:
+                label = lab
+                break
+        if label is None:
+            ring = v.ambient.ring
+            for r, lab in raw:
+                u, _ = ring.normalize_unit(r.lc())
+                if not ring.eq(u, ring.one()) and v == r.scale(ring.unit_inverse(u)):
+                    label = lab + "'"
+                    break
+        if label is None:
+            counter += 1
+            label = f"v{counter}"
+            for r, lab in raw:
+                if not r.is_zero() and not v.is_zero() and v.lm() == r.lm():
+                    label = lab + "'"
+                    break
+        out_labels.append(label)
+    return tuple(out_labels)

@@ -305,7 +305,7 @@ def test_criterion_8_resolution_length_bound():
             order = TopLex(2)
             for _ in range(30):
                 gens = _random_gens(rng, amb, order, rng.randrange(1, 4), 3, 2)
-                res = free_resolution(gens, resolve_quotient=True)
+                res = free_resolution(gens)
                 assert isinstance(res.tail, FreeTail)
                 assert res.quotient_length <= 3
 

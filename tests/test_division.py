@@ -14,7 +14,6 @@ from gbsyz import (
     expand_combination,
     term_module_member,
 )
-from gbsyz.groebner import reduce_coeffs
 from helpers import (
     GOLDEN,
     gens_of,
@@ -154,7 +153,8 @@ def test_division_contract_randomized():
 
 
 def test_divide_and_valuation_agree_on_contract_not_output():
-    # both satisfy the same postconditions; the quotients may differ
+    # both satisfy the same postconditions, and over a valuation ring
+    # they are the same division: equal quotients and remainder
     p = problem("f2y_spair")
     _, gens = gens_of(p)
     h = vec(p, "y*X2*X1 + X1^3 + y")
@@ -162,6 +162,8 @@ def test_divide_and_valuation_agree_on_contract_not_output():
     b = divide_valuation(h, gens, p.order)
     check_contract(h, gens, a)
     check_contract(h, gens, b)
+    assert b.remainder.terms == a.remainder.terms
+    assert [q.terms for q in b.quotients] == [q.terms for q in a.quotients]
 
 
 def test_members_reduce_to_zero_under_both_divisions():
@@ -185,26 +187,28 @@ def test_members_reduce_to_zero_under_both_divisions():
 
 
 def _assert_same_division(h, divisors, order):
-    """divide (and divide_valuation on valuation rings) against the
-    full-merge references: identical terms and trace streams. The
+    """divide against the full-merge reference: identical terms and
+    trace streams. On valuation rings divide_valuation gives the terms
+    of the first-divisor reference and the trace stream of divide. The
     remainder-only mode of divide gives the same remainder and stream,
     and so do the prepared-divisor paths."""
-    pairs = [(divide, reference_divide)]
+    got_trace, want_trace = [], []
+    got = divide(h, divisors, order, trace=got_trace.append)
+    want = reference_divide(h, divisors, order, trace=want_trace.append)
+    assert got.remainder.terms == want.remainder.terms
+    assert [q.terms for q in got.quotients] == [q.terms for q in want.quotients]
+    assert got_trace == want_trace
     if h.ambient.ring.is_valuation_ring:
-        pairs.append((divide_valuation, reference_divide_valuation))
-    streams = []
-    for fast, ref in pairs:
-        got_trace, want_trace = [], []
-        got = fast(h, divisors, order, trace=got_trace.append)
-        want = ref(h, divisors, order, trace=want_trace.append)
-        assert got.remainder.terms == want.remainder.terms
-        assert [q.terms for q in got.quotients] == [q.terms for q in want.quotients]
-        assert got_trace == want_trace
-        streams.append((want.remainder.terms, want_trace))
+        val_trace = []
+        val = divide_valuation(h, divisors, order, trace=val_trace.append)
+        ref = reference_divide_valuation(h, divisors, order)
+        assert val.remainder.terms == ref.remainder.terms
+        assert [q.terms for q in val.quotients] == [q.terms for q in ref.quotients]
+        assert val_trace == want_trace
     rem_trace = []
     rem = divide(h, divisors, order, trace=rem_trace.append, quotients=False)
     assert rem.quotients is None
-    assert (rem.remainder.terms, rem_trace) == streams[0]
+    assert (rem.remainder.terms, rem_trace) == (want.remainder.terms, want_trace)
     _assert_same_kernel_paths(h, divisors, order)
 
 
@@ -245,7 +249,7 @@ def _assert_same_kernel_paths(h, divisors, order):
     """A prepared Divisors, reused, gives what the plain list gives: the
     same quotients, remainder and reduction_step stream. Untraced divide
     stops scanning at the first exactly dividing candidate and still
-    gives the traced result; reduce_coeffs gives the remainder."""
+    gives the traced result."""
     ring = h.ambient.ring
     index = Divisors(divisors)
     grown = Divisors(divisors[:1])
@@ -263,9 +267,6 @@ def _assert_same_kernel_paths(h, divisors, order):
             assert [q.terms for q in res.quotients] == [q.terms for q in want.quotients]
     want = divide(h, divisors, order)
     assert divide(h, index, order, quotients=False).remainder.terms == want.remainder.terms
-    coeffs = {m: c for c, m in h.terms}
-    assert reduce_coeffs(coeffs, index, order, ring) == list(want.remainder.terms)
-    assert reduce_coeffs({m: c for c, m in h.terms}, Divisors(), order, ring) == list(h.terms)
 
 
 def test_division_errors_keep_their_text():

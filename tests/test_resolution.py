@@ -22,17 +22,20 @@ from gbsyz import (
     divide,
     free_resolution,
     parse_problem,
+    schreyer_syzygies,
     verify_resolution,
 )
 from gbsyz import syzygy
 from gbsyz.syzygy import Resolution, ResolutionLevel
 from helpers import (
     GOLDEN,
+    element_candidates,
     gens_of,
     problem,
     random_nonzero_vector,
     random_vector,
     reference_apply_relation,
+    reference_labels,
     reference_level_verdicts,
     vec,
 )
@@ -130,8 +133,7 @@ def test_resolution_z12_ideal_alternation():
 def test_resolution_quotient_length_bound_and_flag():
     p = problem("zint_ideal")
     labels, gens = gens_of(p)
-    res = free_resolution(gens, labels=labels, resolve_quotient=True)
-    assert res.quotient
+    res = free_resolution(gens, labels=labels)
     assert res.quotient_length == 3  # = n + 1
     assert res.quotient_length <= len(p.var_names) + 1
 
@@ -186,6 +188,63 @@ def test_verify_detects_sign_flip():
     assert any(c["check"] == "composite_zero" and not c["ok"] for c in report.checks)
 
 
+def test_verify_reports_a_relation_past_the_level_below():
+    # without the last element of level 0, level 1's relations name a
+    # position past its end: a failed composite_zero, not an IndexError
+    labels, gens = gens_of(problem("zint_ideal"))
+    res = free_resolution(gens, labels=labels)
+    level0 = res.levels[0]
+    short = level0._replace(basis=level0.basis[:-1], labels=level0.labels[:-1])
+    report = verify_resolution(res._replace(levels=(short,) + res.levels[1:]))
+    assert not report.ok
+    (check,) = [c for c in report.checks if c["check"] == "composite_zero" and c["level"] == 1]
+    assert not check["ok"]
+    assert check["witness"] == res.levels[1].labels[0]
+
+
+def _labeled_inputs():
+    """(relations, order, labels) for label matching: the Buchberger basis
+    and every syzygy basis of the golden and seeded resolutions, and the
+    golden syzygy bases with an equal and an associate duplicate added.
+    Three small lists reach the `v{k}` labels, after a `'` label by
+    unit-normalized value and after one by leading monomial."""
+    for text in (
+        "ring Z/12; vars X Y; rank 2;"
+        " a = [X^2 + Y, 1]; b = [4*X^2, Y]; c = [6*X^2 + X, 0]; d = [0, 5*Y]; e = [0, 5*Y];",
+        "ring Z; vars X Y; rank 1; a = 2*X^2 + Y; b = 3*X^2 + X; c = Y^3 + X*Y; d = 2*Y^3;",
+        "ring Z_(2); vars X Y; rank 1; a = 2*X^2 + Y; b = 3*X^2 + X; c = 3*Y^3 + X*Y; d = 6*Y^3;",
+    ):
+        p = parse_problem(text)
+        yield [v for _, v in p.generators], p.order, [name for name, _ in p.generators]
+    golden = [(True, free_resolution(gens, labels=labels))
+              for labels, gens in (gens_of(problem(key)) for key in GOLDEN)]
+    seeded = [(False, res) for res in [*zerodivisor_resolutions(), *domain_resolutions()]]
+    for with_duplicates, res in golden + seeded:
+        ring = res.ambient.ring
+        unit = next((u for u in element_candidates(ring, 3)
+                     if ring.is_unit(u) and not ring.eq(u, ring.one())), ring.one())
+        level0 = res.levels[0]
+        yield list(level0.basis), level0.order, list(level0.labels)
+        for level in res.levels:
+            syz = schreyer_syzygies((level.basis, level.order), check=False, labels=level.labels)
+            if not syz.relations:
+                continue
+            rels, labs = list(syz.relations), list(syz.labels)
+            yield rels, syz.order, labs
+            if with_duplicates:
+                yield (rels + [rels[0], rels[-1].scale(unit), rels[0].scale(unit)],
+                       syz.order, labs + ["dup", "assoc", "assoc0"])
+
+
+def test_pseudo_reduce_labels_match_the_scanning_reference():
+    count = 0
+    for relations, order, labels in _labeled_inputs():
+        reduced, got = syzygy._pseudo_reduce_labeled(relations, order, labels, guard=10_000)
+        assert got == reference_labels(reduced, relations, labels)
+        count += 1
+    assert count > 50
+
+
 def test_resolution_is_deterministic():
     p = problem("z12_ideal")
     labels, gens = gens_of(p)
@@ -234,7 +293,7 @@ def domain_resolutions():
                 random_nonzero_vector(rng, amb, order, max_terms=2, max_exp=2)
                 for _ in range(2)
             ]
-            yield free_resolution(gens, resolve_quotient=True)
+            yield free_resolution(gens)
 
 
 def test_random_zerodivisor_resolutions_verify():
@@ -309,7 +368,7 @@ def test_verify_prepares_divisors_once_per_level_and_check(monkeypatch):
 
 def single_level(level):
     """A resolution holding only `level`, without a tail to check."""
-    return Resolution(level.basis[0].ambient, (level,), None, False)
+    return Resolution(level.basis[0].ambient, (level,), None)
 
 
 def level_verdicts(report, nlevels):

@@ -14,7 +14,14 @@ from gbsyz import (
     UsageError,
     ring_from_descriptor,
 )
-from helpers import element_candidates, random_element, random_nonzero, rings_under_test
+from helpers import (
+    ReferenceIntegersLocalizedAt,
+    ReferenceTruncatedF2y,
+    element_candidates,
+    random_element,
+    random_nonzero,
+    rings_under_test,
+)
 
 
 @pytest.fixture
@@ -245,3 +252,60 @@ def test_broken_preconditions_raise_internal_error(f2y2, z2loc):
         z2loc.valuation(Fraction(0))
     with pytest.raises(InternalError):
         f2y2._unit_inv(0b10)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as ("ok", value) or ("raise", exception type, text)."""
+    try:
+        return ("ok", fn(*args))
+    except (UsageError, InternalError) as exc:
+        return ("raise", type(exc), str(exc))
+
+
+def _same_typed(got, want):
+    """Equal values of equal Python types, element by element in tuples
+    and lists."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, (tuple, list)):
+        return len(got) == len(want) and all(map(_same_typed, got, want))
+    return got == want
+
+
+def _assert_valuation_methods_match(ring, ref, elements, pairs, triples):
+    cases = [("normalize_unit", (a,)) for a in elements]
+    cases += [("gcd_bezout", ([a],)) for a in elements] + [("gcd_bezout", ([],))]
+    for a, b in pairs:
+        cases += [("gcd_bezout", ([a, b],)), ("strict_pair", (a, b)), ("euclid_step", (a, b))]
+    cases += [("gcd_bezout", (list(t),)) for t in triples]
+    for name, args in cases:
+        got = _outcome(getattr(ring, name), *args)
+        want = _outcome(getattr(ref, name), *args)
+        assert _same_typed(got, want), (ring, name, args, got, want)
+
+
+def test_valuation_methods_match_per_ring_reference_f2y_exhaustive():
+    # every element, pair and triple of F2[y]/y^r for r = 2..5
+    for r in range(2, 6):
+        elements = range(1 << r)
+        pairs = [(a, b) for a in elements for b in elements]
+        triples = [(a, b, c) for a, b in pairs for c in elements]
+        _assert_valuation_methods_match(
+            TruncatedF2y(r), ReferenceTruncatedF2y(r), elements, pairs, triples
+        )
+
+
+def test_valuation_methods_match_per_ring_reference_zloc_seeded():
+    rng = random.Random(77)
+    for p in (2, 3, 5):
+        ring, ref = IntegersLocalizedAt(p), ReferenceIntegersLocalizedAt(p)
+
+        def draw():
+            den = rng.choice([d for d in range(1, 30) if d % p])
+            return Fraction(rng.randint(-9, 9) * p ** rng.randrange(4), den)
+
+        elements = [Fraction(0)] + [draw() for _ in range(150)]
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(1500)]
+        pairs += [(a, a) for a in elements[:20]]
+        triples = [tuple(rng.choice(elements) for _ in range(3)) for _ in range(1500)]
+        _assert_valuation_methods_match(ring, ref, elements, pairs, triples)
