@@ -22,7 +22,7 @@ from .dsl import (
     parse_vector_literal,
 )
 from .errors import GuardExceeded, InternalError, ParseError, UsageError
-from .groebner import GroebnerBasis, divide, divide_valuation, module_member
+from .groebner import GroebnerBasis, divide, divide_valuation
 from .poly import reorder
 from .syzygy import (
     FreeTail,
@@ -141,6 +141,11 @@ def _gens(problem, order):
     return names, vecs
 
 
+def _vector_record(kind, v, names, **head):
+    """The record of one vector: kind, then head (level, name), rank, value."""
+    return {"kind": kind, **head, "rank": v.ambient.rank, "value": format_vector(v, names)}
+
+
 def cmd_gb(args, problem):
     order = _pick_order(args, problem)
     names, vecs = _gens(problem, order)
@@ -150,10 +155,7 @@ def cmd_gb(args, problem):
         gbr, labels = _pseudo_reduce_labeled(basis, order, labels, guard=10_000)
         basis = gbr.elements
     records = [_header(args, problem, order)]
-    for lab, v in zip(labels, basis):
-        records.append(
-            {"kind": "basis", "name": lab, "rank": v.ambient.rank, "value": format_vector(v, problem.var_names)}
-        )
+    records += [_vector_record("basis", v, problem.var_names, name=lab) for lab, v in zip(labels, basis)]
     records.append({"kind": "lt_module", "value": format_lt_module(list(basis), problem.var_names)})
     return records
 
@@ -169,13 +171,9 @@ def cmd_reduce(args, problem):
     names, vecs = _gens(problem, order)
     target = reorder(parse_vector_literal(args.target, problem), order)
     res = _divide_for(args, target, vecs, order, _trace_sink(args))
-    records = [_header(args, problem, order)]
-    records.append({"kind": "target", "rank": target.ambient.rank, "value": format_vector(target, problem.var_names)})
-    for name, q in zip(names, res.quotients):
-        records.append({"kind": "quotient", "name": name, "rank": 1, "value": format_vector(q, problem.var_names)})
-    records.append(
-        {"kind": "remainder", "rank": res.remainder.ambient.rank, "value": format_vector(res.remainder, problem.var_names)}
-    )
+    records = [_header(args, problem, order), _vector_record("target", target, problem.var_names)]
+    records += [_vector_record("quotient", q, problem.var_names, name=name) for name, q in zip(names, res.quotients)]
+    records.append(_vector_record("remainder", res.remainder, problem.var_names))
     return records
 
 
@@ -185,22 +183,14 @@ def cmd_member(args, problem):
     target = reorder(parse_vector_literal(args.target, problem), order)
     trace = _trace_sink(args)
     basis, labels = _buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
-    gb = GroebnerBasis(tuple(basis), order, pseudo_reduced=False)
-    if getattr(args, "valuation_division", False):
-        res = divide_valuation(target, list(basis), order, trace=trace)
-        quotients = res.quotients if res.remainder.is_zero() else None
-    else:
-        quotients = module_member(target, gb)
-    records = [_header(args, problem, order)]
-    records.append({"kind": "target", "rank": target.ambient.rank, "value": format_vector(target, problem.var_names)})
-    records.append({"kind": "member", "value": "yes" if quotients is not None else "no"})
-    if quotients is not None:
-        for lab, q in zip(labels, quotients):
-            records.append({"kind": "certificate", "name": lab, "rank": 1, "value": format_vector(q, problem.var_names)})
-        for lab, v in zip(labels, basis):
-            records.append(
-                {"kind": "basis", "name": lab, "rank": v.ambient.rank, "value": format_vector(v, problem.var_names)}
-            )
+    res = _divide_for(args, target, basis, order, trace)
+    member = res.remainder.is_zero()
+    records = [_header(args, problem, order), _vector_record("target", target, problem.var_names)]
+    records.append({"kind": "member", "value": "yes" if member else "no"})
+    if member:
+        records += [_vector_record("certificate", q, problem.var_names, name=lab)
+                    for lab, q in zip(labels, res.quotients)]
+        records += [_vector_record("basis", v, problem.var_names, name=lab) for lab, v in zip(labels, basis)]
     return records
 
 
@@ -215,14 +205,8 @@ def cmd_syz(args, problem):
         gbr, rel_labels = _pseudo_reduce_labeled(relations, syz.order, rel_labels, guard=10_000)
         relations = gbr.elements
     records = [_header(args, problem, order)]
-    for lab, v in zip(labels, basis):
-        records.append(
-            {"kind": "basis", "name": lab, "rank": v.ambient.rank, "value": format_vector(v, problem.var_names)}
-        )
-    for lab, v in zip(rel_labels, relations):
-        records.append(
-            {"kind": "syzygy", "name": lab, "rank": v.ambient.rank, "value": format_vector(v, problem.var_names)}
-        )
+    records += [_vector_record("basis", v, problem.var_names, name=lab) for lab, v in zip(labels, basis)]
+    records += [_vector_record("syzygy", v, problem.var_names, name=lab) for lab, v in zip(rel_labels, relations)]
     records.append(
         {"kind": "lt_module", "value": format_lt_module(list(relations), problem.var_names) if relations else "<0>"}
     )
@@ -244,16 +228,8 @@ def cmd_resolve(args, problem):
     records = [_header(args, problem, order)]
     for k, level in enumerate(res.levels):
         records.append({"kind": "level", "index": k, "rank": len(level.basis)})
-        for lab, v in zip(level.labels, level.basis):
-            records.append(
-                {
-                    "kind": "relation",
-                    "level": k,
-                    "name": lab,
-                    "rank": v.ambient.rank,
-                    "value": format_vector(v, problem.var_names),
-                }
-            )
+        records += [_vector_record("relation", v, problem.var_names, level=k, name=lab)
+                    for lab, v in zip(level.labels, level.basis)]
         records.append(
             {
                 "kind": "lt_module",

@@ -69,9 +69,13 @@ class ProblemFile(NamedTuple):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    """Recursive descent over a token list ending in an `eof` token.
+    Polynomial expressions evaluate in the ambient of `problem`."""
+
+    def __init__(self, tokens, problem=None):
         self.tokens = tokens
         self.i = 0
+        self.problem = problem
 
     def peek(self):
         return self.tokens[self.i]
@@ -93,7 +97,7 @@ class _Parser:
         return tok
 
     def accept(self, kind, text=None):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == kind and (text is None or tok.text == text):
             self.i += 1
             return tok
@@ -231,92 +235,50 @@ class _Parser:
                     self.fail("unbalanced ')'", tok)
             toks.append(self.next())
 
+    # -- polynomial expressions ---------------------------------------------
 
-def _assemble_vector(problem, pending, head):
-    if len(pending) != problem.rank and not (problem.rank == 1 and len(pending) == 1):
-        raise ParseError(
-            f"generator {head.text!r} has {len(pending)} components, rank is {problem.rank}",
-            head.line,
-            head.column,
-        )
-    terms = []
-    for pos, toks in enumerate(pending):
-        poly = _ExprParser(toks, problem).parse()
-        for c, m in poly.terms:
-            terms.append(Term(c, Mono(m.exps, pos)))
-    return Vector(problem.ambient, problem.order, terms)
-
-
-class _ExprParser:
-    """Recursive-descent evaluation of a polynomial expression."""
-
-    def __init__(self, tokens, problem):
-        self.tokens = list(tokens) + [Token("eof", "", tokens[-1].line, tokens[-1].column)]
-        self.i = 0
-        self.problem = problem
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def parse(self):
+    def parse_polynomial(self):
         value = self.expr()
         if self.peek().kind != "eof":
             self.fail(f"unexpected {self.peek().text!r}")
         return value
 
     def expr(self):
-        negate = False
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.next()
-            negate = True
+        negate = self.accept("sym", "-")
         value = self.term()
         if negate:
             value = value.neg()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in "+-":
-                self.next()
-                rhs = self.term()
-                value = value.add(rhs) if tok.text == "+" else value.sub(rhs)
-            else:
-                return value
+        while tok := self.accept("sym", "+") or self.accept("sym", "-"):
+            rhs = self.term()
+            value = value.add(rhs) if tok.text == "+" else value.sub(rhs)
+        return value
 
     def term(self):
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "*":
-                self.next()
-                value = value.mul(self.factor())
-            else:
-                return value
+        while self.accept("sym", "*"):
+            value = value.mul(self.factor())
+        return value
 
     def factor(self):
         value = self.atom()
-        if self.peek().kind == "sym" and self.peek().text == "^":
-            self.next()
+        if self.accept("sym", "^"):
             e = self.next()
             if e.kind != "int":
                 self.fail("exponent must be a nonnegative integer", e)
-            value = _power(value, int(e.text))
+            value = _power(self.problem, value, int(e.text))
         return value
 
     def atom(self):
-        tok = self.next()
         problem = self.problem
+        if self.accept("sym", "("):
+            value = self.expr()
+            close = self.next()
+            if close.kind != "sym" or close.text != ")":
+                self.fail("expected ')'", close)
+            return value
+        tok = self.next()
         if tok.kind == "int":
-            if self.peek().kind == "sym" and self.peek().text == "/":
-                self.next()
+            if self.accept("sym", "/"):
                 den = self.next()
                 if den.kind != "int":
                     self.fail("expected integer denominator", den)
@@ -334,13 +296,23 @@ class _ExprParser:
             if tok.text == "y" and isinstance(problem.ring, TruncatedF2y):
                 return _constant(problem, problem.ring.y())
             self.fail(f"unknown variable {tok.text!r}", tok)
-        if tok.kind == "sym" and tok.text == "(":
-            value = self.expr()
-            close = self.next()
-            if close.kind != "sym" or close.text != ")":
-                self.fail("expected ')'", close)
-            return value
         self.fail(f"unexpected {tok.text or 'end of input'!r}", tok)
+
+
+def _assemble_vector(problem, pending, head):
+    if len(pending) != problem.rank and not (problem.rank == 1 and len(pending) == 1):
+        raise ParseError(
+            f"generator {head.text!r} has {len(pending)} components, rank is {problem.rank}",
+            head.line,
+            head.column,
+        )
+    terms = []
+    for pos, toks in enumerate(pending):
+        eof = Token("eof", "", toks[-1].line, toks[-1].column)
+        poly = _Parser(toks + [eof], problem).parse_polynomial()
+        for c, m in poly.terms:
+            terms.append(Term(c, Mono(m.exps, pos)))
+    return Vector(problem.ambient, problem.order, terms)
 
 
 def _constant(problem, coeff):
@@ -350,8 +322,8 @@ def _constant(problem, coeff):
     return Vector.monomial(problem.poly_ambient, problem.order, coeff, zero)
 
 
-def _power(value, e):
-    out = _constant_like(value)
+def _power(problem, value, e):
+    out = _constant(problem, problem.ring.one())
     base = value
     while e:
         if e & 1:
@@ -359,11 +331,6 @@ def _power(value, e):
         base = base.mul(base)
         e >>= 1
     return out
-
-
-def _constant_like(v):
-    zero = tuple([0] * v.ambient.nvars)
-    return Vector.monomial(v.ambient, v.order, v.ambient.ring.one(), zero)
 
 
 def parse_problem(text):
@@ -374,8 +341,7 @@ def parse_vector_literal(text, problem):
     """Parse a standalone vector in the context of a parsed problem."""
     parser = _Parser(tokenize(text))
     pending = parser.parse_pending_vector()
-    if parser.peek().kind == "sym" and parser.peek().text == ";":
-        parser.next()
+    parser.accept("sym", ";")
     if parser.peek().kind != "eof":
         parser.fail("trailing input after vector")
     head = Token("name", "<target>", 1, 1)

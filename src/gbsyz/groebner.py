@@ -35,10 +35,10 @@ from .poly import (
     Mono,
     Term,
     Vector,
+    combination,
     exps_add,
     exps_sub,
     mono_divides,
-    poly_mul_vector,
     positive_part,
     sort_basis,
 )
@@ -159,9 +159,7 @@ class _Work:
 
     def vector(self, ambient):
         """The working polynomial as a Vector in `ambient`."""
-        coeffs = self.coeffs
-        terms = [Term(coeffs[m], m) for m in sorted(coeffs, key=self.key)]
-        return Vector(ambient, self.order, terms, _normalized=True)
+        return Vector.from_coeffs(ambient, self.order, self.coeffs)
 
     def sub_term_mul(self, d, w, gamma):
         """Subtract w * X^gamma * d, term by term."""
@@ -340,10 +338,7 @@ def s_poly(f, g, order=None):
     the cofactors come from the ring's coprime decomposition of the
     leading coefficients.
     """
-    order = order or f.order
-    if f.is_zero() or g.is_zero():
-        raise UsageError("S-polynomial of the zero vector")
-    return s_pair_indexed(f, g, order, auto=(f == g))
+    return s_pair_indexed(f, g, order or f.order, auto=(f == g))
 
 
 def buchberger(gens, order, guard=10_000, trace=None):
@@ -562,9 +557,6 @@ def module_member(h, gb):
 
 def expand_combination(quotients, vectors):
     """sum q_i * v_i for rank-1 quotients against module vectors."""
-    if not vectors:
-        raise UsageError("empty combination")
-    acc = Vector.zero(vectors[0].ambient, vectors[0].order)
-    for q, v in zip(quotients, vectors):
-        acc = acc.add(poly_mul_vector(q, v))
-    return acc
+    terms = [Term(c, Mono(m.exps, i)) for i, q in enumerate(quotients) for c, m in q.terms]
+    acc = combination(terms, vectors)
+    return Vector.from_coeffs(vectors[0].ambient, vectors[0].order, acc)

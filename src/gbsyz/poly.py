@@ -220,6 +220,12 @@ class Vector:
     def monomial(cls, ambient, order, coeff, exps, pos=0):
         return cls(ambient, order, [Term(coeff, Mono(tuple(exps), pos))])
 
+    @classmethod
+    def from_coeffs(cls, ambient, order, coeffs):
+        """The vector of a dict monomial -> nonzero coefficient."""
+        terms = [Term(coeffs[m], m) for m in sorted(coeffs, key=order.key)]
+        return cls(ambient, order, terms, _normalized=True)
+
     # -- leading data --------------------------------------------------------
 
     def is_zero(self):
@@ -328,10 +334,7 @@ class Vector:
         self._check_compatible(other)
         if self.ambient.rank != 1:
             raise UsageError("product of module vectors of rank > 1")
-        acc = Vector.zero(self.ambient, self.order)
-        for c, m in self.terms:
-            acc = acc.add(other.term_mul(c, m.exps))
-        return acc
+        return Vector.from_coeffs(self.ambient, self.order, combination(self.terms, (other,)))
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -379,11 +382,34 @@ def reorder(v, order):
     return Vector(v.ambient, order, v.terms)
 
 
-def poly_mul_vector(q, v):
-    """Multiply a rank-1 ring polynomial into a module vector."""
-    acc = Vector.zero(v.ambient, v.order)
-    for c, m in q.terms:
-        acc = acc.add(v.term_mul(c, m.exps))
+def combination(terms, source):
+    """sum c * X^m * source[m.pos] over the terms (c, m), by plain term
+    products, as a dict monomial -> coefficient without zeros."""
+    if not source:
+        raise UsageError("empty source")
+    first = source[0]
+    for v in source[1:]:
+        first._check_compatible(v)
+    ring = first.ambient.ring
+    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+    acc = {}
+    for c, m in terms:
+        try:
+            v = source[m.pos]
+        except IndexError:
+            raise UsageError(f"position {m.pos + 1} past a source of {len(source)}") from None
+        for d, n in v.terms:
+            p = mul(c, d)
+            if is_zero(p):
+                continue
+            mono = Mono(exps_add(n.exps, m.exps), n.pos)
+            old = acc.get(mono)
+            if old is None:
+                acc[mono] = p
+            elif is_zero(s := add(old, p)):
+                del acc[mono]
+            else:
+                acc[mono] = s
     return acc
 
 

@@ -69,8 +69,6 @@ def _is_prime(n):
 class Ring:
     """Shared interface of the four coefficient-ring backends."""
 
-    is_domain = False
-    has_zerodivisors = False
     is_valuation_ring = False
 
     # -- plain arithmetic -------------------------------------------------
@@ -178,8 +176,6 @@ class Ring:
 class Integers(Ring):
     """The rational integers with exact arbitrary-precision arithmetic."""
 
-    is_domain = True
-
     def __eq__(self, other):
         return type(other) is Integers
 
@@ -272,8 +268,6 @@ class Integers(Ring):
 
 class IntegersMod(Ring):
     """Z/NZ with canonical representatives in [0, N-1]."""
-
-    has_zerodivisors = True
 
     def __init__(self, n):
         if not isinstance(n, int) or n < 2:
@@ -455,8 +449,6 @@ class TruncatedF2y(_ValuationRing):
     zero-dimensional valuation ring with Ann(y^k) = <y^(r-k)>.
     """
 
-    has_zerodivisors = True
-
     def __init__(self, r):
         if not isinstance(r, int) or r < 2:
             raise UsageError(f"truncation order must be an integer >= 2, got {r!r}")
@@ -564,8 +556,6 @@ class TruncatedF2y(_ValuationRing):
 
 class IntegersLocalizedAt(_ValuationRing):
     """Z localized at the prime p: reduced fractions a/s with p not dividing s."""
-
-    is_domain = True
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):

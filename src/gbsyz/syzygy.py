@@ -20,7 +20,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     divide,
-    is_groebner,
     pseudo_reduce,
     s_pair_indexed,
 )
@@ -31,6 +30,7 @@ from .poly import (
     Term,
     TopLex,
     Vector,
+    combination,
     exps_add,
     reorder,
     sort_basis,
@@ -61,7 +61,8 @@ def term_syzygies(terms, ambient, order):
 
     Pairs with distinct leading positions are omitted, as are auto
     relations of regular coefficients. The relations carry Schreyer's
-    order induced by the order on the ambient and the terms.
+    order induced by the order on the ambient and the terms. Every
+    S-polynomial of two terms is zero, so nothing is divided.
     """
     ring = ambient.ring
     vecs = []
@@ -70,33 +71,32 @@ def term_syzygies(terms, ambient, order):
         if ring.is_zero(c):
             raise UsageError("zero term")
         vecs.append(Vector(ambient, order, [Term(c, Mono(tuple(m.exps), m.pos))]))
-    return _syzygies_of(vecs, order, divide_quotients=False, labels=None)
+    return _syzygies_of(vecs, order, labels=None)
 
 
-def schreyer_syzygies(gb, check=True, trace=None, labels=None):
-    """Schreyer's syzygy algorithm over a Groebner basis.
+def schreyer_syzygies(gb, trace=None, labels=None):
+    """Schreyer's syzygy algorithm over a Groebner basis: a
+    `GroebnerBasis`, or a pair (elements, order).
 
     The division of each S-polynomial against the basis must be exact;
-    a nonzero remainder means the input was not a Groebner basis.
+    a nonzero remainder means the input was not a Groebner basis and
+    raises `UsageError`. By Moeller's lifting theorem these divisions
+    are Buchberger's criterion, so no separate check runs first.
     """
     if isinstance(gb, GroebnerBasis):
         source, order = list(gb.elements), gb.order
-        vouched = True
     else:
         source, order = list(gb[0]), gb[1]
-        vouched = False
-    if check and not vouched and not is_groebner(source, order):
-        raise UsageError("input is not a Groebner basis")
-    return _syzygies_of(source, order, divide_quotients=True, labels=labels, trace=trace)
+    return _syzygies_of(source, order, labels=labels, trace=trace)
 
 
-def _syzygies_of(source, order, divide_quotients, labels, trace=None):
+def _syzygies_of(source, order, labels, trace=None):
     if not source:
         raise UsageError("syzygies of the empty list")
     amb0 = source[0].ambient
     sch = Schreyer(source, order)
     amb = Ambient(amb0.ring, amb0.nvars, len(source))
-    index = Divisors(source) if divide_quotients else None
+    index = Divisors(source)
     relations, out_labels = [], []
     for i, j, sp, res in _s_pairs(source, order, index, trace):
         if res is not None and not res.remainder.is_zero():
@@ -109,10 +109,10 @@ def _syzygies_of(source, order, divide_quotients, labels, trace=None):
     return SyzygyBasis(tuple(relations), sch, tuple(source), tuple(out_labels))
 
 
-def _s_pairs(source, order, index=None, trace=None):
+def _s_pairs(source, order, index, trace=None):
     """(i, j, sp, res) for the S-pairs of source that carry a cofactor:
     res divides the S-polynomial by the prepared `index`, and is None
-    without an index or for a zero S-polynomial."""
+    for a zero S-polynomial."""
     for i in range(len(source)):
         for j in range(i, len(source)):
             if source[i].lp() != source[j].lp():
@@ -122,9 +122,7 @@ def _s_pairs(source, order, index=None, trace=None):
                 continue
             if trace is not None:
                 trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
-            res = None
-            if index is not None and not sp.value.is_zero():
-                res = divide(sp.value, index, order, trace=trace)
+            res = None if sp.value.is_zero() else divide(sp.value, index, order, trace=trace)
             yield i, j, sp, res
 
 
@@ -143,37 +141,10 @@ def _lift(sp, i, j, quotients, ring):
     return terms
 
 
-def _combination(terms, source):
-    """sum c * X^m * source[m.pos] over the terms (c, m), by plain term
-    products, as a dict monomial -> coefficient without zeros."""
-    if not source:
-        raise UsageError("empty source")
-    first = source[0]
-    ring = first.ambient.ring
-    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-    acc = {}
-    for c, m in terms:
-        v = source[m.pos]
-        first._check_compatible(v)
-        for d, n in v.terms:
-            p = mul(c, d)
-            if is_zero(p):
-                continue
-            mono = Mono(exps_add(n.exps, m.exps), n.pos)
-            old = acc.get(mono)
-            if old is None:
-                acc[mono] = p
-            elif is_zero(s := add(old, p)):
-                del acc[mono]
-            else:
-                acc[mono] = s
-    return acc
-
-
 def apply_relation(rel, source):
     """Evaluate a relation vector against its source: sum rel_l * source_l."""
-    acc = _combination(rel.terms, source)
-    return Vector(source[0].ambient, source[0].order, [Term(c, m) for m, c in acc.items()])
+    acc = combination(rel.terms, source)
+    return Vector.from_coeffs(source[0].ambient, source[0].order, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +253,14 @@ def free_resolution(
     basis of the previous one. Stops once all leading monomials are
     constant: a free tail when every stabilized leading coefficient is
     regular, otherwise a periodic annihilator tail with one explicitly
-    verified extra level.
+    verified extra level. A level `max_levels` that has not stabilized
+    raises `GuardExceeded` with the levels so far.
     """
     gens = list(gens)
     if not gens:
         raise UsageError("free_resolution needs at least one generator")
+    if max_levels < 0:
+        raise UsageError("max_levels must be >= 0")
     amb = gens[0].ambient
     if unsafe_order is not None:
         order = unsafe_order
@@ -302,36 +276,34 @@ def free_resolution(
         cur = levels[-1]
         if trace is not None:
             trace({"event": "level", "index": len(levels) - 1, "rank": len(cur.basis)})
-        if _stabilized(cur.basis):
-            positions = tuple(v.lp() for v in cur.basis)
+        stable = _stabilized(cur.basis)
+        if stable:
             b = tuple(v.lc() for v in cur.basis)
             ann_b = tuple(ring.canonical(ring.ann_gen(x)) for x in b)
             if all(ring.is_zero(a) for a in ann_b):
-                res = Resolution(amb, tuple(levels), FreeTail())
-                _assert_length_bound(res, order, unsafe_order)
-                return res
-            ann_ann_b = tuple(ring.canonical(ring.ann_gen(a)) for a in ann_b)
-            syz = schreyer_syzygies((cur.basis, cur.order), check=False, labels=cur.labels)
-            extra = _exhausted_level(syz, guard)
-            # the extra level lives in the free module indexed by the
-            # stabilized elements, so Ann(b_j) sits at index j there
-            _check_periodic_level(extra, ann_b, ring)
-            levels.append(extra)
-            tail = PeriodicTail(b, ann_b, ann_ann_b, positions, len(levels) - 2)
-            res = Resolution(amb, tuple(levels), tail)
-            _assert_length_bound(res, order, unsafe_order)
-            return res
-        if len(levels) > max_levels:
+                tail = FreeTail()
+                break
+        elif len(levels) > max_levels:
             raise GuardExceeded(
                 f"no stabilization after {max_levels} levels",
                 Resolution(amb, tuple(levels), None),
             )
-        syz = schreyer_syzygies((cur.basis, cur.order), check=False, labels=cur.labels, trace=trace)
-        if not syz.relations:
-            res = Resolution(amb, tuple(levels), FreeTail())
-            _assert_length_bound(res, order, unsafe_order)
-            return res
+        syz = schreyer_syzygies((cur.basis, cur.order), labels=cur.labels, trace=trace)
+        if not stable and not syz.relations:
+            tail = FreeTail()
+            break
         levels.append(_exhausted_level(syz, guard))
+        if stable:
+            # the extra level lives in the free module indexed by the
+            # stabilized elements, so Ann(b_j) sits at index j there
+            _check_periodic_level(levels[-1], ann_b, ring)
+            ann_ann_b = tuple(ring.canonical(ring.ann_gen(a)) for a in ann_b)
+            positions = tuple(v.lp() for v in cur.basis)
+            tail = PeriodicTail(b, ann_b, ann_ann_b, positions, len(levels) - 2)
+            break
+    res = Resolution(amb, tuple(levels), tail)
+    _assert_length_bound(res, order, unsafe_order)
+    return res
 
 
 def _assert_length_bound(res, order, unsafe_order):
@@ -430,7 +402,7 @@ def verify_resolution(res):
     for k in range(1, len(res.levels)):
         prev, level = list(res.levels[k - 1].basis), res.levels[k]
         bad = [lab for rel, lab in zip(level.basis, level.labels)
-               if rel.ambient.rank != len(prev) or _combination(rel.terms, prev)]
+               if rel.ambient.rank != len(prev) or combination(rel.terms, prev)]
         record("composite_zero", k, not bad, bad[0] if bad else None)
 
     certified = [_certify_level(level, ring) for level in res.levels]
@@ -443,7 +415,7 @@ def verify_resolution(res):
     if isinstance(res.tail, FreeTail):
         last = res.levels[-1]
         try:
-            syz = schreyer_syzygies((last.basis, last.order), check=False)
+            syz = schreyer_syzygies((last.basis, last.order))
             record("free_tail_kernel_zero", len(res.levels) - 1, not syz.relations)
         except UsageError as exc:
             record("free_tail_kernel_zero", len(res.levels) - 1, False, str(exc))
@@ -484,7 +456,7 @@ def _certify_level(level, ring):
                 standard = f"{pair} leaves a nonzero remainder"
             elif over:
                 standard = f"{pair} has LM(q{over[0]}) * LM(g{over[0]}) above LM(S)"
-        if identity is None and _combination(_lift(sp, i, j, quotients, ring), basis):
+        if identity is None and combination(_lift(sp, i, j, quotients, ring), basis):
             identity = f"{pair} differs from sum q_l g_l"
         if standard is not None and identity is not None:
             break

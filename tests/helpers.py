@@ -388,6 +388,24 @@ def reference_apply_relation(rel, source):
     return out
 
 
+def reference_vector_mul(a, b):
+    """One whole-vector add per term of a: the reference for `Vector.mul`."""
+    acc = Vector.zero(a.ambient, a.order)
+    for c, m in a.terms:
+        acc = acc.add(b.term_mul(c, m.exps))
+    return acc
+
+
+def reference_expand_combination(quotients, vectors):
+    """One whole-vector add per quotient term: the reference for
+    `groebner.expand_combination`."""
+    acc = Vector.zero(vectors[0].ambient, vectors[0].order)
+    for q, v in zip(quotients, vectors):
+        for c, m in q.terms:
+            acc = acc.add(v.term_mul(c, m.exps))
+    return acc
+
+
 def _reference_unit_normalize(v):
     ring = v.ambient.ring
     u, _canon = ring.normalize_unit(v.lc())

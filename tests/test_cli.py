@@ -167,6 +167,27 @@ def test_trace_emits_events(goldens, capsys):
     assert any(e.get("event") == "basis_added" for e in events)
 
 
+def test_trace_covers_the_periodic_extra_level(goldens, capsys):
+    # the extra level of a periodic tail runs the same traced Schreyer
+    # step: its S-pairs follow the last `level` event
+    code, out, err = run(capsys, "resolve", goldens["z12_ideal"], "--trace", "--format", "json-like")
+    assert code == 0
+    events = [json.loads(line) for line in err.splitlines() if line.strip()]
+    last = max(k for k, e in enumerate(events) if e["event"] == "level")
+    stable_rank = events[last]["rank"]
+    pairs = [e for e in events[last + 1:] if e["event"] == "syzygy_pair"]
+    assert pairs and all(1 <= e["i"] <= e["j"] <= stable_rank for e in pairs)
+    (tail,) = [r for r in jrecords(out) if r["kind"] == "tail"]
+    assert tail["value"] == "periodic" and tail["stable_level"] == events[last]["index"]
+
+
+def test_resolve_rejects_negative_max_levels(goldens, capsys):
+    for key in ("z12_ideal", "zint_ideal"):
+        code, out, err = run(capsys, "resolve", goldens[key], "--max-levels", "-1")
+        assert (code, out) == (2, "")
+        assert "max_levels must be >= 0" in err
+
+
 def _fresh_env():
     src = str(Path(gbsyz.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")

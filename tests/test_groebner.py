@@ -286,7 +286,7 @@ def test_pseudo_reduce_matches_whole_vector_reference_on_golden_levels(monkeypat
             m.setattr(syzygy, "pseudo_reduce", reference_pseudo_reduce)
             levels = free_resolution(gens).levels
         for level in levels:
-            syz = schreyer_syzygies((level.basis, level.order), check=False)
+            syz = schreyer_syzygies((level.basis, level.order))
             if syz.relations:
                 _assert_same_pseudo_reduction(monkeypatch, syz.relations, syz.order, Counter())
 

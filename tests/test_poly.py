@@ -8,14 +8,17 @@ import pytest
 from gbsyz import (
     Ambient,
     Integers,
+    IntegersLocalizedAt,
     IntegersMod,
     MDEG_NEG_INF,
     Mono,
     Schreyer,
     Term,
     TopLex,
+    TruncatedF2y,
     UsageError,
     Vector,
+    expand_combination,
     mono_divides,
     positive_part,
     reorder,
@@ -27,6 +30,8 @@ from helpers import (
     random_mono,
     random_nonzero_vector,
     random_vector,
+    reference_expand_combination,
+    reference_vector_mul,
     rings_under_test,
     vec,
 )
@@ -110,6 +115,27 @@ def test_add_neg_cancels():
         for _ in range(100):
             v = random_vector(rng, amb, order)
             assert v.add(v.neg()).is_zero()
+
+
+def test_term_products_match_repeated_merges():
+    # Vector.mul and expand_combination evaluate through one dict, the
+    # references merge one whole vector per term; equal terms and order
+    rng = random.Random(13)
+    for ring in (Integers(), IntegersMod(12), TruncatedF2y(3), IntegersLocalizedAt(2)):
+        order = TopLex(2)
+        poly_amb, amb = Ambient(ring, 2, 1), Ambient(ring, 2, 3)
+        for _ in range(60):
+            a = random_vector(rng, poly_amb, order, 5, 3)
+            b = random_vector(rng, poly_amb, order, 5, 3)
+            for x, y in ((a, b), (a, a), (a, a.neg())):
+                got, want = x.mul(y), reference_vector_mul(x, y)
+                assert got.terms == want.terms and got.order is want.order
+            vectors = [random_nonzero_vector(rng, amb, order, 4, 3) for _ in range(3)]
+            quotients = [random_vector(rng, poly_amb, order, 3, 2) for _ in range(3)]
+            for qs, vs in ((quotients, vectors), (quotients[:2] + [quotients[0].neg()],
+                                                  vectors[:2] + [vectors[0]])):
+                got, want = expand_combination(qs, vs), reference_expand_combination(qs, vs)
+                assert got.terms == want.terms and got.order is want.order
 
 
 def test_normalization_idempotent_and_merging():

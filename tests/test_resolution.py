@@ -168,6 +168,17 @@ def test_resolution_max_levels_guard():
     assert exc.value.partial is not None
 
 
+def test_resolution_rejects_negative_max_levels():
+    # a usage error, like buchberger's guard, also where level 0 is
+    # already stable and no level would be counted
+    _, gens = gens_of(problem("z4_ideal"))
+    p = problem("zint_ideal")
+    for g, max_levels in ((gens, -1), ([vec(p, "2")], -5)):
+        with pytest.raises(UsageError, match="max_levels"):
+            free_resolution(g, max_levels=max_levels)
+    assert free_resolution([vec(p, "2")], max_levels=0).length == 0
+
+
 def test_verify_detects_sign_flip():
     p = problem("zint_ideal")
     labels, gens = gens_of(p)
@@ -202,6 +213,17 @@ def test_verify_reports_a_relation_past_the_level_below():
     assert check["witness"] == res.levels[1].labels[0]
 
 
+def test_apply_relation_rejects_a_position_past_the_source():
+    labels, gens = gens_of(problem("zint_ideal"))
+    res = free_resolution(gens, labels=labels)
+    short = list(res.levels[0].basis[:2])
+    past = [rel for rel in res.levels[1].basis if any(m.pos >= 2 for _, m in rel.terms)]
+    assert past
+    for rel in past:
+        with pytest.raises(UsageError, match="past"):
+            apply_relation(rel, short)
+
+
 def _labeled_inputs():
     """(relations, order, labels) for label matching: the Buchberger basis
     and every syzygy basis of the golden and seeded resolutions, and the
@@ -226,7 +248,7 @@ def _labeled_inputs():
         level0 = res.levels[0]
         yield list(level0.basis), level0.order, list(level0.labels)
         for level in res.levels:
-            syz = schreyer_syzygies((level.basis, level.order), check=False, labels=level.labels)
+            syz = schreyer_syzygies((level.basis, level.order), labels=level.labels)
             if not syz.relations:
                 continue
             rels, labs = list(syz.relations), list(syz.labels)

@@ -220,6 +220,25 @@ def test_schreyer_requires_groebner_input():
         schreyer_syzygies((gens, p.order))
 
 
+def test_schreyer_divisions_are_the_groebner_check():
+    # no separate criterion runs first: a (list, order) input raises
+    # exactly when is_groebner rejects it, from the failing division
+    rng = random.Random(17)
+    seen = set()
+    for ring in rings_under_test():
+        amb, order = Ambient(ring, 2, 2), TopLex(2)
+        for _ in range(25):
+            gens = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(rng.randint(1, 4))]
+            groebner = is_groebner(gens, order)
+            seen.add(groebner)
+            if groebner:
+                schreyer_syzygies((gens, order))
+                continue
+            with pytest.raises(UsageError, match="does not reduce to zero: not a Groebner basis"):
+                schreyer_syzygies((gens, order))
+    assert seen == {True, False}
+
+
 def _lt_formula_expected(ring, gi, gj, i, j):
     """LT(u_ij) predicted by the closed formulas, per backend family."""
     if i == j:
