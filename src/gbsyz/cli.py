@@ -22,7 +22,7 @@ from .dsl import (
     parse_vector_literal,
 )
 from .errors import GuardExceeded, InternalError, ParseError, UsageError
-from .groebner import GroebnerBasis, divide, divide_valuation
+from .groebner import divide, divide_valuation
 from .poly import reorder
 from .syzygy import (
     FreeTail,
@@ -199,7 +199,7 @@ def cmd_syz(args, problem):
     names, vecs = _gens(problem, order)
     trace = _trace_sink(args)
     basis, labels = _buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
-    syz = schreyer_syzygies(GroebnerBasis(tuple(basis), order, False), labels=labels, trace=trace)
+    syz = schreyer_syzygies((basis, order), labels=labels, trace=trace)
     relations, rel_labels = syz.relations, syz.labels
     if args.pseudo_reduce:
         gbr, rel_labels = _pseudo_reduce_labeled(relations, syz.order, rel_labels, guard=10_000)

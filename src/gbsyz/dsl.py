@@ -323,13 +323,18 @@ def _constant(problem, coeff):
 
 
 def _power(problem, value, e):
-    out = _constant(problem, problem.ring.one())
-    base = value
-    while e:
-        if e & 1:
-            out = out.mul(base)
-        base = base.mul(base)
+    """value^e by squaring, from the lowest set bit of e: no product
+    with 1, and no square past the highest bit."""
+    if e == 0:
+        return _constant(problem, problem.ring.one())
+    while not e & 1:
+        value = value.mul(value)
         e >>= 1
+    out = value
+    while e := e >> 1:
+        value = value.mul(value)
+        if e & 1:
+            out = out.mul(value)
     return out
 
 

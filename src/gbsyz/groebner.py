@@ -14,6 +14,12 @@ one of least valuation, so a step with no exact candidate leaves the
 whole term over: `divide` then is the first-divisor division, and
 `divide_valuation` is `divide` restricted to those rings.
 
+The working polynomial of every reduction, the quotients of a division
+and the value of a cross S-pair are sums of term products
+c * X^gamma * v, formed in `poly.Accumulator`. `s_pairs` enumerates the
+S-pairs of a basis with their divisions, once for `is_groebner`,
+Schreyer's syzygies and the resolution verifier.
+
 `pseudo_reduce` is the leading-term exhaustion used between syzygy
 levels: unit-normalize leading coefficients, reduce a leading term away
 whenever the other leading terms divide it, and replace coefficients by
@@ -26,17 +32,16 @@ step, as an independent check of what the divisions leave.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, UsageError
 from .poly import (
+    Accumulator,
     Mono,
     Term,
     Vector,
     combination,
-    exps_add,
     exps_sub,
     mono_divides,
     positive_part,
@@ -59,13 +64,6 @@ class SPair(NamedTuple):
 class GroebnerBasis(NamedTuple):
     elements: tuple
     order: object
-    pseudo_reduced: bool
-
-
-def _quotient_vector(ring_amb, order, acc):
-    ring = ring_amb.ring
-    monos = sorted((Mono(e, 0) for e, c in acc.items() if not ring.is_zero(c)), key=order.key)
-    return Vector(ring_amb, order, [Term(acc[m.exps], m) for m in monos], _normalized=True)
 
 
 class Divisors:
@@ -108,82 +106,6 @@ def _prepared(h, divisors):
     return Divisors(divisors, like=h)
 
 
-class _Work:
-    """The working polynomial of a division.
-
-    Coefficients live in a dict keyed by monomial, next to a min-heap of
-    (order key, monomial) that hands out the leading term. A monomial
-    whose coefficient cancels leaves the dict at once; its heap entry is
-    dropped when it surfaces.
-    """
-
-    __slots__ = ("ring", "order", "key", "coeffs", "heap")
-
-    def __init__(self, ring, order, coeffs):
-        self.ring = ring
-        self.order = order
-        self.key = order.key
-        self.coeffs = coeffs
-        self.heap = [(self.key(m), m) for m in coeffs]
-        heapq.heapify(self.heap)
-
-    def lead(self):
-        """The leading term, or None for zero."""
-        heap, coeffs = self.heap, self.coeffs
-        while heap:
-            m = heap[0][1]
-            c = coeffs.get(m)
-            if c is not None:
-                return Term(c, m)
-            heapq.heappop(heap)
-        return None
-
-    def add(self, c, m):
-        """Add the term c * m."""
-        old = self.coeffs.get(m)
-        if old is None:
-            self.coeffs[m] = c
-            heapq.heappush(self.heap, (self.key(m), m))
-            return
-        s = self.ring.add(old, c)
-        if self.ring.is_zero(s):
-            del self.coeffs[m]
-        else:
-            self.coeffs[m] = s
-
-    def scale(self, u):
-        """Multiply by the unit u in place (no coefficient vanishes)."""
-        mul, coeffs = self.ring.mul, self.coeffs
-        for m, c in coeffs.items():
-            coeffs[m] = mul(u, c)
-
-    def vector(self, ambient):
-        """The working polynomial as a Vector in `ambient`."""
-        return Vector.from_coeffs(ambient, self.order, self.coeffs)
-
-    def sub_term_mul(self, d, w, gamma):
-        """Subtract w * X^gamma * d, term by term."""
-        ring = self.ring
-        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-        coeffs, heap, key = self.coeffs, self.heap, self.key
-        nw = ring.neg(w)
-        for c, m in d.terms:
-            p = mul(nw, c)
-            if is_zero(p):
-                continue
-            mono = Mono(exps_add(m.exps, gamma), m.pos)
-            old = coeffs.get(mono)
-            if old is None:
-                coeffs[mono] = p
-                heapq.heappush(heap, (key(mono), mono))
-                continue
-            s = add(old, p)
-            if is_zero(s):
-                del coeffs[mono]
-            else:
-                coeffs[mono] = s
-
-
 def _lead_step(index, ring, lc, lm, scan_all=False):
     """The step every reduction takes on the leading term lc * lm.
 
@@ -224,17 +146,17 @@ def _lead_step(index, ring, lc, lm, scan_all=False):
 
 
 def _reduce(work, index, q_acc, trace):
-    """The gcd-aggregating reduction loop: reduce work against the
-    prepared divisors until it is zero and return the remainder terms,
-    in descending order. Quotient terms accumulate in q_acc (one dict
-    per divisor) unless it is None. A leading term without divisors, and
-    the Euclid residue of a combination, move to the remainder.
+    """The gcd-aggregating reduction loop: reduce the accumulator work
+    against the prepared divisors until it is zero and return the
+    remainder terms, in descending order. Quotient terms accumulate in
+    q_acc (one accumulator per divisor) unless it is None. A leading
+    term without divisors, and the Euclid residue of a combination, move
+    to the remainder.
 
     With a trace the step scans every candidate, because the
     `reduction_step` event names them all.
     """
     ring = work.ring
-    zero = ring.zero()
     vectors = index.vectors
     r_terms = []
     while (t := work.lead()) is not None:
@@ -242,14 +164,14 @@ def _reduce(work, index, q_acc, trace):
         D, step, rest = _lead_step(index, ring, lc, lm, trace is not None)
         if not D:
             r_terms.append(t)
-            del work.coeffs[lm]
+            work.add(ring.neg(lc), lm)
             continue
         if trace is not None:
             trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _, _ in D]})
         for j, gamma, w in step:
             if q_acc is not None:
-                q_acc[j][gamma] = ring.add(q_acc[j].get(gamma, zero), w)
-            work.sub_term_mul(vectors[j], w, gamma)
+                q_acc[j].add(w, Mono(gamma, 0))
+            work.add_term_mul(ring.neg(w), gamma, vectors[j])
         if rest is not None and not ring.is_zero(e := rest[0]):
             r_terms.append(Term(e, lm))
             work.add(ring.neg(e), lm)
@@ -270,23 +192,15 @@ def divide(h, divisors, order=None, trace=None, *, quotients=True):
     """
     order = order or h.order
     index = _prepared(h, divisors)
-    q_acc = [dict() for _ in index.vectors] if quotients else None
-    work = _Work(h.ambient.ring, order, {m: c for c, m in h.terms})
-    return _division_result(h, order, q_acc, _reduce(work, index, q_acc, trace))
-
-
-def _division_result(h, order, q_acc, r_terms):
-    """Quotients from their accumulators (None when q_acc is None; an
-    empty accumulator is the zero quotient). r_terms are already
-    descending: each step removes the leading term of the working
-    polynomial and adds only smaller ones."""
+    ring_amb = h.ambient._replace(rank=1)
+    q_acc = [Accumulator(ring_amb, order) for _ in index.vectors] if quotients else None
+    # the remainder terms are already descending: each step removes the
+    # leading term of the working polynomial and adds only smaller ones
+    r_terms = _reduce(Accumulator(h.ambient, order, h.terms), index, q_acc, trace)
     remainder = Vector(h.ambient, order, r_terms, _normalized=True)
     if q_acc is None:
         return DivisionResult(None, remainder)
-    ring_amb = h.ambient._replace(rank=1)
-    zero = Vector.zero(ring_amb, order)
-    quotients = tuple(_quotient_vector(ring_amb, order, acc) if acc else zero for acc in q_acc)
-    return DivisionResult(quotients, remainder)
+    return DivisionResult(tuple(q.vector() for q in q_acc), remainder)
 
 
 def divide_valuation(h, divisors, order=None, trace=None):
@@ -326,8 +240,10 @@ def s_pair_indexed(f, g, order, auto):
     mu, nu = f.mdeg(), g.mdeg()
     beta = positive_part(exps_sub(nu, mu))
     alpha = positive_part(exps_sub(mu, nu))
-    value = f.term_mul(b, beta).sub(g.term_mul(a, alpha))
-    return SPair(value, Term(b, Mono(beta, 0)), Term(a, Mono(alpha, 0)), "cross")
+    acc = Accumulator(f.ambient, f.order)
+    acc.add_term_mul(b, beta, f)
+    acc.add_term_mul(ring.neg(a), alpha, g)
+    return SPair(acc.vector(), Term(b, Mono(beta, 0)), Term(a, Mono(alpha, 0)), "cross")
 
 
 def s_poly(f, g, order=None):
@@ -378,7 +294,24 @@ def buchberger(gens, order, guard=10_000, trace=None):
             trace({"event": "basis_added", "index": t + 1})
         queue.extend((k, t) for k in range(t))
         queue.append((t, t))
-    return GroebnerBasis(tuple(basis), order, pseudo_reduced=False)
+    return GroebnerBasis(tuple(basis), order)
+
+
+def s_pairs(source, order, index, trace=None):
+    """(i, j, sp, res) for the S-pairs of source that carry a cofactor:
+    res divides the S-polynomial by the prepared `index`, and is None
+    for a zero S-polynomial."""
+    for i in range(len(source)):
+        for j in range(i, len(source)):
+            if source[i].lp() != source[j].lp():
+                continue
+            sp = s_pair_indexed(source[i], source[j], order, auto=(i == j))
+            if sp.kind == "auto" and sp.left_cofactor is None:
+                continue
+            if trace is not None:
+                trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
+            res = None if sp.value.is_zero() else divide(sp.value, index, order, trace=trace)
+            yield i, j, sp, res
 
 
 def is_groebner(elements, order) -> bool:
@@ -387,15 +320,8 @@ def is_groebner(elements, order) -> bool:
     for g in elements:
         if g.is_zero():
             raise UsageError("zero element in candidate basis")
-    index = Divisors(elements)
-    for i in range(len(elements)):
-        for j in range(i, len(elements)):
-            sp = s_pair_indexed(elements[i], elements[j], order, auto=(i == j))
-            if sp.value.is_zero():
-                continue
-            if not divide(sp.value, index, order, quotients=False).remainder.is_zero():
-                return False
-    return True
+    pairs = s_pairs(elements, order, Divisors(elements))
+    return all(res is None or res.remainder.is_zero() for *_, res in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +354,7 @@ def _head_exhaust(g, others):
         return None, []
     ring = g.ambient.ring
     index = Divisors(others, like=g)
-    work = _Work(ring, g.order, {m: c for c, m in g.terms})
+    work = Accumulator(g.ambient, g.order, g.terms)
     extras = []
     while (t := work.lead()) is not None:
         lc, lm = t
@@ -452,17 +378,17 @@ def _head_exhaust(g, others):
             if ring.is_unit(c0):
                 work.scale(c0)
             else:
-                scaled = ((m, ring.mul(c0, c)) for m, c in work.coeffs.items())
-                comb = _Work(ring, g.order, {m: p for m, p in scaled if not ring.is_zero(p)})
+                scaled = ((ring.mul(c0, c), m) for m, c in work.coeffs.items())
+                comb = Accumulator(g.ambient, g.order, [(p, m) for p, m in scaled if not ring.is_zero(p)])
                 for j, gamma, w in step:
-                    comb.sub_term_mul(index.vectors[j], w, gamma)
-                comb = _unit_normalize(comb.vector(g.ambient))
+                    comb.add_term_mul(ring.neg(w), gamma, index.vectors[j])
+                comb = _unit_normalize(comb.vector())
                 extras.append(comb)
                 index.append(comb)
                 continue
         for j, gamma, w in step:
-            work.sub_term_mul(index.vectors[j], w, gamma)
-    return (work.vector(g.ambient) if work.coeffs else None), extras
+            work.add_term_mul(ring.neg(w), gamma, index.vectors[j])
+    return (work.vector() if work.coeffs else None), extras
 
 
 def pseudo_reduce(gb, order=None, guard=10_000):
@@ -505,7 +431,7 @@ def pseudo_reduce(gb, order=None, guard=10_000):
             work[idx] = new
             idx += 1
         work = sort_basis(work, order)
-    return GroebnerBasis(tuple(work), order, pseudo_reduced=True)
+    return GroebnerBasis(tuple(work), order)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,14 @@ terms under its active order; the empty tuple is 0. Ring polynomials
 An order is a sort key on monomials, where a smaller key is a greater
 monomial, so sorting by `order.key` gives the vector order and a
 min-heap pops the leading term.
+
+Every sum of term products c * X^gamma * v (products, divisions,
+S-polynomials, lifted relations) is formed in one `Accumulator`.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 from typing import NamedTuple
 
@@ -382,6 +386,86 @@ def reorder(v, order):
     return Vector(v.ambient, order, v.terms)
 
 
+class Accumulator:
+    """A sparse sum of terms in `ambient` under `order`.
+
+    Coefficients live in a dict monomial -> nonzero coefficient, so a sum
+    that cancels leaves the dict at once. The leading term comes from a
+    min-heap of (order key, monomial), built on the first `lead()` and
+    kept up to date from then on; a monomial that has left the dict is
+    dropped when it surfaces. This is the dict-plus-heap of Monagan and
+    Pearce 2007 (*Polynomial division using dynamic arrays, heaps, and
+    packed exponent vectors*). `terms` seeds the sum with (coeff, mono)
+    pairs of distinct monomials and nonzero coefficients.
+    """
+
+    __slots__ = ("ambient", "ring", "order", "coeffs", "heap")
+
+    def __init__(self, ambient, order, terms=()):
+        self.ambient = ambient
+        self.ring = ambient.ring
+        self.order = order
+        self.coeffs = {m: c for c, m in terms}
+        self.heap = None
+
+    def lead(self):
+        """The leading term, or None for zero."""
+        heap, coeffs = self.heap, self.coeffs
+        if heap is None:
+            key = self.order.key
+            heap = self.heap = [(key(m), m) for m in coeffs]
+            heapq.heapify(heap)
+        while heap:
+            m = heap[0][1]
+            c = coeffs.get(m)
+            if c is not None:
+                return Term(c, m)
+            heapq.heappop(heap)
+        return None
+
+    def add(self, c, m):
+        """Add the nonzero term c * m."""
+        old = self.coeffs.get(m)
+        if old is None:
+            self.coeffs[m] = c
+            if self.heap is not None:
+                heapq.heappush(self.heap, (self.order.key(m), m))
+        elif self.ring.is_zero(s := self.ring.add(old, c)):
+            del self.coeffs[m]
+        else:
+            self.coeffs[m] = s
+
+    def add_term_mul(self, c, exps, v):
+        """Add c * X^exps * v for a vector v, term by term."""
+        ring = self.ring
+        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+        coeffs, heap, key = self.coeffs, self.heap, self.order.key
+        for d, n in v.terms:
+            p = mul(c, d)
+            if is_zero(p):
+                continue
+            mono = Mono(exps_add(n.exps, exps), n.pos)
+            old = coeffs.get(mono)
+            if old is None:
+                coeffs[mono] = p
+                if heap is not None:
+                    heapq.heappush(heap, (key(mono), mono))
+            elif is_zero(s := add(old, p)):
+                del coeffs[mono]
+            else:
+                coeffs[mono] = s
+
+    def scale(self, u):
+        """Multiply by the unit u in place (no coefficient vanishes)."""
+        mul, coeffs = self.ring.mul, self.coeffs
+        for m, c in coeffs.items():
+            coeffs[m] = mul(u, c)
+
+    def vector(self):
+        """The sum as a Vector."""
+        return Vector.from_coeffs(self.ambient, self.order, self.coeffs)
+
+
 def combination(terms, source):
     """sum c * X^m * source[m.pos] over the terms (c, m), by plain term
     products, as a dict monomial -> coefficient without zeros."""
@@ -390,27 +474,14 @@ def combination(terms, source):
     first = source[0]
     for v in source[1:]:
         first._check_compatible(v)
-    ring = first.ambient.ring
-    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-    acc = {}
+    acc = Accumulator(first.ambient, first.order)
     for c, m in terms:
         try:
             v = source[m.pos]
         except IndexError:
             raise UsageError(f"position {m.pos + 1} past a source of {len(source)}") from None
-        for d, n in v.terms:
-            p = mul(c, d)
-            if is_zero(p):
-                continue
-            mono = Mono(exps_add(n.exps, m.exps), n.pos)
-            old = acc.get(mono)
-            if old is None:
-                acc[mono] = p
-            elif is_zero(s := add(old, p)):
-                del acc[mono]
-            else:
-                acc[mono] = s
-    return acc
+        acc.add_term_mul(c, m.exps, v)
+    return acc.coeffs
 
 
 def vector_key(order, v):

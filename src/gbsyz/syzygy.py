@@ -19,9 +19,9 @@ from .groebner import (
     Divisors,
     GroebnerBasis,
     buchberger,
-    divide,
+    divide,  # not called here; bound for the benchmark's tracer
     pseudo_reduce,
-    s_pair_indexed,
+    s_pairs,
 )
 from .poly import (
     Ambient,
@@ -98,7 +98,7 @@ def _syzygies_of(source, order, labels, trace=None):
     amb = Ambient(amb0.ring, amb0.nvars, len(source))
     index = Divisors(source)
     relations, out_labels = [], []
-    for i, j, sp, res in _s_pairs(source, order, index, trace):
+    for i, j, sp, res in s_pairs(source, order, index, trace):
         if res is not None and not res.remainder.is_zero():
             raise UsageError("S-polynomial does not reduce to zero: not a Groebner basis")
         rel = Vector(amb, sch, _lift(sp, i, j, res.quotients if res else (), amb.ring))
@@ -107,23 +107,6 @@ def _syzygies_of(source, order, labels, trace=None):
         relations.append(rel)
         out_labels.append(_pair_label(labels or [None] * len(source), i, j))
     return SyzygyBasis(tuple(relations), sch, tuple(source), tuple(out_labels))
-
-
-def _s_pairs(source, order, index, trace=None):
-    """(i, j, sp, res) for the S-pairs of source that carry a cofactor:
-    res divides the S-polynomial by the prepared `index`, and is None
-    for a zero S-polynomial."""
-    for i in range(len(source)):
-        for j in range(i, len(source)):
-            if source[i].lp() != source[j].lp():
-                continue
-            sp = s_pair_indexed(source[i], source[j], order, auto=(i == j))
-            if sp.kind == "auto" and sp.left_cofactor is None:
-                continue
-            if trace is not None:
-                trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
-            res = None if sp.value.is_zero() else divide(sp.value, index, order, trace=trace)
-            yield i, j, sp, res
 
 
 def _lift(sp, i, j, quotients, ring):
@@ -445,7 +428,7 @@ def _certify_level(level, ring):
     basis, key = list(level.basis), level.order.key
     lms = [g.lm() for g in basis]
     standard = identity = None
-    for i, j, sp, res in _s_pairs(basis, level.order, Divisors(basis)):
+    for i, j, sp, res in s_pairs(basis, level.order, Divisors(basis)):
         pair = f"S-pair ({i + 1},{j + 1})"
         quotients = res.quotients if res else ()
         if standard is None and res is not None:

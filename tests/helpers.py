@@ -24,10 +24,11 @@ from gbsyz import (
     is_groebner,
     mono_divides,
     parse_problem,
+    positive_part,
     sort_basis,
 )
 from gbsyz.dsl import ProblemFile, parse_vector_literal
-from gbsyz.poly import exps_add
+from gbsyz.poly import exps_add, exps_sub
 
 GOLDEN = {
     "f2y_spair": """ring F2[y]/y^2; vars X2 X1; rank 1;
@@ -396,6 +397,22 @@ def reference_vector_mul(a, b):
     return acc
 
 
+def reference_s_pair_value(f, g, order, auto):
+    """The value of an S-pair by whole-vector products and a merge: the
+    reference for `groebner.s_pair_indexed`'s value."""
+    ring = f.ambient.ring
+    if auto:
+        b = ring.ann_gen(f.lc())
+        return Vector.zero(f.ambient, order) if ring.is_zero(b) else f.scale(b)
+    if f.lp() != g.lp():
+        return Vector.zero(f.ambient, order)
+    a, b = ring.spair_cofactors(f.lc(), g.lc())
+    mu, nu = f.mdeg(), g.mdeg()
+    beta = positive_part(exps_sub(nu, mu))
+    alpha = positive_part(exps_sub(mu, nu))
+    return f.term_mul(b, beta).sub(g.term_mul(a, alpha))
+
+
 def reference_expand_combination(quotients, vectors):
     """One whole-vector add per quotient term: the reference for
     `groebner.expand_combination`."""
@@ -512,7 +529,7 @@ def reference_pseudo_reduce(gb, order=None, guard=10_000, branches=None):
             work[idx] = new
             idx += 1
         work = sort_basis(work, order)
-    return GroebnerBasis(tuple(work), order, pseudo_reduced=True)
+    return GroebnerBasis(tuple(work), order)
 
 
 def reference_labels(reduced, relations, labels):

@@ -13,6 +13,7 @@ from gbsyz import (
     TopLex,
     TruncatedF2y,
     UsageError,
+    Vector,
     format_vector,
     parse_problem,
     parse_vector_literal,
@@ -22,6 +23,7 @@ from helpers import (
     parse_in,
     problem,
     random_vector,
+    reference_vector_mul,
     resized_problem,
     rings_under_test,
     vec,
@@ -143,6 +145,29 @@ def test_expression_edges():
     assert z12.generators[0][1].lc() == 5  # 5 is its own inverse mod 12
     with pytest.raises(ParseError):
         parse_problem("ring Z/12; vars X; g = 1/3*X;")  # 3 not invertible
+
+
+def test_power_makes_no_wasted_products(monkeypatch):
+    # square-and-multiply from the lowest set bit: no product with the
+    # constant 1 and no square after the last bit; values are the
+    # repeated products
+    p = problem("zint_ideal")
+    base = vec(p, "X + Y + 1")
+    powers = [vec(p, "1"), base]
+    for _ in range(3):
+        powers.append(reference_vector_mul(powers[-1], base))
+    pairs = []
+    mul = Vector.mul
+
+    def counting_mul(self, other):
+        pairs.append(len(self.terms) * len(other.terms))
+        return mul(self, other)
+
+    monkeypatch.setattr(Vector, "mul", counting_mul)
+    for k, expected in enumerate(([], [], [9], [9, 18], [9, 36])):
+        pairs.clear()
+        assert vec(p, f"(X + Y + 1)^{k}").terms == powers[k].terms
+        assert pairs == expected
 
 
 def test_comments_and_whitespace():

@@ -19,22 +19,33 @@ from gbsyz import (
     UsageError,
     Vector,
     expand_combination,
+    free_resolution,
     mono_divides,
     positive_part,
     reorder,
     sort_basis,
 )
+from gbsyz.groebner import s_pair_indexed
+from gbsyz.poly import Accumulator
 from helpers import (
+    GOLDEN,
+    gens_of,
     problem,
     random_element,
     random_mono,
+    random_nonzero,
     random_nonzero_vector,
     random_vector,
     reference_expand_combination,
+    reference_s_pair_value,
     reference_vector_mul,
     rings_under_test,
     vec,
 )
+
+# the four kinds of coefficient ring: a domain, Z/N with zerodivisors,
+# and the two valuation rings
+TERM_PRODUCT_RINGS = (Integers(), IntegersMod(12), TruncatedF2y(3), IntegersLocalizedAt(2))
 
 
 def test_positive_part():
@@ -121,7 +132,7 @@ def test_term_products_match_repeated_merges():
     # Vector.mul and expand_combination evaluate through one dict, the
     # references merge one whole vector per term; equal terms and order
     rng = random.Random(13)
-    for ring in (Integers(), IntegersMod(12), TruncatedF2y(3), IntegersLocalizedAt(2)):
+    for ring in TERM_PRODUCT_RINGS:
         order = TopLex(2)
         poly_amb, amb = Ambient(ring, 2, 1), Ambient(ring, 2, 3)
         for _ in range(60):
@@ -136,6 +147,79 @@ def test_term_products_match_repeated_merges():
                                                   vectors[:2] + [vectors[0]])):
                 got, want = expand_combination(qs, vs), reference_expand_combination(qs, vs)
                 assert got.terms == want.terms and got.order is want.order
+
+
+def test_accumulator_matches_vector_arithmetic():
+    # add and add_term_mul against Vector.add and term_mul, with sums
+    # that cancel to zero; lead() is asked between adds, so it must see
+    # the terms added after its first call
+    rng = random.Random(17)
+    for ring in TERM_PRODUCT_RINGS:
+        order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
+        amb = Ambient(ring, 2, 2)
+        for _ in range(80):
+            start = random_vector(rng, amb, order, 3, 2)
+            sources = [random_nonzero_vector(rng, amb, order, 4, 2) for _ in range(2)]
+            acc, want = Accumulator(amb, order, start.terms), start
+            products = []
+            for _ in range(10):
+                if products and rng.random() < 0.3:
+                    # cancel an earlier product
+                    c, exps, v = rng.choice(products)
+                    c = ring.neg(c)
+                elif rng.random() < 0.6:
+                    c = random_nonzero(rng, ring)
+                    exps = tuple(rng.randrange(3) for _ in range(2))
+                    v = rng.choice(sources)
+                    products.append((c, exps, v))
+                else:
+                    v = None
+                if v is not None:
+                    acc.add_term_mul(c, exps, v)
+                    want = want.add(v.term_mul(c, exps))
+                elif want.terms and rng.random() < 0.5:
+                    # cancel a term of the sum, often the leading one
+                    c, m = want.terms[0] if rng.random() < 0.5 else rng.choice(want.terms)
+                    acc.add(ring.neg(c), m)
+                    want = want.add(Vector(amb, order, [Term(ring.neg(c), m)]))
+                else:
+                    t = Term(random_nonzero(rng, ring), random_mono(rng, 2, 2, 3))
+                    acc.add(*t)
+                    want = want.add(Vector(amb, order, [t]))
+                assert not any(ring.is_zero(c) for c in acc.coeffs.values())
+                if rng.random() < 0.5:
+                    assert acc.lead() == want.lt()
+            got = acc.vector()
+            assert got.terms == want.terms and got.order is order
+            assert acc.lead() == want.lt()
+
+
+def test_s_pair_values_match_whole_vector_reference():
+    # s_pair_indexed forms a cross value in one accumulator, the
+    # reference merges two term_mul vectors: equal terms and order on
+    # seeded pairs, then on every pair of every golden resolution level
+    def check(f, g, order, auto):
+        got = s_pair_indexed(f, g, order, auto).value
+        want = reference_s_pair_value(f, g, order, auto)
+        assert got.terms == want.terms and got.order is want.order
+
+    rng = random.Random(19)
+    for ring in TERM_PRODUCT_RINGS:
+        order = TopLex(2)
+        amb = Ambient(ring, 2, 2)
+        for _ in range(100):
+            f = random_nonzero_vector(rng, amb, order, 4, 3)
+            g = random_nonzero_vector(rng, amb, order, 4, 3)
+            check(f, g, order, False)
+            check(f, f, order, True)
+            # equal values at distinct indices still form a cross pair
+            check(f, f, order, False)
+    for key in GOLDEN:
+        for level in free_resolution(gens_of(problem(key))[1]).levels:
+            basis = level.basis
+            for i in range(len(basis)):
+                for j in range(i, len(basis)):
+                    check(basis[i], basis[j], level.order, i == j)
 
 
 def test_normalization_idempotent_and_merging():

@@ -68,6 +68,24 @@ def test_one_leading_term_step_in_groebner():
     assert len(callers) == 1, callers
 
 
+def test_one_sparse_accumulator():
+    # poly.Accumulator owns the heap and the term products: no other
+    # module imports heapq, and groebner forms no monomial products itself
+    importers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "heapq" in names:
+                importers.add(path.name)
+    assert importers == {"poly.py"}
+    assert "exps_add" not in (PACKAGE / "groebner.py").read_text()
+
+
 # `poly` and `dsl` import each other, so `Vector.__repr__` imports `dsl`
 # when it runs
 LOCAL_IMPORT_ALLOWLIST = {("poly.py", "Vector.__repr__", "dsl")}
