@@ -220,6 +220,7 @@ def cmd_resolve(args, problem):
     unsafe = order if getattr(args, "unsafe_order", None) else None
     res = free_resolution(
         vecs,
+        order=order,
         max_levels=args.max_levels,
         labels=names,
         trace=trace,

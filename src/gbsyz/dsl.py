@@ -19,7 +19,7 @@ import re
 from typing import NamedTuple
 
 from .errors import ParseError, UsageError
-from .poly import Ambient, Mono, Term, TopLex, Vector
+from .poly import Accumulator, Ambient, Mono, Term, TopLex, Vector, exps_add
 from .rings import Integers, IntegersLocalizedAt, IntegersMod, TruncatedF2y
 
 _TOKEN_RE = re.compile(
@@ -37,24 +37,23 @@ class Token(NamedTuple):
 
 def tokenize(text):
     tokens = []
-    line, col = 1, 1
+    line, line_start = 1, 0  # line_start: offset of the first character of the line
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+        if kind == "ws":
+            # only whitespace spans lines: a comment stops before its newline
+            chunk = m.group()
+            if (nl := chunk.rfind("\n")) >= 0:
+                line += chunk.count("\n")
+                line_start = pos + nl + 1
+        elif kind != "comment":
+            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -244,19 +243,35 @@ class _Parser:
         return value
 
     def expr(self):
+        ring = self.problem.ring
         negate = self.accept("sym", "-")
         value = self.term()
         if negate:
-            value = value.neg()
-        while tok := self.accept("sym", "+") or self.accept("sym", "-"):
-            rhs = self.term()
-            value = value.add(rhs) if tok.text == "+" else value.sub(rhs)
-        return value
+            if type(value) is Term:
+                value = Term(ring.neg(value.coeff), value.mono)
+            else:
+                coeffs = value.coeffs
+                for m, c in coeffs.items():
+                    coeffs[m] = ring.neg(c)
+        tok = self.accept("sym", "+") or self.accept("sym", "-")
+        if tok is None:
+            return value
+        acc = value if type(value) is Accumulator else _accumulator(self.problem, (value,))
+        while tok is not None:
+            rhs = _terms(self.term())
+            if tok.text == "+":
+                for c, m in rhs:
+                    acc.add(c, m)
+            else:
+                for c, m in rhs:
+                    acc.add(ring.neg(c), m)
+            tok = self.accept("sym", "+") or self.accept("sym", "-")
+        return acc
 
     def term(self):
         value = self.factor()
         while self.accept("sym", "*"):
-            value = value.mul(self.factor())
+            value = _product(self.problem, value, self.factor())
         return value
 
     def factor(self):
@@ -290,13 +305,30 @@ class _Parser:
             return _constant(problem, problem.ring.from_int(int(tok.text)))
         if tok.kind == "name":
             if tok.text in problem.var_names:
-                idx = problem.var_names.index(tok.text)
-                exps = tuple(1 if k == idx else 0 for k in range(len(problem.var_names)))
-                return Vector.monomial(problem.poly_ambient, problem.order, problem.ring.one(), exps)
+                exps = [0] * len(problem.var_names)
+                exps[problem.var_names.index(tok.text)] = 1
+                return Term(problem.ring.one(), Mono(tuple(exps), 0))
             if tok.text == "y" and isinstance(problem.ring, TruncatedF2y):
                 return _constant(problem, problem.ring.y())
             self.fail(f"unknown variable {tok.text!r}", tok)
         self.fail(f"unexpected {tok.text or 'end of input'!r}", tok)
+
+
+# A polynomial expression evaluates to a nonzero single Term, or to an
+# Accumulator that the evaluation owns (zero is an empty one); its
+# monomials sit at position 0 of `problem.poly_ambient`.
+
+
+def _accumulator(problem, terms=()):
+    return Accumulator(problem.poly_ambient, problem.order, terms)
+
+
+def _terms(value):
+    """The (coeff, mono) terms of an expression value."""
+    if type(value) is Term:
+        return (value,)
+    coeffs = value.coeffs
+    return tuple(zip(coeffs.values(), coeffs.keys()))
 
 
 def _assemble_vector(problem, pending, head):
@@ -309,17 +341,31 @@ def _assemble_vector(problem, pending, head):
     terms = []
     for pos, toks in enumerate(pending):
         eof = Token("eof", "", toks[-1].line, toks[-1].column)
-        poly = _Parser(toks + [eof], problem).parse_polynomial()
-        for c, m in poly.terms:
+        value = _Parser(toks + [eof], problem).parse_polynomial()
+        for c, m in _terms(value):
             terms.append(Term(c, Mono(m.exps, pos)))
     return Vector(problem.ambient, problem.order, terms)
 
 
 def _constant(problem, coeff):
-    zero = tuple([0] * len(problem.var_names))
     if problem.ring.is_zero(coeff):
-        return Vector.zero(problem.poly_ambient, problem.order)
-    return Vector.monomial(problem.poly_ambient, problem.order, coeff, zero)
+        return _accumulator(problem)
+    return Term(coeff, Mono((0,) * len(problem.var_names), 0))
+
+
+def _product(problem, a, b):
+    """a * b for expression values: one ring product for two single
+    terms, term products summed in a fresh accumulator otherwise."""
+    if type(a) is Term and type(b) is Term:
+        c = problem.ring.mul(a.coeff, b.coeff)
+        if problem.ring.is_zero(c):
+            return _accumulator(problem)
+        return Term(c, Mono(exps_add(a.mono.exps, b.mono.exps), 0))
+    out = _accumulator(problem)
+    b_terms = _terms(b)
+    for c, m in _terms(a):
+        out.add_term_mul(c, m.exps, b_terms)
+    return out
 
 
 def _power(problem, value, e):
@@ -328,13 +374,13 @@ def _power(problem, value, e):
     if e == 0:
         return _constant(problem, problem.ring.one())
     while not e & 1:
-        value = value.mul(value)
+        value = _product(problem, value, value)
         e >>= 1
     out = value
     while e := e >> 1:
-        value = value.mul(value)
+        value = _product(problem, value, value)
         if e & 1:
-            out = out.mul(value)
+            out = _product(problem, out, value)
     return out
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Optional
 
-from .errors import GuardExceeded, UsageError
+from .errors import GuardExceeded, InternalError, UsageError
 from .poly import (
     Accumulator,
     Mono,
@@ -151,13 +151,15 @@ def _reduce(work, index, q_acc, trace):
     remainder terms, in descending order. Quotient terms accumulate in
     q_acc (one accumulator per divisor) unless it is None. A leading
     term without divisors, and the Euclid residue of a combination, move
-    to the remainder.
+    to the remainder. Every step cancels its leading monomial; a step
+    that leaves it in work would repeat forever, so it raises
+    InternalError.
 
     With a trace the step scans every candidate, because the
     `reduction_step` event names them all.
     """
     ring = work.ring
-    vectors = index.vectors
+    vectors, coeffs = index.vectors, work.coeffs
     r_terms = []
     while (t := work.lead()) is not None:
         lc, lm = t
@@ -165,16 +167,18 @@ def _reduce(work, index, q_acc, trace):
         if not D:
             r_terms.append(t)
             work.add(ring.neg(lc), lm)
-            continue
-        if trace is not None:
-            trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _, _ in D]})
-        for j, gamma, w in step:
-            if q_acc is not None:
-                q_acc[j].add(w, Mono(gamma, 0))
-            work.add_term_mul(ring.neg(w), gamma, vectors[j])
-        if rest is not None and not ring.is_zero(e := rest[0]):
-            r_terms.append(Term(e, lm))
-            work.add(ring.neg(e), lm)
+        else:
+            if trace is not None:
+                trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _, _ in D]})
+            for j, gamma, w in step:
+                if q_acc is not None:
+                    q_acc[j].add(w, Mono(gamma, 0))
+                work.add_term_mul(ring.neg(w), gamma, vectors[j].terms)
+            if rest is not None and not ring.is_zero(e := rest[0]):
+                r_terms.append(Term(e, lm))
+                work.add(ring.neg(e), lm)
+        if lm in coeffs:
+            raise InternalError(f"reduction step left its leading monomial {lm} in place")
     return r_terms
 
 
@@ -241,8 +245,8 @@ def s_pair_indexed(f, g, order, auto):
     beta = positive_part(exps_sub(nu, mu))
     alpha = positive_part(exps_sub(mu, nu))
     acc = Accumulator(f.ambient, f.order)
-    acc.add_term_mul(b, beta, f)
-    acc.add_term_mul(ring.neg(a), alpha, g)
+    acc.add_term_mul(b, beta, f.terms)
+    acc.add_term_mul(ring.neg(a), alpha, g.terms)
     return SPair(acc.vector(), Term(b, Mono(beta, 0)), Term(a, Mono(alpha, 0)), "cross")
 
 
@@ -381,13 +385,13 @@ def _head_exhaust(g, others):
                 scaled = ((ring.mul(c0, c), m) for m, c in work.coeffs.items())
                 comb = Accumulator(g.ambient, g.order, [(p, m) for p, m in scaled if not ring.is_zero(p)])
                 for j, gamma, w in step:
-                    comb.add_term_mul(ring.neg(w), gamma, index.vectors[j])
+                    comb.add_term_mul(ring.neg(w), gamma, index.vectors[j].terms)
                 comb = _unit_normalize(comb.vector())
                 extras.append(comb)
                 index.append(comb)
                 continue
         for j, gamma, w in step:
-            work.add_term_mul(ring.neg(w), gamma, index.vectors[j])
+            work.add_term_mul(ring.neg(w), gamma, index.vectors[j].terms)
     return (work.vector() if work.coeffs else None), extras
 
 

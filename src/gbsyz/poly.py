@@ -11,7 +11,8 @@ monomial, so sorting by `order.key` gives the vector order and a
 min-heap pops the leading term.
 
 Every sum of term products c * X^gamma * v (products, divisions,
-S-polynomials, lifted relations) is formed in one `Accumulator`.
+S-polynomials, lifted relations, parsed expressions) is formed in one
+`Accumulator`.
 """
 
 from __future__ import annotations
@@ -221,10 +222,6 @@ class Vector:
         return cls(ambient, order, (), _normalized=True)
 
     @classmethod
-    def monomial(cls, ambient, order, coeff, exps, pos=0):
-        return cls(ambient, order, [Term(coeff, Mono(tuple(exps), pos))])
-
-    @classmethod
     def from_coeffs(cls, ambient, order, coeffs):
         """The vector of a dict monomial -> nonzero coefficient."""
         terms = [Term(coeffs[m], m) for m in sorted(coeffs, key=order.key)]
@@ -382,7 +379,10 @@ def _normalize(ambient, order, terms):
 
 
 def reorder(v, order):
-    """The same vector re-sorted under a different monomial order."""
+    """The same vector re-sorted under a different monomial order; v
+    itself when it already is under that order."""
+    if order is v.order:
+        return v
     return Vector(v.ambient, order, v.terms)
 
 
@@ -435,12 +435,12 @@ class Accumulator:
         else:
             self.coeffs[m] = s
 
-    def add_term_mul(self, c, exps, v):
-        """Add c * X^exps * v for a vector v, term by term."""
+    def add_term_mul(self, c, exps, terms):
+        """Add c * X^exps * v for the (coeff, mono) terms of a v, term by term."""
         ring = self.ring
         mul, add, is_zero = ring.mul, ring.add, ring.is_zero
         coeffs, heap, key = self.coeffs, self.heap, self.order.key
-        for d, n in v.terms:
+        for d, n in terms:
             p = mul(c, d)
             if is_zero(p):
                 continue
@@ -480,7 +480,7 @@ def combination(terms, source):
             v = source[m.pos]
         except IndexError:
             raise UsageError(f"position {m.pos + 1} past a source of {len(source)}") from None
-        acc.add_term_mul(c, m.exps, v)
+        acc.add_term_mul(c, m.exps, v.terms)
     return acc.coeffs
 
 

@@ -16,6 +16,7 @@ from gbsyz import (
     IntegersLocalizedAt,
     IntegersMod,
     Mono,
+    ParseError,
     Term,
     TruncatedF2y,
     UsageError,
@@ -27,7 +28,7 @@ from gbsyz import (
     positive_part,
     sort_basis,
 )
-from gbsyz.dsl import ProblemFile, parse_vector_literal
+from gbsyz.dsl import _TOKEN_RE, ProblemFile, Token, _Parser, parse_vector_literal
 from gbsyz.poly import exps_add, exps_sub
 
 GOLDEN = {
@@ -561,3 +562,144 @@ def reference_labels(reduced, relations, labels):
                     break
         out_labels.append(label)
     return tuple(out_labels)
+
+
+# ---------------------------------------------------------------------------
+# the Vector-valued parser: the reference for dsl's expression evaluation
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text):
+    """The tokenizer that counts newlines and columns in every chunk:
+    the reference for `dsl.tokenize`."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        chunk = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append(Token(kind, chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+class _ReferenceParser(_Parser):
+    """`dsl._Parser` with expressions evaluated as they were before the
+    accumulator: a normalised, sorted Vector for every constant and
+    variable, combined with `Vector.add`, `sub`, `neg` and `mul`."""
+
+    def expr(self):
+        negate = self.accept("sym", "-")
+        value = self.term()
+        if negate:
+            value = value.neg()
+        while tok := self.accept("sym", "+") or self.accept("sym", "-"):
+            rhs = self.term()
+            value = value.add(rhs) if tok.text == "+" else value.sub(rhs)
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.accept("sym", "*"):
+            value = value.mul(self.factor())
+        return value
+
+    def factor(self):
+        value = self.atom()
+        if self.accept("sym", "^"):
+            e = self.next()
+            if e.kind != "int":
+                self.fail("exponent must be a nonnegative integer", e)
+            value = _reference_power(self.problem, value, int(e.text))
+        return value
+
+    def atom(self):
+        problem = self.problem
+        if self.accept("sym", "("):
+            value = self.expr()
+            close = self.next()
+            if close.kind != "sym" or close.text != ")":
+                self.fail("expected ')'", close)
+            return value
+        tok = self.next()
+        if tok.kind == "int":
+            if self.accept("sym", "/"):
+                den = self.next()
+                if den.kind != "int":
+                    self.fail("expected integer denominator", den)
+                try:
+                    coeff = problem.ring.from_fraction(int(tok.text), int(den.text))
+                except UsageError as exc:
+                    raise ParseError(str(exc), tok.line, tok.column) from None
+                return _reference_constant(problem, coeff)
+            return _reference_constant(problem, problem.ring.from_int(int(tok.text)))
+        if tok.kind == "name":
+            if tok.text in problem.var_names:
+                idx = problem.var_names.index(tok.text)
+                exps = tuple(1 if k == idx else 0 for k in range(len(problem.var_names)))
+                return _reference_monomial(problem, problem.ring.one(), exps)
+            if tok.text == "y" and isinstance(problem.ring, TruncatedF2y):
+                return _reference_constant(problem, problem.ring.y())
+            self.fail(f"unknown variable {tok.text!r}", tok)
+        self.fail(f"unexpected {tok.text or 'end of input'!r}", tok)
+
+
+def _reference_monomial(problem, coeff, exps):
+    return Vector(problem.poly_ambient, problem.order, [Term(coeff, Mono(exps, 0))])
+
+
+def _reference_constant(problem, coeff):
+    zero = tuple([0] * len(problem.var_names))
+    if problem.ring.is_zero(coeff):
+        return Vector.zero(problem.poly_ambient, problem.order)
+    return _reference_monomial(problem, coeff, zero)
+
+
+def _reference_power(problem, value, e):
+    if e == 0:
+        return _reference_constant(problem, problem.ring.one())
+    while not e & 1:
+        value = value.mul(value)
+        e >>= 1
+    out = value
+    while e := e >> 1:
+        value = value.mul(value)
+        if e & 1:
+            out = out.mul(value)
+    return out
+
+
+def reference_parse_polynomial(tokens, problem):
+    """The rank-1 Vector of a token list ending in `eof`, evaluated one
+    Vector per atom."""
+    return _ReferenceParser(tokens, problem).parse_polynomial()
+
+
+def reference_parse_vector_literal(text, problem):
+    """`dsl.parse_vector_literal` through `reference_tokenize` and
+    `reference_parse_polynomial`."""
+    parser = _Parser(reference_tokenize(text))
+    pending = parser.parse_pending_vector()
+    parser.accept("sym", ";")
+    if parser.peek().kind != "eof":
+        parser.fail("trailing input after vector")
+    if len(pending) != problem.rank and not (problem.rank == 1 and len(pending) == 1):
+        raise ParseError(f"generator '<target>' has {len(pending)} components, rank is {problem.rank}", 1, 1)
+    terms = []
+    for pos, toks in enumerate(pending):
+        eof = Token("eof", "", toks[-1].line, toks[-1].column)
+        poly = reference_parse_polynomial(toks + [eof], problem)
+        for c, m in poly.terms:
+            terms.append(Term(c, Mono(m.exps, pos)))
+    return Vector(problem.ambient, problem.order, terms)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gbsyz
+from gbsyz import cli, syzygy
 from gbsyz.cli import main
 from helpers import GOLDEN, parse_in, problem
 
@@ -236,3 +237,24 @@ def test_import_does_not_build_the_parser():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 1"
+
+
+def test_commands_do_not_resort_parsed_vectors(goldens, capsys, monkeypatch):
+    # parsed generators and targets are already under the problem's order:
+    # every reorder the commands ask for returns its input
+    kept = []
+
+    def recording_reorder(v, order, _reorder=gbsyz.reorder):
+        out = _reorder(v, order)
+        kept.append(out is v)
+        return out
+
+    monkeypatch.setattr(cli, "reorder", recording_reorder)
+    monkeypatch.setattr(syzygy, "reorder", recording_reorder)
+    for argv in (["resolve", goldens["zint_ideal"]], ["gb", goldens["z2_rank2"]],
+                 ["reduce", goldens["zint_ideal"], "Y^3 + X"], ["member", goldens["z12_ideal"], "X + 1"]):
+        assert run(capsys, *argv)[0] == 0
+    assert kept and all(kept)
+    kept.clear()
+    assert run(capsys, "gb", goldens["zint_ideal"], "--order", "X,Y")[0] == 0
+    assert kept and not any(kept)

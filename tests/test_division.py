@@ -7,6 +7,7 @@ import pytest
 from gbsyz import (
     Ambient,
     Divisors,
+    InternalError,
     TopLex,
     UsageError,
     divide,
@@ -14,6 +15,7 @@ from gbsyz import (
     expand_combination,
     term_module_member,
 )
+from gbsyz.poly import Accumulator
 from helpers import (
     GOLDEN,
     gens_of,
@@ -344,3 +346,25 @@ def test_divisors_at_interleaved_positions():
         assert any(len(js) > 1 for js in steps)
         assert all(js == sorted(js) for js in steps)
 
+
+
+def test_divide_raises_when_a_step_keeps_its_leading_monomial(monkeypatch):
+    # an accumulator that keeps a cancelled term at coefficient zero
+    # leaves the step's leading monomial in place: without the guard the
+    # division would take the same step forever
+    add = Accumulator.add
+
+    def keep_zero_sums(self, c, m):
+        old = self.coeffs.get(m)
+        add(self, c, m)
+        if old is not None and m not in self.coeffs:
+            self.coeffs[m] = self.ring.zero()
+
+    p = problem("zint_ideal")
+    h, divisors = vec(p, "X^2 + Y*X + 1"), [vec(p, "Y")]
+    assert not divide(h, divisors).remainder.is_zero()
+    monkeypatch.setattr(Accumulator, "add", keep_zero_sums)
+    with pytest.raises(InternalError, match="left its leading monomial"):
+        divide(h, divisors)
+    with pytest.raises(InternalError):
+        divide(h, divisors, quotients=False, trace=lambda event: None)

@@ -10,6 +10,7 @@ from gbsyz import (
     IntegersLocalizedAt,
     IntegersMod,
     ParseError,
+    Term,
     TopLex,
     TruncatedF2y,
     UsageError,
@@ -18,11 +19,15 @@ from gbsyz import (
     parse_problem,
     parse_vector_literal,
 )
+from gbsyz import dsl, poly
 from gbsyz.dsl import order_from_names
 from helpers import (
+    GOLDEN,
     parse_in,
     problem,
     random_vector,
+    reference_parse_vector_literal,
+    reference_tokenize,
     reference_vector_mul,
     resized_problem,
     rings_under_test,
@@ -157,17 +162,172 @@ def test_power_makes_no_wasted_products(monkeypatch):
     for _ in range(3):
         powers.append(reference_vector_mul(powers[-1], base))
     pairs = []
-    mul = Vector.mul
+    product = dsl._product
 
-    def counting_mul(self, other):
-        pairs.append(len(self.terms) * len(other.terms))
-        return mul(self, other)
+    def size(value):
+        return 1 if isinstance(value, Term) else len(value.coeffs)
 
-    monkeypatch.setattr(Vector, "mul", counting_mul)
+    def counting_product(problem, a, b):
+        pairs.append(size(a) * size(b))
+        return product(problem, a, b)
+
+    monkeypatch.setattr(dsl, "_product", counting_product)
     for k, expected in enumerate(([], [], [9], [9, 18], [9, 36])):
         pairs.clear()
         assert vec(p, f"(X + Y + 1)^{k}").terms == powers[k].terms
         assert pairs == expected
+
+
+def _parse_outcome(parse, text, prob):
+    """The terms of a parsed vector with their coefficient types, or the
+    text and position of its ParseError."""
+    try:
+        v = parse(text, prob)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+    assert v.order is prob.order and v.ambient == prob.ambient
+    return ("value", [(c, type(c), m) for c, m in v.terms])
+
+
+def _random_expression(rng, names, dens, depth):
+    """An expression string over names; fractions take a denominator
+    from dens, and rarely any denominator up to 12."""
+
+    def atom(d):
+        r = rng.random()
+        if d > 0 and r < 0.25:
+            return f"({expr(d - 1)})"
+        if r < 0.45:
+            n = rng.randrange(13)
+            if rng.random() < 0.2:
+                if rng.random() < 0.1:
+                    return f"{n}/{rng.randrange(1, 13)}"
+                if dens:
+                    return f"{n}/{rng.choice(dens)}"
+            return str(n)
+        return rng.choice(names)
+
+    def factor(d):
+        a = atom(d)
+        return f"{a}^{rng.randrange(4)}" if rng.random() < 0.25 else a
+
+    def term(d):
+        return "*".join(factor(d) for _ in range(rng.randrange(1, 4)))
+
+    def expr(d):
+        out = ("-" if rng.random() < 0.25 else "") + term(d)
+        for _ in range(rng.randrange(4)):
+            out += rng.choice((" + ", " - ")) + term(d)
+        return out
+
+    return expr(depth)
+
+
+def _accepts_fraction(ring, num, den):
+    try:
+        ring.from_fraction(num, den)
+    except UsageError:
+        return False
+    return True
+
+
+PARSE_EDGES = [
+    "((X - (Y + 1)) * -(Z))",  # unary minus only starts an expression
+    "((X - (Y + 1)) * (-Z))",
+    "-(-X)",
+    "X^0",
+    "(X + Y)^0 - 1",
+    "0^0 + 0^2",
+    "2*3",
+    "2*3*X + 3*X*2 + 4",
+    "X - X",
+    "(X + Y)*(X - Y) - X^2 + Y^2",
+    "1/3*X + 2/5",
+    "1/5*(X + 1)^2",
+    "[X, -X + Y^2, 0]",
+]
+
+
+def test_parser_matches_vector_reference():
+    # values, term order and coefficient types of the accumulator parser
+    # against the Vector-per-atom reference, over every test ring; an
+    # expression that one rejects the other rejects at the same place
+    rng = random.Random(2007)
+    values = 0
+    for ring in rings_under_test() + [TruncatedF2y(3), IntegersLocalizedAt(3)]:
+        names = ["X", "Y", "Z"] + (["y"] if isinstance(ring, TruncatedF2y) else [])
+        prob = parse_problem(f"ring {ring}; vars X Y Z; g = X;")
+        texts = PARSE_EDGES + ["y*X + y^2 - (y + X)^2", "(1 + y)^3*(1 - y)"] * isinstance(ring, TruncatedF2y)
+        dens = [d for d in range(1, 13) if _accepts_fraction(ring, 1, d)]
+        texts = texts + [_random_expression(rng, names, dens, 2) for _ in range(60)]
+        for text in texts:
+            target = resized_problem(prob, 3) if text.startswith("[") else prob
+            got = _parse_outcome(parse_vector_literal, text, target)
+            assert got == _parse_outcome(reference_parse_vector_literal, text, target), (str(ring), text)
+            values += got[0] == "value"
+    assert values > 450
+
+
+@pytest.mark.parametrize(
+    "ring, text",
+    [
+        ("Z", "X + W"),  # unknown variable
+        ("Z", "X^Y"),  # bad exponent
+        ("Z", "X^-1"),
+        ("Z", "(X + 1))"),  # unbalanced ')'
+        ("Z", "[X, (Y]"),
+        ("Z", "(X + 1"),
+        ("Z", "X + "),
+        ("Z", "X Y"),
+        ("Z", "1/2*X"),
+        ("Z/12", "1/3*X"),  # not invertible
+        ("Z/12", "X + 1/0"),
+        ("Z", "X; Y"),  # trailing input
+        ("Z", "X +\n  Y $ 1"),  # unexpected character after a newline
+        ("Z", "X # note\n\t+ Y\r\n  * ?"),
+        ("F2[y]/y^2", "X^2 +\n\n   y/X"),
+        ("Z", "[X, Y]"),  # rank mismatch
+    ],
+)
+def test_parse_errors_match_reference(ring, text):
+    prob = parse_problem(f"ring {ring}; vars X Y; g = X;")
+    got = _parse_outcome(parse_vector_literal, text, prob)
+    assert got[0] == "error"
+    assert got == _parse_outcome(reference_parse_vector_literal, text, prob)
+
+
+def test_tokenizer_positions_match_reference():
+    texts = list(GOLDEN.values()) + ["\n\n  ring Z; # c\n\tvars X;\r\n g = X  \n  + 1;\n", "", "  \n"]
+    for text in texts:
+        assert dsl.tokenize(text) == reference_tokenize(text)
+
+
+def test_parsing_builds_one_vector_per_generator(monkeypatch):
+    # expressions evaluate in accumulators: no Vector arithmetic, and one
+    # normalisation (validate and sort) per generator
+    calls = []
+    for name in ("add", "sub", "neg", "mul", "term_mul", "scale"):
+        method = getattr(Vector, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(Vector, name, counted)
+    normalize = poly._normalize
+
+    def counted_normalize(*args):
+        calls.append("_normalize")
+        return normalize(*args)
+
+    monkeypatch.setattr(poly, "_normalize", counted_normalize)
+    for text in GOLDEN.values():
+        calls.clear()
+        prob = parse_problem(text)
+        assert calls == ["_normalize"] * len(prob.generators)
+    calls.clear()
+    parse_in(prob, 3, "[3, -X - 2*(Y + 1)^2, -Y^2 + X - 3]")
+    assert calls == ["_normalize"]
 
 
 def test_comments_and_whitespace():

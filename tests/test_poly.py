@@ -175,7 +175,7 @@ def test_accumulator_matches_vector_arithmetic():
                 else:
                     v = None
                 if v is not None:
-                    acc.add_term_mul(c, exps, v)
+                    acc.add_term_mul(c, exps, v.terms)
                     want = want.add(v.term_mul(c, exps))
                 elif want.terms and rng.random() < 0.5:
                     # cancel a term of the sum, often the leading one
@@ -241,6 +241,20 @@ def test_mixed_order_and_ambient_errors():
     with pytest.raises(UsageError):
         a.add(b)
     assert reorder(b, p.order) == a
+
+
+def test_reorder_keeps_a_vector_already_under_the_order():
+    p = problem("zint_ideal")
+    v = vec(p, "Y^2 + Y*X^3 + X^4 - 3")
+    assert reorder(v, v.order) is v
+    other = TopLex(2, (1, 0))
+    w = reorder(v, other)
+    assert w is not v and w.order is other and w == v
+    assert [m for _, m in w.terms] == sorted((m for _, m in v.terms), key=other.key)
+    assert w.terms != v.terms
+    # an equal order that is another object still re-sorts under it
+    u = reorder(v, TopLex(2))
+    assert u is not v and u.terms == v.terms
 
 
 def test_add_commutative_associative_term_mul_distributes():
