@@ -17,8 +17,10 @@ whole term over: `divide` then is the first-divisor division, and
 The working polynomial of every reduction, the quotients of a division
 and the value of a cross S-pair are sums of term products
 c * X^gamma * v, formed in `poly.Accumulator`. `s_pairs` enumerates the
-S-pairs of a basis with their divisions, once for `is_groebner`,
-Schreyer's syzygies and the resolution verifier.
+S-pairs of a basis with their divisions, once for `is_groebner` and
+Schreyer's syzygies; `pair_cofactors` gives the cofactors of a pair
+from its leading terms alone, for the S-pair values and the resolution
+verifier, which divides nothing.
 
 `pseudo_reduce` is the leading-term exhaustion used between syzygy
 levels: unit-normalize leading coefficients, reduce a leading term away
@@ -230,24 +232,37 @@ def s_pair_indexed(f, g, order, auto):
     if f.is_zero() or g.is_zero():
         raise UsageError("S-polynomial of the zero vector")
     f._check_compatible(g)
-    ring = f.ambient.ring
     zero_vec = Vector.zero(f.ambient, order)
+    if not auto and f.lp() != g.lp():
+        return SPair(zero_vec, None, None, "zero")
+    cofactors = pair_cofactors(f, g, auto)
+    if cofactors is None:
+        return SPair(zero_vec, None, None, "auto")
+    left, right = cofactors
+    if auto:
+        return SPair(f.scale(left.coeff), left, None, "auto")
+    acc = Accumulator(f.ambient, f.order)
+    acc.add_term_mul(left.coeff, left.mono.exps, f.terms)
+    acc.add_term_mul(f.ambient.ring.neg(right.coeff), right.mono.exps, g.terms)
+    return SPair(acc.vector(), left, right, "cross")
+
+
+def pair_cofactors(f, g, auto):
+    """The cofactor terms (b X^beta, a X^alpha) of the S-pair
+    b X^beta f - a X^alpha g of two nonzero vectors at one leading
+    position, from their leading terms alone. The auto pair of f is b f
+    with Ann(LC(f)) = <b>, as (b, None), and None when b is zero."""
+    ring = f.ambient.ring
     if auto:
         b = ring.ann_gen(f.lc())
         if ring.is_zero(b):
-            return SPair(zero_vec, None, None, "auto")
-        nil = tuple([0] * f.ambient.nvars)
-        return SPair(f.scale(b), Term(b, Mono(nil, 0)), None, "auto")
-    if f.lp() != g.lp():
-        return SPair(zero_vec, None, None, "zero")
+            return None
+        return Term(b, Mono(tuple([0] * f.ambient.nvars), 0)), None
     a, b = ring.spair_cofactors(f.lc(), g.lc())
     mu, nu = f.mdeg(), g.mdeg()
     beta = positive_part(exps_sub(nu, mu))
     alpha = positive_part(exps_sub(mu, nu))
-    acc = Accumulator(f.ambient, f.order)
-    acc.add_term_mul(b, beta, f.terms)
-    acc.add_term_mul(ring.neg(a), alpha, g.terms)
-    return SPair(acc.vector(), Term(b, Mono(beta, 0)), Term(a, Mono(alpha, 0)), "cross")
+    return Term(b, Mono(beta, 0)), Term(a, Mono(alpha, 0))
 
 
 def s_poly(f, g, order=None):

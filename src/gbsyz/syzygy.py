@@ -2,17 +2,19 @@
 
 `term_syzygies` implements the relation generators S_ij for a list of
 terms; `schreyer_syzygies` lifts them over a Groebner basis, dividing
-each S-polynomial by the basis itself. Iterating, `free_resolution`
-computes resolutions under the TOP-lex order, ending in a free tail
-when every stabilized leading coefficient is regular and otherwise in
-the period-2 annihilator pattern, of which one extra level is computed
-explicitly as a check and the rest reported symbolically.
+each S-polynomial by the basis itself, and keeps those divisions as the
+basis's `Certificate`. Iterating, `free_resolution` computes
+resolutions under the TOP-lex order, ending in a free tail when every
+stabilized leading coefficient is regular and otherwise in the period-2
+annihilator pattern, of which one extra level is computed explicitly as
+a check and the rest reported symbolically. Each level carries its
+certificate, which `verify_resolution` checks without dividing again.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, InternalError, UsageError
 from .groebner import (
@@ -20,10 +22,12 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     divide,  # not called here; bound for the benchmark's tracer
+    pair_cofactors,
     pseudo_reduce,
     s_pairs,
 )
 from .poly import (
+    Accumulator,
     Ambient,
     Mono,
     Schreyer,
@@ -37,11 +41,32 @@ from .poly import (
 )
 
 
+class PairCertificate(NamedTuple):
+    """The division of one S-pair b X^beta g_i - a X^alpha g_j (b g_i for
+    an auto pair, whose right cofactor is None) by the basis: one
+    quotient per basis element, () when the S-polynomial is zero, and
+    whether the remainder was zero."""
+
+    left_cofactor: Term
+    right_cofactor: Optional[Term]
+    quotients: tuple
+    reduced: bool
+
+
+class Certificate(NamedTuple):
+    """Per S-pair (i, j) of `basis` that carries a cofactor, 0-based and
+    in enumeration order, its `PairCertificate`."""
+
+    basis: tuple
+    pairs: dict
+
+
 class SyzygyBasis(NamedTuple):
     relations: tuple
     order: Schreyer
     source: tuple
     labels: tuple
+    certificate: Optional[Certificate] = None
 
 
 def _inner_label(label, index):
@@ -81,44 +106,67 @@ def schreyer_syzygies(gb, trace=None, labels=None):
     The division of each S-polynomial against the basis must be exact;
     a nonzero remainder means the input was not a Groebner basis and
     raises `UsageError`. By Moeller's lifting theorem these divisions
-    are Buchberger's criterion, so no separate check runs first.
+    are Buchberger's criterion, so no separate check runs first. The
+    result's `certificate` keeps them: per S-pair its cofactors and its
+    quotients, one per element, before they merge into the relation.
+    Its `basis` is the result's `source`, the given elements themselves
+    when they come as a tuple.
     """
     if isinstance(gb, GroebnerBasis):
-        source, order = list(gb.elements), gb.order
+        source, order = gb.elements, gb.order
     else:
-        source, order = list(gb[0]), gb[1]
-    return _syzygies_of(source, order, labels=labels, trace=trace)
+        source, order = gb[0], gb[1]
+    return _syzygies_of(tuple(source), order, labels=labels, trace=trace)
 
 
-def _syzygies_of(source, order, labels, trace=None):
+def _syzygies_of(source, order, labels, trace=None, cert=None):
+    """The syzygies lifted from cert, by default made here: the first
+    nonzero remainder raises `UsageError`."""
     if not source:
         raise UsageError("syzygies of the empty list")
     amb0 = source[0].ambient
     sch = Schreyer(source, order)
     amb = Ambient(amb0.ring, amb0.nvars, len(source))
-    index = Divisors(source)
+    if cert is None:
+        cert = _certify(source, order, trace, strict=True)
+    elif not all(entry.reduced for entry in cert.pairs.values()):
+        raise UsageError(_NOT_GROEBNER)
     relations, out_labels = [], []
-    for i, j, sp, res in s_pairs(source, order, index, trace):
-        if res is not None and not res.remainder.is_zero():
-            raise UsageError("S-polynomial does not reduce to zero: not a Groebner basis")
-        rel = Vector(amb, sch, _lift(sp, i, j, res.quotients if res else (), amb.ring))
+    for (i, j), entry in cert.pairs.items():
+        rel = Vector(amb, sch, _lift(entry, i, j, amb.ring))
         if rel.is_zero():
             continue
         relations.append(rel)
         out_labels.append(_pair_label(labels or [None] * len(source), i, j))
-    return SyzygyBasis(tuple(relations), sch, tuple(source), tuple(out_labels))
+    return SyzygyBasis(tuple(relations), sch, source, tuple(out_labels), cert)
 
 
-def _lift(sp, i, j, quotients, ring):
+_NOT_GROEBNER = "S-polynomial does not reduce to zero: not a Groebner basis"
+
+
+def _certify(source, order, trace=None, strict=False):
+    """The `Certificate` of source: every S-pair divided by source. With
+    `strict` the first nonzero remainder raises `UsageError`."""
+    pairs = {}
+    for i, j, sp, res in s_pairs(source, order, Divisors(source), trace):
+        reduced = res is None or res.remainder.is_zero()
+        if strict and not reduced:
+            raise UsageError(_NOT_GROEBNER)
+        quotients = res.quotients if res else ()
+        pairs[i, j] = PairCertificate(sp.left_cofactor, sp.right_cofactor, quotients, reduced)
+    return Certificate(source, pairs)
+
+
+def _lift(entry, i, j, ring):
     """The terms of the lifted relation b X^beta eps_i - a X^alpha eps_j
-    - sum q_l eps_l of an S-pair with cofactors b X^beta and a X^alpha
-    (only the first for an auto pair) and quotients q_l."""
-    b, bmono = sp.left_cofactor
+    - sum q_l eps_l of a `PairCertificate` with cofactors b X^beta and
+    a X^alpha (only the first for an auto pair) and quotients q_l."""
+    b, bmono = entry.left_cofactor
     terms = [Term(b, Mono(bmono.exps, i))]
-    if sp.kind == "cross":
-        a, amono = sp.right_cofactor
+    if entry.right_cofactor is not None:
+        a, amono = entry.right_cofactor
         terms.append(Term(ring.neg(a), Mono(amono.exps, j)))
-    for ell, q in enumerate(quotients):
+    for ell, q in enumerate(entry.quotients):
         for c, m in q.terms:
             terms.append(Term(ring.neg(c), Mono(m.exps, ell)))
     return terms
@@ -139,6 +187,7 @@ class ResolutionLevel(NamedTuple):
     basis: tuple
     order: object
     labels: tuple
+    certificate: Optional[Certificate] = None
 
 
 class FreeTail(NamedTuple):
@@ -238,6 +287,10 @@ def free_resolution(
     regular, otherwise a periodic annihilator tail with one explicitly
     verified extra level. A level `max_levels` that has not stabilized
     raises `GuardExceeded` with the levels so far.
+
+    Every level whose syzygies were computed carries their
+    `certificate`, and so does the periodic tail's extra level, whose
+    certificate is computed untraced for `verify_resolution`.
     """
     gens = list(gens)
     if not gens:
@@ -272,6 +325,7 @@ def free_resolution(
                 Resolution(amb, tuple(levels), None),
             )
         syz = schreyer_syzygies((cur.basis, cur.order), labels=cur.labels, trace=trace)
+        levels[-1] = cur._replace(certificate=syz.certificate)
         if not stable and not syz.relations:
             tail = FreeTail()
             break
@@ -279,7 +333,9 @@ def free_resolution(
         if stable:
             # the extra level lives in the free module indexed by the
             # stabilized elements, so Ann(b_j) sits at index j there
-            _check_periodic_level(levels[-1], ann_b, ring)
+            extra = levels[-1]
+            _check_periodic_level(extra, ann_b, ring)
+            levels[-1] = extra._replace(certificate=_certify(extra.basis, extra.order))
             ann_ann_b = tuple(ring.canonical(ring.ann_gen(a)) for a in ann_b)
             positions = tuple(v.lp() for v in cur.basis)
             tail = PeriodicTail(b, ann_b, ann_ann_b, positions, len(levels) - 2)
@@ -353,18 +409,26 @@ def verify_resolution(res):
     - `composite_zero`, levels 1..: each relation applied to the level
       below it vanishes, and has that level's rank (the witness is the
       first failing label);
-    - `standard_representation`, every level: each S-pair S of the level
-      divides to a zero remainder with quotients q_l under the degree
-      bound LM(q_l) * LM(g_l) <= LM(S);
+    - `standard_representation`, every level: the level's certificate
+      has an entry for each S-pair S of the level, with the cofactors
+      the verifier computes itself from the leading terms, a zero
+      remainder, and quotients q_l under the degree bound
+      LM(q_l) * LM(g_l) <= LM(S);
     - `lift_identity`, every nonempty level: S = sum q_l g_l for those
       quotients, S expanded from its cofactors, by plain term products
       as in `composite_zero`: the lifted relation vanishes on the level;
     - free tails, `free_tail_kernel_zero` at the last level: its
-      Schreyer syzygies are zero. If they cannot be computed because
-      the level is not a Groebner basis, the check fails with the
-      error message as witness;
+      Schreyer syzygies, lifted from its certificate, are zero. If they
+      cannot be computed because the level is not a Groebner basis, the
+      check fails with the error message as witness;
     - periodic tails: `tail_annihilation`, `tail_triple_ann`
       (Ann(Ann(Ann)) = Ann) and `tail_extra_level`.
+
+    A level's certificate is the one `free_resolution` attached to it
+    (its `certificate`), used only when it was made for this very basis
+    (`certificate.basis is level.basis`); otherwise, for a level built
+    or changed by hand, the same divisions `schreyer_syzygies` makes
+    produce it here. Checking a certificate divides nothing.
 
     The middle two are a complete certificate that each level is a
     Groebner basis, whatever the division code did. The S-pairs of a
@@ -388,17 +452,18 @@ def verify_resolution(res):
                if rel.ambient.rank != len(prev) or combination(rel.terms, prev)]
         record("composite_zero", k, not bad, bad[0] if bad else None)
 
-    certified = [_certify_level(level, ring) for level in res.levels]
-    for k, (standard, _) in enumerate(certified):
+    certs = [_certificate_of(level) for level in res.levels]
+    checked = [_check_level(level, cert, ring) for level, cert in zip(res.levels, certs)]
+    for k, (standard, _) in enumerate(checked):
         record("standard_representation", k, standard is None, standard)
-    for k, (_, identity) in enumerate(certified):
+    for k, (_, identity) in enumerate(checked):
         if res.levels[k].basis:
             record("lift_identity", k, identity is None, identity)
 
     if isinstance(res.tail, FreeTail):
         last = res.levels[-1]
         try:
-            syz = schreyer_syzygies((last.basis, last.order))
+            syz = _syzygies_of(last.basis, last.order, None, cert=certs[-1])
             record("free_tail_kernel_zero", len(res.levels) - 1, not syz.relations)
         except UsageError as exc:
             record("free_tail_kernel_zero", len(res.levels) - 1, False, str(exc))
@@ -421,26 +486,65 @@ def verify_resolution(res):
     return VerificationReport(all(c["ok"] for c in checks), tuple(checks))
 
 
-def _certify_level(level, ring):
+def _certificate_of(level):
+    """The level's own certificate if it was made for its basis, else a
+    new one from the same divisions."""
+    cert = level.certificate
+    if cert is None or cert.basis is not level.basis:
+        cert = _certify(level.basis, level.order)
+    return cert
+
+
+def _check_level(level, cert, ring):
     """(standard, identity): witnesses of the first S-pair of the level
-    without a zero remainder and bounded quotients, and of the first
-    whose lifted relation does not vanish on the level; None if none."""
-    basis, key = list(level.basis), level.order.key
+    without a certificate entry for its cofactors, a zero remainder and
+    bounded quotients, and of the first whose lifted relation does not
+    vanish on the level; None if none. S and then S - sum q_l g_l are
+    formed in one accumulator per pair."""
+    basis, key = level.basis, level.order.key
     lms = [g.lm() for g in basis]
     standard = identity = None
-    for i, j, sp, res in s_pairs(basis, level.order, Divisors(basis)):
-        pair = f"S-pair ({i + 1},{j + 1})"
-        quotients = res.quotients if res else ()
-        if standard is None and res is not None:
-            bound = key(sp.value.lm())
-            over = [ell + 1 for ell, q in enumerate(quotients) for _, m in q.terms
-                    if key(Mono(exps_add(m.exps, lms[ell].exps), lms[ell].pos)) < bound]
-            if not res.remainder.is_zero():
-                standard = f"{pair} leaves a nonzero remainder"
-            elif over:
-                standard = f"{pair} has LM(q{over[0]}) * LM(g{over[0]}) above LM(S)"
-        if identity is None and combination(_lift(sp, i, j, quotients, ring), basis):
-            identity = f"{pair} differs from sum q_l g_l"
-        if standard is not None and identity is not None:
-            break
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            if lms[i].pos != lms[j].pos:
+                continue
+            cofactors = pair_cofactors(basis[i], basis[j], auto=(i == j))
+            if cofactors is None:
+                continue
+            pair = f"S-pair ({i + 1},{j + 1})"
+            left, right = cofactors
+            entry = cert.pairs.get((i, j))
+            if entry is None or not (_same_term(entry.left_cofactor, left, ring)
+                                     and _same_term(entry.right_cofactor, right, ring)):
+                standard = standard or f"{pair} has no certificate for its cofactors"
+                continue
+            work = Accumulator(basis[i].ambient, level.order)
+            work.add_term_mul(left.coeff, left.mono.exps, basis[i].terms)
+            if right is not None:
+                work.add_term_mul(ring.neg(right.coeff), right.mono.exps, basis[j].terms)
+            quotients = list(zip(entry.quotients, basis, lms))
+            if standard is None:
+                # LM(S) from the sum, before the quotients go in; when S
+                # is zero, every quotient term breaks the bound
+                bound = min(map(key, work.coeffs), default=None)
+                over = [ell + 1 for ell, (q, _, lm) in enumerate(quotients) for _, m in q.terms
+                        if bound is None or key(Mono(exps_add(m.exps, lm.exps), lm.pos)) < bound]
+                if not entry.reduced:
+                    standard = f"{pair} leaves a nonzero remainder"
+                elif over:
+                    standard = f"{pair} has LM(q{over[0]}) * LM(g{over[0]}) above LM(S)"
+            if identity is None:
+                for q, g, _ in quotients:
+                    for c, m in q.terms:
+                        work.add_term_mul(ring.neg(c), m.exps, g.terms)
+                if work.coeffs:
+                    identity = f"{pair} differs from sum q_l g_l"
+            if standard is not None and identity is not None:
+                return standard, identity
     return standard, identity
+
+
+def _same_term(s, t, ring):
+    if s is None or t is None:
+        return s is t
+    return s.mono == t.mono and ring.eq(s.coeff, t.coeff)

@@ -1,5 +1,5 @@
-"""Differential checks of `buchberger` against sympy, which shares no
-code with the package.
+"""Differential checks of `buchberger` and `free_resolution` against
+sympy, which shares no code with the package.
 
 Over a prime Z/p the output is compared over GF(p), and over Z it is
 compared over QQ (an ideal of Z[X] and its extension to QQ[X] have the
@@ -8,13 +8,18 @@ reduced Groebner basis, and the basis's minimal leading monomials must
 be those of sympy's reduced basis under the same lex order: every
 element of the ideal over QQ has an integer multiple in the ideal over
 Z, whose leading term the basis divides.
+
+A resolution is a complex: every relation of level k, applied to the
+elements of level k - 1, must vanish, over QQ for Z (an integer
+polynomial is zero there exactly when it is zero over Z) and over GF(p)
+for Z/p.
 """
 
 import random
 
 import pytest
 
-from gbsyz import Ambient, Integers, IntegersMod, TopLex, buchberger
+from gbsyz import Ambient, Integers, IntegersMod, TopLex, buchberger, free_resolution
 from helpers import gens_of, problem, random_nonzero_vector
 
 sympy = pytest.importorskip("sympy")
@@ -28,8 +33,12 @@ def as_expr(v, symbols):
     )
 
 
+def domain_of(ring):
+    return {"modulus": ring.n} if isinstance(ring, IntegersMod) else {"domain": "QQ"}
+
+
 def sympy_basis(vectors, ring, symbols, order):
-    kwargs = {"modulus": ring.n} if isinstance(ring, IntegersMod) else {"domain": "QQ"}
+    kwargs = domain_of(ring)
     exprs = [as_expr(v, symbols) for v in vectors]
     return sympy.groebner(exprs, *symbols, order=order, **kwargs)
 
@@ -78,3 +87,59 @@ def test_buchberger_matches_sympy_over_the_rationals():
     assert_agrees_with_sympy(gens_of(prob)[1], prob.order)
     for gens, order in random_ideals(Integers(), seed=11, count=16):
         assert_agrees_with_sympy(gens, order)
+
+
+def coordinates(v, symbols):
+    """The coordinates of a module vector v as sympy expressions."""
+    out = [sympy.Integer(0)] * v.ambient.rank
+    for c, m in v.terms:
+        out[m.pos] += c * sympy.prod(x**e for x, e in zip(symbols, m.exps))
+    return out
+
+
+def assert_complex_in_sympy(res):
+    symbols = sympy.symbols(f"x0:{res.ambient.nvars}")
+    kwargs = domain_of(res.ambient.ring)
+    for below, level in zip(res.levels, res.levels[1:]):
+        images = [coordinates(g, symbols) for g in below.basis]
+        for rel in level.basis:
+            coeffs = coordinates(rel, symbols)
+            assert len(coeffs) == len(images)
+            for pos in range(below.basis[0].ambient.rank):
+                value = sum(c * image[pos] for c, image in zip(coeffs, images))
+                assert sympy.Poly(value, *symbols, **kwargs).is_zero
+
+
+def seeded_resolutions(ring, seed, count):
+    rng = random.Random(seed)
+    order = TopLex(2)
+    for rank in (1, 2):
+        amb = Ambient(ring, 2, rank)
+        for _ in range(count):
+            gens = [
+                random_nonzero_vector(rng, amb, order, max_terms=3, max_exp=2)
+                for _ in range(rng.randrange(1, 4))
+            ]
+            yield free_resolution(gens)
+
+
+@pytest.mark.parametrize("key", ["zint_ideal", "z2_rank2"])
+def test_golden_resolutions_are_complexes_in_sympy(key):
+    res = free_resolution(gens_of(problem(key))[1])
+    assert len(res.levels) > 1
+    assert_complex_in_sympy(res)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_resolutions_are_complexes_in_sympy_over_prime_fields(p):
+    resolutions = list(seeded_resolutions(IntegersMod(p), seed=40 + p, count=4))
+    assert sum(len(res.levels) > 1 for res in resolutions) >= 4
+    for res in resolutions:
+        assert_complex_in_sympy(res)
+
+
+def test_resolutions_are_complexes_in_sympy_over_the_integers():
+    resolutions = list(seeded_resolutions(Integers(), seed=47, count=6))
+    assert any(len(res.levels) > 2 for res in resolutions)
+    for res in resolutions:
+        assert_complex_in_sympy(res)

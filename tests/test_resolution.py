@@ -367,25 +367,86 @@ def test_apply_relation_matches_whole_vector_adds():
                 assert got.terms == want.terms and got.order is want.order
 
 
-def test_verify_prepares_divisors_once_per_level_and_check(monkeypatch):
-    # the certificate indexes each level once, not once per S-pair, and
-    # the free tail's Schreyer syzygies index the last level once more
-    from gbsyz import Divisors
+def counting_divisions(monkeypatch):
+    """Patch groebner.divide to count its calls; returns the count list."""
+    calls = []
 
-    built = []
-    init = Divisors.__init__
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return divide(*args, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+    monkeypatch.setattr(groebner, "divide", counting)
+    return calls
 
-    labels, gens = gens_of(problem("z12_ideal"))
-    res = free_resolution(gens, labels=labels)
-    monkeypatch.setattr(Divisors, "__init__", counting_init)
-    report = verify_resolution(res)
+
+def all_resolutions():
+    resolutions = [free_resolution(gens_of(problem(key))[1]) for key in GOLDEN]
+    return resolutions + list(zerodivisor_resolutions()) + list(domain_resolutions())
+
+
+def test_verify_makes_no_division_on_a_free_resolution_result(monkeypatch):
+    # every level carries the certificate of the divisions that made its
+    # syzygies, the periodic tail's extra level included, so the verifier
+    # checks them and divides nothing
+    resolutions = all_resolutions()
+    assert {type(res.tail) for res in resolutions} == {FreeTail, PeriodicTail}
+    calls = counting_divisions(monkeypatch)
+    for res in resolutions:
+        assert verify_resolution(res).ok
+    assert calls == []
+
+
+def tampered_certificates():
+    """(name, level, (i, j)) per tampering of the certificate of a valid
+    level: a changed cofactor, a missing pair, and a quotient term moved
+    to another quotient, each at the first pair with a quotient term."""
+    level = free_resolution(gens_of(problem("zint_ideal"))[1]).levels[0]
+    cert = level.certificate
+    (i, j), entry = next((ij, e) for ij, e in cert.pairs.items()
+                         if any(q.terms for q in e.quotients))
+    b, bmono = entry.left_cofactor
+    bigger = Term(b, Mono((bmono.exps[0] + 1,) + bmono.exps[1:], 0))
+    ell = next(ell for ell, q in enumerate(entry.quotients) if q.terms)
+    quotients = list(entry.quotients)
+    moved = quotients[ell].terms[0]
+    other = (ell + 1) % len(quotients)
+    q, r = quotients[ell], quotients[other]
+    quotients[ell] = Vector(q.ambient, q.order, q.terms[1:])
+    quotients[other] = Vector(r.ambient, r.order, r.terms + (moved,))
+    changes = {
+        "cofactor": {**cert.pairs, (i, j): entry._replace(left_cofactor=bigger)},
+        "missing": {ij: e for ij, e in cert.pairs.items() if ij != (i, j)},
+        "moved": {**cert.pairs, (i, j): entry._replace(quotients=tuple(quotients))},
+    }
+    for name, pairs in changes.items():
+        yield name, level._replace(certificate=cert._replace(pairs=pairs)), (i, j)
+
+
+def test_verify_rejects_tampered_certificates_of_a_valid_basis(monkeypatch):
+    tampered = list(tampered_certificates())
+    calls = counting_divisions(monkeypatch)
+    for name, level, (i, j) in tampered:
+        report = verify_resolution(single_level(level))
+        failed = report.failures()
+        assert not report.ok and failed, name
+        assert {c["check"] for c in failed} <= {"standard_representation", "lift_identity"}, name
+        for c in failed:
+            assert c["witness"].startswith(f"S-pair ({i + 1},{j + 1}) "), (name, c)
+    assert calls == []
+
+
+def test_verify_ignores_a_certificate_made_for_another_basis(monkeypatch):
+    # an equal basis that is not the level's own: the empty certificate is
+    # ignored, and the verifier divides the level's S-pairs itself
+    res = free_resolution(gens_of(problem("z12_ideal"))[1])
+    level = res.levels[0]
+    assert level.certificate.basis is level.basis
+    alien = level.certificate._replace(basis=tuple(list(level.basis)), pairs={})
+    assert alien.basis == level.basis and alien.basis is not level.basis
+    calls = counting_divisions(monkeypatch)
+    report = verify_resolution(res._replace(levels=(level._replace(certificate=alien),) + res.levels[1:]))
     assert report.ok
-    levels = len(res.levels)
-    assert 0 < len(built) <= levels + isinstance(res.tail, FreeTail)
+    assert calls
 
 
 def single_level(level):
@@ -408,8 +469,7 @@ def test_certificate_agrees_with_the_groebner_and_sampling_reference():
     # criterion and 20 sampled combinations pass: on the golden and the
     # seeded resolutions, and on every golden level with one element
     # dropped (some of which are no longer Groebner bases)
-    resolutions = [free_resolution(gens_of(problem(key))[1]) for key in GOLDEN]
-    resolutions += list(zerodivisor_resolutions()) + list(domain_resolutions())
+    resolutions = all_resolutions()
     for res in resolutions:
         report = verify_resolution(res)
         assert report.ok
@@ -447,6 +507,15 @@ def test_certificate_fails_on_a_level_that_is_not_a_groebner_basis():
     assert report.checks[1]["witness"] == "S-pair (1,2) differs from sum q_l g_l"
 
 
+def certified_by(monkeypatch, tamper, level):
+    """level with the certificate that schreyer_syzygies makes while
+    groebner.divide is replaced by tamper."""
+    monkeypatch.setattr(groebner, "divide", tamper)
+    cert = schreyer_syzygies((level.basis, level.order)).certificate
+    monkeypatch.undo()
+    return level._replace(certificate=cert)
+
+
 def test_certificate_fails_when_the_division_drops_its_remainder(monkeypatch):
     # a division that loses remainder terms reports a zero remainder with
     # honest quotients: only the identity S = sum q_l g_l catches it
@@ -454,12 +523,13 @@ def test_certificate_fails_when_the_division_drops_its_remainder(monkeypatch):
         res = divide(h, divisors, order, trace=trace, **kwargs)
         return res._replace(remainder=Vector.zero(h.ambient, res.remainder.order))
 
-    monkeypatch.setattr(groebner, "divide", lossy)
-    report = verify_resolution(single_level(not_groebner_level()))
+    level = certified_by(monkeypatch, lossy, not_groebner_level())
+    report = verify_resolution(single_level(level))
     assert [(c["check"], c["ok"]) for c in report.checks] == [
         ("standard_representation", True),
         ("lift_identity", False),
     ]
+    assert report.checks[1]["witness"] == "S-pair (1,2) differs from sum q_l g_l"
 
 
 def test_certificate_fails_when_quotients_break_the_degree_bound(monkeypatch):
@@ -475,8 +545,7 @@ def test_certificate_fails_when_quotients_break_the_degree_bound(monkeypatch):
         q[1] = q[1].sub(g1.term_mul(1, (2, 2)))
         return res._replace(quotients=tuple(q))
 
-    monkeypatch.setattr(groebner, "divide", shifted)
-    report = verify_resolution(single_level(level))
+    report = verify_resolution(single_level(certified_by(monkeypatch, shifted, level)))
     assert [(c["check"], c["ok"]) for c in report.checks] == [
         ("standard_representation", False),
         ("lift_identity", True),
