@@ -26,7 +26,6 @@ from .groebner import divide, divide_valuation
 from .poly import reorder
 from .syzygy import (
     FreeTail,
-    PeriodicTail,
     _buchberger_level0,
     _pseudo_reduce_labeled,
     free_resolution,
@@ -238,25 +237,20 @@ def cmd_resolve(args, problem):
                 "value": format_lt_module(list(level.basis), problem.var_names),
             }
         )
-    ranks = [len(level.basis) for level in res.levels]
-    chain = ["0"] if isinstance(res.tail, FreeTail) else ["..."]
-    for r in reversed(ranks):
-        chain.append(f"R^{r}")
-    chain.append("U")
-    chain.append("0")
+    chain = [f"R^{len(level.basis)}" for level in reversed(res.levels)] + ["U", "0"]
     if isinstance(res.tail, FreeTail):
-        records.append({"kind": "chain", "value": " -> ".join(chain), "length": res.length})
+        records.append({"kind": "chain", "value": " -> ".join(["0"] + chain), "length": res.length})
+        records.append({"kind": "tail", "value": "free", "length": res.length})
     else:
+        ring = problem.ring
         records.append(
             {
                 "kind": "chain",
-                "value": " -> ".join(chain),
+                "value": " -> ".join(["..."] + chain),
                 "length": "infinite",
                 "explicit_levels": len(res.levels),
             }
         )
-    if isinstance(res.tail, PeriodicTail):
-        ring = problem.ring
         records.append(
             {
                 "kind": "tail",
@@ -267,8 +261,6 @@ def cmd_resolve(args, problem):
                 "ann_ann_b": [ring.format(x) for x in res.tail.ann_ann_b],
             }
         )
-    else:
-        records.append({"kind": "tail", "value": "free", "length": res.length})
     report = verify_resolution(res)
     records.append(
         {

@@ -47,6 +47,7 @@ from .poly import (
     exps_sub,
     mono_divides,
     positive_part,
+    reorder,
     sort_basis,
 )
 
@@ -184,6 +185,16 @@ def _reduce(work, index, q_acc, trace):
     return r_terms
 
 
+def _order_of(v, order):
+    """order, by default v's own. The terms of v are sorted under its own
+    order, so any other order is a `UsageError`."""
+    if order is None:
+        return v.order
+    if order is not v.order and order != v.order:
+        raise UsageError("order differs from the vectors' monomial order")
+    return order
+
+
 def divide(h, divisors, order=None, trace=None, *, quotients=True):
     """Divide h by the list of divisors (gcd-aggregating division).
 
@@ -195,9 +206,10 @@ def divide(h, divisors, order=None, trace=None, *, quotients=True):
     divisor only. With
     `quotients=False` only the remainder is computed and the quotients
     field is None; the remainder and the trace events are the same.
+    `order` defaults to h's and must equal it.
     """
-    order = order or h.order
     index = _prepared(h, divisors)
+    order = _order_of(h, order)
     ring_amb = h.ambient._replace(rank=1)
     q_acc = [Accumulator(ring_amb, order) for _ in index.vectors] if quotients else None
     # the remainder terms are already descending: each step removes the
@@ -271,9 +283,9 @@ def s_poly(f, g, order=None):
     f = g (as values) is the auto case b*f with Ann(LC(f)) = <b>;
     distinct leading positions give the zero S-polynomial; otherwise
     the cofactors come from the ring's coprime decomposition of the
-    leading coefficients.
+    leading coefficients. `order` defaults to f's and must equal it.
     """
-    return s_pair_indexed(f, g, order or f.order, auto=(f == g))
+    return s_pair_indexed(f, g, _order_of(f, order), auto=(f == g))
 
 
 def buchberger(gens, order, guard=10_000, trace=None):
@@ -282,9 +294,10 @@ def buchberger(gens, order, guard=10_000, trace=None):
     Auto pairs whose leading coefficient is regular are skipped without
     a division. Remainders are taken against the full current basis.
     The guard bounds the basis size; all shipped rings are Groebner
-    rings, so hitting it means a bug, not a hard instance.
+    rings, so hitting it means a bug, not a hard instance. The generators
+    are re-sorted under `order` first.
     """
-    gens = list(gens)
+    gens = [reorder(g, order) for g in gens]
     if not gens:
         raise UsageError("buchberger needs at least one generator")
     if guard < 1:

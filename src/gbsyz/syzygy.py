@@ -2,7 +2,7 @@
 
 `term_syzygies` implements the relation generators S_ij for a list of
 terms; `schreyer_syzygies` lifts them over a Groebner basis, dividing
-each S-polynomial by the basis itself, and keeps those divisions as the
+each S-polynomial by the basis itself, and keeps the lifts as the
 basis's `Certificate`. Iterating, `free_resolution` computes
 resolutions under the TOP-lex order, ending in a free tail when every
 stabilized leading coefficient is regular and otherwise in the period-2
@@ -41,24 +41,14 @@ from .poly import (
 )
 
 
-class PairCertificate(NamedTuple):
-    """The division of one S-pair b X^beta g_i - a X^alpha g_j (b g_i for
-    an auto pair, whose right cofactor is None) by the basis: one
-    quotient per basis element, () when the S-polynomial is zero, and
-    whether the remainder was zero."""
-
-    left_cofactor: Term
-    right_cofactor: Optional[Term]
-    quotients: tuple
-    reduced: bool
-
-
 class Certificate(NamedTuple):
     """Per S-pair (i, j) of `basis` that carries a cofactor, 0-based and
-    in enumeration order, its `PairCertificate`."""
+    in enumeration order, its lifted relation, zero included; and the
+    pairs whose division left a nonzero remainder."""
 
     basis: tuple
     pairs: dict
+    unreduced: frozenset
 
 
 class SyzygyBasis(NamedTuple):
@@ -106,11 +96,12 @@ def schreyer_syzygies(gb, trace=None, labels=None):
     The division of each S-polynomial against the basis must be exact;
     a nonzero remainder means the input was not a Groebner basis and
     raises `UsageError`. By Moeller's lifting theorem these divisions
-    are Buchberger's criterion, so no separate check runs first. The
-    result's `certificate` keeps them: per S-pair its cofactors and its
-    quotients, one per element, before they merge into the relation.
-    Its `basis` is the result's `source`, the given elements themselves
-    when they come as a tuple.
+    are Buchberger's criterion, so no separate check runs first. Each
+    division lifts to the relation b X^beta eps_i - a X^alpha eps_j -
+    sum q_l eps_l, and the result's `certificate` maps every S-pair to
+    its lift; the `relations` are the nonzero lifts themselves. Its
+    `basis` is the result's `source`, the given elements themselves when
+    they come as a tuple.
     """
     if isinstance(gb, GroebnerBasis):
         source, order = gb.elements, gb.order
@@ -119,57 +110,50 @@ def schreyer_syzygies(gb, trace=None, labels=None):
     return _syzygies_of(tuple(source), order, labels=labels, trace=trace)
 
 
-def _syzygies_of(source, order, labels, trace=None, cert=None):
-    """The syzygies lifted from cert, by default made here: the first
-    nonzero remainder raises `UsageError`."""
+def _syzygies_of(source, order, labels, trace=None):
+    """The nonzero lifts of source's S-pairs under its Schreyer order:
+    the first nonzero remainder raises `UsageError`."""
     if not source:
         raise UsageError("syzygies of the empty list")
-    amb0 = source[0].ambient
     sch = Schreyer(source, order)
-    amb = Ambient(amb0.ring, amb0.nvars, len(source))
-    if cert is None:
-        cert = _certify(source, order, trace, strict=True)
-    elif not all(entry.reduced for entry in cert.pairs.values()):
-        raise UsageError(_NOT_GROEBNER)
+    cert = _certify(source, sch, trace, strict=True)
+    names = labels or [None] * len(source)
     relations, out_labels = [], []
-    for (i, j), entry in cert.pairs.items():
-        rel = Vector(amb, sch, _lift(entry, i, j, amb.ring))
-        if rel.is_zero():
-            continue
-        relations.append(rel)
-        out_labels.append(_pair_label(labels or [None] * len(source), i, j))
+    for (i, j), lift in cert.pairs.items():
+        if not lift.is_zero():
+            relations.append(lift)
+            out_labels.append(_pair_label(names, i, j))
     return SyzygyBasis(tuple(relations), sch, source, tuple(out_labels), cert)
 
 
 _NOT_GROEBNER = "S-polynomial does not reduce to zero: not a Groebner basis"
 
 
-def _certify(source, order, trace=None, strict=False):
-    """The `Certificate` of source: every S-pair divided by source. With
+def _certify(source, sch, trace=None, strict=False):
+    """The `Certificate` of source: every S-pair divided by source under
+    the parent of the Schreyer order sch, and its division lifted to
+    b X^beta eps_i - a X^alpha eps_j - sum q_l eps_l under sch. With
     `strict` the first nonzero remainder raises `UsageError`."""
-    pairs = {}
-    for i, j, sp, res in s_pairs(source, order, Divisors(source), trace):
-        reduced = res is None or res.remainder.is_zero()
-        if strict and not reduced:
-            raise UsageError(_NOT_GROEBNER)
-        quotients = res.quotients if res else ()
-        pairs[i, j] = PairCertificate(sp.left_cofactor, sp.right_cofactor, quotients, reduced)
-    return Certificate(source, pairs)
-
-
-def _lift(entry, i, j, ring):
-    """The terms of the lifted relation b X^beta eps_i - a X^alpha eps_j
-    - sum q_l eps_l of a `PairCertificate` with cofactors b X^beta and
-    a X^alpha (only the first for an auto pair) and quotients q_l."""
-    b, bmono = entry.left_cofactor
-    terms = [Term(b, Mono(bmono.exps, i))]
-    if entry.right_cofactor is not None:
-        a, amono = entry.right_cofactor
-        terms.append(Term(ring.neg(a), Mono(amono.exps, j)))
-    for ell, q in enumerate(entry.quotients):
-        for c, m in q.terms:
-            terms.append(Term(ring.neg(c), Mono(m.exps, ell)))
-    return terms
+    amb0 = source[0].ambient
+    amb = Ambient(amb0.ring, amb0.nvars, len(source))
+    neg = amb.ring.neg
+    pairs, unreduced = {}, set()
+    for i, j, sp, res in s_pairs(source, sch.parent, Divisors(source), trace):
+        b, bmono = sp.left_cofactor
+        lift = Accumulator(amb, sch, [(b, Mono(bmono.exps, i))])
+        if sp.right_cofactor is not None:
+            a, amono = sp.right_cofactor
+            lift.add(neg(a), Mono(amono.exps, j))
+        if res is not None:
+            if res.remainder.terms:
+                if strict:
+                    raise UsageError(_NOT_GROEBNER)
+                unreduced.add((i, j))
+            for ell, q in enumerate(res.quotients):
+                for c, m in q.terms:
+                    lift.add(neg(c), Mono(m.exps, ell))
+        pairs[i, j] = lift.vector()
+    return Certificate(source, pairs, frozenset(unreduced))
 
 
 def apply_relation(rel, source):
@@ -289,8 +273,9 @@ def free_resolution(
     raises `GuardExceeded` with the levels so far.
 
     Every level whose syzygies were computed carries their
-    `certificate`, and so does the periodic tail's extra level, whose
-    certificate is computed untraced for `verify_resolution`.
+    `certificate`, the lifts of its S-pairs, and so does the periodic
+    tail's extra level, whose lifts are computed untraced for
+    `verify_resolution`.
     """
     gens = list(gens)
     if not gens:
@@ -335,7 +320,8 @@ def free_resolution(
             # stabilized elements, so Ann(b_j) sits at index j there
             extra = levels[-1]
             _check_periodic_level(extra, ann_b, ring)
-            levels[-1] = extra._replace(certificate=_certify(extra.basis, extra.order))
+            sch = Schreyer(extra.basis, extra.order)
+            levels[-1] = extra._replace(certificate=_certify(extra.basis, sch))
             ann_ann_b = tuple(ring.canonical(ring.ann_gen(a)) for a in ann_b)
             positions = tuple(v.lp() for v in cur.basis)
             tail = PeriodicTail(b, ann_b, ann_ann_b, positions, len(levels) - 2)
@@ -410,17 +396,20 @@ def verify_resolution(res):
       below it vanishes, and has that level's rank (the witness is the
       first failing label);
     - `standard_representation`, every level: the level's certificate
-      has an entry for each S-pair S of the level, with the cofactors
-      the verifier computes itself from the leading terms, a zero
-      remainder, and quotients q_l under the degree bound
+      has a lift L for each S-pair S = b X^beta g_i - a X^alpha g_j of
+      the level, and its division left no remainder. The quotient terms
+      sum q_l eps_l are the cofactor terms b X^beta eps_i - a X^alpha
+      eps_j, which the verifier computes itself from the leading terms,
+      minus L, and each must be under the degree bound
       LM(q_l) * LM(g_l) <= LM(S);
-    - `lift_identity`, every nonempty level: S = sum q_l g_l for those
-      quotients, S expanded from its cofactors, by plain term products
-      as in `composite_zero`: the lifted relation vanishes on the level;
-    - free tails, `free_tail_kernel_zero` at the last level: its
-      Schreyer syzygies, lifted from its certificate, are zero. If they
-      cannot be computed because the level is not a Groebner basis, the
-      check fails with the error message as witness;
+    - `lift_identity`, every nonempty level: each lift vanishes on the
+      level, that is S = sum q_l g_l, by plain term products as in
+      `composite_zero`;
+    - free tails, `free_tail_kernel_zero` at the last level: every lift
+      in its certificate, so every Schreyer syzygy, is zero. If a
+      division there left a remainder, the level is not a Groebner
+      basis, and the check fails with `schreyer_syzygies`' error
+      message as witness;
     - periodic tails: `tail_annihilation`, `tail_triple_ann`
       (Ann(Ann(Ann)) = Ann) and `tail_extra_level`.
 
@@ -428,7 +417,8 @@ def verify_resolution(res):
     (its `certificate`), used only when it was made for this very basis
     (`certificate.basis is level.basis`); otherwise, for a level built
     or changed by hand, the same divisions `schreyer_syzygies` makes
-    produce it here. Checking a certificate divides nothing.
+    produce it here. Checking a certificate divides nothing and reads
+    no stored cofactor.
 
     The middle two are a complete certificate that each level is a
     Groebner basis, whatever the division code did. The S-pairs of a
@@ -461,12 +451,10 @@ def verify_resolution(res):
             record("lift_identity", k, identity is None, identity)
 
     if isinstance(res.tail, FreeTail):
-        last = res.levels[-1]
-        try:
-            syz = _syzygies_of(last.basis, last.order, None, cert=certs[-1])
-            record("free_tail_kernel_zero", len(res.levels) - 1, not syz.relations)
-        except UsageError as exc:
-            record("free_tail_kernel_zero", len(res.levels) - 1, False, str(exc))
+        cert = certs[-1]
+        ok = not cert.unreduced and all(lift.is_zero() for lift in cert.pairs.values())
+        record("free_tail_kernel_zero", len(res.levels) - 1, ok,
+               _NOT_GROEBNER if cert.unreduced else None)
     elif isinstance(res.tail, PeriodicTail):
         tail = res.tail
         ok = all(
@@ -490,19 +478,23 @@ def _certificate_of(level):
     """The level's own certificate if it was made for its basis, else a
     new one from the same divisions."""
     cert = level.certificate
-    if cert is None or cert.basis is not level.basis:
-        cert = _certify(level.basis, level.order)
-    return cert
+    if cert is not None and cert.basis is level.basis:
+        return cert
+    if not level.basis:
+        return Certificate(level.basis, {}, frozenset())
+    return _certify(level.basis, Schreyer(level.basis, level.order))
 
 
 def _check_level(level, cert, ring):
     """(standard, identity): witnesses of the first S-pair of the level
-    without a certificate entry for its cofactors, a zero remainder and
-    bounded quotients, and of the first whose lifted relation does not
-    vanish on the level; None if none. S and then S - sum q_l g_l are
-    formed in one accumulator per pair."""
+    without a lift, with a remainder or with a quotient term over the
+    degree bound, and of the first whose lift does not vanish on the
+    level; None if none. The quotient terms are the verifier's own
+    cofactor terms b X^beta eps_i - a X^alpha eps_j minus the lift. S
+    and then the lift applied to the level form in one accumulator."""
     basis, key = level.basis, level.order.key
     lms = [g.lm() for g in basis]
+    add, neg, is_zero = ring.add, ring.neg, ring.is_zero
     standard = identity = None
     for i in range(len(basis)):
         for j in range(i, len(basis)):
@@ -512,39 +504,37 @@ def _check_level(level, cert, ring):
             if cofactors is None:
                 continue
             pair = f"S-pair ({i + 1},{j + 1})"
-            left, right = cofactors
-            entry = cert.pairs.get((i, j))
-            if entry is None or not (_same_term(entry.left_cofactor, left, ring)
-                                     and _same_term(entry.right_cofactor, right, ring)):
+            lift = cert.pairs.get((i, j))
+            if lift is None or lift.ambient.rank != len(basis):
                 standard = standard or f"{pair} has no certificate for its cofactors"
                 continue
-            work = Accumulator(basis[i].ambient, level.order)
-            work.add_term_mul(left.coeff, left.mono.exps, basis[i].terms)
+            left, right = cofactors
+            own = {Mono(left.mono.exps, i): left.coeff}
             if right is not None:
-                work.add_term_mul(ring.neg(right.coeff), right.mono.exps, basis[j].terms)
-            quotients = list(zip(entry.quotients, basis, lms))
-            if standard is None:
-                # LM(S) from the sum, before the quotients go in; when S
-                # is zero, every quotient term breaks the bound
-                bound = min(map(key, work.coeffs), default=None)
-                over = [ell + 1 for ell, (q, _, lm) in enumerate(quotients) for _, m in q.terms
-                        if bound is None or key(Mono(exps_add(m.exps, lm.exps), lm.pos)) < bound]
-                if not entry.reduced:
-                    standard = f"{pair} leaves a nonzero remainder"
-                elif over:
-                    standard = f"{pair} has LM(q{over[0]}) * LM(g{over[0]}) above LM(S)"
-            if identity is None:
-                for q, g, _ in quotients:
-                    for c, m in q.terms:
-                        work.add_term_mul(ring.neg(c), m.exps, g.terms)
-                if work.coeffs:
-                    identity = f"{pair} differs from sum q_l g_l"
+                own[Mono(right.mono.exps, j)] = neg(right.coeff)
+            work = Accumulator(basis[i].ambient, level.order)
+            for m, c in own.items():
+                work.add_term_mul(c, m.exps, basis[m.pos].terms)
+            # LM(S) from the sum, before the quotients go in; when S is
+            # zero, every quotient term breaks the bound
+            bound = min(map(key, work.coeffs), default=None)
+            # the lift minus the own terms: -q X^m eps_l per quotient term
+            rest = [(c if (o := own.pop(m, None)) is None else add(c, neg(o)), m)
+                    for c, m in lift.terms]
+            over = []
+            for c, m in rest + [(neg(o), m) for m, o in own.items()]:
+                if is_zero(c):
+                    continue
+                lm = lms[m.pos]
+                if bound is None or key(Mono(exps_add(m.exps, lm.exps), lm.pos)) < bound:
+                    over.append(m.pos + 1)
+                work.add_term_mul(c, m.exps, basis[m.pos].terms)
+            if standard is None and (i, j) in cert.unreduced:
+                standard = f"{pair} leaves a nonzero remainder"
+            elif standard is None and over:
+                standard = f"{pair} has LM(q{min(over)}) * LM(g{min(over)}) above LM(S)"
+            if identity is None and work.coeffs:
+                identity = f"{pair} differs from sum q_l g_l"
             if standard is not None and identity is not None:
                 return standard, identity
     return standard, identity
-
-
-def _same_term(s, t, ring):
-    if s is None or t is None:
-        return s is t
-    return s.mono == t.mono and ring.eq(s.coeff, t.coeff)

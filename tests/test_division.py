@@ -13,6 +13,7 @@ from gbsyz import (
     divide,
     divide_valuation,
     expand_combination,
+    parse_problem,
     term_module_member,
 )
 from gbsyz.poly import Accumulator
@@ -322,6 +323,27 @@ def test_prepared_divisor_errors_keep_their_text():
         for fn in (divide, divide_valuation):
             with pytest.raises(UsageError, match=f"^{text}$"):
                 fn(target, index, p.order)
+
+
+ORDER_TEXT = "^order differs from the vectors' monomial order$"
+
+
+def test_divide_rejects_an_order_other_than_the_vectors():
+    # under Y > X the leading term of X*Y + Y^3 is Y^3, which divides Y^7:
+    # dividing by the X > Y leading terms under it left such a remainder
+    p = parse_problem("ring Z; vars X Y; rank 1; f = X*Y + Y^3; g = X^2 + Y;")
+    divisors, h = [v for _, v in p.generators], vec(p, "X^3*Y + 1")
+    with pytest.raises(UsageError, match=ORDER_TEXT):
+        divide(h, divisors, TopLex(2, (1, 0)))
+    assert divide(h, divisors, TopLex(2)) == divide(h, divisors)
+
+
+def test_divide_valuation_rejects_an_order_other_than_the_vectors():
+    p = parse_problem("ring Z_(2); vars X Y; rank 1; f = X*Y + Y^3; g = X^2 + Y;")
+    divisors, h = [v for _, v in p.generators], vec(p, "X^3*Y + 1")
+    with pytest.raises(UsageError, match=ORDER_TEXT):
+        divide_valuation(h, divisors, TopLex(2, (1, 0)))
+    assert divide_valuation(h, divisors, TopLex(2)) == divide_valuation(h, divisors)
 
 
 def test_divisors_at_interleaved_positions():

@@ -23,6 +23,7 @@ from gbsyz import (
     expand_combination,
     is_groebner,
     module_member,
+    parse_problem,
     pseudo_reduce,
     s_poly,
     schreyer_syzygies,
@@ -458,3 +459,26 @@ def _vec_with_lm(rng, ring, amb, order, lm):
             if not ring.is_zero(c):
                 terms.append(Term(c, m))
     return Vector(amb, order, terms)
+
+
+def _order_case():
+    p = parse_problem("ring Z; vars X Y; rank 1; f = X*Y + Y^3; g = X^2 + Y;")
+    return p, [v for _, v in p.generators], TopLex(2, (1, 0))
+
+
+def test_s_poly_rejects_an_order_other_than_the_vectors():
+    # the value used to come out under f's order whatever order was given
+    p, (f, g), swapped = _order_case()
+    with pytest.raises(UsageError, match="^order differs from the vectors' monomial order$"):
+        s_poly(f, g, swapped)
+    assert s_poly(f, g, TopLex(2)) == s_poly(f, g)
+
+
+def test_buchberger_reorders_its_generators():
+    # generators under another order used to raise "vectors under
+    # different monomial orders" at the first nonzero remainder
+    p, gens, swapped = _order_case()
+    gb = buchberger(gens, swapped)
+    reordered = buchberger([vec(p, t, swapped) for t in ("X*Y + Y^3", "X^2 + Y")], swapped)
+    assert gb.order is swapped and all(v.order is swapped for v in gb.elements)
+    assert gb.elements == reordered.elements

@@ -323,6 +323,17 @@ def test_random_zerodivisor_resolutions_verify():
         assert verify_resolution(res).ok
 
 
+def test_verify_reports_a_free_tail_whose_last_level_has_syzygies():
+    # cut after level 0, which has nonzero syzygies: the lifts in its
+    # certificate are no longer zero, and nothing else fails
+    res = free_resolution(gens_of(problem("zint_ideal"))[1])
+    assert isinstance(res.tail, FreeTail) and len(res.levels) > 1
+    report = verify_resolution(res._replace(levels=res.levels[:1]))
+    assert [(c["check"], c["ok"], c["witness"]) for c in report.failures()] == [
+        ("free_tail_kernel_zero", False, None)
+    ]
+
+
 def test_random_domain_resolutions_free_and_bounded():
     for res in domain_resolutions():
         assert isinstance(res.tail, FreeTail)
@@ -397,42 +408,69 @@ def test_verify_makes_no_division_on_a_free_resolution_result(monkeypatch):
 
 
 def tampered_certificates():
-    """(name, level, (i, j)) per tampering of the certificate of a valid
-    level: a changed cofactor, a missing pair, and a quotient term moved
-    to another quotient, each at the first pair with a quotient term."""
+    """(name, level, (i, j), check, witness) per tampering of the lifts of
+    a valid level, each at the first pair whose lift has a quotient term:
+    the left cofactor term changed, which leaves that cofactor and the
+    new term as quotient terms over the bound; the left cofactor term
+    dropped, which leaves it as such a quotient term; the pair missing;
+    and a quotient term moved to another position. check is a check
+    that must fail, with witness in its text."""
     level = free_resolution(gens_of(problem("zint_ideal"))[1]).levels[0]
-    cert = level.certificate
-    (i, j), entry = next((ij, e) for ij, e in cert.pairs.items()
-                         if any(q.terms for q in e.quotients))
-    b, bmono = entry.left_cofactor
-    bigger = Term(b, Mono((bmono.exps[0] + 1,) + bmono.exps[1:], 0))
-    ell = next(ell for ell, q in enumerate(entry.quotients) if q.terms)
-    quotients = list(entry.quotients)
-    moved = quotients[ell].terms[0]
-    other = (ell + 1) % len(quotients)
-    q, r = quotients[ell], quotients[other]
-    quotients[ell] = Vector(q.ambient, q.order, q.terms[1:])
-    quotients[other] = Vector(r.ambient, r.order, r.terms + (moved,))
+    cert, basis = level.certificate, level.basis
+
+    def cofactor_monos(i, j):
+        left, right = groebner.pair_cofactors(basis[i], basis[j], auto=(i == j))
+        return [Mono(left.mono.exps, i)] + ([Mono(right.mono.exps, j)] if right else [])
+
+    (i, j), lift = next((ij, lift) for ij, lift in cert.pairs.items()
+                        if len(lift.terms) > len(cofactor_monos(*ij)))
+    cofactors = cofactor_monos(i, j)
+
+    def replaced(old, new):
+        terms = [new if t.mono == old else t for t in lift.terms if new or t.mono != old]
+        return Vector(lift.ambient, lift.order, terms)
+
+    m = cofactors[0]
+    b = next(c for c, t in lift.terms if t == m)
+    bigger = Term(b, Mono((m.exps[0] + 1,) + m.exps[1:], i))
+    c, n = next(t for t in lift.terms if t.mono not in cofactors)
+    moved = Term(c, Mono(n.exps, (n.pos + 1) % len(basis)))
     changes = {
-        "cofactor": {**cert.pairs, (i, j): entry._replace(left_cofactor=bigger)},
-        "missing": {ij: e for ij, e in cert.pairs.items() if ij != (i, j)},
-        "moved": {**cert.pairs, (i, j): entry._replace(quotients=tuple(quotients))},
+        "cofactor": ({**cert.pairs, (i, j): replaced(m, bigger)},
+                     "standard_representation", f"LM(q{i + 1}) * LM(g{i + 1}) above LM(S)"),
+        "dropped": ({**cert.pairs, (i, j): replaced(m, None)},
+                    "standard_representation", f"LM(q{i + 1}) * LM(g{i + 1}) above LM(S)"),
+        "missing": ({ij: lift for ij, lift in cert.pairs.items() if ij != (i, j)},
+                    "standard_representation", "has no certificate"),
+        "moved": ({**cert.pairs, (i, j): replaced(n, moved)},
+                  "lift_identity", "differs from sum q_l g_l"),
     }
-    for name, pairs in changes.items():
-        yield name, level._replace(certificate=cert._replace(pairs=pairs)), (i, j)
+    for name, (pairs, check, witness) in changes.items():
+        yield name, level._replace(certificate=cert._replace(pairs=pairs)), (i, j), check, witness
 
 
 def test_verify_rejects_tampered_certificates_of_a_valid_basis(monkeypatch):
     tampered = list(tampered_certificates())
     calls = counting_divisions(monkeypatch)
-    for name, level, (i, j) in tampered:
+    for name, level, (i, j), check, witness in tampered:
         report = verify_resolution(single_level(level))
         failed = report.failures()
         assert not report.ok and failed, name
         assert {c["check"] for c in failed} <= {"standard_representation", "lift_identity"}, name
         for c in failed:
             assert c["witness"].startswith(f"S-pair ({i + 1},{j + 1}) "), (name, c)
+        assert any(c["check"] == check and witness in c["witness"] for c in failed), (name, failed)
     assert calls == []
+
+
+def test_relations_are_the_nonzero_lifts_of_the_certificate():
+    # one representation: each relation is the certificate's lift itself
+    for res in all_resolutions():
+        for level in res.levels:
+            syz = schreyer_syzygies((level.basis, level.order))
+            lifts = [lift for lift in syz.certificate.pairs.values() if not lift.is_zero()]
+            assert len(syz.relations) == len(lifts)
+            assert all(r is lift for r, lift in zip(syz.relations, lifts))
 
 
 def test_verify_ignores_a_certificate_made_for_another_basis(monkeypatch):
