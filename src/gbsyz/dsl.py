@@ -18,8 +18,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import ParseError, UsageError
-from .poly import Accumulator, Ambient, Mono, Term, TopLex, Vector, exps_add
+from .errors import PackedOverflow, ParseError, UsageError
+from .poly import EXP_BITS, POSMASK, Accumulator, Ambient, TopLex, Vector, check_product
 from .rings import Integers, IntegersLocalizedAt, IntegersMod, TruncatedF2y
 
 _TOKEN_RE = re.compile(
@@ -247,8 +247,8 @@ class _Parser:
         negate = self.accept("sym", "-")
         value = self.term()
         if negate:
-            if type(value) is Term:
-                value = Term(ring.neg(value.coeff), value.mono)
+            if type(value) is tuple:
+                value = (ring.neg(value[0]), value[1])
             else:
                 coeffs = value.coeffs
                 for m, c in coeffs.items():
@@ -270,8 +270,12 @@ class _Parser:
 
     def term(self):
         value = self.factor()
-        while self.accept("sym", "*"):
-            value = _product(self.problem, value, self.factor())
+        while tok := self.accept("sym", "*"):
+            rhs = self.factor()
+            try:
+                value = _product(self.problem, value, rhs)
+            except PackedOverflow:
+                self.fail(_TOO_LARGE, tok)
         return value
 
     def factor(self):
@@ -280,7 +284,10 @@ class _Parser:
             e = self.next()
             if e.kind != "int":
                 self.fail("exponent must be a nonnegative integer", e)
-            value = _power(self.problem, value, int(e.text))
+            try:
+                value = _power(self.problem, value, int(e.text))
+            except PackedOverflow:
+                self.fail(_TOO_LARGE, e)
         return value
 
     def atom(self):
@@ -305,18 +312,20 @@ class _Parser:
             return _constant(problem, problem.ring.from_int(int(tok.text)))
         if tok.kind == "name":
             if tok.text in problem.var_names:
-                exps = [0] * len(problem.var_names)
-                exps[problem.var_names.index(tok.text)] = 1
-                return Term(problem.ring.one(), Mono(tuple(exps), 0))
+                shift = problem.order.codec.shifts[problem.var_names.index(tok.text)]
+                return problem.ring.one(), 1 << shift
             if tok.text == "y" and isinstance(problem.ring, TruncatedF2y):
                 return _constant(problem, problem.ring.y())
             self.fail(f"unknown variable {tok.text!r}", tok)
         self.fail(f"unexpected {tok.text or 'end of input'!r}", tok)
 
 
-# A polynomial expression evaluates to a nonzero single Term, or to an
-# Accumulator that the evaluation owns (zero is an empty one); its
-# monomials sit at position 0 of `problem.poly_ambient`.
+_TOO_LARGE = f"exponent above {(1 << (EXP_BITS - 1)) - 1}"
+
+# A polynomial expression evaluates to a nonzero single term, a tuple
+# (coeff, packed monomial), or to an Accumulator that the evaluation
+# owns (zero is an empty one); its monomials are packed by the problem
+# order's codec at position 0 of `problem.poly_ambient`.
 
 
 def _accumulator(problem, terms=()):
@@ -324,8 +333,8 @@ def _accumulator(problem, terms=()):
 
 
 def _terms(value):
-    """The (coeff, mono) terms of an expression value."""
-    if type(value) is Term:
+    """The packed (coeff, mono) terms of an expression value."""
+    if type(value) is tuple:
         return (value,)
     coeffs = value.coeffs
     return tuple(zip(coeffs.values(), coeffs.keys()))
@@ -338,33 +347,35 @@ def _assemble_vector(problem, pending, head):
             head.line,
             head.column,
         )
-    terms = []
+    if problem.rank > POSMASK + 1:
+        raise ParseError(f"rank above {POSMASK + 1}", head.line, head.column)
+    coeffs = {}
     for pos, toks in enumerate(pending):
         eof = Token("eof", "", toks[-1].line, toks[-1].column)
         value = _Parser(toks + [eof], problem).parse_polynomial()
         for c, m in _terms(value):
-            terms.append(Term(c, Mono(m.exps, pos)))
-    return Vector(problem.ambient, problem.order, terms)
+            coeffs[m + pos] = c
+    return Vector.from_coeffs(problem.ambient, problem.order, coeffs)
 
 
 def _constant(problem, coeff):
     if problem.ring.is_zero(coeff):
         return _accumulator(problem)
-    return Term(coeff, Mono((0,) * len(problem.var_names), 0))
+    return coeff, 0
 
 
 def _product(problem, a, b):
     """a * b for expression values: one ring product for two single
     terms, term products summed in a fresh accumulator otherwise."""
-    if type(a) is Term and type(b) is Term:
-        c = problem.ring.mul(a.coeff, b.coeff)
+    if type(a) is tuple and type(b) is tuple:
+        c = problem.ring.mul(a[0], b[0])
         if problem.ring.is_zero(c):
             return _accumulator(problem)
-        return Term(c, Mono(exps_add(a.mono.exps, b.mono.exps), 0))
+        return c, check_product(a[1] + b[1], problem.order.codec.guard)
     out = _accumulator(problem)
     b_terms = _terms(b)
     for c, m in _terms(a):
-        out.add_term_mul(c, m.exps, b_terms)
+        out.add_term_mul(c, m, b_terms)
     return out
 
 
@@ -447,14 +458,13 @@ def format_poly(ring, terms, names):
 
 def format_vector(v, names):
     ring = v.ambient.ring
+    exps = v.order.codec.exps
     if v.ambient.rank == 1:
-        return format_poly(ring, [(c, m.exps) for c, m in v.terms], names)
-    comps = []
-    for pos in range(v.ambient.rank):
-        comps.append(
-            format_poly(ring, [(c, m.exps) for c, m in v.terms if m.pos == pos], names)
-        )
-    return "[" + ", ".join(comps) + "]"
+        return format_poly(ring, [(c, exps(m)) for c, m in v.packed], names)
+    comps = [[] for _ in range(v.ambient.rank)]
+    for c, m in v.packed:
+        comps[m & POSMASK].append((c, exps(m)))
+    return "[" + ", ".join(format_poly(ring, terms, names) for terms in comps) + "]"
 
 
 def format_lt_module(elements, names):
@@ -463,9 +473,9 @@ def format_lt_module(elements, names):
         return "<0>"
     by_pos = {}
     for v in elements:
-        lt = v.lt()
-        by_pos.setdefault(lt.mono.pos, []).append(
-            format_term(v.ambient.ring, lt.coeff, lt.mono.exps, names)
+        c, m = v.packed[0]
+        by_pos.setdefault(m & POSMASK, []).append(
+            format_term(v.ambient.ring, c, v.order.codec.exps(m), names)
         )
     rank = elements[0].ambient.rank
     parts = []

@@ -24,6 +24,10 @@ class InternalError(Exception):
     """An invariant the library must maintain was observed broken."""
 
 
+class PackedOverflow(InternalError):
+    """A monomial left the packed exponent or position fields."""
+
+
 class GuardExceeded(Exception):
     """An iteration guard tripped; carries the partial result."""
 

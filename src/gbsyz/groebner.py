@@ -39,14 +39,12 @@ from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, InternalError, UsageError
 from .poly import (
+    POSMASK,
     Accumulator,
-    Mono,
     Term,
     Vector,
     combination,
-    exps_sub,
     mono_divides,
-    positive_part,
     reorder,
     sort_basis,
 )
@@ -58,6 +56,8 @@ class DivisionResult(NamedTuple):
 
 
 class SPair(NamedTuple):
+    # from s_pair_indexed, a cross pair's value is its Accumulator and
+    # the cofactors are packed (coeff, int) pairs; s_poly decodes them
     value: Vector
     left_cofactor: Optional[Term]
     right_cofactor: Optional[Term]
@@ -74,16 +74,19 @@ class Divisors:
 
     Each divisor is checked once: it must be nonzero and compatible with
     `like` (by default the first divisor). The leading terms are indexed
-    as (index, LC, LM) by leading position, in ascending index order:
-    only same-position divisors can divide. `append` grows the set, as
-    Buchberger's basis grows.
+    as (index, LC, packed LM) by leading position, in ascending index
+    order: only same-position divisors can divide. `packed` holds each
+    divisor's packed terms and `mask` the guard and position bits of
+    their codec. `append` grows the set, as Buchberger's basis grows.
     """
 
-    __slots__ = ("vectors", "by_pos", "_ref")
+    __slots__ = ("vectors", "packed", "by_pos", "mask", "_ref")
 
     def __init__(self, vectors=(), *, like=None):
         self.vectors = []
+        self.packed = []
         self.by_pos = {}
+        self.mask = None
         self._ref = like
         for v in vectors:
             self.append(v)
@@ -94,17 +97,21 @@ class Divisors:
         if self._ref is None:
             self._ref = v
         else:
-            self._ref._check_compatible(v)
-        lc, lm = v.terms[0]
-        self.by_pos.setdefault(lm.pos, []).append((len(self.vectors), lc, lm))
+            v._check_compatible(self._ref)
+        if self.mask is None:
+            self.mask = v.order.codec.divmask
+        terms = v.packed
+        lc, lm = terms[0]
+        self.by_pos.setdefault(lm & POSMASK, []).append((len(self.vectors), lc, lm))
         self.vectors.append(v)
+        self.packed.append(terms)
 
 
 def _prepared(h, divisors):
     """divisors as a Divisors checked against h."""
     if isinstance(divisors, Divisors):
         if divisors.vectors:
-            h._check_compatible(divisors.vectors[0])
+            divisors.vectors[0]._check_compatible(h)
         return divisors
     return Divisors(divisors, like=h)
 
@@ -114,7 +121,9 @@ def _lead_step(index, ring, lc, lm, scan_all=False):
 
     Scans the candidates at lm's position in the prepared `index`, in
     index order, and collects in D, as (j, LC_j, gamma), those whose
-    leading monomial divides lm. The first whose leading coefficient
+    leading monomial divides lm: all monomials are packed, and LM_j
+    divides lm iff lm - LM_j has no guard or position bit set, the
+    quotient gamma. The first whose leading coefficient
     divides lc too is taken alone: the step is [(j, gamma, q)] and the
     scan stops there unless `scan_all`. Otherwise the step is the Bezout
     combination of all of D: with d = sum c_j LC_j their gcd and
@@ -127,9 +136,9 @@ def _lead_step(index, ring, lc, lm, scan_all=False):
     """
     D = []
     step = None
-    for j, djc, djm in index.by_pos.get(lm.pos, ()):
-        gamma = mono_divides(djm, lm)
-        if gamma is None:
+    mask = index.mask
+    for j, djc, djm in index.by_pos.get(lm & POSMASK, ()):
+        if (gamma := lm - djm) & mask:
             continue
         D.append((j, djc, gamma))
         if step is None and (q := ring.divides(djc, lc)) is not None:
@@ -162,7 +171,7 @@ def _reduce(work, index, q_acc, trace):
     `reduction_step` event names them all.
     """
     ring = work.ring
-    vectors, coeffs = index.vectors, work.coeffs
+    packed, coeffs = index.packed, work.coeffs
     r_terms = []
     while (t := work.lead()) is not None:
         lc, lm = t
@@ -172,15 +181,17 @@ def _reduce(work, index, q_acc, trace):
             work.add(ring.neg(lc), lm)
         else:
             if trace is not None:
-                trace({"event": "reduction_step", "lm": lm, "divisors": [j for j, _, _ in D]})
+                trace({"event": "reduction_step", "lm": work.order.codec.decode(lm),
+                       "divisors": [j for j, _, _ in D]})
             for j, gamma, w in step:
                 if q_acc is not None:
-                    q_acc[j].add(w, Mono(gamma, 0))
-                work.add_term_mul(ring.neg(w), gamma, vectors[j].terms)
+                    q_acc[j].add(w, gamma)
+                work.add_term_mul(ring.neg(w), gamma, packed[j])
             if rest is not None and not ring.is_zero(e := rest[0]):
-                r_terms.append(Term(e, lm))
+                r_terms.append((e, lm))
                 work.add(ring.neg(e), lm)
         if lm in coeffs:
+            lm = work.order.codec.decode(lm)
             raise InternalError(f"reduction step left its leading monomial {lm} in place")
     return r_terms
 
@@ -203,19 +214,23 @@ def divide(h, divisors, order=None, trace=None, *, quotients=True):
     an empty divisor list the remainder is h itself. `divisors` is a
     sequence of vectors or a prepared `Divisors`; a prepared set was
     checked when it was built, so h is checked against its first
-    divisor only. With
+    divisor only. h may also be the `Accumulator` of a cross S-pair
+    from `s_pair_indexed`, which the division consumes. With
     `quotients=False` only the remainder is computed and the quotients
     field is None; the remainder and the trace events are the same.
     `order` defaults to h's and must equal it.
     """
     index = _prepared(h, divisors)
     order = _order_of(h, order)
-    ring_amb = h.ambient._replace(rank=1)
-    q_acc = [Accumulator(ring_amb, order) for _ in index.vectors] if quotients else None
+    q_acc = None
+    if quotients:
+        ring_amb = h.ambient._replace(rank=1)
+        q_acc = [Accumulator(ring_amb, order) for _ in index.vectors]
+    work = h if type(h) is Accumulator else Accumulator(h.ambient, order, h.packed)
     # the remainder terms are already descending: each step removes the
     # leading term of the working polynomial and adds only smaller ones
-    r_terms = _reduce(Accumulator(h.ambient, order, h.terms), index, q_acc, trace)
-    remainder = Vector(h.ambient, order, r_terms, _normalized=True)
+    r_terms = _reduce(work, index, q_acc, trace)
+    remainder = Vector.from_packed(h.ambient, order, r_terms)
     if q_acc is None:
         return DivisionResult(None, remainder)
     return DivisionResult(tuple(q.vector() for q in q_acc), remainder)
@@ -239,42 +254,44 @@ def s_pair_indexed(f, g, order, auto):
 
     Buchberger's loop and the syzygy algorithms take the auto case for
     the index pair i = j; two equal values at distinct indices still
-    form a cross pair (their syzygy eps_i - eps_j matters).
+    form a cross pair (their syzygy eps_i - eps_j matters). The value of
+    a cross pair is the `Accumulator` that formed it, for `divide` to
+    reduce in place, and the cofactors are packed `pair_cofactors`.
     """
     if f.is_zero() or g.is_zero():
         raise UsageError("S-polynomial of the zero vector")
     f._check_compatible(g)
-    zero_vec = Vector.zero(f.ambient, order)
-    if not auto and f.lp() != g.lp():
-        return SPair(zero_vec, None, None, "zero")
+    if not auto and (f.packed[0][1] ^ g.packed[0][1]) & POSMASK:
+        return SPair(Vector.zero(f.ambient, order), None, None, "zero")
     cofactors = pair_cofactors(f, g, auto)
     if cofactors is None:
-        return SPair(zero_vec, None, None, "auto")
+        return SPair(Vector.zero(f.ambient, order), None, None, "auto")
     left, right = cofactors
     if auto:
-        return SPair(f.scale(left.coeff), left, None, "auto")
+        return SPair(f.scale(left[0]), left, None, "auto")
     acc = Accumulator(f.ambient, f.order)
-    acc.add_term_mul(left.coeff, left.mono.exps, f.terms)
-    acc.add_term_mul(f.ambient.ring.neg(right.coeff), right.mono.exps, g.terms)
-    return SPair(acc.vector(), left, right, "cross")
+    acc.add_term_mul(left[0], left[1], f.packed)
+    acc.add_term_mul(f.ambient.ring.neg(right[0]), right[1], g.packed)
+    return SPair(acc, left, right, "cross")
 
 
 def pair_cofactors(f, g, auto):
-    """The cofactor terms (b X^beta, a X^alpha) of the S-pair
+    """The cofactor terms (b, X^beta), (a, X^alpha) of the S-pair
     b X^beta f - a X^alpha g of two nonzero vectors at one leading
-    position, from their leading terms alone. The auto pair of f is b f
-    with Ann(LC(f)) = <b>, as (b, None), and None when b is zero."""
+    position, from their leading terms alone, with beta and alpha packed
+    by f's codec at position 0. The auto pair of f is b f with
+    Ann(LC(f)) = <b>, as ((b, 0), None), and None when b is zero."""
     ring = f.ambient.ring
+    fc, mu = f.packed[0]
     if auto:
-        b = ring.ann_gen(f.lc())
+        b = ring.ann_gen(fc)
         if ring.is_zero(b):
             return None
-        return Term(b, Mono(tuple([0] * f.ambient.nvars), 0)), None
-    a, b = ring.spair_cofactors(f.lc(), g.lc())
-    mu, nu = f.mdeg(), g.mdeg()
-    beta = positive_part(exps_sub(nu, mu))
-    alpha = positive_part(exps_sub(mu, nu))
-    return Term(b, Mono(beta, 0)), Term(a, Mono(alpha, 0))
+        return (b, 0), None
+    gc, nu = g.packed[0]
+    a, b = ring.spair_cofactors(fc, gc)
+    lcm = f.order.codec.lcm(mu, nu)
+    return (b, lcm - mu), (a, lcm - nu)
 
 
 def s_poly(f, g, order=None):
@@ -284,8 +301,14 @@ def s_poly(f, g, order=None):
     distinct leading positions give the zero S-polynomial; otherwise
     the cofactors come from the ring's coprime decomposition of the
     leading coefficients. `order` defaults to f's and must equal it.
+    The value is a sorted `Vector` and the cofactors are `Term`s.
     """
-    return s_pair_indexed(f, g, _order_of(f, order), auto=(f == g))
+    sp = s_pair_indexed(f, g, _order_of(f, order), auto=(f == g))
+    value = sp.value.vector() if type(sp.value) is Accumulator else sp.value
+    decode = f.order.codec.decode
+    left, right = (None if t is None else Term(t[0], decode(t[1]))
+                   for t in (sp.left_cofactor, sp.right_cofactor))
+    return SPair(value, left, right, sp.kind)
 
 
 def buchberger(gens, order, guard=10_000, trace=None):
@@ -332,7 +355,8 @@ def buchberger(gens, order, guard=10_000, trace=None):
 def s_pairs(source, order, index, trace=None):
     """(i, j, sp, res) for the S-pairs of source that carry a cofactor:
     res divides the S-polynomial by the prepared `index`, and is None
-    for a zero S-polynomial."""
+    for a zero S-polynomial. A cross pair's accumulator is consumed by
+    its division."""
     for i in range(len(source)):
         for j in range(i, len(source)):
             if source[i].lp() != source[j].lp():
@@ -386,7 +410,7 @@ def _head_exhaust(g, others):
         return None, []
     ring = g.ambient.ring
     index = Divisors(others, like=g)
-    work = Accumulator(g.ambient, g.order, g.terms)
+    work = Accumulator(g.ambient, g.order, g.packed)
     extras = []
     while (t := work.lead()) is not None:
         lc, lm = t
@@ -413,13 +437,13 @@ def _head_exhaust(g, others):
                 scaled = ((ring.mul(c0, c), m) for m, c in work.coeffs.items())
                 comb = Accumulator(g.ambient, g.order, [(p, m) for p, m in scaled if not ring.is_zero(p)])
                 for j, gamma, w in step:
-                    comb.add_term_mul(ring.neg(w), gamma, index.vectors[j].terms)
+                    comb.add_term_mul(ring.neg(w), gamma, index.packed[j])
                 comb = _unit_normalize(comb.vector())
                 extras.append(comb)
                 index.append(comb)
                 continue
         for j, gamma, w in step:
-            work.add_term_mul(ring.neg(w), gamma, index.vectors[j].terms)
+            work.add_term_mul(ring.neg(w), gamma, index.packed[j])
     return (work.vector() if work.coeffs else None), extras
 
 
@@ -515,6 +539,5 @@ def module_member(h, gb):
 
 def expand_combination(quotients, vectors):
     """sum q_i * v_i for rank-1 quotients against module vectors."""
-    terms = [Term(c, Mono(m.exps, i)) for i, q in enumerate(quotients) for c, m in q.terms]
-    acc = combination(terms, vectors)
+    acc = combination([(q, i) for i, q in enumerate(quotients)], vectors)
     return Vector.from_coeffs(vectors[0].ambient, vectors[0].order, acc)

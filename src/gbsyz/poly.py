@@ -1,27 +1,42 @@
 """Free-module polynomial vectors and monomial orders.
 
-A monomial in R[X1..Xn]^m is X^alpha * e_pos; exponents are tuples
-indexed by the ambient's variable list (index 0 = lex-greatest by
-default). A vector is a descending-sorted tuple of (coeff, monomial)
-terms under its active order; the empty tuple is 0. Ring polynomials
-(division quotients, syzygy coordinates) are rank-1 vectors.
+A monomial in R[X1..Xn]^m is X^alpha * e_pos. At the boundary it is a
+`Mono(exps, pos)`, with exponents indexed by the ambient's variable list
+(index 0 = lex-greatest by default). Inside the engine it is one int,
+packed by the order's `Codec`: each exponent has a field of EXP_BITS
+bits whose top bit is a guard, the fields sit most significant first
+along the order's priority, and the position sits in the low POS_BITS
+bits. Multiplying by X^gamma is then one int addition of the packed
+gamma (position 0), and m divides n iff (n - m) has no guard or position
+bit set, with quotient n - m (Monagan and Pearce 2007, *Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors*;
+Bachmann and Schoenemann 1998, *Monomial representations for Groebner
+bases computations*). Exponents stay below the guard bit: packing and
+products that would reach it raise `PackedOverflow`, an
+`InternalError`, and never wrap.
 
-An order is a sort key on monomials, where a smaller key is a greater
-monomial, so sorting by `order.key` gives the vector order and a
-min-heap pops the leading term.
+A vector is a descending-sorted sequence of packed `(coeff, int)` terms
+(`packed`) under its active order; the empty one is 0. Its decoded
+`Term(coeff, Mono)`s (`terms`) are made once, when first read. Ring
+polynomials (division quotients, syzygy coordinates) are
+rank-1 vectors.
+
+An order is a sort key on packed monomials, an int where a smaller key
+is a greater monomial, so sorting by `order.key` gives the vector order
+and a min-heap pops the leading term. `order.unkey` inverts it.
 
 Every sum of term products c * X^gamma * v (products, divisions,
 S-polynomials, lifted relations, parsed expressions) is formed in one
-`Accumulator`.
+`Accumulator`, on packed monomials.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
+from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import UsageError
+from .errors import PackedOverflow, UsageError
 
 
 class Mono(NamedTuple):
@@ -69,14 +84,6 @@ def positive_part(alpha):
     return tuple(a if a > 0 else 0 for a in alpha)
 
 
-def exps_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def exps_add(a, b):
-    return tuple(map(operator.add, a, b))
-
-
 def mono_divides(m, n):
     """Quotient exponent vector n/m if m divides n (same position), else None."""
     if m.pos != n.pos:
@@ -105,6 +112,90 @@ def term_divides(t, u, ring):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+# bits per exponent field, its guard bit included: exponents stay below 2^31
+EXP_BITS = 32
+# bits of the position: ranks up to 2^24
+POS_BITS = 24
+POSMASK = (1 << POS_BITS) - 1
+# a packed monomial shifted down past its position, modulo this, is its
+# total degree modulo this, as 2^EXP_BITS is 1 modulo it
+_FIELD_SUM = (1 << EXP_BITS) - 1
+
+
+class Codec:
+    """The packing of X^a * e_pos for `nvars` variables along `priority`.
+
+    `shifts[i]` is the bit offset of variable i's field; `guard` has the
+    top bit of every field set. Codecs are shared: `codec_of` builds one
+    per (nvars, priority).
+    """
+
+    __slots__ = ("shifts", "guard", "divmask", "fieldmask", "values")
+
+    def __init__(self, nvars, priority):
+        shifts = [0] * nvars
+        for k, i in enumerate(priority):
+            shifts[i] = POS_BITS + EXP_BITS * (nvars - 1 - k)
+        self.shifts = tuple(shifts)
+        top = 1 << (EXP_BITS - 1)
+        self.guard = sum(top << s for s in shifts)
+        self.divmask = self.guard | POSMASK
+        self.fieldmask = (1 << EXP_BITS) - 1
+        # the exponent bits below the guards
+        self.values = self.guard - (self.guard >> (EXP_BITS - 1))
+
+    def pack(self, exps, pos):
+        """The int of X^exps * e_pos; an exponent outside the field or a
+        position past POS_BITS raises PackedOverflow, and exponents for
+        another number of variables UsageError."""
+        if len(exps) != len(self.shifts):
+            raise UsageError(f"{len(exps)} exponents for an order on {len(self.shifts)} variables")
+        m = pos
+        for e, s in zip(exps, self.shifts):
+            if e >> (EXP_BITS - 1):
+                raise PackedOverflow(f"exponent {e} outside the packed field of {EXP_BITS - 1} bits")
+            m += e << s
+        if pos >> POS_BITS:
+            raise PackedOverflow(f"position {pos} outside the packed field of {POS_BITS} bits")
+        return m
+
+    def encode(self, mono):
+        return self.pack(mono.exps, mono.pos)
+
+    def exps(self, m):
+        """The exponent tuple of a packed monomial."""
+        f = self.fieldmask
+        return tuple([(m >> s) & f for s in self.shifts])
+
+    def decode(self, m):
+        return Mono(self.exps(m), m & POSMASK)
+
+    def lcm(self, m, n):
+        """The lcm of two packed monomials at m's position. All fields
+        compare at once: (m | guard) - n keeps a field's guard bit iff
+        m's exponent there is at least n's, and no borrow crosses a
+        field."""
+        ge = ((m | self.guard) - (n & self.values)) & self.guard
+        take = ge - (ge >> (EXP_BITS - 1))
+        return (m & (take | POSMASK)) | (n & (self.values ^ take))
+
+
+@lru_cache(maxsize=64)
+def codec_of(nvars, priority):
+    return Codec(nvars, priority)
+
+
+def check_product(m, guard):
+    """m itself, or PackedOverflow when a product carried into a guard bit."""
+    if m & guard:
+        raise PackedOverflow("monomial product past the packed exponent field")
+    return m
+
+
+# ---------------------------------------------------------------------------
 # monomial orders
 # ---------------------------------------------------------------------------
 
@@ -115,7 +206,9 @@ class TopLex:
     `priority` is the variable-index permutation, most significant
     first; the default is declaration order (vars[0] greatest). Ring
     monomials compare lexicographically along the priority; ties go to
-    the smaller position.
+    the smaller position. Packed along the priority, X^a * e_pos is
+    A + pos with A ordered as the lex order, so the key pos - A is
+    2 * pos - m, with no table.
     """
 
     def __init__(self, nvars, priority=None):
@@ -123,8 +216,7 @@ class TopLex:
         self.priority = tuple(priority) if priority is not None else tuple(range(nvars))
         if sorted(self.priority) != list(range(nvars)):
             raise UsageError(f"priority {priority!r} is not a permutation of 0..{nvars - 1}")
-        # memoised keys, one per monomial seen; they die with the order
-        self._keys = {}
+        self._codec = None
 
     def __eq__(self, other):
         return type(other) is TopLex and other.priority == self.priority
@@ -132,28 +224,40 @@ class TopLex:
     def __hash__(self):
         return hash(("toplex", self.priority))
 
+    @property
+    def codec(self):
+        if self._codec is None:
+            self._codec = codec_of(self.nvars, self.priority)
+        return self._codec
+
     def key(self, m):
-        """Sort key of a monomial: a smaller key is a greater monomial."""
-        k = self._keys.get(m)
-        if k is None:
-            exps = m.exps
-            k = self._keys[m] = tuple([-exps[i] for i in self.priority] + [m.pos])
-        return k
+        """Sort key of a packed monomial: a smaller key is a greater monomial."""
+        return 2 * (m & POSMASK) - m
+
+    def unkey(self, k):
+        """The packed monomial of a key."""
+        return 2 * (k & POSMASK) - k
 
     def compare(self, m, n):
-        return _compare_keys(self.key(m), self.key(n))
+        """1, 0 or -1 as the Mono m is greater than, equal to or less than n."""
+        return _compare_keys(self, m, n)
 
-    def frame(self, pos):
-        """(shift, chain) of position pos: the key of X^a * e_pos is
-        -(a + shift) along the priority, followed by chain."""
-        return (0,) * self.nvars, (pos,)
+    def fold(self, pos):
+        """(shift, rank) of position pos: the key of X^a * e_pos is
+        rank - (A + shift) for the packed exponents A of X^a."""
+        return 0, pos
 
 
 class Schreyer:
     """Order induced by a parent order and nonzero images g_1..g_p.
 
     X^a*eps_l > X^b*eps_k iff LM(X^a g_l) > LM(X^b g_k) under the
-    parent order, with ties broken by l < k.
+    parent order, with ties broken by l < k. Folded down to the base
+    TOP-lex order, X^a * eps_l sorts by the exponents a plus the shift
+    of l (LM(g_l) plus the parent's shift at LP(g_l)), then by the rank
+    of l's tie-break chain; so its key is offset[l] - m for the packed
+    m = A + l, with offset[l] = rank[l] + l - shift[l]. The codec is the
+    parent's.
     """
 
     def __init__(self, images, parent):
@@ -162,38 +266,50 @@ class Schreyer:
         for g in images:
             if g.is_zero():
                 raise UsageError("Schreyer order images must be nonzero")
+        if len(images) > POSMASK + 1:
+            raise PackedOverflow(f"{len(images)} positions outside the packed field of {POS_BITS} bits")
         self.images = tuple(images)
         self.parent = parent
         self.priority = parent.priority
-        # X^a * eps_l sorts as X^(a + LM(g_l).exps) * e_LP(g_l) under the
-        # parent, ties broken by l: fold that down to the base TOP-lex order
-        self._frames = []
-        for l, g in enumerate(self.images):
-            lm = g.lm()
-            shift, chain = parent.frame(lm.pos)
-            self._frames.append((exps_add(lm.exps, shift), chain + (l,)))
-        # memoised keys, one per monomial seen; they die with the order
-        self._keys = {}
+        self.codec = codec = parent.codec
+        shifts, chain = [], []
+        for g in self.images:
+            lm = packed_under(g, codec)[0][1]
+            pos = lm & POSMASK
+            shift, rank = parent.fold(pos)
+            shift += lm - pos
+            if shift & codec.guard:
+                raise PackedOverflow("Schreyer shift past the packed exponent field")
+            shifts.append(shift)
+            chain.append(rank)
+        self._shifts = shifts
+        # positions by rank: the parent's rank of LP(g_l), then l
+        self._by_rank = sorted(range(len(chain)), key=lambda l: (chain[l], l))
+        self._ranks = ranks = [0] * len(chain)
+        for r, l in enumerate(self._by_rank):
+            ranks[l] = r
+        self._offsets = [ranks[l] + l - shifts[l] for l in range(len(chain))]
 
     def key(self, m):
-        """Sort key of a monomial: a smaller key is a greater monomial."""
-        k = self._keys.get(m)
-        if k is None:
-            exps = m.exps
-            shift, chain = self._frames[m.pos]
-            k = self._keys[m] = tuple([-(exps[i] + shift[i]) for i in self.priority]) + chain
-        return k
+        """Sort key of a packed monomial: a smaller key is a greater monomial."""
+        return self._offsets[m & POSMASK] - m
+
+    def unkey(self, k):
+        """The packed monomial of a key."""
+        return self._offsets[self._by_rank[k & POSMASK]] - k
 
     def compare(self, m, n):
-        return _compare_keys(self.key(m), self.key(n))
+        """1, 0 or -1 as the Mono m is greater than, equal to or less than n."""
+        return _compare_keys(self, m, n)
 
-    def frame(self, pos):
-        """(shift, chain) of position pos, as for TopLex.frame."""
-        return self._frames[pos]
+    def fold(self, pos):
+        """(shift, rank) of position pos, as for TopLex.fold."""
+        return self._shifts[pos], self._ranks[pos]
 
 
-def _compare_keys(k, l):
-    """1, 0 or -1 as the monomial of key k is greater than, equal to or less than l's."""
+def _compare_keys(order, m, n):
+    encode = order.codec.encode
+    k, l = order.key(encode(m)), order.key(encode(n))
     return (k < l) - (k > l)
 
 
@@ -203,57 +319,77 @@ def _compare_keys(k, l):
 
 
 class Vector:
-    """An element of H_m as a descending-sorted term tuple."""
+    """An element of H_m as a descending-sorted sequence of packed
+    (coeff, int) terms under `order.codec`; the decoded `Term`s are
+    made on first read of `terms` and kept."""
 
-    __slots__ = ("ambient", "order", "terms")
+    __slots__ = ("ambient", "order", "packed", "_terms")
 
-    def __init__(self, ambient, order, terms, _normalized=False):
+    def __init__(self, ambient, order, terms):
         self.ambient = ambient
         self.order = order
-        if _normalized:
-            self.terms = tuple(terms)
-        else:
-            self.terms = _normalize(ambient, order, terms)
+        self.packed = _normalize(ambient, order, terms)
+        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ambient, order):
-        return cls(ambient, order, (), _normalized=True)
+        return cls.from_packed(ambient, order, ())
+
+    @classmethod
+    def from_packed(cls, ambient, order, pairs):
+        """The vector of descending (coeff, packed monomial) pairs under
+        order, with distinct monomials and nonzero coefficients."""
+        v = cls.__new__(cls)
+        v.ambient, v.order, v.packed, v._terms = ambient, order, pairs, None
+        return v
 
     @classmethod
     def from_coeffs(cls, ambient, order, coeffs):
-        """The vector of a dict monomial -> nonzero coefficient."""
-        terms = [Term(coeffs[m], m) for m in sorted(coeffs, key=order.key)]
-        return cls(ambient, order, terms, _normalized=True)
+        """The vector of a dict packed monomial -> nonzero coefficient."""
+        return cls.from_packed(
+            ambient, order, [(coeffs[m], m) for m in sorted(coeffs, key=order.key)]
+        )
+
+    @property
+    def terms(self):
+        """The decoded terms, (coeff, Mono) each."""
+        if self._terms is None:
+            decode = self.order.codec.decode
+            self._terms = tuple([Term(c, decode(m)) for c, m in self.packed])
+        return self._terms
 
     # -- leading data --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def lt(self):
-        return self.terms[0] if self.terms else None
+        if not self.packed:
+            return None
+        c, m = self.packed[0]
+        return Term(c, self.order.codec.decode(m))
 
     def lm(self):
-        if not self.terms:
+        if not self.packed:
             raise UsageError("leading monomial of the zero vector")
-        return self.terms[0].mono
+        return self.order.codec.decode(self.packed[0][1])
 
     def lc(self):
-        if not self.terms:
+        if not self.packed:
             return self.ambient.ring.zero()
-        return self.terms[0].coeff
+        return self.packed[0][0]
 
     def lp(self):
-        if not self.terms:
+        if not self.packed:
             raise UsageError("leading position of the zero vector")
-        return self.terms[0].mono.pos
+        return self.packed[0][1] & POSMASK
 
     def mdeg(self):
-        if not self.terms:
+        if not self.packed:
             return MDEG_NEG_INF
-        return self.terms[0].mono.exps
+        return self.order.codec.exps(self.packed[0][1])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -268,44 +404,39 @@ class Vector:
         ring = self.ambient.ring
         key = self.order.key
         out = []
-        a, b = self.terms, other.terms
+        a, b = self.packed, other.packed
         i, j = 0, 0
         if a and b:
-            ka, kb = key(a[0].mono), key(b[0].mono)
+            ka, kb = key(a[0][1]), key(b[0][1])
             while True:
                 if ka < kb:
                     out.append(a[i])
                     i += 1
                     if i == len(a):
                         break
-                    ka = key(a[i].mono)
+                    ka = key(a[i][1])
                 elif kb < ka:
                     out.append(b[j])
                     j += 1
                     if j == len(b):
                         break
-                    kb = key(b[j].mono)
+                    kb = key(b[j][1])
                 else:
-                    s = ring.add(a[i].coeff, b[j].coeff)
+                    s = ring.add(a[i][0], b[j][0])
                     if not ring.is_zero(s):
-                        out.append(Term(s, a[i].mono))
+                        out.append((s, a[i][1]))
                     i += 1
                     j += 1
                     if i == len(a) or j == len(b):
                         break
-                    ka, kb = key(a[i].mono), key(b[j].mono)
+                    ka, kb = key(a[i][1]), key(b[j][1])
         out.extend(a[i:])
         out.extend(b[j:])
-        return Vector(self.ambient, self.order, out, _normalized=True)
+        return Vector.from_packed(self.ambient, self.order, out)
 
     def neg(self):
-        ring = self.ambient.ring
-        return Vector(
-            self.ambient,
-            self.order,
-            [Term(ring.neg(c), m) for c, m in self.terms],
-            _normalized=True,
-        )
+        neg = self.ambient.ring.neg
+        return Vector.from_packed(self.ambient, self.order, [(neg(c), m) for c, m in self.packed])
 
     def sub(self, other):
         return self.add(other.neg())
@@ -314,45 +445,53 @@ class Vector:
         """Multiply by a ring element (zero terms may appear and are dropped)."""
         ring = self.ambient.ring
         out = []
-        for c, m in self.terms:
+        for c, m in self.packed:
             p = ring.mul(coeff, c)
             if not ring.is_zero(p):
-                out.append(Term(p, m))
-        return Vector(self.ambient, self.order, out, _normalized=True)
+                out.append((p, m))
+        return Vector.from_packed(self.ambient, self.order, out)
 
     def term_mul(self, coeff, exps):
         """Multiply by the ring term coeff * X^exps."""
         ring = self.ambient.ring
+        codec = self.order.codec
+        shift, guard = codec.pack(exps, 0), codec.guard
         out = []
-        for c, m in self.terms:
+        for c, m in self.packed:
             p = ring.mul(coeff, c)
             if not ring.is_zero(p):
-                out.append(Term(p, Mono(exps_add(m.exps, exps), m.pos)))
-        return Vector(self.ambient, self.order, out, _normalized=True)
+                out.append((p, check_product(m + shift, guard)))
+        return Vector.from_packed(self.ambient, self.order, out)
 
     def mul(self, other):
         """Polynomial product; only meaningful for rank-1 (ring) vectors."""
         self._check_compatible(other)
         if self.ambient.rank != 1:
             raise UsageError("product of module vectors of rank > 1")
-        return Vector.from_coeffs(self.ambient, self.order, combination(self.terms, (other,)))
+        return Vector.from_coeffs(self.ambient, self.order, combination(((self, 0),), (other,)))
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        if self.ambient != other.ambient or len(self.terms) != len(other.terms):
+        if self.ambient != other.ambient:
             return False
-        ring = self.ambient.ring
-        mine = {m: c for c, m in self.terms}
-        return all(
-            m in mine and ring.eq(mine[m], c) for c, m in other.terms
-        )
+        if self.order.codec is other.order.codec:
+            mine, theirs = self.packed, other.packed
+        else:
+            mine, theirs = self.terms, other.terms
+        if len(mine) != len(theirs):
+            return False
+        eq = self.ambient.ring.eq
+        mine = {m: c for c, m in mine}
+        return all(m in mine and eq(mine[m], c) for c, m in theirs)
 
     def __hash__(self):
-        ring = self.ambient.ring
-        return hash(
-            (self.ambient, frozenset((m, ring.sort_key(c)) for c, m in self.terms))
-        )
+        # position, total degree and coefficient of each term, with no
+        # decode and the same under every priority
+        sort_key = self.ambient.ring.sort_key
+        return hash((self.ambient, frozenset(
+            (m & POSMASK, (m >> POS_BITS) % _FIELD_SUM, sort_key(c)) for c, m in self.packed
+        )))
 
     def __repr__(self):
         from .dsl import format_vector
@@ -362,20 +501,27 @@ class Vector:
 
 
 def _normalize(ambient, order, terms):
+    """The packed, merged and sorted form of (coeff, Mono) terms."""
     ring = ambient.ring
+    encode = order.codec.encode
     merged = {}
     for c, m in terms:
         if m.pos < 0 or m.pos >= ambient.rank or len(m.exps) != ambient.nvars:
             raise UsageError(f"monomial {m} outside ambient {ambient}")
         if any(e < 0 for e in m.exps):
             raise UsageError(f"negative exponent in {m}")
-        if m in merged:
-            merged[m] = ring.add(merged[m], c)
-        else:
-            merged[m] = c
+        p = encode(m)
+        merged[p] = ring.add(merged[p], c) if p in merged else c
     monos = [m for m, c in merged.items() if not ring.is_zero(c)]
     monos.sort(key=order.key)
-    return tuple(Term(merged[m], m) for m in monos)
+    return tuple([(merged[m], m) for m in monos])
+
+
+def packed_under(v, codec):
+    """The packed terms of v under codec: v's own when it packs by it."""
+    if v.order.codec is codec:
+        return v.packed
+    return tuple([(c, codec.encode(m)) for c, m in v.terms])
 
 
 def reorder(v, order):
@@ -383,23 +529,23 @@ def reorder(v, order):
     itself when it already is under that order."""
     if order is v.order:
         return v
-    return Vector(v.ambient, order, v.terms)
+    coeffs = {m: c for c, m in packed_under(v, order.codec)}
+    return Vector.from_coeffs(v.ambient, order, coeffs)
 
 
 class Accumulator:
-    """A sparse sum of terms in `ambient` under `order`.
+    """A sparse sum of packed terms in `ambient` under `order`.
 
-    Coefficients live in a dict monomial -> nonzero coefficient, so a sum
-    that cancels leaves the dict at once. The leading term comes from a
-    min-heap of (order key, monomial), built on the first `lead()` and
-    kept up to date from then on; a monomial that has left the dict is
-    dropped when it surfaces. This is the dict-plus-heap of Monagan and
-    Pearce 2007 (*Polynomial division using dynamic arrays, heaps, and
-    packed exponent vectors*). `terms` seeds the sum with (coeff, mono)
-    pairs of distinct monomials and nonzero coefficients.
+    Coefficients live in a dict packed monomial -> nonzero coefficient,
+    so a sum that cancels leaves the dict at once. The leading term
+    comes from a min-heap of int order keys, built on the first `lead()`
+    and kept up to date from then on; a key whose monomial has left the
+    dict is dropped when it surfaces. This is the dict-plus-heap of
+    Monagan and Pearce 2007. `terms` seeds the sum with packed
+    (coeff, mono) pairs of distinct monomials and nonzero coefficients.
     """
 
-    __slots__ = ("ambient", "ring", "order", "coeffs", "heap")
+    __slots__ = ("ambient", "ring", "order", "coeffs", "heap", "guard")
 
     def __init__(self, ambient, order, terms=()):
         self.ambient = ambient
@@ -407,19 +553,23 @@ class Accumulator:
         self.order = order
         self.coeffs = {m: c for c, m in terms}
         self.heap = None
+        self.guard = order.codec.guard
+
+    def is_zero(self):
+        return not self.coeffs
 
     def lead(self):
-        """The leading term, or None for zero."""
+        """The leading (coeff, mono) pair, or None for zero."""
         heap, coeffs = self.heap, self.coeffs
         if heap is None:
-            key = self.order.key
-            heap = self.heap = [(key(m), m) for m in coeffs]
+            heap = self.heap = list(map(self.order.key, coeffs))
             heapq.heapify(heap)
+        unkey = self.order.unkey
         while heap:
-            m = heap[0][1]
+            m = unkey(heap[0])
             c = coeffs.get(m)
             if c is not None:
-                return Term(c, m)
+                return c, m
             heapq.heappop(heap)
         return None
 
@@ -429,31 +579,35 @@ class Accumulator:
         if old is None:
             self.coeffs[m] = c
             if self.heap is not None:
-                heapq.heappush(self.heap, (self.order.key(m), m))
+                heapq.heappush(self.heap, self.order.key(m))
         elif self.ring.is_zero(s := self.ring.add(old, c)):
             del self.coeffs[m]
         else:
             self.coeffs[m] = s
 
-    def add_term_mul(self, c, exps, terms):
-        """Add c * X^exps * v for the (coeff, mono) terms of a v, term by term."""
+    def add_term_mul(self, c, shift, terms):
+        """Add c * X^shift * v for the packed terms of a v, term by term;
+        shift is a packed monomial at position 0."""
         ring = self.ring
         mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-        coeffs, heap, key = self.coeffs, self.heap, self.order.key
+        coeffs, heap, guard = self.coeffs, self.heap, self.guard
+        key = self.order.key
         for d, n in terms:
             p = mul(c, d)
             if is_zero(p):
                 continue
-            mono = Mono(exps_add(n.exps, exps), n.pos)
-            old = coeffs.get(mono)
+            m = n + shift
+            if m & guard:
+                check_product(m, guard)
+            old = coeffs.get(m)
             if old is None:
-                coeffs[mono] = p
+                coeffs[m] = p
                 if heap is not None:
-                    heapq.heappush(heap, (key(mono), mono))
+                    heapq.heappush(heap, key(m))
             elif is_zero(s := add(old, p)):
-                del coeffs[mono]
+                del coeffs[m]
             else:
-                coeffs[mono] = s
+                coeffs[m] = s
 
     def scale(self, u):
         """Multiply by the unit u in place (no coefficient vanishes)."""
@@ -466,21 +620,23 @@ class Accumulator:
         return Vector.from_coeffs(self.ambient, self.order, self.coeffs)
 
 
-def combination(terms, source):
-    """sum c * X^m * source[m.pos] over the terms (c, m), by plain term
-    products, as a dict monomial -> coefficient without zeros."""
+def combination(rows, source):
+    """sum c * X^a * source[pos + offset] over the terms c * X^a * e_pos
+    of each (vector, offset) in rows, by plain term products, as a dict
+    packed monomial -> coefficient without zeros."""
     if not source:
         raise UsageError("empty source")
     first = source[0]
     for v in source[1:]:
         first._check_compatible(v)
+    codec = first.order.codec
     acc = Accumulator(first.ambient, first.order)
-    for c, m in terms:
-        try:
-            v = source[m.pos]
-        except IndexError:
-            raise UsageError(f"position {m.pos + 1} past a source of {len(source)}") from None
-        acc.add_term_mul(c, m.exps, v.terms)
+    for row, offset in rows:
+        for c, m in packed_under(row, codec):
+            pos = m & POSMASK
+            if pos + offset >= len(source):
+                raise UsageError(f"position {pos + offset + 1} past a source of {len(source)}")
+            acc.add_term_mul(c, m - pos, source[pos + offset].packed)
     return acc.coeffs
 
 
@@ -489,8 +645,8 @@ def vector_key(order, v):
     key is a greater monomial, then a smaller coefficient sort key. The
     closing (1,) sorts after every (0, ...) term key, so a vector that is
     a prefix of another sorts after it."""
-    ring = v.ambient.ring
-    return tuple([(0, order.key(m), ring.sort_key(c)) for c, m in v.terms] + [(1,)])
+    sort_key, key = v.ambient.ring.sort_key, order.key
+    return tuple([(0, key(m), sort_key(c)) for c, m in packed_under(v, order.codec)] + [(1,)])
 
 
 def sort_basis(vectors, order):

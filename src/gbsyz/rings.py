@@ -124,7 +124,11 @@ class Ring:
         raise NotImplementedError
 
     def strict_pair(self, b1, b2):
-        """Return (d, b1p, b2p, c1, c2) with b1 = d*b1p, b2 = d*b2p, c1*b1p + c2*b2p = 1."""
+        """Return (d, b1p, b2p, c1, c2) with b1 = d*b1p, b2 = d*b2p, c1*b1p + c2*b2p = 1.
+
+        Only `spair_cofactors` calls it; the valuation rings override
+        that and have none.
+        """
         raise NotImplementedError
 
     def spair_cofactors(self, lc_f, lc_g):
@@ -410,16 +414,6 @@ class _ValuationRing(Ring):
         d = self._power(v)
         coeffs[i0] = self.divides(items[i0], d)
         return d, coeffs
-
-    def strict_pair(self, b1, b2):
-        if self.is_zero(b1) and self.is_zero(b2):
-            raise UsageError("strict_pair(0, 0)")
-        d, _ = self.gcd_bezout([b1, b2])
-        b1p, b2p = self.divides(d, b1), self.divides(d, b2)
-        c1 = self.divides(b1p, self.one())
-        if c1 is not None:
-            return d, b1p, b2p, c1, self.zero()
-        return d, b1p, b2p, self.zero(), self.unit_inverse(b2p)
 
     def euclid_step(self, a, d):
         q = self.divides(d, a)

@@ -27,6 +27,7 @@ from .groebner import (
     s_pairs,
 )
 from .poly import (
+    POSMASK,
     Accumulator,
     Ambient,
     Mono,
@@ -35,7 +36,7 @@ from .poly import (
     TopLex,
     Vector,
     combination,
-    exps_add,
+    packed_under,
     reorder,
     sort_basis,
 )
@@ -64,9 +65,8 @@ def _inner_label(label, index):
     return m.group(1) if m else str(index + 1)
 
 
-def _pair_label(source_labels, i, j):
-    a = _inner_label(source_labels[i], i)
-    b = _inner_label(source_labels[j], j)
+def _pair_label(a, b):
+    """The label of a relation of the sources with inner labels a and b."""
     sep = "," if ("," not in a + b and ";" not in a + b) else ";"
     return f"u[{a}{sep}{b}]"
 
@@ -118,11 +118,12 @@ def _syzygies_of(source, order, labels, trace=None):
     sch = Schreyer(source, order)
     cert = _certify(source, sch, trace, strict=True)
     names = labels or [None] * len(source)
+    inner = [_inner_label(name, k) for k, name in enumerate(names)]
     relations, out_labels = [], []
     for (i, j), lift in cert.pairs.items():
         if not lift.is_zero():
             relations.append(lift)
-            out_labels.append(_pair_label(names, i, j))
+            out_labels.append(_pair_label(inner[i], inner[j]))
     return SyzygyBasis(tuple(relations), sch, source, tuple(out_labels), cert)
 
 
@@ -139,26 +140,26 @@ def _certify(source, sch, trace=None, strict=False):
     neg = amb.ring.neg
     pairs, unreduced = {}, set()
     for i, j, sp, res in s_pairs(source, sch.parent, Divisors(source), trace):
-        b, bmono = sp.left_cofactor
-        lift = Accumulator(amb, sch, [(b, Mono(bmono.exps, i))])
+        b, beta = sp.left_cofactor
+        lift = Accumulator(amb, sch, [(b, beta + i)])
         if sp.right_cofactor is not None:
-            a, amono = sp.right_cofactor
-            lift.add(neg(a), Mono(amono.exps, j))
+            a, alpha = sp.right_cofactor
+            lift.add(neg(a), alpha + j)
         if res is not None:
-            if res.remainder.terms:
+            if not res.remainder.is_zero():
                 if strict:
                     raise UsageError(_NOT_GROEBNER)
                 unreduced.add((i, j))
             for ell, q in enumerate(res.quotients):
-                for c, m in q.terms:
-                    lift.add(neg(c), Mono(m.exps, ell))
+                for c, m in q.packed:
+                    lift.add(neg(c), m + ell)
         pairs[i, j] = lift.vector()
     return Certificate(source, pairs, frozenset(unreduced))
 
 
 def apply_relation(rel, source):
     """Evaluate a relation vector against its source: sum rel_l * source_l."""
-    acc = combination(rel.terms, source)
+    acc = combination(((rel, 0),), source)
     return Vector.from_coeffs(source[0].ambient, source[0].order, acc)
 
 
@@ -209,7 +210,7 @@ def _stabilized(basis):
     there; they are not stabilized yet (the next syzygy level merges
     them). Exhausted levels always separate positions.
     """
-    if not all(all(e == 0 for e in v.mdeg()) for v in basis):
+    if not all(v.packed[0][1] <= POSMASK for v in basis):
         return False
     positions = [v.lp() for v in basis]
     return len(set(positions)) == len(positions)
@@ -230,25 +231,33 @@ def _pseudo_reduce_labeled(relations, order, labels, guard):
     counter, and one that matches no input is `v{counter}`.
     """
     reduced = pseudo_reduce(list(relations), order, guard=guard)
+    codec = order.codec
+
+    def value(v):
+        # the vector's value with no decode: all share one ambient
+        sort_key = v.ambient.ring.sort_key
+        return frozenset([(m, sort_key(c)) for c, m in packed_under(v, codec)])
+
     by_value, by_normalized, by_lm = {}, {}, {}
     for r, lab in zip(relations, labels):
-        by_value.setdefault(r, lab)
+        by_value.setdefault(value(r), lab)
         if r.is_zero():
             continue
         ring = r.ambient.ring
         u, _ = ring.normalize_unit(r.lc())
         if not ring.eq(u, ring.one()):
-            by_normalized.setdefault(r.scale(ring.unit_inverse(u)), lab + "'")
-        by_lm.setdefault(r.lm(), lab + "'")
+            by_normalized.setdefault(value(r.scale(ring.unit_inverse(u))), lab + "'")
+        by_lm.setdefault(r.packed[0][1], lab + "'")
     out_labels = []
     counter = 0
     for v in reduced.elements:
-        label = by_value.get(v)
+        key = value(v)
+        label = by_value.get(key)
         if label is None:
-            label = by_normalized.get(v)
+            label = by_normalized.get(key)
         if label is None:
             counter += 1
-            label = by_lm.get(v.lm(), f"v{counter}")
+            label = by_lm.get(v.packed[0][1], f"v{counter}")
         out_labels.append(label)
     return reduced, tuple(out_labels)
 
@@ -366,7 +375,7 @@ def _check_periodic_level(level, ann_b, ring):
     }
     got = set()
     for v in level.basis:
-        if any(e != 0 for e in v.mdeg()):
+        if v.packed[0][1] > POSMASK:
             raise InternalError("periodic verification level is not constant")
         got.add((v.lp(), ring.sort_key(ring.canonical(v.lc()))))
     if expected != got:
@@ -439,7 +448,8 @@ def verify_resolution(res):
     for k in range(1, len(res.levels)):
         prev, level = list(res.levels[k - 1].basis), res.levels[k]
         bad = [lab for rel, lab in zip(level.basis, level.labels)
-               if rel.ambient.rank != len(prev) or combination(rel.terms, prev)]
+               if rel.ambient.rank != len(prev)
+               or combination(((rel, 0),), prev)]
         record("composite_zero", k, not bad, bad[0] if bad else None)
 
     certs = [_certificate_of(level) for level in res.levels]
@@ -492,13 +502,14 @@ def _check_level(level, cert, ring):
     level; None if none. The quotient terms are the verifier's own
     cofactor terms b X^beta eps_i - a X^alpha eps_j minus the lift. S
     and then the lift applied to the level form in one accumulator."""
-    basis, key = level.basis, level.order.key
-    lms = [g.lm() for g in basis]
+    basis, key, codec = level.basis, level.order.key, level.order.codec
+    packed = [packed_under(g, codec) for g in basis]
+    lms = [terms[0][1] for terms in packed]
     add, neg, is_zero = ring.add, ring.neg, ring.is_zero
     standard = identity = None
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            if lms[i].pos != lms[j].pos:
+            if (lms[i] ^ lms[j]) & POSMASK:
                 continue
             cofactors = pair_cofactors(basis[i], basis[j], auto=(i == j))
             if cofactors is None:
@@ -508,27 +519,28 @@ def _check_level(level, cert, ring):
             if lift is None or lift.ambient.rank != len(basis):
                 standard = standard or f"{pair} has no certificate for its cofactors"
                 continue
-            left, right = cofactors
-            own = {Mono(left.mono.exps, i): left.coeff}
+            (b, beta), right = cofactors
+            own = {beta + i: b}
             if right is not None:
-                own[Mono(right.mono.exps, j)] = neg(right.coeff)
+                own[right[1] + j] = neg(right[0])
             work = Accumulator(basis[i].ambient, level.order)
             for m, c in own.items():
-                work.add_term_mul(c, m.exps, basis[m.pos].terms)
+                pos = m & POSMASK
+                work.add_term_mul(c, m - pos, packed[pos])
             # LM(S) from the sum, before the quotients go in; when S is
             # zero, every quotient term breaks the bound
             bound = min(map(key, work.coeffs), default=None)
             # the lift minus the own terms: -q X^m eps_l per quotient term
             rest = [(c if (o := own.pop(m, None)) is None else add(c, neg(o)), m)
-                    for c, m in lift.terms]
+                    for c, m in packed_under(lift, codec)]
             over = []
             for c, m in rest + [(neg(o), m) for m, o in own.items()]:
                 if is_zero(c):
                     continue
-                lm = lms[m.pos]
-                if bound is None or key(Mono(exps_add(m.exps, lm.exps), lm.pos)) < bound:
-                    over.append(m.pos + 1)
-                work.add_term_mul(c, m.exps, basis[m.pos].terms)
+                pos = m & POSMASK
+                if bound is None or key(m - pos + lms[pos]) < bound:
+                    over.append(pos + 1)
+                work.add_term_mul(c, m - pos, packed[pos])
             if standard is None and (i, j) in cert.unreduced:
                 standard = f"{pair} leaves a nonzero remainder"
             elif standard is None and over:

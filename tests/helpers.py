@@ -29,7 +29,6 @@ from gbsyz import (
     sort_basis,
 )
 from gbsyz.dsl import _TOKEN_RE, ProblemFile, Token, _Parser, parse_vector_literal
-from gbsyz.poly import exps_add, exps_sub
 
 GOLDEN = {
     "f2y_spair": """ring F2[y]/y^2; vars X2 X1; rank 1;
@@ -62,6 +61,14 @@ GOLDEN = {
         g4 = 9;
     """,
 }
+
+
+def exps_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def exps_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def problem(key):
@@ -98,7 +105,7 @@ def rings_under_test():
 class ReferenceTruncatedF2y(TruncatedF2y):
     """TruncatedF2y with its own gcd_bezout, strict_pair, euclid_step and
     normalize_unit as they were before the shared `_ValuationRing` ones:
-    the reference for those."""
+    the reference for those, and the only strict_pair of the ring."""
 
     def gcd_bezout(self, items):
         if not items:
@@ -144,7 +151,8 @@ class ReferenceTruncatedF2y(TruncatedF2y):
 class ReferenceIntegersLocalizedAt(IntegersLocalizedAt):
     """IntegersLocalizedAt with its own gcd_bezout, strict_pair,
     euclid_step and normalize_unit as they were before the shared
-    `_ValuationRing` ones: the reference for those."""
+    `_ValuationRing` ones: the reference for those, and the only
+    strict_pair of the ring."""
 
     def gcd_bezout(self, items):
         if not items:

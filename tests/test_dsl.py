@@ -86,6 +86,22 @@ def test_parse_errors_report_positions():
         parse_problem("ring F2[y]/y^2; vars y X;")  # y reserved
 
 
+def test_exponents_past_the_packed_field_are_parse_errors():
+    # an exponent of 2^31 or more, by a literal, a product or a power,
+    # is the input's fault: a ParseError at the operator or exponent
+    top = (1 << (poly.EXP_BITS - 1)) - 1
+    p = parse_problem(f"ring Z; vars X Y; g = X^{top} * Y^{top} - 1;")
+    assert p.generators[0][1].lm().exps == (top, top)
+    assert parse_problem(f"ring Z; vars X; g = (X - X)^{top + 1} + 1^{top + 1};").generators[0][1] == (
+        parse_problem("ring Z; vars X; g = 1;").generators[0][1])
+    for text, column in ((f"X^{top + 1}", 7), (f"X^{top} * X", 18), (f"(X + 1) * X^{top}", 13),
+                         (f"(Y + X^{top // 2 + 1})^2", 24)):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(f"ring Z; vars Y X;\ng = {text};")
+        assert (exc.value.line, exc.value.column) == (2, column), text
+        assert "exponent above" in exc.value.message
+
+
 def test_vector_literals_and_rank():
     p = problem("z2_rank2")
     v = parse_vector_literal("[Y + X, X^2]", p)
@@ -165,7 +181,7 @@ def test_power_makes_no_wasted_products(monkeypatch):
     product = dsl._product
 
     def size(value):
-        return 1 if isinstance(value, Term) else len(value.coeffs)
+        return 1 if type(value) is tuple else len(value.coeffs)
 
     def counting_product(problem, a, b):
         pairs.append(size(a) * size(b))
@@ -303,8 +319,9 @@ def test_tokenizer_positions_match_reference():
 
 
 def test_parsing_builds_one_vector_per_generator(monkeypatch):
-    # expressions evaluate in accumulators: no Vector arithmetic, and one
-    # normalisation (validate and sort) per generator
+    # expressions evaluate in accumulators of packed monomials: no Vector
+    # arithmetic, no normalisation of decoded terms, and one sort of the
+    # packed terms per generator
     calls = []
     for name in ("add", "sub", "neg", "mul", "term_mul", "scale"):
         method = getattr(Vector, name)
@@ -321,13 +338,20 @@ def test_parsing_builds_one_vector_per_generator(monkeypatch):
         return normalize(*args)
 
     monkeypatch.setattr(poly, "_normalize", counted_normalize)
+    from_coeffs = Vector.from_coeffs.__func__
+
+    def counted_from_coeffs(cls, *args):
+        calls.append("from_coeffs")
+        return from_coeffs(cls, *args)
+
+    monkeypatch.setattr(Vector, "from_coeffs", classmethod(counted_from_coeffs))
     for text in GOLDEN.values():
         calls.clear()
         prob = parse_problem(text)
-        assert calls == ["_normalize"] * len(prob.generators)
+        assert calls == ["from_coeffs"] * len(prob.generators)
     calls.clear()
     parse_in(prob, 3, "[3, -X - 2*(Y + 1)^2, -Y^2 + X - 3]")
-    assert calls == ["_normalize"]
+    assert calls == ["from_coeffs"]
 
 
 def test_comments_and_whitespace():

@@ -224,6 +224,17 @@ def test_apply_relation_rejects_a_position_past_the_source():
             apply_relation(rel, short)
 
 
+def test_an_empty_source_is_a_usage_error():
+    labels, gens = gens_of(problem("zint_ideal"))
+    res = free_resolution(gens, labels=labels)
+    with pytest.raises(UsageError, match="empty source"):
+        apply_relation(res.levels[1].basis[0], [])
+    with pytest.raises(UsageError, match="empty source"):
+        groebner.expand_combination([], [])
+    with pytest.raises(UsageError, match="empty source"):
+        groebner.expand_combination([gens[0]], [])
+
+
 def _labeled_inputs():
     """(relations, order, labels) for label matching: the Buchberger basis
     and every syzygy basis of the golden and seeded resolutions, and the
@@ -420,7 +431,8 @@ def tampered_certificates():
 
     def cofactor_monos(i, j):
         left, right = groebner.pair_cofactors(basis[i], basis[j], auto=(i == j))
-        return [Mono(left.mono.exps, i)] + ([Mono(right.mono.exps, j)] if right else [])
+        exps = level.order.codec.exps
+        return [Mono(exps(left[1]), i)] + ([Mono(exps(right[1]), j)] if right else [])
 
     (i, j), lift = next((ij, lift) for ij, lift in cert.pairs.items()
                         if len(lift.terms) > len(cofactor_monos(*ij)))

@@ -1,6 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import gbsyz
@@ -54,18 +55,30 @@ def _functions(tree, prefix=""):
             yield from _functions(node, prefix + node.name + ".")
 
 
+def _tests_divisibility(node):
+    """A call of mono_divides, or the packed test (n - m) & mask, the
+    difference possibly named by `:=`."""
+    if isinstance(node, ast.Name):
+        return node.id == "mono_divides"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+        sides = [side.value if isinstance(side, ast.NamedExpr) else side
+                 for side in (node.left, node.right)]
+        return any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Sub) for side in sides)
+    return False
+
+
 def test_one_leading_term_step_in_groebner():
     # every division and pseudo-reduction finds the divisors of a leading
-    # term through one step; term_module_member stays an independent check
+    # term through one step, on packed monomials; term_module_member
+    # stays an independent check on decoded ones
     tree = ast.parse((PACKAGE / "groebner.py").read_text())
     callers = {
         name
         for name, fn in _functions(tree)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Name) and node.id == "mono_divides"
+        if _tests_divisibility(node)
     }
-    callers.discard("term_module_member")
-    assert len(callers) == 1, callers
+    assert callers == {"_lead_step", "term_module_member"}, callers
 
 
 def test_one_sparse_accumulator():
@@ -122,3 +135,35 @@ def test_no_module_imports_random():
             if any(name == "random" or name.startswith("random.") for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _literal(tree, name):
+    """The value of the module-level literal assignment `name = ...`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no literal {name}")
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # bench/tracing.py wraps these names from outside; one that is gone
+    # breaks only the traced benchmark run, so check them here, reading
+    # the tables without importing the harness
+    tracing = PACKAGE.parent.parent / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), str(tracing))
+    missing = []
+    for table in ("TIMED", "COUNTED"):
+        for module, qualname, _span in _literal(tree, table):
+            obj = importlib.import_module(f"gbsyz.{module}")
+            for part in qualname.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module}.{qualname}")
+    rings = importlib.import_module("gbsyz.rings")
+    for cls in _literal(tree, "RING_CLASSES"):
+        for meth in _literal(tree, "TIMED_RING_METHODS") + _literal(tree, "COUNTED_RING_METHODS"):
+            if not callable(getattr(getattr(rings, cls, None), meth, None)):
+                missing.append(f"rings.{cls}.{meth}")
+    assert not missing, missing
