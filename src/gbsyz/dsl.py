@@ -440,9 +440,8 @@ def format_term(ring, coeff, exps, names):
 def format_poly(ring, terms, names):
     """terms: iterable of (coeff, exps), already in display order."""
     pieces = []
-    signed = isinstance(ring, (Integers, IntegersLocalizedAt))
     for coeff, exps in terms:
-        if signed and coeff < 0:
+        if ring.is_negative(coeff):
             text = format_term(ring, ring.neg(coeff), exps, names)
             pieces.append(("-", text))
         else:

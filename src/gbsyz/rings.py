@@ -1,9 +1,10 @@
 """Coefficient rings: Z, Z/N, F2[y]/(y^r), and Z localized at a prime p.
 
 All four are coherent strict Bezout rings with a divisibility test.
-Elements are plain Python values (int for Z and Z/N, an r-bit mask for
-F2[y]/(y^r), Fraction for Z_(p)); every operation goes through the ring
-object, so values from different rings never mix silently.
+Elements are plain Python values: an int for Z and Z/N, an r-bit mask
+for F2[y]/(y^r), and a canonical pair (num, den) of ints for Z_(p).
+Every operation goes through the ring object, so values from different
+rings never mix silently.
 
 Conventions fixed here, because the algorithms compare results "up to a
 unit" and we need equality of normal forms:
@@ -18,7 +19,6 @@ unit" and we need equality of normal forms:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import InternalError, UsageError
@@ -96,6 +96,10 @@ class Ring:
 
     def eq(self, a, b):
         return self.is_zero(self.sub(a, b))
+
+    def is_negative(self, a):
+        """Whether a prints with a leading minus sign; only the ordered rings say yes."""
+        return False
 
     def from_int(self, n):
         raise NotImplementedError
@@ -203,6 +207,9 @@ class Integers(Ring):
 
     def is_zero(self, a):
         return a == 0
+
+    def is_negative(self, a):
+        return a < 0
 
     def from_int(self, n):
         return n
@@ -549,7 +556,12 @@ class TruncatedF2y(_ValuationRing):
 
 
 class IntegersLocalizedAt(_ValuationRing):
-    """Z localized at the prime p: reduced fractions a/s with p not dividing s."""
+    """Z localized at the prime p: the quotients a/s with p not dividing s.
+
+    An element is a canonical pair (num, den) of ints: den > 0,
+    gcd(num, den) == 1 and p does not divide den; zero is (0, 1). Equal
+    elements are equal tuples, so == and hash need no normalisation.
+    """
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
@@ -562,69 +574,91 @@ class IntegersLocalizedAt(_ValuationRing):
     def __hash__(self):
         return hash(("Z_(p)", self.p))
 
-    def _check(self, a):
-        if a.denominator % self.p == 0:
-            raise UsageError(f"{a} does not lie in Z localized at {self.p}")
-        return a
-
     def zero(self):
-        return Fraction(0)
+        return 0, 1
 
     def one(self):
-        return Fraction(1)
+        return 1, 1
 
     def add(self, a, b):
-        return a + b
+        an, ad = a
+        bn, bd = b
+        n, d = an * bd + bn * ad, ad * bd
+        g = gcd(n, d)
+        return n // g, d // g
 
     def mul(self, a, b):
-        return a * b
+        an, ad = a
+        bn, bd = b
+        # cross cancellation keeps the product reduced; a zero factor
+        # cancels the other denominator and gives (0, 1)
+        g, h = gcd(an, bd), gcd(bn, ad)
+        return (an // g) * (bn // h), (ad // h) * (bd // g)
 
     def neg(self, a):
-        return -a
+        return -a[0], a[1]
 
     def is_zero(self, a):
-        return a == 0
+        return a[0] == 0
+
+    def is_negative(self, a):
+        return a[0] < 0
+
+    def eq(self, a, b):
+        return a == b
 
     def from_int(self, v):
-        return Fraction(v)
+        return v, 1
 
     def from_fraction(self, num, den):
         if den == 0:
             raise UsageError("zero denominator")
-        return self._check(Fraction(num, den))
+        g = gcd(num, den)
+        a = (num // g, den // g) if den > 0 else (-num // g, -den // g)
+        if a[1] % self.p == 0:
+            raise UsageError(f"{self.format(a)} does not lie in Z localized at {self.p}")
+        return a
 
     def valuation(self, a):
-        if a == 0:
+        num = a[0]
+        if num == 0:
             raise InternalError(f"valuation of 0 in {self}")
-        v, num = 0, abs(a.numerator)
+        v = 0
         while num % self.p == 0:
             num //= self.p
             v += 1
         return v
 
     def _power(self, k):
-        return Fraction(self.p) ** k
+        return self.p**k, 1
 
     def _unit_part(self, a, k):
-        return a / self.p**k
+        return a[0] // self.p**k, a[1]
 
     def divides(self, a, b):
-        if a == 0:
-            return Fraction(0) if b == 0 else None
-        if b == 0:
-            return Fraction(0)
-        if self.valuation(a) <= self.valuation(b):
-            return self._check(b / a)
-        return None
+        an, ad = a
+        bn, bd = b
+        if an == 0:
+            return (0, 1) if bn == 0 else None
+        if bn == 0:
+            return 0, 1
+        if self.valuation(a) > self.valuation(b):
+            return None
+        # b/a = (bn * ad) / (bd * an), reduced; v(a) <= v(b) keeps p out
+        # of the denominator
+        g, h = gcd(bn, an), gcd(ad, bd)
+        n, d = (bn // g) * (ad // h), (bd // h) * (an // g)
+        return (n, d) if d > 0 else (-n, -d)
 
     def ann_gen(self, a):
-        return Fraction(1) if a == 0 else Fraction(0)
+        return (1, 1) if a[0] == 0 else (0, 1)
 
     def format(self, a):
-        return str(a)
+        num, den = a
+        return str(num) if den == 1 else f"{num}/{den}"
 
     def sort_key(self, a):
-        return (a.numerator, a.denominator)
+        return a
 
     def descriptor(self):
         return f"Z_({self.p})"

@@ -13,6 +13,7 @@ from gbsyz import (
     GroebnerBasis,
     GuardExceeded,
     Integers,
+    InternalError,
     IntegersLocalizedAt,
     IntegersMod,
     Mono,
@@ -148,49 +149,97 @@ class ReferenceTruncatedF2y(TruncatedF2y):
         return a >> k, 1 << k
 
 
-class ReferenceIntegersLocalizedAt(IntegersLocalizedAt):
-    """IntegersLocalizedAt with its own gcd_bezout, strict_pair,
-    euclid_step and normalize_unit as they were before the shared
-    `_ValuationRing` ones: the reference for those, and the only
-    strict_pair of the ring."""
+class ReferenceIntegersLocalizedAt:
+    """Z localized at p on `fractions.Fraction`, written from the
+    definitions and sharing no code with `IntegersLocalizedAt`: the
+    oracle for its pair arithmetic. Elements are Fractions, the ring's
+    (num, den) being (a.numerator, a.denominator)."""
 
-    def gcd_bezout(self, items):
-        if not items:
-            raise UsageError("gcd_bezout of an empty list")
-        vals = [(self.valuation(a), i) for i, a in enumerate(items) if a != 0]
-        if not vals:
-            return Fraction(0), [Fraction(0)] * len(items)
-        v, i0 = min(vals)
-        d = Fraction(self.p) ** v
-        coeffs = [Fraction(0)] * len(items)
-        coeffs[i0] = d / items[i0]
-        return d, coeffs
+    def __init__(self, p):
+        self.p = p
 
-    def strict_pair(self, b1, b2):
-        if b1 == 0 and b2 == 0:
-            raise UsageError("strict_pair(0, 0)")
-        v1 = self.valuation(b1) if b1 else None
-        v2 = self.valuation(b2) if b2 else None
-        vmin = min(v for v in (v1, v2) if v is not None)
-        d = Fraction(self.p) ** vmin
-        b1p, b2p = b1 / d, b2 / d
-        if v1 is not None and v1 == vmin:
-            c1, c2 = 1 / b1p, Fraction(0)
-        else:
-            c1, c2 = Fraction(0), 1 / b2p
-        return d, b1p, b2p, c1, c2
+    def __repr__(self):
+        return f"Z_({self.p})"
 
-    def euclid_step(self, a, d):
-        q = self.divides(d, a)
-        if q is not None:
-            return q, Fraction(0)
-        return Fraction(0), a
+    def lies_in(self, a):
+        return a.denominator % self.p != 0
+
+    def from_fraction(self, num, den):
+        if den == 0:
+            raise UsageError("zero denominator")
+        a = Fraction(num, den)
+        if not self.lies_in(a):
+            raise UsageError(f"{a} does not lie in Z localized at {self.p}")
+        return a
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def eq(self, a, b):
+        return a == b
+
+    def valuation(self, a):
+        if a == 0:
+            raise InternalError(f"valuation of 0 in {self}")
+        v = 0
+        while a.numerator % self.p ** (v + 1) == 0:
+            v += 1
+        return v
+
+    def divides(self, a, b):
+        if a == 0:
+            return Fraction(0) if b == 0 else None
+        q = b / a
+        return q if self.lies_in(q) else None
 
     def normalize_unit(self, a):
         if a == 0:
             return Fraction(1), Fraction(0)
         canon = Fraction(self.p) ** self.valuation(a)
         return a / canon, canon
+
+    def unit_inverse(self, u):
+        if u == 0 or not self.lies_in(1 / u):
+            raise InternalError(f"{u} is not a unit in {self}")
+        return 1 / u
+
+    def gcd_bezout(self, items):
+        """The first item of least valuation generates the ideal."""
+        if not items:
+            raise UsageError("gcd_bezout of an empty list")
+        coeffs = [Fraction(0)] * len(items)
+        nonzero = [i for i, a in enumerate(items) if a != 0]
+        if not nonzero:
+            return Fraction(0), coeffs
+        i0 = min(nonzero, key=lambda i: self.valuation(items[i]))
+        d = Fraction(self.p) ** self.valuation(items[i0])
+        coeffs[i0] = d / items[i0]
+        return d, coeffs
+
+    def euclid_step(self, a, d):
+        q = self.divides(d, a)
+        return (Fraction(0), a) if q is None else (q, Fraction(0))
+
+    def spair_cofactors(self, lc_f, lc_g):
+        """(a, b) with b*lc_f = a*lc_g; b = 1 when lc_g divides lc_f."""
+        if self.valuation(lc_g) <= self.valuation(lc_f):
+            return lc_f / lc_g, Fraction(1)
+        return Fraction(1), lc_g / lc_f
+
+    def ann_gen(self, a):
+        return Fraction(1) if a == 0 else Fraction(0)
+
+    def format(self, a):
+        return str(a)
+
+    def sort_key(self, a):
+        return a.numerator, a.denominator
 
 
 def random_element(rng, ring):
@@ -204,7 +253,7 @@ def random_element(rng, ring):
         den = rng.choice([1, 3, 5, 7])
         while den % ring.p == 0:
             den += 2
-        return Fraction(rng.randint(-8, 8), den)
+        return ring.from_fraction(rng.randint(-8, 8), den)
     raise AssertionError(ring)
 
 
@@ -225,7 +274,7 @@ def element_candidates(ring, bound=10):
         return list(range(-bound, bound + 1))
     if isinstance(ring, IntegersLocalizedAt):
         dens = [d for d in (1, 3, 5) if d % ring.p]
-        return [Fraction(n, d) for d in dens for n in range(-bound, bound + 1)]
+        return [ring.from_fraction(n, d) for d in dens for n in range(-bound, bound + 1)]
     raise AssertionError(ring)
 
 

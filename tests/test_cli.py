@@ -154,6 +154,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "vars" in err
 
 
+def test_zloc_literal_errors_exit_2_with_their_text(tmp_path, capsys):
+    for body, message in [
+        ("g = X + 1/0;", "2:9: zero denominator"),
+        ("g = X +\n 2/4;", "3:2: 1/2 does not lie in Z localized at 2"),
+    ]:
+        bad = tmp_path / "bad.gb"
+        bad.write_text(f"ring Z_(2); vars X;\n{body}\n", encoding="utf-8")
+        code, out, err = run(capsys, "gb", str(bad))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "gb", "/nonexistent/problem.gb")
     assert code == 2

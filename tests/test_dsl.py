@@ -60,9 +60,7 @@ def test_parse_coefficients_per_ring():
     p = parse_problem("ring Z/4; vars Y X; g2 = 2*Y;")
     assert p.generators[0][1].lc() == 2
     p = parse_problem("ring Z_(2); vars X; g = 3/5*X + 1/5;")
-    from fractions import Fraction
-
-    assert p.generators[0][1].lc() == Fraction(3, 5)
+    assert p.generators[0][1].lc() == p.ring.from_fraction(3, 5)
     p = parse_problem("ring F2[y]/y^2; vars X1; g = (1 + y)*X1 + y;")
     assert p.generators[0][1].lc() == 3
 
@@ -140,6 +138,40 @@ def test_format_negative_and_unit_coefficients():
     f2 = problem("f2y_spair")
     g = vec(f2, "(1 + y)*X1 + y")
     assert format_vector(g, f2.var_names) == "(y + 1)*X1 + y"
+
+
+def test_negative_coefficients_print_and_reparse_from_the_ring_sign():
+    # the printer asks the ring for the sign: Z and Z_(p) write a leading
+    # minus, and the text parses back to the same vector
+    cases = [
+        ("Z", "-3*X*Y - Y + 2"),
+        ("Z_(5)", "-3/7*X*Y - 1/3*Y"),
+        ("Z_(5)", "-X + 4/3*Y - 25/2"),
+    ]
+    for ring, text in cases:
+        prob = parse_problem(f"ring {ring}; vars X Y; g = X;")
+        v = parse_vector_literal(text, prob)
+        printed = format_vector(v, prob.var_names)
+        assert printed == text
+        again = parse_vector_literal(printed, prob)
+        assert again == v
+        assert format_vector(again, prob.var_names) == printed
+    z5 = IntegersLocalizedAt(5)
+    assert z5.is_negative(z5.from_fraction(-3, 7)) and not z5.is_negative(z5.zero())
+    assert Integers().is_negative(-1) and not IntegersMod(4).is_negative(3)
+
+
+def test_zloc_literal_errors_keep_their_text_and_position():
+    prob = parse_problem("ring Z_(2); vars X; g = X;")
+    with pytest.raises(ParseError) as exc:
+        parse_vector_literal("X +\n 1/0", prob)
+    assert (exc.value.message, exc.value.line, exc.value.column) == ("zero denominator", 2, 2)
+    with pytest.raises(ParseError) as exc:
+        parse_vector_literal("X + 2/4", prob)
+    assert exc.value.message == "1/2 does not lie in Z localized at 2"
+    assert (exc.value.line, exc.value.column) == (1, 5)
+    assert parse_vector_literal("0/4", prob).is_zero()
+    assert parse_vector_literal("X + 0/4", prob) == parse_vector_literal("X", prob)
 
 
 def test_order_from_names():

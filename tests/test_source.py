@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import gbsyz
@@ -167,3 +169,15 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
             if not callable(getattr(getattr(rings, cls, None), meth, None)):
                 missing.append(f"rings.{cls}.{meth}")
     assert not missing, missing
+
+
+def test_importing_the_cli_leaves_out_fractions_and_decimal():
+    # Z_(p) elements are int pairs: `fractions` and what it pulls in
+    # (`decimal`, `numbers`) would only add to the start-up time
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gbsyz.cli; "
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n", done.stdout
