@@ -34,6 +34,7 @@ step, as an independent check of what the divisions leave.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import NamedTuple, Optional
 
@@ -105,6 +106,18 @@ class Divisors:
         self.by_pos.setdefault(lm & POSMASK, []).append((len(self.vectors), lc, lm))
         self.vectors.append(v)
         self.packed.append(terms)
+
+    def put(self, j, v):
+        """Replace divisor j by the nonzero v, or drop it for None; its
+        slot in `vectors` and `packed` is then None."""
+        if (old := self.packed[j]) is not None:
+            bucket = self.by_pos[old[0][1] & POSMASK]
+            del bucket[bisect_left(bucket, (j,))]
+        self.vectors[j] = v
+        self.packed[j] = None if v is None else v.packed
+        if v is not None:
+            lc, lm = v.packed[0]
+            insort(self.by_pos.setdefault(lm & POSMASK, []), (j, lc, lm))
 
 
 def _prepared(h, divisors):
@@ -393,25 +406,21 @@ def _unit_normalize(v):
     return v.scale(ring.unit_inverse(u))
 
 
-def _head_exhaust(g, others):
+def _head_exhaust(g, index):
     """Drive the leading term of g as low as the other elements allow.
 
     g is reduced in an accumulator by the shared step, against the
-    others prepared as `Divisors`. When a combination leaves a residue,
+    prepared `index` of the others. When a combination leaves a residue,
     the gcd combination c0 * g + c1 * sum c_j X^gamma_j o_j is formed
     unless the gcd is an associate of LC(g): in place when c0 is a unit.
 
-    Returns (new_g_or_None, extras): gcd combinations adjoined when the
-    Bezout coefficient of g is not a unit. Such a combination joins the
-    divisor set at once, so g's old leading term is reduced away before
+    Returns the new g, or None when it reduced to zero. A gcd
+    combination whose Bezout coefficient of g is not a unit is appended
+    to `index` at once, so g's old leading term is reduced away before
     returning (otherwise the two could recreate each other forever).
     """
-    if g.is_zero():
-        return None, []
     ring = g.ambient.ring
-    index = Divisors(others, like=g)
     work = Accumulator(g.ambient, g.order, g.packed)
-    extras = []
     while (t := work.lead()) is not None:
         lc, lm = t
         u, _canon = ring.normalize_unit(lc)
@@ -438,13 +447,15 @@ def _head_exhaust(g, others):
                 comb = Accumulator(g.ambient, g.order, [(p, m) for p, m in scaled if not ring.is_zero(p)])
                 for j, gamma, w in step:
                     comb.add_term_mul(ring.neg(w), gamma, index.packed[j])
-                comb = _unit_normalize(comb.vector())
-                extras.append(comb)
-                index.append(comb)
+                # the combination is new: its leading term dd * lm, with
+                # dd != 0 dividing lc, would make an element that has it
+                # a candidate whose coefficient divides lc, and the step
+                # would have been exact
+                index.append(_unit_normalize(comb.vector()))
                 continue
         for j, gamma, w in step:
             work.add_term_mul(ring.neg(w), gamma, index.packed[j])
-    return (work.vector() if work.coeffs else None), extras
+    return work.vector() if work.coeffs else None
 
 
 def pseudo_reduce(gb, order=None, guard=10_000):
@@ -455,6 +466,11 @@ def pseudo_reduce(gb, order=None, guard=10_000):
     it reduces to zero), and coefficient gcd combinations are formed
     where they properly shrink a displayed leading coefficient. The
     result generates the same module and is again a Groebner basis.
+    A zero element is a `UsageError`.
+
+    Each pass prepares one `Divisors` of its elements: an element is
+    taken out of it while it is exhausted against the rest, and put back
+    rewritten; the combinations join it at the end.
     """
     if isinstance(gb, GroebnerBasis):
         elements, order = list(gb.elements), gb.order
@@ -470,23 +486,17 @@ def pseudo_reduce(gb, order=None, guard=10_000):
         if passes > guard:
             raise GuardExceeded("pseudo_reduce did not stabilise", tuple(work))
         changed = False
-        idx = 0
-        while idx < len(work):
-            others = work[:idx] + work[idx + 1 :]
-            new, extras = _head_exhaust(work[idx], others)
-            for extra in extras:
-                if not extra.is_zero() and extra not in work:
-                    work.append(extra)
-                    changed = True
-            if new is None:
-                del work[idx]
+        index = Divisors(work)
+        # the pass visits the combinations appended to it as well
+        for idx, g in enumerate(index.vectors):
+            size = len(index.vectors)
+            index.put(idx, None)
+            new = _head_exhaust(g, index)
+            if new is not None:
+                index.put(idx, new)
+            if new is None or new != g or len(index.vectors) > size:
                 changed = True
-                continue
-            if new != work[idx]:
-                changed = True
-            work[idx] = new
-            idx += 1
-        work = sort_basis(work, order)
+        work = sort_basis([v for v in index.vectors if v is not None], order)
     return GroebnerBasis(tuple(work), order)
 
 

@@ -216,19 +216,13 @@ class TopLex:
         self.priority = tuple(priority) if priority is not None else tuple(range(nvars))
         if sorted(self.priority) != list(range(nvars)):
             raise UsageError(f"priority {priority!r} is not a permutation of 0..{nvars - 1}")
-        self._codec = None
+        self.codec = codec_of(nvars, self.priority)
 
     def __eq__(self, other):
         return type(other) is TopLex and other.priority == self.priority
 
     def __hash__(self):
         return hash(("toplex", self.priority))
-
-    @property
-    def codec(self):
-        if self._codec is None:
-            self._codec = codec_of(self.nvars, self.priority)
-        return self._codec
 
     def key(self, m):
         """Sort key of a packed monomial: a smaller key is a greater monomial."""

@@ -127,21 +127,12 @@ class Ring:
         """
         raise NotImplementedError
 
-    def strict_pair(self, b1, b2):
-        """Return (d, b1p, b2p, c1, c2) with b1 = d*b1p, b2 = d*b2p, c1*b1p + c2*b2p = 1.
-
-        Only `spair_cofactors` calls it; the valuation rings override
-        that and have none.
-        """
-        raise NotImplementedError
-
     def spair_cofactors(self, lc_f, lc_g):
         """Return (a, b) with b*lc_f = a*lc_g = lcm-like cancellation and gcd(a, b) = 1.
 
         The S-polynomial of f and g is b*X^beta*f - a*X^alpha*g.
         """
-        d, fp, gp, _c1, _c2 = self.strict_pair(lc_f, lc_g)
-        return fp, gp
+        raise NotImplementedError
 
     def ann_gen(self, a):
         """Return a canonical generator of Ann(a); 1 for a = 0, 0 when a is regular."""
@@ -235,17 +226,11 @@ class Integers(Ring):
             d = g
         return d, coeffs
 
-    def strict_pair(self, b1, b2):
-        if b1 == 0 and b2 == 0:
-            raise UsageError("strict_pair(0, 0)")
-        d = gcd(b1, b2)
-        b1p, b2p = b1 // d, b2 // d
-        g, x, y = xgcd(abs(b1p), abs(b2p))
-        if g != 1:
-            raise InternalError(f"strict_pair({b1}, {b2}): cofactors have gcd {g}")
-        c1 = x if b1p >= 0 else -x
-        c2 = y if b2p >= 0 else -y
-        return d, b1p, b2p, c1, c2
+    def spair_cofactors(self, lc_f, lc_g):
+        if lc_f == 0 and lc_g == 0:
+            raise UsageError("spair_cofactors(0, 0)")
+        d = gcd(lc_f, lc_g)
+        return lc_f // d, lc_g // d
 
     def ann_gen(self, a):
         return 1 if a == 0 else 0
@@ -349,16 +334,12 @@ class IntegersMod(Ring):
             out.append(c % m)
         return d % self.n, out
 
-    def strict_pair(self, b1, b2):
-        r1, r2 = b1 % self.n, b2 % self.n
+    def spair_cofactors(self, lc_f, lc_g):
+        r1, r2 = lc_f % self.n, lc_g % self.n
         if r1 == 0 and r2 == 0:
-            raise UsageError("strict_pair(0, 0)")
+            raise UsageError("spair_cofactors(0, 0)")
         g = gcd(r1, r2)
-        b1p, b2p = r1 // g, r2 // g
-        one, c1, c2 = xgcd(b1p, b2p)
-        if one != 1:
-            raise InternalError(f"strict_pair({b1}, {b2}) in {self}: cofactors have gcd {one}")
-        return g % self.n, b1p % self.n, b2p % self.n, c1 % self.n, c2 % self.n
+        return r1 // g, r2 // g
 
     def ann_gen(self, a):
         a = a % self.n

@@ -21,7 +21,7 @@ from .groebner import (
     Divisors,
     GroebnerBasis,
     buchberger,
-    divide,  # not called here; bound for the benchmark's tracer
+    divide,  # not called here; bench/test_bench.py checks the tracer restores it
     pair_cofactors,
     pseudo_reduce,
     s_pairs,
@@ -231,30 +231,22 @@ def _pseudo_reduce_labeled(relations, order, labels, guard):
     counter, and one that matches no input is `v{counter}`.
     """
     reduced = pseudo_reduce(list(relations), order, guard=guard)
-    codec = order.codec
-
-    def value(v):
-        # the vector's value with no decode: all share one ambient
-        sort_key = v.ambient.ring.sort_key
-        return frozenset([(m, sort_key(c)) for c, m in packed_under(v, codec)])
-
     by_value, by_normalized, by_lm = {}, {}, {}
     for r, lab in zip(relations, labels):
-        by_value.setdefault(value(r), lab)
+        by_value.setdefault(r, lab)
         if r.is_zero():
             continue
         ring = r.ambient.ring
         u, _ = ring.normalize_unit(r.lc())
         if not ring.eq(u, ring.one()):
-            by_normalized.setdefault(value(r.scale(ring.unit_inverse(u))), lab + "'")
+            by_normalized.setdefault(r.scale(ring.unit_inverse(u)), lab + "'")
         by_lm.setdefault(r.packed[0][1], lab + "'")
     out_labels = []
     counter = 0
     for v in reduced.elements:
-        key = value(v)
-        label = by_value.get(key)
+        label = by_value.get(v)
         if label is None:
-            label = by_normalized.get(key)
+            label = by_normalized.get(v)
         if label is None:
             counter += 1
             label = by_lm.get(v.packed[0][1], f"v{counter}")

@@ -16,7 +16,7 @@ from gbsyz import (
     parse_problem,
     term_module_member,
 )
-from gbsyz.poly import Accumulator
+from gbsyz.poly import POSMASK, Accumulator
 from helpers import (
     GOLDEN,
     gens_of,
@@ -323,6 +323,30 @@ def test_prepared_divisor_errors_keep_their_text():
         for fn in (divide, divide_valuation):
             with pytest.raises(UsageError, match=f"^{text}$"):
                 fn(target, index, p.order)
+
+
+def test_divisors_put_keeps_each_position_in_index_order():
+    # after every replace and drop, each position lists exactly the live
+    # divisors leading there, in ascending index order, as _lead_step
+    # scans them
+    rng = random.Random(15)
+    for ring in rings_under_test():
+        amb = Ambient(ring, 2, 3)
+        order = TopLex(2)
+        vectors = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(8)]
+        index = Divisors(vectors)
+        for _ in range(40):
+            j = rng.randrange(len(vectors))
+            vectors[j] = None if rng.random() < 0.3 else random_nonzero_vector(rng, amb, order, 3, 2)
+            index.put(j, vectors[j])
+            assert index.vectors == vectors
+            want = {}
+            for k, v in enumerate(vectors):
+                if v is not None:
+                    lc, lm = v.packed[0]
+                    want.setdefault(lm & POSMASK, []).append((k, lc, lm))
+                assert index.packed[k] == (None if v is None else v.packed)
+            assert {pos: b for pos, b in index.by_pos.items() if b} == want
 
 
 ORDER_TEXT = "^order differs from the vectors' monomial order$"

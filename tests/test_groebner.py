@@ -232,6 +232,45 @@ def test_pseudo_reduce_drops_duplicates():
     assert list(red.elements) == [g]
 
 
+def test_pseudo_reduce_rejects_every_zero_element():
+    for ring in rings_under_test():
+        amb = Ambient(ring, 2, 1)
+        order = TopLex(2)
+        zero = Vector.zero(amb, order)
+        g = Vector(amb, order, [Term(ring.one(), Mono((1, 0), 0))])
+        for elements in ([zero], [zero, zero], [g, zero], [zero, g]):
+            with pytest.raises(UsageError, match="^zero divisor in division$"):
+                pseudo_reduce(elements, order)
+
+
+def test_pseudo_reduce_prepares_one_divisors_per_pass(monkeypatch):
+    # the passes are counted by the smallest guard that lets the
+    # reduction finish; every pass must build one index, not one per
+    # element
+    for key in GOLDEN:
+        p = problem(key)
+        _, gens = gens_of(p)
+        syz = schreyer_syzygies(buchberger(gens, p.order))
+        passes = 1
+        while True:
+            try:
+                pseudo_reduce(syz.relations, syz.order, guard=passes)
+                break
+            except GuardExceeded:
+                passes += 1
+        built = []
+
+        class Counted(groebner.Divisors):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "Divisors", Counted)
+            pseudo_reduce(syz.relations, syz.order)
+        assert len(built) == passes
+
+
 def test_pseudo_reduce_preserves_module():
     rng = random.Random(24)
     for ring in rings_under_test():

@@ -132,10 +132,11 @@ def test_gcd_bezout_randomized():
         Integers().gcd_bezout([])
 
 
-def test_strict_pair_examples(z, f2y2):
-    assert z.strict_pair(4, 6) == (2, 2, 3, -1, 1)
-    z4 = IntegersMod(4)
-    assert z4.strict_pair(2, 2) == (2, 1, 1, 1, 0)
+def test_spair_cofactors_examples(z, f2y2):
+    assert z.spair_cofactors(4, 6) == (2, 3)
+    assert z.spair_cofactors(-4, 6) == (-2, 3)
+    assert IntegersMod(4).spair_cofactors(2, 2) == (1, 1)
+    assert IntegersMod(12).spair_cofactors(9, 6) == (3, 2)
     # brute force over the 4-element ring gives c = (0, 1+y):
     # y*0 + (1+y)*(1+y) = 1, while (1, 1+y) would give 1 + y. The
     # valuation rings build S-pairs without a strict pair, so the case
@@ -145,7 +146,9 @@ def test_strict_pair_examples(z, f2y2):
     assert f2y2.eq(f2y2.add(f2y2.mul(c1, b1p), f2y2.mul(c2, b2p)), 1)
 
 
-def test_strict_pair_randomized():
+def test_spair_cofactors_randomized():
+    # b * lc_f = a * lc_g with <a, b> the unit ideal: the strict Bezout
+    # pair of the S-polynomial b X^beta f - a X^alpha g
     rng = random.Random(303)
     for ring in rings_under_test():
         for _ in range(400):
@@ -153,21 +156,13 @@ def test_strict_pair_randomized():
             b2 = random_element(rng, ring)
             if ring.is_zero(b1) and ring.is_zero(b2):
                 continue
-            if ring.is_valuation_ring:
-                # no strict pair: the S-pair cofactors b, a of nonzero
-                # leading coefficients, b * b1 = a * b2 with one of them 1
-                if not (ring.is_zero(b1) or ring.is_zero(b2)):
-                    a, b = ring.spair_cofactors(b1, b2)
-                    assert ring.eq(ring.mul(b, b1), ring.mul(a, b2))
-                    assert ring.eq(a, ring.one()) or ring.eq(b, ring.one())
-                continue
-            d, b1p, b2p, c1, c2 = ring.strict_pair(b1, b2)
-            assert ring.eq(ring.mul(d, b1p), b1)
-            assert ring.eq(ring.mul(d, b2p), b2)
-            lhs = ring.add(ring.mul(c1, b1p), ring.mul(c2, b2p))
-            assert ring.eq(lhs, ring.one())
-    with pytest.raises(UsageError):
-        Integers().strict_pair(0, 0)
+            a, b = ring.spair_cofactors(b1, b2)
+            assert ring.eq(ring.mul(b, b1), ring.mul(a, b2))
+            d, _ = ring.gcd_bezout([a, b])
+            assert ring.is_unit(d)
+    for ring in (Integers(), IntegersMod(12)):
+        with pytest.raises(UsageError):
+            ring.spair_cofactors(0, 0)
 
 
 def test_ann_gen_examples(z, z12, f2y2):
