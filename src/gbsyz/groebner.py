@@ -18,7 +18,8 @@ The working polynomial of every reduction, the quotients of a division
 and the value of a cross S-pair are sums of term products
 c * X^gamma * v, formed in `poly.Accumulator`. `s_pairs` enumerates the
 S-pairs of a basis with their divisions, once for `is_groebner` and
-Schreyer's syzygies; `pair_cofactors` gives the cofactors of a pair
+Schreyer's syzygies, whose divisions write their quotients straight
+into each pair's lift; `pair_cofactors` gives the cofactors of a pair
 from its leading terms alone, for the S-pair values and the resolution
 verifier, which divides nothing.
 
@@ -170,15 +171,16 @@ def _lead_step(index, ring, lc, lm, scan_all=False):
     return D, step, (e, d, coeffs)
 
 
-def _reduce(work, index, q_acc, trace):
+def _reduce(work, index, lift, trace):
     """The gcd-aggregating reduction loop: reduce the accumulator work
     against the prepared divisors until it is zero and return the
-    remainder terms, in descending order. Quotient terms accumulate in
-    q_acc (one accumulator per divisor) unless it is None. A leading
-    term without divisors, and the Euclid residue of a combination, move
-    to the remainder. Every step cancels its leading monomial; a step
-    that leaves it in work would repeat forever, so it raises
-    InternalError.
+    remainder terms, in descending order. Unless `lift` is None, each
+    step w * X^gamma on divisor j lands in it once as -w * X^gamma *
+    eps_j, so it ends up holding -sum q_j eps_j for the quotients q_j.
+    A leading term without divisors, and the Euclid residue of a
+    combination, move to the remainder. Every step cancels its leading
+    monomial; a step that leaves it in work would repeat forever, so it
+    raises InternalError.
 
     With a trace the step scans every candidate, because the
     `reduction_step` event names them all.
@@ -197,9 +199,10 @@ def _reduce(work, index, q_acc, trace):
                 trace({"event": "reduction_step", "lm": work.order.codec.decode(lm),
                        "divisors": [j for j, _, _ in D]})
             for j, gamma, w in step:
-                if q_acc is not None:
-                    q_acc[j].add(w, gamma)
-                work.add_term_mul(ring.neg(w), gamma, packed[j])
+                w = ring.neg(w)
+                if lift is not None:
+                    lift.add(w, gamma + j)
+                work.add_term_mul(w, gamma, packed[j])
             if rest is not None and not ring.is_zero(e := rest[0]):
                 r_terms.append((e, lm))
                 work.add(ring.neg(e), lm)
@@ -219,7 +222,7 @@ def _order_of(v, order):
     return order
 
 
-def divide(h, divisors, order=None, trace=None, *, quotients=True):
+def divide(h, divisors, order=None, trace=None, *, quotients=True, lift=None):
     """Divide h by the list of divisors (gcd-aggregating division).
 
     Returns quotients as rank-1 polynomials and a remainder none of
@@ -231,22 +234,31 @@ def divide(h, divisors, order=None, trace=None, *, quotients=True):
     from `s_pair_indexed`, which the division consumes. With
     `quotients=False` only the remainder is computed and the quotients
     field is None; the remainder and the trace events are the same.
-    `order` defaults to h's and must equal it.
+    With an `Accumulator` `lift`, of rank the number of divisors and
+    under their codec, the quotients go into it instead, as
+    -sum q_j eps_j, and the quotients field is None. `order` defaults
+    to h's and must equal it.
     """
     index = _prepared(h, divisors)
     order = _order_of(h, order)
-    q_acc = None
-    if quotients:
-        ring_amb = h.ambient._replace(rank=1)
-        q_acc = [Accumulator(ring_amb, order) for _ in index.vectors]
+    sink = lift
+    if lift is None and quotients:
+        sink = Accumulator(h.ambient._replace(rank=len(index.vectors)), order)
     work = h if type(h) is Accumulator else Accumulator(h.ambient, order, h.packed)
     # the remainder terms are already descending: each step removes the
     # leading term of the working polynomial and adds only smaller ones
-    r_terms = _reduce(work, index, q_acc, trace)
+    r_terms = _reduce(work, index, sink, trace)
     remainder = Vector.from_packed(h.ambient, order, r_terms)
-    if q_acc is None:
+    if sink is lift:
         return DivisionResult(None, remainder)
-    return DivisionResult(tuple(q.vector() for q in q_acc), remainder)
+    # split -sum q_j eps_j by position, flipping the signs back
+    neg = h.ambient.ring.neg
+    parts = [{} for _ in index.vectors]
+    for m, c in sink.coeffs.items():
+        pos = m & POSMASK
+        parts[pos][m - pos] = neg(c)
+    ring_amb = h.ambient._replace(rank=1)
+    return DivisionResult(tuple(Vector.from_coeffs(ring_amb, order, q) for q in parts), remainder)
 
 
 def divide_valuation(h, divisors, order=None, trace=None):
@@ -365,11 +377,13 @@ def buchberger(gens, order, guard=10_000, trace=None):
     return GroebnerBasis(tuple(basis), order)
 
 
-def s_pairs(source, order, index, trace=None):
-    """(i, j, sp, res) for the S-pairs of source that carry a cofactor:
-    res divides the S-polynomial by the prepared `index`, and is None
-    for a zero S-polynomial. A cross pair's accumulator is consumed by
-    its division."""
+def s_pairs(source, order, index, trace=None, start_lift=None):
+    """(i, j, sp, lift, res) for the S-pairs of source that carry a
+    cofactor: res divides the S-polynomial by the prepared `index`, and
+    is None for a zero S-polynomial. A cross pair's accumulator is
+    consumed by its division. Without `start_lift` only remainders are
+    computed and lift is None; otherwise lift is start_lift(i, j, sp),
+    an `Accumulator` into which the division adds -sum q_l eps_l."""
     for i in range(len(source)):
         for j in range(i, len(source)):
             if source[i].lp() != source[j].lp():
@@ -379,8 +393,12 @@ def s_pairs(source, order, index, trace=None):
                 continue
             if trace is not None:
                 trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
-            res = None if sp.value.is_zero() else divide(sp.value, index, order, trace=trace)
-            yield i, j, sp, res
+            lift = None if start_lift is None else start_lift(i, j, sp)
+            res = None
+            if not sp.value.is_zero():
+                res = divide(sp.value, index, order, trace=trace,
+                             quotients=False, lift=lift)
+            yield i, j, sp, lift, res
 
 
 def is_groebner(elements, order) -> bool:
@@ -406,25 +424,33 @@ def _unit_normalize(v):
     return v.scale(ring.unit_inverse(u))
 
 
+def _opened(work, g):
+    """work, or a new accumulator of g when there is none yet."""
+    return Accumulator(g.ambient, g.order, g.packed) if work is None else work
+
+
 def _head_exhaust(g, index):
     """Drive the leading term of g as low as the other elements allow.
 
-    g is reduced in an accumulator by the shared step, against the
-    prepared `index` of the others. When a combination leaves a residue,
-    the gcd combination c0 * g + c1 * sum c_j X^gamma_j o_j is formed
-    unless the gcd is an associate of LC(g): in place when c0 is a unit.
+    g is reduced by the shared step, against the prepared `index` of
+    the others, in an accumulator opened at its first change: a unit
+    rescale or a step. When a combination leaves a residue, the gcd
+    combination c0 * g + c1 * sum c_j X^gamma_j o_j is formed unless the
+    gcd is an associate of LC(g): in place when c0 is a unit.
 
-    Returns the new g, or None when it reduced to zero. A gcd
-    combination whose Bezout coefficient of g is not a unit is appended
-    to `index` at once, so g's old leading term is reduced away before
-    returning (otherwise the two could recreate each other forever).
+    Returns g itself when nothing changed, else the new g, or None when
+    it reduced to zero. A gcd combination whose Bezout coefficient of g
+    is not a unit is appended to `index` at once, so g's old leading
+    term is reduced away before returning (otherwise the two could
+    recreate each other forever).
     """
     ring = g.ambient.ring
-    work = Accumulator(g.ambient, g.order, g.packed)
-    while (t := work.lead()) is not None:
-        lc, lm = t
+    work = None
+    lc, lm = g.packed[0]
+    while True:
         u, _canon = ring.normalize_unit(lc)
         if not ring.eq(u, ring.one()):
+            work = _opened(work, g)
             work.scale(ring.unit_inverse(u))
             lc = work.coeffs[lm]
         D, step, rest = _lead_step(index, ring, lc, lm)
@@ -441,9 +467,11 @@ def _head_exhaust(g, index):
                 if not ring.is_zero(w):
                     step.append((j, gamma, ring.neg(w)))
             if ring.is_unit(c0):
+                work = _opened(work, g)
                 work.scale(c0)
             else:
-                scaled = ((ring.mul(c0, c), m) for m, c in work.coeffs.items())
+                terms = g.packed if work is None else [(c, m) for m, c in work.coeffs.items()]
+                scaled = ((ring.mul(c0, c), m) for c, m in terms)
                 comb = Accumulator(g.ambient, g.order, [(p, m) for p, m in scaled if not ring.is_zero(p)])
                 for j, gamma, w in step:
                     comb.add_term_mul(ring.neg(w), gamma, index.packed[j])
@@ -453,9 +481,13 @@ def _head_exhaust(g, index):
                 # would have been exact
                 index.append(_unit_normalize(comb.vector()))
                 continue
+        work = _opened(work, g)
         for j, gamma, w in step:
             work.add_term_mul(ring.neg(w), gamma, index.packed[j])
-    return work.vector() if work.coeffs else None
+        if (t := work.lead()) is None:
+            return None
+        lc, lm = t
+    return g if work is None else work.vector()
 
 
 def pseudo_reduce(gb, order=None, guard=10_000):
@@ -470,7 +502,8 @@ def pseudo_reduce(gb, order=None, guard=10_000):
 
     Each pass prepares one `Divisors` of its elements: an element is
     taken out of it while it is exhausted against the rest, and put back
-    rewritten; the combinations join it at the end.
+    rewritten; the combinations join it at the end. An element that
+    nothing changes is kept as the same object.
     """
     if isinstance(gb, GroebnerBasis):
         elements, order = list(gb.elements), gb.order
@@ -494,7 +527,7 @@ def pseudo_reduce(gb, order=None, guard=10_000):
             new = _head_exhaust(g, index)
             if new is not None:
                 index.put(idx, new)
-            if new is None or new != g or len(index.vectors) > size:
+            if new is None or (new is not g and new != g) or len(index.vectors) > size:
                 changed = True
         work = sort_basis([v for v in index.vectors if v is not None], order)
     return GroebnerBasis(tuple(work), order)

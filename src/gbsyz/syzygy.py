@@ -133,26 +133,28 @@ _NOT_GROEBNER = "S-polynomial does not reduce to zero: not a Groebner basis"
 def _certify(source, sch, trace=None, strict=False):
     """The `Certificate` of source: every S-pair divided by source under
     the parent of the Schreyer order sch, and its division lifted to
-    b X^beta eps_i - a X^alpha eps_j - sum q_l eps_l under sch. With
-    `strict` the first nonzero remainder raises `UsageError`."""
+    b X^beta eps_i - a X^alpha eps_j - sum q_l eps_l under sch: the lift
+    starts from the cofactor terms and the division adds the quotient
+    terms into it. With `strict` the first nonzero remainder raises
+    `UsageError`."""
     amb0 = source[0].ambient
     amb = Ambient(amb0.ring, amb0.nvars, len(source))
     neg = amb.ring.neg
-    pairs, unreduced = {}, set()
-    for i, j, sp, res in s_pairs(source, sch.parent, Divisors(source), trace):
+
+    def start_lift(i, j, sp):
         b, beta = sp.left_cofactor
         lift = Accumulator(amb, sch, [(b, beta + i)])
         if sp.right_cofactor is not None:
             a, alpha = sp.right_cofactor
             lift.add(neg(a), alpha + j)
-        if res is not None:
-            if not res.remainder.is_zero():
-                if strict:
-                    raise UsageError(_NOT_GROEBNER)
-                unreduced.add((i, j))
-            for ell, q in enumerate(res.quotients):
-                for c, m in q.packed:
-                    lift.add(neg(c), m + ell)
+        return lift
+
+    pairs, unreduced = {}, set()
+    for i, j, _, lift, res in s_pairs(source, sch.parent, Divisors(source), trace, start_lift):
+        if res is not None and not res.remainder.is_zero():
+            if strict:
+                raise UsageError(_NOT_GROEBNER)
+            unreduced.add((i, j))
         pairs[i, j] = lift.vector()
     return Certificate(source, pairs, frozenset(unreduced))
 

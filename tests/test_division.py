@@ -10,6 +10,7 @@ from gbsyz import (
     InternalError,
     TopLex,
     UsageError,
+    Vector,
     divide,
     divide_valuation,
     expand_combination,
@@ -414,3 +415,35 @@ def test_divide_raises_when_a_step_keeps_its_leading_monomial(monkeypatch):
         divide(h, divisors)
     with pytest.raises(InternalError):
         divide(h, divisors, quotients=False, trace=lambda event: None)
+
+
+def test_divide_into_a_lift_adds_minus_the_quotients_randomized():
+    # a lift seeded with other terms ends up holding them minus
+    # sum q_l eps_l for the quotients divide returns; the remainder and
+    # the trace stream are the same
+    rng = random.Random(16)
+    for ring in rings_under_test():
+        amb = Ambient(ring, 2, 2)
+        order = TopLex(2)
+        for _ in range(60):
+            h = random_vector(rng, amb, order, max_terms=5, max_exp=4)
+            divisors = [
+                random_nonzero_vector(rng, amb, order, max_terms=3, max_exp=2)
+                for _ in range(rng.randrange(1, 5))
+            ]
+            want_trace, got_trace = [], []
+            want = divide(h, divisors, order, trace=want_trace.append)
+            lift_amb = amb._replace(rank=len(divisors))
+            seed = random_vector(rng, lift_amb, order, max_terms=2, max_exp=2)
+            lift = Accumulator(lift_amb, order, seed.packed)
+            got = divide(h, divisors, order, trace=got_trace.append, lift=lift)
+            assert got.quotients is None
+            assert got.remainder.terms == want.remainder.terms
+            assert got_trace == want_trace
+            expected = {m: c for c, m in seed.packed}
+            for ell, q in enumerate(want.quotients):
+                for c, m in q.packed:
+                    s = ring.add(expected.pop(m + ell, ring.zero()), ring.neg(c))
+                    if not ring.is_zero(s):
+                        expected[m + ell] = s
+            assert lift.vector().terms == Vector.from_coeffs(lift_amb, order, expected).terms

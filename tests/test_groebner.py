@@ -291,6 +291,38 @@ def test_pseudo_reduce_preserves_module():
                 assert divide(v, list(gb.elements), order).remainder.is_zero()
 
 
+def test_pseudo_reduce_leaves_its_own_output_alone(monkeypatch):
+    # an exhausted basis is a fixed point: each element comes back as the
+    # very same object, and none of them opens an accumulator
+    from gbsyz import free_resolution
+
+    made = []
+
+    class Counted(groebner.Accumulator):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    bases = []
+    for key in GOLDEN:
+        _, gens = gens_of(problem(key))
+        bases += [(level.basis, level.order) for level in free_resolution(gens).levels]
+    rng = random.Random(31)
+    for ring in rings_under_test():
+        amb, order = Ambient(ring, 2, 2), TopLex(2)
+        for _ in range(10):
+            gens = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(3)]
+            bases.append((buchberger(gens, order).elements, order))
+    for basis, order in bases:
+        red = pseudo_reduce(basis, order)
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "Accumulator", Counted)
+            again = pseudo_reduce(red)
+        assert len(again.elements) == len(red.elements)
+        assert all(a is b for a, b in zip(again.elements, red.elements))
+    assert not made
+
+
 def _assert_same_pseudo_reduction(monkeypatch, elements, order, branches):
     """pseudo_reduce equals the whole-vector reference term for term, in
     the same order, and takes one leading-term step per step of the

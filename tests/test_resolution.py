@@ -588,12 +588,14 @@ def test_certificate_fails_when_quotients_break_the_degree_bound(monkeypatch):
     level = free_resolution(gens_of(problem("zint_ideal"))[1]).levels[0]
     g1, g2 = level.basis[:2]
 
+    shift = level.order.codec.pack((2, 2), 0)
+
     def shifted(h, divisors, order=None, trace=None, **kwargs):
         res = divide(h, divisors, order, trace=trace, **kwargs)
-        q = list(res.quotients)
-        q[0] = q[0].add(g2.term_mul(1, (2, 2)))
-        q[1] = q[1].sub(g1.term_mul(1, (2, 2)))
-        return res._replace(quotients=tuple(q))
+        # the lift holds -sum q_l eps_l: q1 += X^(2,2) g2, q2 -= X^(2,2) g1
+        kwargs["lift"].add_term_mul(-1, shift, g2.packed)
+        kwargs["lift"].add_term_mul(1, shift + 1, g1.packed)
+        return res
 
     report = verify_resolution(single_level(certified_by(monkeypatch, shifted, level)))
     assert [(c["check"], c["ok"]) for c in report.checks] == [

@@ -22,7 +22,10 @@ from gbsyz import (
     schreyer_syzygies,
     term_syzygies,
 )
+from gbsyz import groebner
+from gbsyz.poly import Accumulator
 from helpers import (
+    GOLDEN,
     gens_of,
     problem,
     random_nonzero,
@@ -237,6 +240,30 @@ def test_schreyer_divisions_are_the_groebner_check():
             with pytest.raises(UsageError, match="does not reduce to zero: not a Groebner basis"):
                 schreyer_syzygies((gens, order))
     assert seen == {True, False}
+
+
+def test_schreyer_divisions_write_into_the_lift(monkeypatch):
+    # every division of Schreyer's method, on every level of every
+    # golden resolution, adds its quotients into the pair's lift and
+    # builds no per-divisor quotients
+    from gbsyz import free_resolution
+
+    divide = groebner.divide
+    calls = []
+
+    def recorded(h, divisors, order=None, trace=None, **kwargs):
+        res = divide(h, divisors, order, trace=trace, **kwargs)
+        calls.append((kwargs.get("lift"), res.quotients))
+        return res
+
+    for key in GOLDEN:
+        _, gens = gens_of(problem(key))
+        for level in free_resolution(gens).levels:
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "divide", recorded)
+                schreyer_syzygies((level.basis, level.order))
+    assert calls
+    assert all(type(lift) is Accumulator and q is None for lift, q in calls)
 
 
 def _lt_formula_expected(ring, gi, gj, i, j):
