@@ -22,39 +22,39 @@ from .errors import PackedOverflow, ParseError, UsageError
 from .poly import EXP_BITS, POSMASK, Accumulator, Ambient, TopLex, Vector, check_product
 from .rings import Integers, IntegersLocalizedAt, IntegersMod, TruncatedF2y
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<int>\d+)|(?P<sym>[;=+\-*^/\[\](),])"
-)
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+_SKIP = r"(?:\s+|#[^\n]*)*"  # whitespace and comments; only whitespace holds a newline
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\d+|[;=+\-*^/\[\](),]"  # name, int or symbol
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# the match ends at the first character outside the language
+_VALID_RE = re.compile(rf"(?:{_TOKEN}|\s+|#[^\n]*)*")
+_TOKEN_RE = re.compile(rf"{_SKIP}({_TOKEN}|\Z)")  # group 1: a token, or "" at the end of input
 
 
 def tokenize(text):
-    tokens = []
-    line, line_start = 1, 0  # line_start: offset of the first character of the line
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        if kind == "ws":
-            # only whitespace spans lines: a comment stops before its newline
-            chunk = m.group()
-            if (nl := chunk.rfind("\n")) >= 0:
-                line += chunk.count("\n")
-                line_start = pos + nl + 1
-        elif kind != "comment":
-            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    """The token texts of `text`, then "" for the end of input. A token
+    is a name if it starts with an ASCII letter or `_`, an int if it
+    starts with a decimal digit (`str.isdecimal`, exactly `\\d`), and
+    a symbol otherwise."""
+    if (pos := _VALID_RE.match(text).end()) < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", *_line_column(text, pos))
+    tokens = _TOKEN_RE.findall(text)
+    if tokens[-2:] == ["", ""]:  # after trailing whitespace or a comment, the end matches twice
+        tokens.pop()
     return tokens
+
+
+def _line_column(text, pos):
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def token_position(text, index):
+    """(line, column) of token `index` of `text`, the end of input
+    included, counted from 1. Positions are only needed for errors, so
+    they are found again from the text."""
+    matches = _TOKEN_RE.finditer(text)
+    for _ in range(index):
+        next(matches)
+    return _line_column(text, next(matches).start(1))
 
 
 class ProblemFile(NamedTuple):
@@ -68,74 +68,71 @@ class ProblemFile(NamedTuple):
 
 
 class _Parser:
-    """Recursive descent over a token list ending in an `eof` token.
-    Polynomial expressions evaluate in the ambient of `problem`."""
+    """Recursive descent over the token texts of `text`. The statement
+    pass records each vector component as a (start, stop) span of
+    tokens; `assemble` reads each span as a polynomial in the ambient of
+    `problem`, with the end marker "" written over the token at stop.
+    Errors name a token by its index; past the span being read, that is
+    the span's last token."""
 
-    def __init__(self, tokens, problem=None):
-        self.tokens = tokens
+    def __init__(self, text, problem=None):
+        self.text = text
+        self.tokens = tokenize(text)
         self.i = 0
+        self.last = len(self.tokens) - 1
         self.problem = problem
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, message, i=None):
+        i = self.i if i is None else i
+        raise ParseError(message, *token_position(self.text, min(i, self.last))) from None
 
-    def next(self):
+    def expect(self, want):
+        """The next token, which must be the symbol `want`, or a name or an
+        int when `want` is "name" or "int"."""
         tok = self.tokens[self.i]
+        if ("name" if tok[:1] in _NAME_START else "int" if tok.isdecimal() else tok) != want:
+            self.fail(f"expected {want!r}, found {tok or 'end of input'!r}")
         self.i += 1
         return tok
 
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def expect(self, kind, text=None):
-        tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return tok
-
-    def accept(self, kind, text=None):
-        tok = self.tokens[self.i]
-        if tok.kind == kind and (text is None or tok.text == text):
+    def accept(self, text):
+        if self.tokens[self.i] == text:
             self.i += 1
-            return tok
-        return None
+            return True
+        return False
 
     # -- statements ---------------------------------------------------------
 
     def parse_problem(self):
-        ring = None
-        var_names = None
-        rank = None
-        raw_gens = []
-        while self.peek().kind != "eof":
+        ring = var_names = rank = None
+        raw_gens = []  # of (name, index of the name, component spans)
+        while self.tokens[self.i]:
+            at = self.i
             head = self.expect("name")
-            if head.text == "ring":
+            if head == "ring":
                 if ring is not None:
-                    self.fail("duplicate ring declaration", head)
+                    self.fail("duplicate ring declaration", at)
                 ring = self.parse_ring()
-            elif head.text == "vars":
+            elif head == "vars":
                 if var_names is not None:
-                    self.fail("duplicate vars declaration", head)
+                    self.fail("duplicate vars declaration", at)
                 var_names = self.parse_vars(ring)
-            elif head.text == "rank":
+            elif head == "rank":
                 if rank is not None:
-                    self.fail("duplicate rank declaration", head)
-                tok = self.expect("int")
-                rank = int(tok.text)
+                    self.fail("duplicate rank declaration", at)
+                rank = int(self.expect("int"))
                 if rank < 1:
-                    self.fail("rank must be >= 1", tok)
+                    self.fail("rank must be >= 1", self.i - 1)
             else:
                 if ring is None:
-                    self.fail("ring must be declared before generators", head)
+                    self.fail("ring must be declared before generators", at)
                 if var_names is None:
-                    self.fail("vars must be declared before generators", head)
-                if any(tok.text == head.text for tok, _ in raw_gens):
-                    self.fail(f"duplicate generator name {head.text!r}", head)
-                self.expect("sym", "=")
-                raw_gens.append((head, self.parse_pending_vector()))
-            self.expect("sym", ";")
+                    self.fail("vars must be declared before generators", at)
+                if any(name == head for name, _, _ in raw_gens):
+                    self.fail(f"duplicate generator name {head!r}", at)
+                self.expect("=")
+                raw_gens.append((head, at, self.parse_pending_vector()))
+            self.expect(";")
         if ring is None:
             self.fail("missing ring declaration")
         if var_names is None:
@@ -144,107 +141,123 @@ class _Parser:
         order = TopLex(len(var_names))
         ambient = Ambient(ring, len(var_names), rank)
         poly_ambient = Ambient(ring, len(var_names), 1)
-        problem = ProblemFile(ring, tuple(var_names), rank, order, ambient, poly_ambient, ())
-        gens = []
-        for head, pending in raw_gens:
-            gens.append((head.text, _assemble_vector(problem, pending, head)))
-        return problem._replace(generators=tuple(gens))
+        self.problem = ProblemFile(ring, tuple(var_names), rank, order, ambient, poly_ambient, ())
+        gens = tuple((name, self.assemble(spans, name, at)) for name, at, spans in raw_gens)
+        return self.problem._replace(generators=gens)
 
     def parse_ring(self):
         tok = self.expect("name")
-        if tok.text == "Z":
-            if self.accept("sym", "/"):
+        if tok == "Z":
+            if self.accept("/"):
                 n = self.expect("int")
                 try:
-                    return IntegersMod(int(n.text))
+                    return IntegersMod(int(n))
                 except UsageError as exc:
-                    self.fail(str(exc), n)
+                    self.fail(str(exc), self.i - 1)
             return Integers()
-        if tok.text == "Z_":
-            self.expect("sym", "(")
+        if tok == "Z_":
+            self.expect("(")
             p = self.expect("int")
-            self.expect("sym", ")")
+            self.expect(")")
             try:
-                return IntegersLocalizedAt(int(p.text))
+                return IntegersLocalizedAt(int(p))
             except UsageError as exc:
-                self.fail(str(exc), p)
-        if tok.text == "F2":
-            self.expect("sym", "[")
-            y = self.expect("name")
-            if y.text != "y":
-                self.fail("expected 'y'", y)
-            self.expect("sym", "]")
-            self.expect("sym", "/")
-            y = self.expect("name")
-            if y.text != "y":
-                self.fail("expected 'y'", y)
-            self.expect("sym", "^")
+                self.fail(str(exc), self.i - 2)
+        if tok == "F2":
+            self.expect("[")
+            if self.expect("name") != "y":
+                self.fail("expected 'y'", self.i - 1)
+            self.expect("]")
+            self.expect("/")
+            if self.expect("name") != "y":
+                self.fail("expected 'y'", self.i - 1)
+            self.expect("^")
             r = self.expect("int")
             try:
-                return TruncatedF2y(int(r.text))
+                return TruncatedF2y(int(r))
             except UsageError as exc:
-                self.fail(str(exc), r)
-        self.fail(f"unknown ring {tok.text!r}", tok)
+                self.fail(str(exc), self.i - 1)
+        self.fail(f"unknown ring {tok!r}", self.i - 1)
 
     def parse_vars(self, ring):
         names = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "name":
-                break
-            if tok.text in ("ring", "vars", "rank"):
-                self.fail(f"{tok.text!r} is a keyword", tok)
-            if isinstance(ring, TruncatedF2y) and tok.text == "y":
-                self.fail("'y' is reserved for the coefficient ring", tok)
-            if tok.text in names:
-                self.fail(f"duplicate variable {tok.text!r}", tok)
-            names.append(self.next().text)
+        while (tok := self.tokens[self.i])[:1] in _NAME_START:
+            if tok in ("ring", "vars", "rank"):
+                self.fail(f"{tok!r} is a keyword")
+            if isinstance(ring, TruncatedF2y) and tok == "y":
+                self.fail("'y' is reserved for the coefficient ring")
+            if tok in names:
+                self.fail(f"duplicate variable {tok!r}")
+            names.append(tok)
+            self.i += 1
         if not names:
             self.fail("vars needs at least one variable name")
         return names
 
     def parse_pending_vector(self):
-        """Collect tokens of a vector literal; evaluation waits for the ambient."""
-        if self.accept("sym", "["):
-            parts = [self.parse_expr_tokens(stop={",", "]"})]
-            while self.accept("sym", ","):
-                parts.append(self.parse_expr_tokens(stop={",", "]"}))
-            self.expect("sym", "]")
-            return parts
-        return [self.parse_expr_tokens(stop={";"})]
+        """The component spans of a vector literal; evaluation waits for the ambient."""
+        if self.accept("["):
+            spans = [self.parse_span((",", "]"))]
+            while self.accept(","):
+                spans.append(self.parse_span((",", "]")))
+            self.expect("]")
+            return spans
+        return [self.parse_span((";",))]
 
-    def parse_expr_tokens(self, stop):
+    def parse_span(self, stop):
+        """The span of tokens up to a `stop` symbol outside parentheses,
+        or up to the end of input."""
+        tokens = self.tokens
+        start = i = self.i
         depth = 0
-        toks = []
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                if toks and depth == 0:
-                    return toks
-                self.fail("unterminated expression", tok)
-            if depth == 0 and tok.kind == "sym" and tok.text in stop:
-                if not toks:
-                    self.fail("empty expression", tok)
-                return toks
-            if tok.kind == "sym" and tok.text == "(":
+            tok = tokens[i]
+            if not tok:
+                if i > start and depth == 0:
+                    break
+                self.fail("unterminated expression", i)
+            if depth == 0 and tok in stop:
+                if i == start:
+                    self.fail("empty expression", i)
+                break
+            if tok == "(":
                 depth += 1
-            elif tok.kind == "sym" and tok.text == ")":
+            elif tok == ")":
                 depth -= 1
                 if depth < 0:
-                    self.fail("unbalanced ')'", tok)
-            toks.append(self.next())
+                    self.fail("unbalanced ')'", i)
+            i += 1
+        self.i = i
+        return start, i
+
+    def assemble(self, spans, name, at):
+        """The Vector of the component spans of generator `name`, whose
+        name is token `at`; None for a target, reported at 1:1."""
+        problem = self.problem
+        message = None
+        if len(spans) != problem.rank and not (problem.rank == 1 and len(spans) == 1):
+            message = f"generator {name!r} has {len(spans)} components, rank is {problem.rank}"
+        elif problem.rank > POSMASK + 1:
+            message = f"rank above {POSMASK + 1}"
+        if message is not None:
+            raise ParseError(message, *((1, 1) if at is None else token_position(self.text, at)))
+        self.monos = dict(zip(problem.var_names, (1 << s for s in problem.order.codec.shifts)))
+        coeffs = {}
+        for pos, (start, stop) in enumerate(spans):
+            self.tokens[stop] = ""
+            self.i, self.last = start, stop - 1
+            value = self.expr()
+            if tok := self.tokens[self.i]:
+                self.fail(f"unexpected {tok!r}")
+            for c, m in _terms(value):
+                coeffs[m + pos] = c
+        return Vector.from_coeffs(problem.ambient, problem.order, coeffs)
 
     # -- polynomial expressions ---------------------------------------------
 
-    def parse_polynomial(self):
-        value = self.expr()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected {self.peek().text!r}")
-        return value
-
     def expr(self):
         ring = self.problem.ring
-        negate = self.accept("sym", "-")
+        negate = self.accept("-")
         value = self.term()
         if negate:
             if type(value) is tuple:
@@ -253,71 +266,76 @@ class _Parser:
                 coeffs = value.coeffs
                 for m, c in coeffs.items():
                     coeffs[m] = ring.neg(c)
-        tok = self.accept("sym", "+") or self.accept("sym", "-")
-        if tok is None:
+        op = self.tokens[self.i]
+        if op != "+" and op != "-":
             return value
         acc = value if type(value) is Accumulator else _accumulator(self.problem, (value,))
-        while tok is not None:
+        while op == "+" or op == "-":
+            self.i += 1
             rhs = _terms(self.term())
-            if tok.text == "+":
+            if op == "+":
                 for c, m in rhs:
                     acc.add(c, m)
             else:
                 for c, m in rhs:
                     acc.add(ring.neg(c), m)
-            tok = self.accept("sym", "+") or self.accept("sym", "-")
+            op = self.tokens[self.i]
         return acc
 
     def term(self):
         value = self.factor()
-        while tok := self.accept("sym", "*"):
+        while self.tokens[self.i] == "*":
+            at = self.i
+            self.i += 1
             rhs = self.factor()
             try:
                 value = _product(self.problem, value, rhs)
             except PackedOverflow:
-                self.fail(_TOO_LARGE, tok)
+                self.fail(_TOO_LARGE, at)
         return value
 
     def factor(self):
         value = self.atom()
-        if self.accept("sym", "^"):
-            e = self.next()
-            if e.kind != "int":
-                self.fail("exponent must be a nonnegative integer", e)
+        if self.accept("^"):
+            if not (e := self.tokens[self.i]).isdecimal():
+                self.fail("exponent must be a nonnegative integer")
+            self.i += 1
             try:
-                value = _power(self.problem, value, int(e.text))
+                value = _power(self.problem, value, int(e))
             except PackedOverflow:
-                self.fail(_TOO_LARGE, e)
+                self.fail(_TOO_LARGE, self.i - 1)
         return value
 
     def atom(self):
         problem = self.problem
-        if self.accept("sym", "("):
+        tokens = self.tokens
+        at = self.i
+        tok = tokens[at]
+        self.i = at + 1
+        if (mono := self.monos.get(tok)) is not None:
+            return problem.ring.one(), mono
+        if tok == "(":
             value = self.expr()
-            close = self.next()
-            if close.kind != "sym" or close.text != ")":
-                self.fail("expected ')'", close)
+            if tokens[self.i] != ")":
+                self.fail("expected ')'")
+            self.i += 1
             return value
-        tok = self.next()
-        if tok.kind == "int":
-            if self.accept("sym", "/"):
-                den = self.next()
-                if den.kind != "int":
-                    self.fail("expected integer denominator", den)
+        if tok.isdecimal():
+            if self.accept("/"):
+                if not (den := tokens[self.i]).isdecimal():
+                    self.fail("expected integer denominator")
+                self.i += 1
                 try:
-                    coeff = problem.ring.from_fraction(int(tok.text), int(den.text))
+                    coeff = problem.ring.from_fraction(int(tok), int(den))
                 except UsageError as exc:
-                    raise ParseError(str(exc), tok.line, tok.column) from None
+                    self.fail(str(exc), at)
                 return _constant(problem, coeff)
-            return _constant(problem, problem.ring.from_int(int(tok.text)))
-        if tok.kind == "name":
-            if tok.text in problem.var_names:
-                shift = problem.order.codec.shifts[problem.var_names.index(tok.text)]
-                return problem.ring.one(), 1 << shift
-            if tok.text == "y" and isinstance(problem.ring, TruncatedF2y):
-                return _constant(problem, problem.ring.y())
-            self.fail(f"unknown variable {tok.text!r}", tok)
-        self.fail(f"unexpected {tok.text or 'end of input'!r}", tok)
+            return _constant(problem, problem.ring.from_int(int(tok)))
+        if tok == "y" and isinstance(problem.ring, TruncatedF2y):
+            return _constant(problem, problem.ring.y())
+        if tok[:1] in _NAME_START:
+            self.fail(f"unknown variable {tok!r}", at)
+        self.fail(f"unexpected {tok or 'end of input'!r}", at)
 
 
 _TOO_LARGE = f"exponent above {(1 << (EXP_BITS - 1)) - 1}"
@@ -338,24 +356,6 @@ def _terms(value):
         return (value,)
     coeffs = value.coeffs
     return tuple(zip(coeffs.values(), coeffs.keys()))
-
-
-def _assemble_vector(problem, pending, head):
-    if len(pending) != problem.rank and not (problem.rank == 1 and len(pending) == 1):
-        raise ParseError(
-            f"generator {head.text!r} has {len(pending)} components, rank is {problem.rank}",
-            head.line,
-            head.column,
-        )
-    if problem.rank > POSMASK + 1:
-        raise ParseError(f"rank above {POSMASK + 1}", head.line, head.column)
-    coeffs = {}
-    for pos, toks in enumerate(pending):
-        eof = Token("eof", "", toks[-1].line, toks[-1].column)
-        value = _Parser(toks + [eof], problem).parse_polynomial()
-        for c, m in _terms(value):
-            coeffs[m + pos] = c
-    return Vector.from_coeffs(problem.ambient, problem.order, coeffs)
 
 
 def _constant(problem, coeff):
@@ -396,18 +396,17 @@ def _power(problem, value, e):
 
 
 def parse_problem(text):
-    return _Parser(tokenize(text)).parse_problem()
+    return _Parser(text).parse_problem()
 
 
 def parse_vector_literal(text, problem):
     """Parse a standalone vector in the context of a parsed problem."""
-    parser = _Parser(tokenize(text))
-    pending = parser.parse_pending_vector()
-    parser.accept("sym", ";")
-    if parser.peek().kind != "eof":
+    parser = _Parser(text, problem)
+    spans = parser.parse_pending_vector()
+    parser.accept(";")
+    if parser.tokens[parser.i]:
         parser.fail("trailing input after vector")
-    head = Token("name", "<target>", 1, 1)
-    return _assemble_vector(problem, pending, head)
+    return parser.assemble(spans, "<target>", None)
 
 
 # ---------------------------------------------------------------------------

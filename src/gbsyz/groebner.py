@@ -434,9 +434,11 @@ def _head_exhaust(g, index):
 
     g is reduced by the shared step, against the prepared `index` of
     the others, in an accumulator opened at its first change: a unit
-    rescale or a step. When a combination leaves a residue, the gcd
-    combination c0 * g + c1 * sum c_j X^gamma_j o_j is formed unless the
-    gcd is an associate of LC(g): in place when c0 is a unit.
+    rescale or a step. The accumulator holds g / u for a pending unit u,
+    which collects the rescales and is applied once at the end. When a
+    combination leaves a residue, the gcd combination
+    c0 * g + c1 * sum c_j X^gamma_j o_j is formed unless the gcd is an
+    associate of LC(g): in place when c0 is a unit.
 
     Returns g itself when nothing changed, else the new g, or None when
     it reduced to zero. A gcd combination whose Bezout coefficient of g
@@ -445,14 +447,16 @@ def _head_exhaust(g, index):
     recreate each other forever).
     """
     ring = g.ambient.ring
+    one = ring.one()
     work = None
+    u = u_inv = one  # g = u * work once work is open
     lc, lm = g.packed[0]
     while True:
-        u, _canon = ring.normalize_unit(lc)
-        if not ring.eq(u, ring.one()):
+        n, _canon = ring.normalize_unit(lc)
+        if not ring.eq(n, one):
             work = _opened(work, g)
-            work.scale(ring.unit_inverse(u))
-            lc = work.coeffs[lm]
+            n_inv = ring.unit_inverse(n)
+            u, u_inv, lc = ring.mul(u, n_inv), ring.mul(u_inv, n), ring.mul(lc, n_inv)
         D, step, rest = _lead_step(index, ring, lc, lm)
         if not D:
             break
@@ -468,10 +472,11 @@ def _head_exhaust(g, index):
                     step.append((j, gamma, ring.neg(w)))
             if ring.is_unit(c0):
                 work = _opened(work, g)
-                work.scale(c0)
+                u, u_inv = ring.mul(u, c0), ring.mul(u_inv, ring.unit_inverse(c0))
             else:
                 terms = g.packed if work is None else [(c, m) for m, c in work.coeffs.items()]
-                scaled = ((ring.mul(c0, c), m) for c, m in terms)
+                c0u = ring.mul(c0, u)
+                scaled = ((ring.mul(c0u, c), m) for c, m in terms)
                 comb = Accumulator(g.ambient, g.order, [(p, m) for p, m in scaled if not ring.is_zero(p)])
                 for j, gamma, w in step:
                     comb.add_term_mul(ring.neg(w), gamma, index.packed[j])
@@ -483,11 +488,16 @@ def _head_exhaust(g, index):
                 continue
         work = _opened(work, g)
         for j, gamma, w in step:
-            work.add_term_mul(ring.neg(w), gamma, index.packed[j])
+            work.add_term_mul(ring.neg(ring.mul(u_inv, w)), gamma, index.packed[j])
         if (t := work.lead()) is None:
             return None
-        lc, lm = t
-    return g if work is None else work.vector()
+        c, lm = t
+        lc = ring.mul(u, c)
+    if work is None:
+        return g
+    if not ring.eq(u, one):
+        work.scale(u)
+    return work.vector()
 
 
 def pseudo_reduce(gb, order=None, guard=10_000):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 from gbsyz import (
     Ambient,
@@ -19,6 +21,7 @@ from gbsyz import (
     Mono,
     ParseError,
     Term,
+    TopLex,
     TruncatedF2y,
     UsageError,
     Vector,
@@ -29,7 +32,9 @@ from gbsyz import (
     positive_part,
     sort_basis,
 )
-from gbsyz.dsl import _TOKEN_RE, ProblemFile, Token, _Parser, parse_vector_literal
+from gbsyz.dsl import ProblemFile, parse_vector_literal
+from gbsyz.errors import PackedOverflow
+from gbsyz.poly import EXP_BITS, POSMASK
 
 GOLDEN = {
     "f2y_spair": """ring F2[y]/y^2; vars X2 X1; rank 1;
@@ -622,18 +627,33 @@ def reference_labels(reduced, relations, labels):
 
 
 # ---------------------------------------------------------------------------
-# the Vector-valued parser: the reference for dsl's expression evaluation
+# the reference parser: the token-list tokenizer and recursive descent
+# that dsl used before string tokens, frozen here so that it shares no
+# parsing code with dsl, with every expression evaluated as a Vector
 # ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<int>\d+)|(?P<sym>[;=+\-*^/\[\](),])"
+)
+_REFERENCE_TOO_LARGE = f"exponent above {(1 << (EXP_BITS - 1)) - 1}"
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
 
 
 def reference_tokenize(text):
     """The tokenizer that counts newlines and columns in every chunk:
-    the reference for `dsl.tokenize`."""
+    a Token per name, int and symbol, then an `eof` Token."""
     tokens = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
@@ -651,10 +671,183 @@ def reference_tokenize(text):
     return tokens
 
 
-class _ReferenceParser(_Parser):
-    """`dsl._Parser` with expressions evaluated as they were before the
-    accumulator: a normalised, sorted Vector for every constant and
+class _ReferenceParser:
+    """Recursive descent over a Token list ending in an `eof` Token. The
+    statement pass copies each vector component's Tokens; a component is
+    evaluated after the declarations, as a Token list closed by an `eof`
+    at its last Token, one normalised, sorted Vector per constant and
     variable, combined with `Vector.add`, `sub`, `neg` and `mul`."""
+
+    def __init__(self, tokens, problem=None):
+        self.tokens = tokens
+        self.i = 0
+        self.problem = problem
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(message, tok.line, tok.column)
+
+    def expect(self, kind, text=None):
+        tok = self.next()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text or kind
+            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+        return tok
+
+    def accept(self, kind, text=None):
+        tok = self.tokens[self.i]
+        if tok.kind == kind and (text is None or tok.text == text):
+            self.i += 1
+            return tok
+        return None
+
+    # -- statements ---------------------------------------------------------
+
+    def parse_problem(self):
+        ring = None
+        var_names = None
+        rank = None
+        raw_gens = []
+        while self.peek().kind != "eof":
+            head = self.expect("name")
+            if head.text == "ring":
+                if ring is not None:
+                    self.fail("duplicate ring declaration", head)
+                ring = self.parse_ring()
+            elif head.text == "vars":
+                if var_names is not None:
+                    self.fail("duplicate vars declaration", head)
+                var_names = self.parse_vars(ring)
+            elif head.text == "rank":
+                if rank is not None:
+                    self.fail("duplicate rank declaration", head)
+                tok = self.expect("int")
+                rank = int(tok.text)
+                if rank < 1:
+                    self.fail("rank must be >= 1", tok)
+            else:
+                if ring is None:
+                    self.fail("ring must be declared before generators", head)
+                if var_names is None:
+                    self.fail("vars must be declared before generators", head)
+                if any(tok.text == head.text for tok, _ in raw_gens):
+                    self.fail(f"duplicate generator name {head.text!r}", head)
+                self.expect("sym", "=")
+                raw_gens.append((head, self.parse_pending_vector()))
+            self.expect("sym", ";")
+        if ring is None:
+            self.fail("missing ring declaration")
+        if var_names is None:
+            self.fail("missing vars declaration")
+        rank = rank or 1
+        order = TopLex(len(var_names))
+        ambient = Ambient(ring, len(var_names), rank)
+        poly_ambient = Ambient(ring, len(var_names), 1)
+        problem = ProblemFile(ring, tuple(var_names), rank, order, ambient, poly_ambient, ())
+        gens = []
+        for head, pending in raw_gens:
+            gens.append((head.text, _reference_assemble(problem, pending, head)))
+        return problem._replace(generators=tuple(gens))
+
+    def parse_ring(self):
+        tok = self.expect("name")
+        if tok.text == "Z":
+            if self.accept("sym", "/"):
+                n = self.expect("int")
+                try:
+                    return IntegersMod(int(n.text))
+                except UsageError as exc:
+                    self.fail(str(exc), n)
+            return Integers()
+        if tok.text == "Z_":
+            self.expect("sym", "(")
+            p = self.expect("int")
+            self.expect("sym", ")")
+            try:
+                return IntegersLocalizedAt(int(p.text))
+            except UsageError as exc:
+                self.fail(str(exc), p)
+        if tok.text == "F2":
+            self.expect("sym", "[")
+            y = self.expect("name")
+            if y.text != "y":
+                self.fail("expected 'y'", y)
+            self.expect("sym", "]")
+            self.expect("sym", "/")
+            y = self.expect("name")
+            if y.text != "y":
+                self.fail("expected 'y'", y)
+            self.expect("sym", "^")
+            r = self.expect("int")
+            try:
+                return TruncatedF2y(int(r.text))
+            except UsageError as exc:
+                self.fail(str(exc), r)
+        self.fail(f"unknown ring {tok.text!r}", tok)
+
+    def parse_vars(self, ring):
+        names = []
+        while True:
+            tok = self.peek()
+            if tok.kind != "name":
+                break
+            if tok.text in ("ring", "vars", "rank"):
+                self.fail(f"{tok.text!r} is a keyword", tok)
+            if isinstance(ring, TruncatedF2y) and tok.text == "y":
+                self.fail("'y' is reserved for the coefficient ring", tok)
+            if tok.text in names:
+                self.fail(f"duplicate variable {tok.text!r}", tok)
+            names.append(self.next().text)
+        if not names:
+            self.fail("vars needs at least one variable name")
+        return names
+
+    def parse_pending_vector(self):
+        """Collect tokens of a vector literal; evaluation waits for the ambient."""
+        if self.accept("sym", "["):
+            parts = [self.parse_expr_tokens(stop={",", "]"})]
+            while self.accept("sym", ","):
+                parts.append(self.parse_expr_tokens(stop={",", "]"}))
+            self.expect("sym", "]")
+            return parts
+        return [self.parse_expr_tokens(stop={";"})]
+
+    def parse_expr_tokens(self, stop):
+        depth = 0
+        toks = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                if toks and depth == 0:
+                    return toks
+                self.fail("unterminated expression", tok)
+            if depth == 0 and tok.kind == "sym" and tok.text in stop:
+                if not toks:
+                    self.fail("empty expression", tok)
+                return toks
+            if tok.kind == "sym" and tok.text == "(":
+                depth += 1
+            elif tok.kind == "sym" and tok.text == ")":
+                depth -= 1
+                if depth < 0:
+                    self.fail("unbalanced ')'", tok)
+            toks.append(self.next())
+
+    # -- polynomial expressions ---------------------------------------------
+
+    def parse_polynomial(self):
+        value = self.expr()
+        if self.peek().kind != "eof":
+            self.fail(f"unexpected {self.peek().text!r}")
+        return value
 
     def expr(self):
         negate = self.accept("sym", "-")
@@ -668,8 +861,12 @@ class _ReferenceParser(_Parser):
 
     def term(self):
         value = self.factor()
-        while self.accept("sym", "*"):
-            value = value.mul(self.factor())
+        while tok := self.accept("sym", "*"):
+            rhs = self.factor()
+            try:
+                value = value.mul(rhs)
+            except PackedOverflow:
+                self.fail(_REFERENCE_TOO_LARGE, tok)
         return value
 
     def factor(self):
@@ -678,7 +875,10 @@ class _ReferenceParser(_Parser):
             e = self.next()
             if e.kind != "int":
                 self.fail("exponent must be a nonnegative integer", e)
-            value = _reference_power(self.problem, value, int(e.text))
+            try:
+                value = _reference_power(self.problem, value, int(e.text))
+            except PackedOverflow:
+                self.fail(_REFERENCE_TOO_LARGE, e)
         return value
 
     def atom(self):
@@ -712,6 +912,24 @@ class _ReferenceParser(_Parser):
         self.fail(f"unexpected {tok.text or 'end of input'!r}", tok)
 
 
+def _reference_assemble(problem, pending, head):
+    if len(pending) != problem.rank and not (problem.rank == 1 and len(pending) == 1):
+        raise ParseError(
+            f"generator {head.text!r} has {len(pending)} components, rank is {problem.rank}",
+            head.line,
+            head.column,
+        )
+    if problem.rank > POSMASK + 1:
+        raise ParseError(f"rank above {POSMASK + 1}", head.line, head.column)
+    terms = []
+    for pos, toks in enumerate(pending):
+        eof = Token("eof", "", toks[-1].line, toks[-1].column)
+        poly = _ReferenceParser(toks + [eof], problem).parse_polynomial()
+        for c, m in poly.terms:
+            terms.append(Term(c, Mono(m.exps, pos)))
+    return Vector(problem.ambient, problem.order, terms)
+
+
 def _reference_monomial(problem, coeff, exps):
     return Vector(problem.poly_ambient, problem.order, [Term(coeff, Mono(exps, 0))])
 
@@ -737,26 +955,16 @@ def _reference_power(problem, value, e):
     return out
 
 
-def reference_parse_polynomial(tokens, problem):
-    """The rank-1 Vector of a token list ending in `eof`, evaluated one
-    Vector per atom."""
-    return _ReferenceParser(tokens, problem).parse_polynomial()
+def reference_parse_problem(text):
+    """`dsl.parse_problem` through the frozen reference parser."""
+    return _ReferenceParser(reference_tokenize(text)).parse_problem()
 
 
 def reference_parse_vector_literal(text, problem):
-    """`dsl.parse_vector_literal` through `reference_tokenize` and
-    `reference_parse_polynomial`."""
-    parser = _Parser(reference_tokenize(text))
+    """`dsl.parse_vector_literal` through the frozen reference parser."""
+    parser = _ReferenceParser(reference_tokenize(text))
     pending = parser.parse_pending_vector()
     parser.accept("sym", ";")
     if parser.peek().kind != "eof":
         parser.fail("trailing input after vector")
-    if len(pending) != problem.rank and not (problem.rank == 1 and len(pending) == 1):
-        raise ParseError(f"generator '<target>' has {len(pending)} components, rank is {problem.rank}", 1, 1)
-    terms = []
-    for pos, toks in enumerate(pending):
-        eof = Token("eof", "", toks[-1].line, toks[-1].column)
-        poly = reference_parse_polynomial(toks + [eof], problem)
-        for c, m in poly.terms:
-            terms.append(Term(c, Mono(m.exps, pos)))
-    return Vector(problem.ambient, problem.order, terms)
+    return _reference_assemble(problem, pending, Token("name", "<target>", 1, 1))

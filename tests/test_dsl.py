@@ -1,6 +1,7 @@
 """Problem-file parsing, diagnostics, and print/parse round-trips."""
 
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,7 @@ from helpers import (
     parse_in,
     problem,
     random_vector,
+    reference_parse_problem,
     reference_parse_vector_literal,
     reference_tokenize,
     reference_vector_mul,
@@ -344,10 +346,109 @@ def test_parse_errors_match_reference(ring, text):
     assert got == _parse_outcome(reference_parse_vector_literal, text, prob)
 
 
+# Tokens for the mutations: every token class, keywords, a decimal digit
+# outside ASCII, and characters that are not in the language.
+MUTATION_TOKENS = [
+    "X", "Y", "Z", "W", "y", "g1", "_t", "ring", "vars", "rank", "Z_", "F2",
+    "0", "1", "2", "3", "5", "12", "\u0663",
+    ";", "=", "+", "-", "*", "^", "/", "[", "]", "(", ")", ",",
+    "$", "?", "\u00b2", "# note", "\n",
+]
+_MUTATION_SPAN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;=+\-*^/\[\](),]")
+
+
+def _mutated(rng, text):
+    """text after 1-3 single-token inserts, deletes or replaces, each at
+    a token's span; an insert adds a space after the token or not."""
+    for _ in range(rng.randint(1, 3)):
+        spans = [m.span() for m in _MUTATION_SPAN.finditer(text)] or [(0, 0)]
+        start, end = rng.choice(spans)
+        op = rng.randrange(3)
+        tok = rng.choice(MUTATION_TOKENS)
+        if op == 0:
+            text = text[:start] + text[end:]
+        elif op == 1:
+            text = text[:start] + tok + text[end:]
+        else:
+            text = text[:start] + tok + rng.choice(("", " ")) + text[start:]
+    return text
+
+
+def _problem_outcome(parse, text):
+    """The header and the generators' packed terms, with coefficient
+    types, of a parsed problem, or the text and position of its error."""
+    try:
+        p = parse(text)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+    gens = [(name, v.ambient == p.ambient, [(c, type(c), m) for c, m in v.packed])
+            for name, v in p.generators]
+    return ("value", p.ring, p.var_names, p.rank, gens)
+
+
+def _random_problem_texts(rng):
+    """Problem texts over every test ring, with comments, blank lines
+    and generators that the printer wrote."""
+    texts = []
+    for ring in rings_under_test() + [TruncatedF2y(3), IntegersLocalizedAt(3)]:
+        for rank in (1, 2, 3):
+            base = parse_problem(f"ring {ring.descriptor()}; vars Z Y X; rank {rank};")
+            lines = [f"# {ring} rank {rank}", f"ring {ring.descriptor()};", "vars Z Y X;  # lex",
+                     f"rank {rank};", ""]
+            for k in range(rng.randint(1, 3)):
+                v = random_vector(rng, base.ambient, base.order, max_terms=4, max_exp=3)
+                lines.append(f"g{k + 1} = {format_vector(v, base.var_names)};")
+            texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def test_parser_matches_frozen_reference_on_mutated_inputs():
+    # seeded single-token mutations of golden and random problems and of
+    # printed vectors: the values, or the error text and position, equal
+    # those of the frozen Token-list reference
+    rng = random.Random(1717)
+    problems = list(GOLDEN.values()) + _random_problem_texts(rng)
+    errors = 0
+    for _ in range(2000):
+        text = _mutated(rng, rng.choice(problems))
+        got = _problem_outcome(parse_problem, text)
+        assert got == _problem_outcome(reference_parse_problem, text), text
+        errors += got[0] == "error"
+    targets = []
+    for text in problems:
+        prob = parse_problem(text)
+        targets += [(prob, format_vector(v, prob.var_names)) for _, v in prob.generators]
+    for _ in range(1000):
+        prob, literal = rng.choice(targets)
+        text = _mutated(rng, literal)
+        got = _parse_outcome(parse_vector_literal, text, prob)
+        assert got == _parse_outcome(reference_parse_vector_literal, text, prob), text
+        errors += got[0] == "error"
+    assert errors >= 0.25 * 3000
+
+
+def test_unexpected_character_wins_over_earlier_syntax_errors():
+    for text, where in (("ring Q; vars X; $", (1, 17)), ("ring Z; vars X;\ng = X +;\n  ?", (3, 3)),
+                        ("\u00b2", (1, 1))):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(text)
+        assert exc.value.message.startswith("unexpected character")
+        assert (exc.value.line, exc.value.column) == where
+    prob = problem("zint_ideal")
+    with pytest.raises(ParseError) as exc:
+        parse_vector_literal("[X, ; Y $", prob)
+    assert (exc.value.message, exc.value.line, exc.value.column) == ("unexpected character '$'", 1, 9)
+
+
 def test_tokenizer_positions_match_reference():
-    texts = list(GOLDEN.values()) + ["\n\n  ring Z; # c\n\tvars X;\r\n g = X  \n  + 1;\n", "", "  \n"]
+    # token texts, then each token's position from the error-path helper,
+    # the end of input included
+    texts = list(GOLDEN.values()) + ["\n\n  ring Z; # c\n\tvars X;\r\n g = X  \n  + 1;\n", "", "  \n",
+                                     "# only a comment", "g = X # c\n  ^\u0663 # end"]
     for text in texts:
-        assert dsl.tokenize(text) == reference_tokenize(text)
+        tokens = dsl.tokenize(text)
+        got = [(tok, *dsl.token_position(text, k)) for k, tok in enumerate(tokens)]
+        assert got == [(t.text, t.line, t.column) for t in reference_tokenize(text)], text
 
 
 def test_parsing_builds_one_vector_per_generator(monkeypatch):

@@ -384,6 +384,34 @@ def test_pseudo_reduce_matches_whole_vector_reference_randomized(monkeypatch):
     assert all(branches[k] > 0 for k in kinds), branches
 
 
+def test_head_exhaust_scales_at_most_once(monkeypatch):
+    # unit rescales and unit Bezout coefficients wait in a pending unit:
+    # one Accumulator.scale per exhaustion at most, at its end
+    scales = []
+    scale, head_exhaust = groebner.Accumulator.scale, groebner._head_exhaust
+
+    def counted_scale(self, u):
+        scales[-1] += 1
+        return scale(self, u)
+
+    def counted_exhaust(g, index):
+        scales.append(0)
+        return head_exhaust(g, index)
+
+    monkeypatch.setattr(groebner.Accumulator, "scale", counted_scale)
+    monkeypatch.setattr(groebner, "_head_exhaust", counted_exhaust)
+    rng = random.Random(5)
+    for ring in (Integers(), IntegersMod(12), TruncatedF2y(3), IntegersLocalizedAt(2)):
+        amb, order = Ambient(ring, 2, 2), TopLex(2)
+        for _ in range(12):
+            gb = buchberger([random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(3)], order)
+            pseudo_reduce(gb)
+            syz = schreyer_syzygies(gb)
+            if syz.relations:
+                pseudo_reduce(syz.relations, syz.order)
+    assert max(scales) == 1, scales
+
+
 # -- term-module membership --------------------------------------------------
 
 
