@@ -106,6 +106,7 @@ class _Parser:
     def parse_problem(self):
         ring = var_names = rank = None
         raw_gens = []  # of (name, index of the name, component spans)
+        seen = set()
         while self.tokens[self.i]:
             at = self.i
             head = self.expect("name")
@@ -128,8 +129,9 @@ class _Parser:
                     self.fail("ring must be declared before generators", at)
                 if var_names is None:
                     self.fail("vars must be declared before generators", at)
-                if any(name == head for name, _, _ in raw_gens):
+                if head in seen:
                     self.fail(f"duplicate generator name {head!r}", at)
+                seen.add(head)
                 self.expect("=")
                 raw_gens.append((head, at, self.parse_pending_vector()))
             self.expect(";")

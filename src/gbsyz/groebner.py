@@ -15,13 +15,14 @@ whole term over: `divide` then is the first-divisor division, and
 `divide_valuation` is `divide` restricted to those rings.
 
 The working polynomial of every reduction, the quotients of a division
-and the value of a cross S-pair are sums of term products
-c * X^gamma * v, formed in `poly.Accumulator`. `s_pairs` enumerates the
-S-pairs of a basis with their divisions, once for `is_groebner` and
-Schreyer's syzygies, whose divisions write their quotients straight
-into each pair's lift; `pair_cofactors` gives the cofactors of a pair
-from its leading terms alone, for the S-pair values and the resolution
-verifier, which divides nothing.
+and the value of an S-pair are sums of term products c * X^gamma * v,
+formed in `poly.Accumulator`. Every S-pair takes its cofactors and value
+from one kernel, `_s_pair`. Buchberger's loop and `s_pairs` read their
+pairs from a prepared `Divisors` and reduce them on it with `divide`'s
+loop. `s_pairs` enumerates the S-pairs of a basis with their divisions,
+once for `is_groebner` and Schreyer's syzygies, whose divisions write
+their quotients straight into each pair's lift; `pair_cofactors` gives
+the cofactors alone, for the resolution verifier, which divides nothing.
 
 `pseudo_reduce` is the leading-term exhaustion used between syzygy
 levels: unit-normalize leading coefficients, reduce a leading term away
@@ -274,6 +275,32 @@ def divide_valuation(h, divisors, order=None, trace=None):
     return divide(h, divisors, order, trace=trace)
 
 
+def _s_pair(ft, gt, auto, ring, codec, value=None):
+    """The S-pair b X^beta f - a X^alpha g of the packed terms ft, gt of
+    two nonzero vectors, from their leading terms: (kind, left, right)
+    with left = (b, X^beta) and right = (a, X^alpha) packed at position
+    0, None where there is no cofactor. The auto pair of f is b f with
+    Ann(LC(f)) = <b>; a cross pair at distinct positions is "zero".
+    Unless `value` is None, the pair's value is added into it."""
+    fc, mu = ft[0]
+    if auto:
+        b = ring.ann_gen(fc)
+        if ring.is_zero(b):
+            return "auto", None, None
+        if value is not None:
+            value.add_term_mul(b, 0, ft)
+        return "auto", (b, 0), None
+    gc, nu = gt[0]
+    if (mu ^ nu) & POSMASK:
+        return "zero", None, None
+    a, b = ring.spair_cofactors(fc, gc)
+    lcm = codec.lcm(mu, nu)
+    if value is not None:
+        value.add_term_mul(b, lcm - mu, ft)
+        value.add_term_mul(ring.neg(a), lcm - nu, gt)
+    return "cross", (b, lcm - mu), (a, lcm - nu)
+
+
 def s_pair_indexed(f, g, order, auto):
     """S-pair computation with the auto/cross split decided by the caller.
 
@@ -286,18 +313,11 @@ def s_pair_indexed(f, g, order, auto):
     if f.is_zero() or g.is_zero():
         raise UsageError("S-polynomial of the zero vector")
     f._check_compatible(g)
-    if not auto and (f.packed[0][1] ^ g.packed[0][1]) & POSMASK:
-        return SPair(Vector.zero(f.ambient, order), None, None, "zero")
-    cofactors = pair_cofactors(f, g, auto)
-    if cofactors is None:
-        return SPair(Vector.zero(f.ambient, order), None, None, "auto")
-    left, right = cofactors
-    if auto:
-        return SPair(f.scale(left[0]), left, None, "auto")
-    acc = Accumulator(f.ambient, f.order)
-    acc.add_term_mul(left[0], left[1], f.packed)
-    acc.add_term_mul(f.ambient.ring.neg(right[0]), right[1], g.packed)
-    return SPair(acc, left, right, "cross")
+    value = Accumulator(f.ambient, f.order)
+    kind, left, right = _s_pair(f.packed, g.packed, auto, f.ambient.ring, f.order.codec, value)
+    if left is None:
+        return SPair(Vector.zero(f.ambient, order), None, None, kind)
+    return SPair(value.vector() if auto else value, left, right, kind)
 
 
 def pair_cofactors(f, g, auto):
@@ -305,18 +325,10 @@ def pair_cofactors(f, g, auto):
     b X^beta f - a X^alpha g of two nonzero vectors at one leading
     position, from their leading terms alone, with beta and alpha packed
     by f's codec at position 0. The auto pair of f is b f with
-    Ann(LC(f)) = <b>, as ((b, 0), None), and None when b is zero."""
-    ring = f.ambient.ring
-    fc, mu = f.packed[0]
-    if auto:
-        b = ring.ann_gen(fc)
-        if ring.is_zero(b):
-            return None
-        return (b, 0), None
-    gc, nu = g.packed[0]
-    a, b = ring.spair_cofactors(fc, gc)
-    lcm = f.order.codec.lcm(mu, nu)
-    return (b, lcm - mu), (a, lcm - nu)
+    Ann(LC(f)) = <b>, as ((b, 0), None), and None when b is zero; a cross
+    pair at distinct leading positions is None too."""
+    _, left, right = _s_pair(f.packed, g.packed, auto, f.ambient.ring, f.order.codec)
+    return None if left is None else (left, right)
 
 
 def s_poly(f, g, order=None):
@@ -354,19 +366,19 @@ def buchberger(gens, order, guard=10_000, trace=None):
         if g.is_zero():
             raise UsageError("zero generator")
     index = Divisors(gens)
-    basis = index.vectors
+    basis, packed = index.vectors, index.packed
+    amb, codec = basis[0].ambient, order.codec
     queue = deque((i, j) for i in range(len(basis)) for j in range(i, len(basis)))
     while queue:
         i, j = queue.popleft()
-        sp = s_pair_indexed(basis[i], basis[j], order, auto=(i == j))
+        value = Accumulator(amb, order)
+        kind, _, _ = _s_pair(packed[i], packed[j], i == j, amb.ring, codec, value)
         if trace is not None:
-            trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
-        if sp.value.is_zero():
+            trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": kind})
+        r_terms = _reduce(value, index, None, trace)
+        if not r_terms:
             continue
-        rem = divide(sp.value, index, order, trace=trace, quotients=False).remainder
-        if rem.is_zero():
-            continue
-        index.append(rem)
+        index.append(Vector.from_packed(amb, order, r_terms))
         t = len(basis) - 1
         if len(basis) > guard:
             raise GuardExceeded(f"basis grew past guard={guard}", tuple(basis))
@@ -377,28 +389,32 @@ def buchberger(gens, order, guard=10_000, trace=None):
     return GroebnerBasis(tuple(basis), order)
 
 
-def s_pairs(source, order, index, trace=None, start_lift=None):
-    """(i, j, sp, lift, res) for the S-pairs of source that carry a
-    cofactor: res divides the S-polynomial by the prepared `index`, and
-    is None for a zero S-polynomial. A cross pair's accumulator is
-    consumed by its division. Without `start_lift` only remainders are
-    computed and lift is None; otherwise lift is start_lift(i, j, sp),
-    an `Accumulator` into which the division adds -sum q_l eps_l."""
-    for i in range(len(source)):
-        for j in range(i, len(source)):
-            if source[i].lp() != source[j].lp():
-                continue
-            sp = s_pair_indexed(source[i], source[j], order, auto=(i == j))
-            if sp.kind == "auto" and sp.left_cofactor is None:
+def s_pairs(source, order, trace=None, start_lift=None):
+    """(i, j, lift, rest) for the S-pairs of the nonzero elements source
+    that carry a cofactor, in (i, j) order: rest is the list of
+    remainder terms of the pair's value divided by source, descending,
+    and empty when it reduces to zero. Without `start_lift` only
+    remainders are computed and lift is None; otherwise lift is
+    start_lift(i, j, left, right) for the packed cofactor terms of the
+    pair, an `Accumulator` into which the division adds -sum q_l eps_l.
+    `order` must equal the elements' own."""
+    if not source:
+        return
+    index = Divisors(source)
+    order = _order_of(source[0], order)
+    amb, codec, packed = source[0].ambient, order.codec, index.packed
+    for i, ft in enumerate(packed):
+        # only elements at the same leading position pair up
+        bucket = index.by_pos[ft[0][1] & POSMASK]
+        for j, _, _ in bucket[bisect_left(bucket, (i,)):]:
+            value = Accumulator(amb, order)
+            kind, left, right = _s_pair(ft, packed[j], i == j, amb.ring, codec, value)
+            if left is None:
                 continue
             if trace is not None:
-                trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
-            lift = None if start_lift is None else start_lift(i, j, sp)
-            res = None
-            if not sp.value.is_zero():
-                res = divide(sp.value, index, order, trace=trace,
-                             quotients=False, lift=lift)
-            yield i, j, sp, lift, res
+                trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": kind})
+            lift = None if start_lift is None else start_lift(i, j, left, right)
+            yield i, j, lift, _reduce(value, index, lift, trace)
 
 
 def is_groebner(elements, order) -> bool:
@@ -407,8 +423,7 @@ def is_groebner(elements, order) -> bool:
     for g in elements:
         if g.is_zero():
             raise UsageError("zero element in candidate basis")
-    pairs = s_pairs(elements, order, Divisors(elements))
-    return all(res is None or res.remainder.is_zero() for *_, res in pairs)
+    return not any(rest for *_, rest in s_pairs(elements, order))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 
 from .errors import GuardExceeded, InternalError, UsageError
 from .groebner import (
-    Divisors,
     GroebnerBasis,
     buchberger,
     divide,  # not called here; bench/test_bench.py checks the tracer restores it
@@ -141,17 +140,17 @@ def _certify(source, sch, trace=None, strict=False):
     amb = Ambient(amb0.ring, amb0.nvars, len(source))
     neg = amb.ring.neg
 
-    def start_lift(i, j, sp):
-        b, beta = sp.left_cofactor
+    def start_lift(i, j, left, right):
+        b, beta = left
         lift = Accumulator(amb, sch, [(b, beta + i)])
-        if sp.right_cofactor is not None:
-            a, alpha = sp.right_cofactor
+        if right is not None:
+            a, alpha = right
             lift.add(neg(a), alpha + j)
         return lift
 
     pairs, unreduced = {}, set()
-    for i, j, _, lift, res in s_pairs(source, sch.parent, Divisors(source), trace, start_lift):
-        if res is not None and not res.remainder.is_zero():
+    for i, j, lift, rest in s_pairs(source, sch.parent, trace, start_lift):
+        if rest:
             if strict:
                 raise UsageError(_NOT_GROEBNER)
             unreduced.add((i, j))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,7 +34,9 @@ from gbsyz import (
 )
 from gbsyz.dsl import ProblemFile, parse_vector_literal
 from gbsyz.errors import PackedOverflow
-from gbsyz.poly import EXP_BITS, POSMASK
+from gbsyz.groebner import s_pair_indexed
+from gbsyz.poly import EXP_BITS, POSMASK, Accumulator, reorder
+from gbsyz.syzygy import Certificate
 
 GOLDEN = {
     "f2y_spair": """ring F2[y]/y^2; vars X2 X1; rank 1;
@@ -474,6 +476,79 @@ def reference_s_pair_value(f, g, order, auto):
     beta = positive_part(exps_sub(nu, mu))
     alpha = positive_part(exps_sub(mu, nu))
     return f.term_mul(b, beta).sub(g.term_mul(a, alpha))
+
+
+def reference_buchberger(gens, order, guard=10_000, trace=None):
+    """Buchberger's loop with one `s_pair_indexed` and one
+    `divide(..., quotients=False)` per pair: the reference for
+    `groebner.buchberger`, whose pairs reduce on its prepared index."""
+    gens = [reorder(g, order) for g in gens]
+    index = Divisors(gens)
+    basis = index.vectors
+    queue = deque((i, j) for i in range(len(basis)) for j in range(i, len(basis)))
+    while queue:
+        i, j = queue.popleft()
+        sp = s_pair_indexed(basis[i], basis[j], order, auto=(i == j))
+        if trace is not None:
+            trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
+        if sp.value.is_zero():
+            continue
+        rem = divide(sp.value, index, order, trace=trace, quotients=False).remainder
+        if rem.is_zero():
+            continue
+        index.append(rem)
+        t = len(basis) - 1
+        if len(basis) > guard:
+            raise GuardExceeded(f"basis grew past guard={guard}", tuple(basis))
+        if trace is not None:
+            trace({"event": "basis_added", "index": t + 1})
+        queue.extend((k, t) for k in range(t))
+        queue.append((t, t))
+    return GroebnerBasis(tuple(basis), order)
+
+
+def reference_s_pairs(source, order, index, trace=None, start_lift=None):
+    """(i, j, sp, lift, res) per S-pair of source with a cofactor, by
+    `s_pair_indexed` and `divide(..., lift=lift)`; res is None for a zero
+    value: the reference for `groebner.s_pairs`."""
+    for i in range(len(source)):
+        for j in range(i, len(source)):
+            if source[i].lp() != source[j].lp():
+                continue
+            sp = s_pair_indexed(source[i], source[j], order, auto=(i == j))
+            if sp.kind == "auto" and sp.left_cofactor is None:
+                continue
+            if trace is not None:
+                trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
+            lift = None if start_lift is None else start_lift(i, j, sp)
+            res = None
+            if not sp.value.is_zero():
+                res = divide(sp.value, index, order, trace=trace, quotients=False, lift=lift)
+            yield i, j, sp, lift, res
+
+
+def reference_certificate(source, sch, trace=None):
+    """The `Certificate` of source under the Schreyer order sch by
+    `reference_s_pairs`: the reference for what `schreyer_syzygies` and
+    the verifier keep, pairs whose division leaves a remainder included."""
+    amb0 = source[0].ambient
+    amb = Ambient(amb0.ring, amb0.nvars, len(source))
+
+    def start_lift(i, j, sp):
+        b, beta = sp.left_cofactor
+        lift = Accumulator(amb, sch, [(b, beta + i)])
+        if sp.right_cofactor is not None:
+            a, alpha = sp.right_cofactor
+            lift.add(amb.ring.neg(a), alpha + j)
+        return lift
+
+    pairs, unreduced = {}, set()
+    for i, j, _, lift, res in reference_s_pairs(source, sch.parent, Divisors(source), trace,
+                                                start_lift):
+        if res is not None and not res.remainder.is_zero():
+            unreduced.add((i, j))
+        pairs[i, j] = lift.vector()
+    return Certificate(source, pairs, frozenset(unreduced))
 
 
 def reference_expand_combination(quotients, vectors):

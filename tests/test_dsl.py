@@ -86,6 +86,20 @@ def test_parse_errors_report_positions():
         parse_problem("ring F2[y]/y^2; vars y X;")  # y reserved
 
 
+def test_duplicate_generator_name_after_thousands_of_generators():
+    # the last of a few thousand generators repeats an earlier name: the
+    # error and its position are those of the reference parser
+    lines = ["ring Z; vars X;"] + [f"g{k} = X + {k};" for k in range(1, 4001)] + ["  g1234 = X;"]
+    text = "\n".join(lines)
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    got = (exc.value.message, exc.value.line, exc.value.column)
+    assert got == ("duplicate generator name 'g1234'", 4002, 3)
+    with pytest.raises(ParseError) as exc:
+        reference_parse_problem(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == got
+
+
 def test_exponents_past_the_packed_field_are_parse_errors():
     # an exponent of 2^31 or more, by a literal, a product or a power,
     # is the input's fault: a ParseError at the operator or exponent

@@ -21,6 +21,7 @@ from gbsyz import (
     buchberger,
     divide,
     expand_combination,
+    free_resolution,
     is_groebner,
     module_member,
     parse_problem,
@@ -30,7 +31,8 @@ from gbsyz import (
     term_module_member,
     term_syzygies,
 )
-from gbsyz import groebner
+from gbsyz import groebner, syzygy
+from gbsyz.poly import Schreyer
 from helpers import (
     GOLDEN,
     element_candidates,
@@ -39,6 +41,8 @@ from helpers import (
     random_element,
     random_nonzero,
     random_nonzero_vector,
+    reference_buchberger,
+    reference_certificate,
     reference_pseudo_reduce,
     rings_under_test,
     vec,
@@ -178,6 +182,67 @@ def test_buchberger_randomized_outputs_groebner():
             assert is_groebner(list(gb.elements), order)
             for g in gens:
                 assert divide(g, list(gb.elements), order).remainder.is_zero()
+
+
+# the ring descriptors of the benchmark corpus
+BENCH_RINGS = ("Z", "Z/2", "Z/3", "Z/5", "Z/7", "Z/4", "Z/6", "Z/12",
+               "F2[y]/y^2", "F2[y]/y^3", "Z_(2)", "Z_(3)")
+
+
+def assert_same_certificate(got, want):
+    assert list(got.pairs) == list(want.pairs)
+    assert [lift.packed for lift in got.pairs.values()] == [lift.packed for lift in want.pairs.values()]
+    assert got.unreduced == want.unreduced
+
+
+def assert_certified_like_the_reference(source, order):
+    # Schreyer's certificate (s_pairs with lifts) and is_groebner
+    # (s_pairs without) against the per-pair loop, trace events included
+    sch = Schreyer(source, order)
+    got_events, want_events = [], []
+    got = syzygy._certify(source, sch, trace=got_events.append)
+    want = reference_certificate(source, sch, trace=want_events.append)
+    assert_same_certificate(got, want)
+    assert got_events == want_events
+    assert is_groebner(source, order) == (not want.unreduced)
+
+
+def test_pair_loops_match_the_per_pair_reference():
+    # Buchberger's loop and s_pairs reduce each pair on the prepared
+    # index; the reference runs s_pair_indexed and divide per pair. Same
+    # bases, trace events and certificates: on every level of the golden
+    # resolutions, and on seeded problems of rank 1 and 2 over every
+    # ring of the benchmark corpus, for their generators (not always a
+    # Groebner basis) and their bases
+    problems = [gens_of(problem(key))[1] for key in GOLDEN]
+    for key in GOLDEN:
+        for level in free_resolution(gens_of(problem(key))[1]).levels:
+            if level.certificate is not None:
+                assert_same_certificate(
+                    level.certificate,
+                    reference_certificate(level.basis, Schreyer(level.basis, level.order)))
+            assert_certified_like_the_reference(level.basis, level.order)
+    rng = random.Random(41)
+    for text in BENCH_RINGS:
+        for rank in (1, 2):
+            p = parse_problem(f"ring {text}; vars X Y; rank {rank};")
+            for _ in range(8):
+                problems.append([random_nonzero_vector(rng, p.ambient, p.order, 3, 2)
+                                 for _ in range(rng.randint(2, 3))])
+    kinds, unreduced = Counter(), 0
+    for gens in problems:
+        order = gens[0].order
+        got_events, want_events = [], []
+        gb = buchberger(gens, order, trace=got_events.append)
+        want = reference_buchberger(gens, order, trace=want_events.append)
+        assert [v.packed for v in gb.elements] == [v.packed for v in want.elements]
+        assert got_events == want_events
+        kinds.update(e["kind"] for e in got_events if e["event"] == "pair")
+        assert_certified_like_the_reference(tuple(gens), order)
+        assert_certified_like_the_reference(gb.elements, order)
+        unreduced += not is_groebner(gens, order)
+    # every kind of pair and both outcomes of the criterion occurred
+    assert set(kinds) == {"auto", "cross", "zero"} and unreduced
 
 
 # -- pseudo-reduction --------------------------------------------------------

@@ -390,14 +390,16 @@ def test_apply_relation_matches_whole_vector_adds():
 
 
 def counting_divisions(monkeypatch):
-    """Patch groebner.divide to count its calls; returns the count list."""
+    """Patch groebner._reduce, the reduction loop of every division and
+    S-pair loop, to count its calls; returns the count list."""
     calls = []
+    reduce = groebner._reduce
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return divide(*args, **kwargs)
+        return reduce(*args)
 
-    monkeypatch.setattr(groebner, "divide", counting)
+    monkeypatch.setattr(groebner, "_reduce", counting)
     return calls
 
 
@@ -559,8 +561,8 @@ def test_certificate_fails_on_a_level_that_is_not_a_groebner_basis():
 
 def certified_by(monkeypatch, tamper, level):
     """level with the certificate that schreyer_syzygies makes while
-    groebner.divide is replaced by tamper."""
-    monkeypatch.setattr(groebner, "divide", tamper)
+    groebner._reduce, its reduction loop, is replaced by tamper."""
+    monkeypatch.setattr(groebner, "_reduce", tamper)
     cert = schreyer_syzygies((level.basis, level.order)).certificate
     monkeypatch.undo()
     return level._replace(certificate=cert)
@@ -569,9 +571,11 @@ def certified_by(monkeypatch, tamper, level):
 def test_certificate_fails_when_the_division_drops_its_remainder(monkeypatch):
     # a division that loses remainder terms reports a zero remainder with
     # honest quotients: only the identity S = sum q_l g_l catches it
-    def lossy(h, divisors, order=None, trace=None, **kwargs):
-        res = divide(h, divisors, order, trace=trace, **kwargs)
-        return res._replace(remainder=Vector.zero(h.ambient, res.remainder.order))
+    reduce = groebner._reduce
+
+    def lossy(work, index, lift, trace):
+        reduce(work, index, lift, trace)
+        return []
 
     level = certified_by(monkeypatch, lossy, not_groebner_level())
     report = verify_resolution(single_level(level))
@@ -590,12 +594,14 @@ def test_certificate_fails_when_quotients_break_the_degree_bound(monkeypatch):
 
     shift = level.order.codec.pack((2, 2), 0)
 
-    def shifted(h, divisors, order=None, trace=None, **kwargs):
-        res = divide(h, divisors, order, trace=trace, **kwargs)
+    reduce = groebner._reduce
+
+    def shifted(work, index, lift, trace):
+        rest = reduce(work, index, lift, trace)
         # the lift holds -sum q_l eps_l: q1 += X^(2,2) g2, q2 -= X^(2,2) g1
-        kwargs["lift"].add_term_mul(-1, shift, g2.packed)
-        kwargs["lift"].add_term_mul(1, shift + 1, g1.packed)
-        return res
+        lift.add_term_mul(-1, shift, g2.packed)
+        lift.add_term_mul(1, shift + 1, g1.packed)
+        return rest
 
     report = verify_resolution(single_level(certified_by(monkeypatch, shifted, level)))
     assert [(c["check"], c["ok"]) for c in report.checks] == [

@@ -83,6 +83,27 @@ def test_one_leading_term_step_in_groebner():
     assert callers == {"_lead_step", "term_module_member"}, callers
 
 
+def test_one_s_pair_rule_in_groebner():
+    # Buchberger's loop, s_pairs and the public S-pair functions take
+    # their cofactors from one kernel: no other function in groebner
+    # asks the ring for S-pair cofactors or annihilators
+    tree = ast.parse((PACKAGE / "groebner.py").read_text())
+    callers = {
+        name
+        for name, fn in _functions(tree)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("spair_cofactors", "ann_gen")
+    }
+    assert callers == {"_s_pair"}, callers
+    # and the two pair loops reduce on their own index, not per pair
+    # through the public entry points
+    loops = {name: fn for name, fn in _functions(tree) if name in ("buchberger", "s_pairs")}
+    assert len(loops) == 2
+    for name, fn in loops.items():
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert not names & {"divide", "s_pair_indexed"}, name
+
+
 def test_one_sparse_accumulator():
     # poly.Accumulator owns the heap and the term products: no other
     # module imports heapq, and groebner forms no monomial products itself

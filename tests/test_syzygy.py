@@ -245,25 +245,29 @@ def test_schreyer_divisions_are_the_groebner_check():
 def test_schreyer_divisions_write_into_the_lift(monkeypatch):
     # every division of Schreyer's method, on every level of every
     # golden resolution, adds its quotients into the pair's lift and
-    # builds no per-divisor quotients
+    # builds no per-divisor quotients: it runs the reduction loop with
+    # the lift as its sink and never goes through `divide`
     from gbsyz import free_resolution
 
-    divide = groebner.divide
+    reduce = groebner._reduce
     calls = []
 
-    def recorded(h, divisors, order=None, trace=None, **kwargs):
-        res = divide(h, divisors, order, trace=trace, **kwargs)
-        calls.append((kwargs.get("lift"), res.quotients))
-        return res
+    def recorded(work, index, lift, trace):
+        calls.append(lift)
+        return reduce(work, index, lift, trace)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Schreyer's method called divide")
 
     for key in GOLDEN:
         _, gens = gens_of(problem(key))
         for level in free_resolution(gens).levels:
             with monkeypatch.context() as m:
-                m.setattr(groebner, "divide", recorded)
+                m.setattr(groebner, "_reduce", recorded)
+                m.setattr(groebner, "divide", forbidden)
                 schreyer_syzygies((level.basis, level.order))
     assert calls
-    assert all(type(lift) is Accumulator and q is None for lift, q in calls)
+    assert all(type(lift) is Accumulator for lift in calls)
 
 
 def _lt_formula_expected(ring, gi, gj, i, j):
