@@ -7,11 +7,8 @@ standard error. Exit codes: 0 on success (mathematical "no" answers
 included), 2 on usage or parse errors, 3 on broken internal invariants.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
-import json
 import sys
 
 from .dsl import (
@@ -111,6 +108,7 @@ def _pick_order(args, problem):
 def _trace_sink(args):
     if not args.trace:
         return None
+    import json
 
     def sink(event):
         print(json.dumps(event, default=str), file=sys.stderr)
@@ -320,7 +318,7 @@ def _render_text(records):
         elif kind == "verification":
             lines.append(f"verification: {rec['value']} ({rec['checks']} checks)")
         else:
-            lines.append(json.dumps(rec))
+            raise InternalError(f"no text form for record kind {kind!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -333,16 +331,18 @@ def main(argv=None):
     try:
         problem = _read_problem(args)
         records = _COMMANDS[args.command](args, problem)
+        if args.format == "json-like":
+            import json
+
+            out = "\n".join(json.dumps(rec) for rec in records) + "\n"
+        else:
+            out = _render_text(records)
     except (ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalError, GuardExceeded) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json-like":
-        out = "\n".join(json.dumps(rec) for rec in records) + "\n"
-    else:
-        out = _render_text(records)
     sys.stdout.write(out)
     return 0
 

@@ -13,10 +13,8 @@ variables, and `y` for the F2[y]/(y^r) nilpotent. Everything printed by
 `format_vector` re-parses to an equal value.
 """
 
-from __future__ import annotations
-
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import PackedOverflow, ParseError, UsageError
 from .poly import EXP_BITS, POSMASK, Accumulator, Ambient, TopLex, Vector, check_product
@@ -57,14 +55,8 @@ def token_position(text, index):
     return _line_column(text, next(matches).start(1))
 
 
-class ProblemFile(NamedTuple):
-    ring: object
-    var_names: tuple
-    rank: int
-    order: TopLex
-    ambient: Ambient
-    poly_ambient: Ambient
-    generators: tuple  # of (name, Vector)
+# generators: a tuple of (name, Vector)
+ProblemFile = namedtuple("ProblemFile", "ring var_names rank order ambient poly_ambient generators")
 
 
 class _Parser:

@@ -34,11 +34,8 @@ down. `term_module_member` decides membership of a term without the
 step, as an independent check of what the divisions leave.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, insort
-from collections import deque
-from typing import NamedTuple, Optional
+from collections import deque, namedtuple
 
 from .errors import GuardExceeded, InternalError, UsageError
 from .poly import (
@@ -53,23 +50,12 @@ from .poly import (
 )
 
 
-class DivisionResult(NamedTuple):
-    quotients: tuple
-    remainder: Vector
-
-
-class SPair(NamedTuple):
-    # from s_pair_indexed, a cross pair's value is its Accumulator and
-    # the cofactors are packed (coeff, int) pairs; s_poly decodes them
-    value: Vector
-    left_cofactor: Optional[Term]
-    right_cofactor: Optional[Term]
-    kind: str  # "auto" | "cross" | "zero"
-
-
-class GroebnerBasis(NamedTuple):
-    elements: tuple
-    order: object
+DivisionResult = namedtuple("DivisionResult", "quotients remainder")
+# kind is "auto", "cross" or "zero"; a cofactor is None when absent. From
+# s_pair_indexed, a cross pair's value is its Accumulator and the
+# cofactors are packed (coeff, int) pairs; s_poly decodes them
+SPair = namedtuple("SPair", "value left_cofactor right_cofactor kind")
+GroebnerBasis = namedtuple("GroebnerBasis", "elements order")
 
 
 class Divisors:
@@ -563,10 +549,8 @@ def pseudo_reduce(gb, order=None, guard=10_000):
 # ---------------------------------------------------------------------------
 
 
-class TermCertificate(NamedTuple):
-    """T = sum coeff_i * X^gamma_i * gens[index_i]."""
-
-    entries: tuple  # of (index, coeff, gamma)
+TermCertificate = namedtuple("TermCertificate", "entries")  # of (index, coeff, gamma)
+TermCertificate.__doc__ = """T = sum coeff_i * X^gamma_i * gens[index_i]."""
 
 
 def term_module_member(term, gens, ring):

@@ -30,23 +30,15 @@ S-polynomials, lifted relations, parsed expressions) is formed in one
 `Accumulator`, on packed monomials.
 """
 
-from __future__ import annotations
-
 import heapq
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import PackedOverflow, UsageError
 
 
-class Mono(NamedTuple):
-    exps: tuple
-    pos: int
-
-
-class Term(NamedTuple):
-    coeff: object
-    mono: Mono
+Mono = namedtuple("Mono", "exps pos")
+Term = namedtuple("Term", "coeff mono")
 
 
 class _NegInfinity:
@@ -71,12 +63,8 @@ class _NegInfinity:
 MDEG_NEG_INF = _NegInfinity()
 
 
-class Ambient(NamedTuple):
-    """The data of H_m = R[X1..Xn]^m."""
-
-    ring: object
-    nvars: int
-    rank: int
+Ambient = namedtuple("Ambient", "ring nvars rank")
+Ambient.__doc__ = """The data of H_m = R[X1..Xn]^m."""
 
 
 def positive_part(alpha):

@@ -17,8 +17,6 @@ unit" and we need equality of normal forms:
   the divisor divides exactly.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .errors import InternalError, UsageError

@@ -11,10 +11,8 @@ a check and the rest reported symbolically. Each level carries its
 certificate, which `verify_resolution` checks without dividing again.
 """
 
-from __future__ import annotations
-
 import re
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import GuardExceeded, InternalError, UsageError
 from .groebner import (
@@ -41,22 +39,12 @@ from .poly import (
 )
 
 
-class Certificate(NamedTuple):
-    """Per S-pair (i, j) of `basis` that carries a cofactor, 0-based and
-    in enumeration order, its lifted relation, zero included; and the
-    pairs whose division left a nonzero remainder."""
-
-    basis: tuple
-    pairs: dict
-    unreduced: frozenset
-
-
-class SyzygyBasis(NamedTuple):
-    relations: tuple
-    order: Schreyer
-    source: tuple
-    labels: tuple
-    certificate: Optional[Certificate] = None
+Certificate = namedtuple("Certificate", "basis pairs unreduced")
+Certificate.__doc__ = """Per S-pair (i, j) of `basis` that carries a cofactor, 0-based and
+in enumeration order, its lifted relation, zero included; and the
+pairs whose division left a nonzero remainder."""
+SyzygyBasis = namedtuple("SyzygyBasis", "relations order source labels certificate",
+                         defaults=(None,))
 
 
 def _inner_label(label, index):
@@ -169,30 +157,14 @@ def apply_relation(rel, source):
 # ---------------------------------------------------------------------------
 
 
-class ResolutionLevel(NamedTuple):
-    basis: tuple
-    order: object
-    labels: tuple
-    certificate: Optional[Certificate] = None
+ResolutionLevel = namedtuple("ResolutionLevel", "basis order labels certificate", defaults=(None,))
+FreeTail = namedtuple("FreeTail", "kind", defaults=("free",))
+PeriodicTail = namedtuple("PeriodicTail", "b ann_b ann_ann_b positions stable_index kind",
+                          defaults=("periodic",))
 
 
-class FreeTail(NamedTuple):
-    kind: str = "free"
-
-
-class PeriodicTail(NamedTuple):
-    b: tuple
-    ann_b: tuple
-    ann_ann_b: tuple
-    positions: tuple
-    stable_index: int
-    kind: str = "periodic"
-
-
-class Resolution(NamedTuple):
-    ambient: Ambient
-    levels: tuple
-    tail: object
+class Resolution(namedtuple("Resolution", "ambient levels tail")):
+    __slots__ = ()
 
     @property
     def length(self):
@@ -382,9 +354,8 @@ def _check_periodic_level(level, ann_b, ring):
 # ---------------------------------------------------------------------------
 
 
-class VerificationReport(NamedTuple):
-    ok: bool
-    checks: tuple
+class VerificationReport(namedtuple("VerificationReport", "ok checks")):
+    __slots__ = ()
 
     def failures(self):
         return [c for c in self.checks if not c["ok"]]

@@ -269,3 +269,15 @@ def test_commands_do_not_resort_parsed_vectors(goldens, capsys, monkeypatch):
     kept.clear()
     assert run(capsys, "gb", goldens["zint_ideal"], "--order", "X,Y")[0] == 0
     assert kept and not any(kept)
+
+
+def test_text_output_refuses_an_unknown_record_kind(goldens, capsys, monkeypatch):
+    # every record kind a command emits has a text form; another one is a
+    # broken invariant, not a line of JSON
+    cmd_gb = cli._COMMANDS["gb"]
+    monkeypatch.setitem(cli._COMMANDS, "gb", lambda args, p: cmd_gb(args, p) + [{"kind": "mystery"}])
+    code, out, err = run(capsys, "gb", goldens["zint_ideal"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: no text form for record kind 'mystery'\n"
+    code, out, _ = run(capsys, "gb", goldens["zint_ideal"], "--format", "json-like")
+    assert code == 0 and jrecords(out)[-1] == {"kind": "mystery"}

@@ -2,11 +2,14 @@
 
 import ast
 import importlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import gbsyz
+from gbsyz.cli import main
+from helpers import GOLDEN
 
 PACKAGE = Path(gbsyz.__file__).resolve().parent
 
@@ -202,3 +205,42 @@ def test_importing_the_cli_leaves_out_fractions_and_decimal():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout == "[]\n", done.stdout
+
+
+def _fresh_main(argv, stdin_text):
+    """(stdout, stderr) of `gbsyz.cli.main(argv)` in a fresh `python -I
+    -S` on the package's sources. The last stderr line is the exit code,
+    then which of json, typing and __future__ were imported after
+    `import gbsyz.cli` and after `main`."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); unused = {'json', 'typing', '__future__'}; "
+            "import gbsyz.cli; before = sorted(unused & set(sys.modules)); "
+            "rc = gbsyz.cli.main(sys.argv[2:]); "
+            "print(rc, before, sorted(unused & set(sys.modules)), file=sys.stderr)")
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent), *argv],
+        input=stdin_text, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return done.stdout, done.stderr
+
+
+def test_the_cli_imports_json_only_to_write_json(capsys):
+    # `typing` and `__future__` are never needed, and `json` only for
+    # `json-like` output and `--trace`; the output is the in-process one
+    text = GOLDEN["z12_ideal"]
+    for argv, imported in (
+        (["gb", "-"], "[]"),
+        (["resolve", "-"], "[]"),
+        (["resolve", "-", "--format", "json-like"], "['json']"),
+        (["resolve", "-", "--trace"], "['json']"),
+    ):
+        out, err = _fresh_main(argv, text)
+        *err_lines, summary = err.splitlines(keepends=True)
+        assert summary == f"0 [] {imported}\n", argv
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            assert main(argv) == 0
+        finally:
+            sys.stdin = stdin
+        here = capsys.readouterr()
+        assert (out, "".join(err_lines)) == (here.out, here.err), argv
