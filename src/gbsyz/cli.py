@@ -7,9 +7,9 @@ standard error. Exit codes: 0 on success (mathematical "no" answers
 included), 2 on usage or parse errors, 3 on broken internal invariants.
 """
 
-import argparse
 import functools
 import sys
+import types
 
 from .dsl import (
     format_lt_module,
@@ -35,54 +35,146 @@ _NORMALIZATION_NOTE = (
 )
 
 
+# the help of a flag that help texts leave out: `_build_argparser` puts
+# argparse.SUPPRESS in its place
+_HIDDEN = object()
+
+# The command-line grammar, declared once for both readers of argv: per
+# command, its help and its arguments in `add_argument` order, each the
+# name of a positional or a flag with the keywords `add_argument` takes; a
+# tuple of flags is a mutually exclusive group.
+_FILE = ("file", {"help": "problem file (use '-' for stdin)"})
+_FORMAT = ("--format", {"choices": ["text", "json-like"], "default": "text"})
+_TRACE = ("--trace", {"action": "store_true", "help": "structured events on stderr"})
+_ORDER = ("--order", {"help": "lex priority override, e.g. 'X,Y'"})
+_PSEUDO_REDUCE = (
+    ("--pseudo-reduce", {"dest": "pseudo_reduce", "action": "store_true"}),
+    ("--no-pseudo-reduce", {"dest": "pseudo_reduce", "action": "store_false", "default": False}),
+)
+_VALUATION_DIVISION = ("--valuation-division", {"action": "store_true"})
+_GRAMMAR = {
+    "gb": ("Groebner basis of the generators", (_FILE, _FORMAT, _TRACE, _ORDER, _PSEUDO_REDUCE)),
+    "reduce": (
+        "divide a target vector by the generators",
+        (_FILE, _FORMAT, _TRACE, _ORDER, ("target", {"help": "vector literal to reduce"}), _VALUATION_DIVISION),
+    ),
+    "member": (
+        "module membership of a target vector",
+        (_FILE, _FORMAT, _TRACE, _ORDER, ("target", {"help": "vector literal to test"}), _VALUATION_DIVISION),
+    ),
+    "syz": ("Schreyer syzygy basis of the Groebner basis", (_FILE, _FORMAT, _TRACE, _ORDER, _PSEUDO_REDUCE)),
+    "resolve": (
+        "free resolution of the generated module",
+        (
+            _FILE,
+            _FORMAT,
+            _TRACE,
+            ("--max-levels", {"type": int, "default": 32}),
+            ("--unsafe-order", {"help": "non-default order (termination not guaranteed)"}),
+            ("--order", {"help": _HIDDEN}),
+        ),
+    ),
+}
+
+
+def _members(entry):
+    """The (name, keywords) pairs of a `_GRAMMAR` entry, and whether they
+    form a mutually exclusive group."""
+    group = isinstance(entry[0], tuple)
+    return (entry if group else (entry,)), group
+
+
 @functools.cache
 def _build_argparser():
-    """The argument parser, built on the first `main` call and reused
-    for the rest of the process (not at import, which stays cheap)."""
+    """The argument parser, built from `_GRAMMAR` the first time an argv
+    needs it (a usage error or help) and reused for the rest of the
+    process; a well-formed argv never imports argparse."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="gbsyz",
         description="Groebner bases, syzygies, and free resolutions over Z, Z/N, F2[y]/y^r, Z_(p).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, order_flag=True):
-        p.add_argument("file", help="problem file (use '-' for stdin)")
-        p.add_argument("--format", choices=["text", "json-like"], default="text")
-        p.add_argument("--trace", action="store_true", help="structured events on stderr")
-        if order_flag:
-            p.add_argument("--order", help="lex priority override, e.g. 'X,Y'")
-
-    p = sub.add_parser("gb", help="Groebner basis of the generators")
-    common(p)
-    _reduce_flags(p)
-
-    p = sub.add_parser("reduce", help="divide a target vector by the generators")
-    common(p)
-    p.add_argument("target", help="vector literal to reduce")
-    p.add_argument("--valuation-division", action="store_true")
-
-    p = sub.add_parser("member", help="module membership of a target vector")
-    common(p)
-    p.add_argument("target", help="vector literal to test")
-    p.add_argument("--valuation-division", action="store_true")
-
-    p = sub.add_parser("syz", help="Schreyer syzygy basis of the Groebner basis")
-    common(p)
-    _reduce_flags(p)
-
-    p = sub.add_parser("resolve", help="free resolution of the generated module")
-    common(p, order_flag=False)
-    p.add_argument("--max-levels", type=int, default=32)
-    p.add_argument("--unsafe-order", help="non-default order (termination not guaranteed)")
-    p.add_argument("--order", help=argparse.SUPPRESS)
+    for command, (help_text, arguments) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_text)
+        for entry in arguments:
+            members, group = _members(entry)
+            owner = p.add_mutually_exclusive_group() if group else p
+            for name, keywords in members:
+                if keywords.get("help") is _HIDDEN:
+                    keywords = {**keywords, "help": argparse.SUPPRESS}
+                owner.add_argument(name, **keywords)
     return ap
 
 
-def _reduce_flags(p):
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--pseudo-reduce", dest="pseudo_reduce", action="store_true")
-    group.add_argument("--no-pseudo-reduce", dest="pseudo_reduce", action="store_false")
-    p.set_defaults(pseudo_reduce=False)
+@functools.cache
+def _command_shape(command):
+    """(positional names, {flag: (dest, keywords)}, {dest: default}) of a
+    command, the defaults as argparse puts them in its namespace."""
+    positionals, flags, defaults = [], {}, {}
+    for entry in _GRAMMAR[command][1]:
+        for name, keywords in _members(entry)[0]:
+            if _flag_like(name):
+                dest = keywords.get("dest", name[2:].replace("-", "_"))
+                flags[name] = dest, keywords
+            else:
+                dest = name
+                positionals.append(name)
+            implied = {"store_true": False, "store_false": True}.get(keywords.get("action"))
+            defaults.setdefault(dest, keywords.get("default", implied))
+    return positionals, flags, defaults
+
+
+def _flag_like(token):
+    """Whether argparse may read `token` as a flag: it may read every
+    token that starts with '-' as one, except '-' itself."""
+    return token[:1] == "-" and token != "-"
+
+
+def _parse_well_formed(argv):
+    """argparse's namespace for an argv `<command> <positionals...>
+    <flags...>` with each flag (or exclusive group) at most once and every
+    value valid and not starting with '-' (except '-' itself); None for
+    any other argv, which is argparse's to read, help and errors included."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    positionals, flags, defaults = _command_shape(argv[0])
+    values = {"command": argv[0], **defaults}
+    k = 1 + len(positionals)
+    if len(argv) < k:
+        return None
+    for name, value in zip(positionals, argv[1:k]):
+        if _flag_like(value):
+            return None
+        values[name] = value
+    seen = set()
+    while k < len(argv):
+        flag = flags.get(argv[k])
+        if flag is None or flag[0] in seen:
+            return None
+        dest, keywords = flag
+        seen.add(dest)
+        action = keywords.get("action")
+        if action:
+            value = action == "store_true"
+            k += 1
+        else:
+            if k + 1 == len(argv):
+                return None
+            value = argv[k + 1]
+            k += 2
+            if _flag_like(value):
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        values[dest] = value
+    return types.SimpleNamespace(**values)
 
 
 def _read_problem(args):
@@ -323,11 +415,13 @@ def _render_text(records):
 
 
 def main(argv=None):
-    ap = _build_argparser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_well_formed(argv)
+    if args is None:
+        try:
+            args = _build_argparser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         problem = _read_problem(args)
         records = _COMMANDS[args.command](args, problem)

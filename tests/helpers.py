@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import functools
 import random
 import re
 from collections import Counter, deque
@@ -1043,3 +1045,49 @@ def reference_parse_vector_literal(text, problem):
     if parser.peek().kind != "eof":
         parser.fail("trailing input after vector")
     return _reference_assemble(problem, pending, Token("name", "<target>", 1, 1))
+
+
+@functools.cache
+def reference_argparser():
+    """The command-line parser as it was written with `add_argument` calls,
+    before `cli._GRAMMAR` declared it: the reference for the table's two
+    readers of argv."""
+    ap = argparse.ArgumentParser(
+        prog="gbsyz",
+        description="Groebner bases, syzygies, and free resolutions over Z, Z/N, F2[y]/y^r, Z_(p).",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(p, order_flag=True):
+        p.add_argument("file", help="problem file (use '-' for stdin)")
+        p.add_argument("--format", choices=["text", "json-like"], default="text")
+        p.add_argument("--trace", action="store_true", help="structured events on stderr")
+        if order_flag:
+            p.add_argument("--order", help="lex priority override, e.g. 'X,Y'")
+
+    def reduce_flags(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--pseudo-reduce", dest="pseudo_reduce", action="store_true")
+        group.add_argument("--no-pseudo-reduce", dest="pseudo_reduce", action="store_false")
+        p.set_defaults(pseudo_reduce=False)
+
+    p = sub.add_parser("gb", help="Groebner basis of the generators")
+    common(p)
+    reduce_flags(p)
+    p = sub.add_parser("reduce", help="divide a target vector by the generators")
+    common(p)
+    p.add_argument("target", help="vector literal to reduce")
+    p.add_argument("--valuation-division", action="store_true")
+    p = sub.add_parser("member", help="module membership of a target vector")
+    common(p)
+    p.add_argument("target", help="vector literal to test")
+    p.add_argument("--valuation-division", action="store_true")
+    p = sub.add_parser("syz", help="Schreyer syzygy basis of the Groebner basis")
+    common(p)
+    reduce_flags(p)
+    p = sub.add_parser("resolve", help="free resolution of the generated module")
+    common(p, order_flag=False)
+    p.add_argument("--max-levels", type=int, default=32)
+    p.add_argument("--unsafe-order", help="non-default order (termination not guaranteed)")
+    p.add_argument("--order", help=argparse.SUPPRESS)
+    return ap

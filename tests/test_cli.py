@@ -237,17 +237,22 @@ def test_reused_parser_matches_separate_calls(goldens, capsys):
 
 
 def test_import_does_not_build_the_parser():
-    # building the parser at import would move its cost into every startup
+    # building the parser at import would move its cost into every startup,
+    # and a well-formed run reads its argv without it; a usage error builds
+    # it once and reports through it
     probe = (
         "import gbsyz.cli as cli; n = cli._build_argparser.cache_info().currsize; "
-        "cli.main(['gb', '-']); print(n, cli._build_argparser.cache_info().currsize)"
+        "cli.main(['gb', '-']); m = cli._build_argparser.cache_info().currsize; "
+        "rc = cli.main(['gb', '-', '--bogus-flag']); "
+        "print(n, m, cli._build_argparser.cache_info().currsize, rc)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], input=GOLDEN["zint_ideal"],
         capture_output=True, text=True, env=_fresh_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 1"
+    assert done.stdout.splitlines()[-1] == "0 0 1 2"
+    assert done.stderr.endswith("gbsyz: error: unrecognized arguments: --bogus-flag\n"), done.stderr
 
 
 def test_commands_do_not_resort_parsed_vectors(goldens, capsys, monkeypatch):

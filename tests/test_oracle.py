@@ -11,20 +11,21 @@ Z, whose leading term the basis divides.
 
 A resolution is a complex: every relation of level k, applied to the
 elements of level k - 1, must vanish, over QQ for Z (an integer
-polynomial is zero there exactly when it is zero over Z) and over GF(p)
-for Z/p.
+polynomial is zero there exactly when it is zero over Z), modulo N for
+Z/N, prime or not, and over QQ for Z_(p), whose elements are fractions.
 """
 
 import random
 
 import pytest
 
-from gbsyz import Ambient, Integers, IntegersMod, TopLex, buchberger, free_resolution
+from gbsyz import Ambient, Integers, IntegersLocalizedAt, IntegersMod, TopLex, buchberger, free_resolution
 from helpers import gens_of, problem, random_nonzero_vector
 
 sympy = pytest.importorskip("sympy")
 
 PRIMES = (2, 3, 5, 7)
+COMPOSITES = (4, 6, 12)
 
 
 def as_expr(v, symbols):
@@ -90,9 +91,12 @@ def test_buchberger_matches_sympy_over_the_rationals():
 
 
 def coordinates(v, symbols):
-    """The coordinates of a module vector v as sympy expressions."""
+    """The coordinates of a module vector v as sympy expressions; a Z_(p)
+    coefficient, the pair (num, den), is the fraction num/den."""
+    local = isinstance(v.ambient.ring, IntegersLocalizedAt)
     out = [sympy.Integer(0)] * v.ambient.rank
     for c, m in v.terms:
+        c = sympy.Rational(*c) if local else c
         out[m.pos] += c * sympy.prod(x**e for x, e in zip(symbols, m.exps))
     return out
 
@@ -123,7 +127,7 @@ def seeded_resolutions(ring, seed, count):
             yield free_resolution(gens)
 
 
-@pytest.mark.parametrize("key", ["zint_ideal", "z2_rank2"])
+@pytest.mark.parametrize("key", ["zint_ideal", "z2_rank2", "z4_ideal", "z12_ideal", "zloc2_ideal"])
 def test_golden_resolutions_are_complexes_in_sympy(key):
     res = free_resolution(gens_of(problem(key))[1])
     assert len(res.levels) > 1
@@ -133,6 +137,24 @@ def test_golden_resolutions_are_complexes_in_sympy(key):
 @pytest.mark.parametrize("p", PRIMES)
 def test_resolutions_are_complexes_in_sympy_over_prime_fields(p):
     resolutions = list(seeded_resolutions(IntegersMod(p), seed=40 + p, count=4))
+    assert sum(len(res.levels) > 1 for res in resolutions) >= 4
+    for res in resolutions:
+        assert_complex_in_sympy(res)
+
+
+@pytest.mark.parametrize("n", COMPOSITES)
+def test_resolutions_are_complexes_in_sympy_over_composite_moduli(n):
+    # sympy reduces modulo a composite N too; its Groebner bases over ZZ
+    # are not strong bases, so only the complex is checked here
+    resolutions = list(seeded_resolutions(IntegersMod(n), seed=60 + n, count=4))
+    assert sum(len(res.levels) > 1 for res in resolutions) >= 4
+    for res in resolutions:
+        assert_complex_in_sympy(res)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_resolutions_are_complexes_in_sympy_over_local_rings(p):
+    resolutions = list(seeded_resolutions(IntegersLocalizedAt(p), seed=80 + p, count=4))
     assert sum(len(res.levels) > 1 for res in resolutions) >= 4
     for res in resolutions:
         assert_complex_in_sympy(res)

@@ -210,9 +210,10 @@ def test_importing_the_cli_leaves_out_fractions_and_decimal():
 def _fresh_main(argv, stdin_text):
     """(stdout, stderr) of `gbsyz.cli.main(argv)` in a fresh `python -I
     -S` on the package's sources. The last stderr line is the exit code,
-    then which of json, typing and __future__ were imported after
-    `import gbsyz.cli` and after `main`."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); unused = {'json', 'typing', '__future__'}; "
+    then which of json, typing, __future__, argparse and gettext were
+    imported after `import gbsyz.cli` and after `main`."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "unused = {'json', 'typing', '__future__', 'argparse', 'gettext'}; "
             "import gbsyz.cli; before = sorted(unused & set(sys.modules)); "
             "rc = gbsyz.cli.main(sys.argv[2:]); "
             "print(rc, before, sorted(unused & set(sys.modules)), file=sys.stderr)")
@@ -224,22 +225,24 @@ def _fresh_main(argv, stdin_text):
 
 
 def test_the_cli_imports_json_only_to_write_json(capsys):
-    # `typing` and `__future__` are never needed, and `json` only for
-    # `json-like` output and `--trace`; the output is the in-process one
+    # `typing` and `__future__` are never needed, `json` only for
+    # `json-like` output and `--trace`, and `argparse` (with `gettext`)
+    # only to report a usage error; the output is the in-process one
     text = GOLDEN["z12_ideal"]
-    for argv, imported in (
-        (["gb", "-"], "[]"),
-        (["resolve", "-"], "[]"),
-        (["resolve", "-", "--format", "json-like"], "['json']"),
-        (["resolve", "-", "--trace"], "['json']"),
+    for argv, rc, imported in (
+        (["gb", "-"], 0, "[]"),
+        (["resolve", "-"], 0, "[]"),
+        (["resolve", "-", "--format", "json-like"], 0, "['json']"),
+        (["resolve", "-", "--trace"], 0, "['json']"),
+        (["resolve", "-", "--max-levels", "x"], 2, "['argparse', 'gettext']"),
     ):
         out, err = _fresh_main(argv, text)
         *err_lines, summary = err.splitlines(keepends=True)
-        assert summary == f"0 [] {imported}\n", argv
+        assert summary == f"{rc} [] {imported}\n", argv
         stdin = sys.stdin
         sys.stdin = io.StringIO(text)
         try:
-            assert main(argv) == 0
+            assert main(argv) == rc
         finally:
             sys.stdin = stdin
         here = capsys.readouterr()
