@@ -4,7 +4,8 @@ Reads a problem file in the DSL, runs the requested computation, and
 prints either human-readable text or a line-delimited JSON-like record
 stream (`--format json-like`). `--trace` mirrors structured events to
 standard error. Exit codes: 0 on success (mathematical "no" answers
-included), 2 on usage or parse errors, 3 on broken internal invariants.
+included), 2 on usage or parse errors, 3 on broken internal invariants
+and on running out of memory.
 """
 
 import functools
@@ -23,9 +24,9 @@ from .groebner import divide, divide_valuation
 from .poly import reorder
 from .syzygy import (
     FreeTail,
-    _buchberger_level0,
-    _pseudo_reduce_labeled,
+    buchberger_level0,
     free_resolution,
+    pseudo_reduce_labeled,
     schreyer_syzygies,
     verify_resolution,
 )
@@ -230,22 +231,23 @@ def _gens(problem, order):
     return names, vecs
 
 
-def _vector_record(kind, v, names, **head):
+def _vector_record(kind, v, args, problem, **head):
     """The record of one vector: kind, then head (level, name), rank, value."""
-    return {"kind": kind, **head, "rank": v.ambient.rank, "value": format_vector(v, names)}
+    return {"kind": kind, **head, "rank": v.ambient.rank,
+            "value": format_vector(v, problem.var_names, args.texts)}
 
 
 def cmd_gb(args, problem):
     order = _pick_order(args, problem)
     names, vecs = _gens(problem, order)
     trace = _trace_sink(args)
-    basis, labels = _buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
+    basis, labels = buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
     if args.pseudo_reduce:
-        gbr, labels = _pseudo_reduce_labeled(basis, order, labels, guard=10_000)
+        gbr, labels = pseudo_reduce_labeled(basis, order, labels, guard=10_000)
         basis = gbr.elements
     records = [_header(args, problem, order)]
-    records += [_vector_record("basis", v, problem.var_names, name=lab) for lab, v in zip(labels, basis)]
-    records.append({"kind": "lt_module", "value": format_lt_module(list(basis), problem.var_names)})
+    records += [_vector_record("basis", v, args, problem, name=lab) for lab, v in zip(labels, basis)]
+    records.append({"kind": "lt_module", "value": format_lt_module(list(basis), problem.var_names, args.texts)})
     return records
 
 
@@ -260,9 +262,9 @@ def cmd_reduce(args, problem):
     names, vecs = _gens(problem, order)
     target = reorder(parse_vector_literal(args.target, problem), order)
     res = _divide_for(args, target, vecs, order, _trace_sink(args))
-    records = [_header(args, problem, order), _vector_record("target", target, problem.var_names)]
-    records += [_vector_record("quotient", q, problem.var_names, name=name) for name, q in zip(names, res.quotients)]
-    records.append(_vector_record("remainder", res.remainder, problem.var_names))
+    records = [_header(args, problem, order), _vector_record("target", target, args, problem)]
+    records += [_vector_record("quotient", q, args, problem, name=name) for name, q in zip(names, res.quotients)]
+    records.append(_vector_record("remainder", res.remainder, args, problem))
     return records
 
 
@@ -271,15 +273,15 @@ def cmd_member(args, problem):
     names, vecs = _gens(problem, order)
     target = reorder(parse_vector_literal(args.target, problem), order)
     trace = _trace_sink(args)
-    basis, labels = _buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
+    basis, labels = buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
     res = _divide_for(args, target, basis, order, trace)
     member = res.remainder.is_zero()
-    records = [_header(args, problem, order), _vector_record("target", target, problem.var_names)]
+    records = [_header(args, problem, order), _vector_record("target", target, args, problem)]
     records.append({"kind": "member", "value": "yes" if member else "no"})
     if member:
-        records += [_vector_record("certificate", q, problem.var_names, name=lab)
+        records += [_vector_record("certificate", q, args, problem, name=lab)
                     for lab, q in zip(labels, res.quotients)]
-        records += [_vector_record("basis", v, problem.var_names, name=lab) for lab, v in zip(labels, basis)]
+        records += [_vector_record("basis", v, args, problem, name=lab) for lab, v in zip(labels, basis)]
     return records
 
 
@@ -287,17 +289,17 @@ def cmd_syz(args, problem):
     order = _pick_order(args, problem)
     names, vecs = _gens(problem, order)
     trace = _trace_sink(args)
-    basis, labels = _buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
+    basis, labels = buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
     syz = schreyer_syzygies((basis, order), labels=labels, trace=trace)
     relations, rel_labels = syz.relations, syz.labels
     if args.pseudo_reduce:
-        gbr, rel_labels = _pseudo_reduce_labeled(relations, syz.order, rel_labels, guard=10_000)
+        gbr, rel_labels = pseudo_reduce_labeled(relations, syz.order, rel_labels, guard=10_000)
         relations = gbr.elements
     records = [_header(args, problem, order)]
-    records += [_vector_record("basis", v, problem.var_names, name=lab) for lab, v in zip(labels, basis)]
-    records += [_vector_record("syzygy", v, problem.var_names, name=lab) for lab, v in zip(rel_labels, relations)]
+    records += [_vector_record("basis", v, args, problem, name=lab) for lab, v in zip(labels, basis)]
+    records += [_vector_record("syzygy", v, args, problem, name=lab) for lab, v in zip(rel_labels, relations)]
     records.append(
-        {"kind": "lt_module", "value": format_lt_module(list(relations), problem.var_names) if relations else "<0>"}
+        {"kind": "lt_module", "value": format_lt_module(list(relations), problem.var_names, args.texts) if relations else "<0>"}
     )
     return records
 
@@ -318,13 +320,13 @@ def cmd_resolve(args, problem):
     records = [_header(args, problem, order)]
     for k, level in enumerate(res.levels):
         records.append({"kind": "level", "index": k, "rank": len(level.basis)})
-        records += [_vector_record("relation", v, problem.var_names, level=k, name=lab)
+        records += [_vector_record("relation", v, args, problem, level=k, name=lab)
                     for lab, v in zip(level.labels, level.basis)]
         records.append(
             {
                 "kind": "lt_module",
                 "level": k,
-                "value": format_lt_module(list(level.basis), problem.var_names),
+                "value": format_lt_module(list(level.basis), problem.var_names, args.texts),
             }
         )
     chain = [f"R^{len(level.basis)}" for level in reversed(res.levels)] + ["U", "0"]
@@ -422,6 +424,7 @@ def main(argv=None):
             args = _build_argparser().parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
+    args.texts = {}  # the printers' monomial texts, shared for this call only
     try:
         problem = _read_problem(args)
         records = _COMMANDS[args.command](args, problem)
@@ -436,6 +439,9 @@ def main(argv=None):
         return 2
     except (InternalError, GuardExceeded) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 3
     sys.stdout.write(out)
     return 0

@@ -418,57 +418,91 @@ def format_monomial(exps, names):
     return "*".join(factors)
 
 
-def format_term(ring, coeff, exps, names):
-    mono = format_monomial(exps, names)
-    cs = ring.format(coeff)
+def _with_coefficient(cs, mono):
+    """The text of a term from the texts of its coefficient and monomial:
+    the monomial alone for a coefficient "1", and the coefficient in
+    parentheses when it holds a sign or a space."""
     if not mono:
         return cs
     if cs == "1":
         return mono
-    if any(ch in cs for ch in "+- "):
+    if "+" in cs or "-" in cs or " " in cs:
         cs = f"({cs})"
     return f"{cs}*{mono}"
 
 
 def format_poly(ring, terms, names):
     """terms: iterable of (coeff, exps), already in display order."""
-    pieces = []
-    for coeff, exps in terms:
-        if ring.is_negative(coeff):
-            text = format_term(ring, ring.neg(coeff), exps, names)
-            pieces.append(("-", text))
-        else:
-            pieces.append(("+", format_term(ring, coeff, exps, names)))
-    if not pieces:
+    return _signed_sum(ring, [(c, format_monomial(exps, names)) for c, exps in terms])
+
+
+def _signed_sum(ring, terms):
+    """The polynomial text of (coeff, monomial text) pairs in display order."""
+    if not terms:
         return "0"
-    sign, first = pieces[0]
-    out = first if sign == "+" else f"-{first}"
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
+    out = []
+    for c, mono in terms:
+        if ring.is_negative(c):
+            out.append(" - " + _with_coefficient(ring.format(ring.neg(c)), mono))
+        else:
+            out.append(" + " + _with_coefficient(ring.format(c), mono))
+    text = "".join(out)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def format_vector(v, names):
-    ring = v.ambient.ring
-    exps = v.order.codec.exps
+# The printers below read packed terms. Their `texts` dict, owned by the
+# caller, maps (codec, names) to a memo from a packed monomial at
+# position 0 to its text, so one dict serves vectors under several
+# orders. Pass one dict to every call that should share the memo, or
+# None for a memo that lives for one call.
+
+
+def _monomial_texts(texts, codec, names):
+    """The memo of `texts` for codec and names, made on first use."""
+    if texts is None:
+        return {}
+    key = codec, tuple(names)
+    memo = texts.get(key)
+    if memo is None:
+        memo = texts[key] = {}
+    return memo
+
+
+def _monomial_text(m, memo, codec, names):
+    """The text of the packed monomial m, its position stripped."""
+    m -= m & POSMASK
+    text = memo.get(m)
+    if text is None:
+        text = memo[m] = format_monomial(codec.exps(m), names)
+    return text
+
+
+def format_vector(v, names, texts=None):
+    """The DSL text of v; monomial texts are kept in `texts` (see above)."""
+    ring, codec = v.ambient.ring, v.order.codec
+    memo = _monomial_texts(texts, codec, names)
     if v.ambient.rank == 1:
-        return format_poly(ring, [(c, exps(m)) for c, m in v.packed], names)
+        return _signed_sum(ring, [(c, _monomial_text(m, memo, codec, names)) for c, m in v.packed])
     comps = [[] for _ in range(v.ambient.rank)]
     for c, m in v.packed:
-        comps[m & POSMASK].append((c, exps(m)))
-    return "[" + ", ".join(format_poly(ring, terms, names) for terms in comps) + "]"
+        comps[m & POSMASK].append((c, _monomial_text(m, memo, codec, names)))
+    return "[" + ", ".join([_signed_sum(ring, terms) for terms in comps]) + "]"
 
 
-def format_lt_module(elements, names):
-    """Leading terms grouped by position: `<gens>e1 (+) <gens>e2 ...`."""
+def format_lt_module(elements, names, texts=None):
+    """Leading terms grouped by position: `<gens>e1 (+) <gens>e2 ...`;
+    monomial texts are kept in `texts` as for format_vector."""
     if not elements:
         return "<0>"
     by_pos = {}
+    codec = None
     for v in elements:
+        if v.order.codec is not codec:
+            codec = v.order.codec
+            memo = _monomial_texts(texts, codec, names)
         c, m = v.packed[0]
-        by_pos.setdefault(m & POSMASK, []).append(
-            format_term(v.ambient.ring, c, v.order.codec.exps(m), names)
-        )
+        text = _with_coefficient(v.ambient.ring.format(c), _monomial_text(m, memo, codec, names))
+        by_pos.setdefault(m & POSMASK, []).append(text)
     rank = elements[0].ambient.rank
     parts = []
     for pos in sorted(by_pos):

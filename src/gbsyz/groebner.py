@@ -540,7 +540,12 @@ def pseudo_reduce(gb, order=None, guard=10_000):
                 index.put(idx, new)
             if new is None or (new is not g and new != g) or len(index.vectors) > size:
                 changed = True
-        work = sort_basis([v for v in index.vectors if v is not None], order)
+        if changed:
+            work = sort_basis([v for v in index.vectors if v is not None], order)
+        else:
+            # none was dropped or appended, and each equals the element
+            # it replaced, so the list is still in sort_basis order
+            work = index.vectors
     return GroebnerBasis(tuple(work), order)
 
 

@@ -632,5 +632,19 @@ def vector_key(order, v):
 
 
 def sort_basis(vectors, order):
-    """Descending by leading term, the stable display and Schreyer-source order."""
+    """Descending by leading term, the stable display and Schreyer-source
+    order: by `vector_key`. When the vectors are nonzero and their pairs
+    (key of LM, sort key of LC) are distinct, those pairs, the first
+    items of the vector keys, decide alone."""
+    vectors = list(vectors)  # read twice
+    key, codec = order.key, order.codec
+    heads = []
+    for v in vectors:
+        if not v.packed:
+            break
+        c, m = packed_under(v, codec)[0]
+        heads.append((key(m), v.ambient.ring.sort_key(c)))
+    else:
+        if len(set(heads)) == len(heads):
+            return [v for _, v in sorted(zip(heads, vectors))]
     return sorted(vectors, key=lambda v: vector_key(order, v))

@@ -190,41 +190,59 @@ def _stabilized(basis):
 
 
 def _exhausted_level(syz, guard):
-    gbr, labels = _pseudo_reduce_labeled(syz.relations, syz.order, syz.labels, guard)
+    gbr, labels = pseudo_reduce_labeled(syz.relations, syz.order, syz.labels, guard)
     return ResolutionLevel(gbr.elements, syz.order, labels)
 
 
-def _pseudo_reduce_labeled(relations, order, labels, guard):
+def pseudo_reduce_labeled(relations, order, labels, guard):
     """pseudo_reduce that keeps a display label attached to each element.
 
     An element equal to an input takes its label. Otherwise it takes the
     label of an input it equals after unit-normalizing that input, or
     else of an input with its leading monomial, with a `'` added; the
-    first such input wins. Each element not equal to an input steps a
-    counter, and one that matches no input is `v{counter}`.
+    first such input wins. Each element that matches no input by value,
+    unit-normalized or not, steps a counter, and is `v{counter}` when no
+    input has its leading monomial either.
+
+    Inputs and elements share one order, hence one codec, and equal ring
+    elements are equal Python values, so two of them are equal exactly
+    when their packed terms are: values are matched by `tuple(packed)`.
     """
     reduced = pseudo_reduce(list(relations), order, guard=guard)
-    by_value, by_normalized, by_lm = {}, {}, {}
+    by_value = {}
     for r, lab in zip(relations, labels):
-        by_value.setdefault(r, lab)
+        by_value.setdefault(tuple(r.packed), lab)
+    by_normalized = by_lm = None
+    out_labels = []
+    counter = 0
+    for v in reduced.elements:
+        terms = tuple(v.packed)
+        label = by_value.get(terms)
+        if label is None:
+            if by_normalized is None:
+                by_normalized, by_lm = _near_labels(relations, labels)
+            label = by_normalized.get(terms)
+        if label is None:
+            counter += 1
+            label = by_lm.get(terms[0][1], f"v{counter}")
+        out_labels.append(label)
+    return reduced, tuple(out_labels)
+
+
+def _near_labels(relations, labels):
+    """The primed labels of the nonzero relations, by the packed terms
+    of the relation made unit-normalized (when that changes it) and by
+    the packed leading monomial; the first relation wins each key."""
+    by_normalized, by_lm = {}, {}
+    for r, lab in zip(relations, labels):
         if r.is_zero():
             continue
         ring = r.ambient.ring
         u, _ = ring.normalize_unit(r.lc())
         if not ring.eq(u, ring.one()):
-            by_normalized.setdefault(r.scale(ring.unit_inverse(u)), lab + "'")
+            by_normalized.setdefault(tuple(r.scale(ring.unit_inverse(u)).packed), lab + "'")
         by_lm.setdefault(r.packed[0][1], lab + "'")
-    out_labels = []
-    counter = 0
-    for v in reduced.elements:
-        label = by_value.get(v)
-        if label is None:
-            label = by_normalized.get(v)
-        if label is None:
-            counter += 1
-            label = by_lm.get(v.packed[0][1], f"v{counter}")
-        out_labels.append(label)
-    return reduced, tuple(out_labels)
+    return by_normalized, by_lm
 
 
 def free_resolution(
@@ -264,7 +282,7 @@ def free_resolution(
     elif not isinstance(order, TopLex):
         raise UsageError("free_resolution requires the TOP-lex order (use unsafe_order to override)")
     gens = [reorder(g, order) for g in gens]
-    gb0, labels0 = _buchberger_level0(gens, order, labels, guard=guard, trace=trace)
+    gb0, labels0 = buchberger_level0(gens, order, labels, guard=guard, trace=trace)
     levels = [ResolutionLevel(gb0, order, labels0)]
     ring = amb.ring
     while True:
@@ -323,7 +341,7 @@ def _assert_length_bound(res, order, unsafe_order):
         )
 
 
-def _buchberger_level0(gens, order, labels, guard, trace=None):
+def buchberger_level0(gens, order, labels, guard, trace=None):
     """Buchberger basis of the generators, sorted, with labels tracking elements."""
     gb = buchberger(gens, order, guard=guard, trace=trace)
     names = list(labels) if labels is not None else []
@@ -331,6 +349,14 @@ def _buchberger_level0(gens, order, labels, guard, trace=None):
     by_id = {id(v): names[i] for i, v in enumerate(gb.elements)}
     ordered = sort_basis(list(gb.elements), order)
     return tuple(ordered), tuple(by_id[id(v)] for v in ordered)
+
+
+# `bench/tracing.py` looks these two up by their former private names,
+# and the benchmark changes only in changes of its own. Its tracer wraps
+# every module binding of the same function object, so the public
+# bindings that `cli` imports stay timed too.
+_buchberger_level0 = buchberger_level0
+_pseudo_reduce_labeled = pseudo_reduce_labeled
 
 
 def _check_periodic_level(level, ann_b, ring):

@@ -675,7 +675,7 @@ def reference_pseudo_reduce(gb, order=None, guard=10_000, branches=None):
 def reference_labels(reduced, relations, labels):
     """Labels for the elements of `reduced` (a pseudo-reduced basis of
     `relations`) by scanning the inputs for each element: the reference
-    for `syzygy._pseudo_reduce_labeled`."""
+    for `syzygy.pseudo_reduce_labeled`."""
     out_labels = []
     raw = list(zip(relations, labels))
     counter = 0
@@ -701,6 +701,82 @@ def reference_labels(reduced, relations, labels):
                     break
         out_labels.append(label)
     return tuple(out_labels)
+
+
+# ---------------------------------------------------------------------------
+# the reference printers: dsl's format_vector and format_lt_module as they
+# were before printing read packed terms, each term decoded and formatted
+# anew, frozen here so that they share no printing code with dsl
+# ---------------------------------------------------------------------------
+
+
+def _reference_format_monomial(exps, names):
+    factors = []
+    for e, name in zip(exps, names):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors)
+
+
+def _reference_format_term(ring, coeff, exps, names):
+    mono = _reference_format_monomial(exps, names)
+    cs = ring.format(coeff)
+    if not mono:
+        return cs
+    if cs == "1":
+        return mono
+    if any(ch in cs for ch in "+- "):
+        cs = f"({cs})"
+    return f"{cs}*{mono}"
+
+
+def _reference_format_poly(ring, terms, names):
+    pieces = []
+    for coeff, exps in terms:
+        if ring.is_negative(coeff):
+            pieces.append(("-", _reference_format_term(ring, ring.neg(coeff), exps, names)))
+        else:
+            pieces.append(("+", _reference_format_term(ring, coeff, exps, names)))
+    if not pieces:
+        return "0"
+    sign, first = pieces[0]
+    out = first if sign == "+" else f"-{first}"
+    for sign, text in pieces[1:]:
+        out += f" {sign} {text}"
+    return out
+
+
+def reference_format_vector(v, names):
+    ring = v.ambient.ring
+    exps = v.order.codec.exps
+    if v.ambient.rank == 1:
+        return _reference_format_poly(ring, [(c, exps(m)) for c, m in v.packed], names)
+    comps = [[] for _ in range(v.ambient.rank)]
+    for c, m in v.packed:
+        comps[m & POSMASK].append((c, exps(m)))
+    return "[" + ", ".join(_reference_format_poly(ring, terms, names) for terms in comps) + "]"
+
+
+def reference_format_lt_module(elements, names):
+    if not elements:
+        return "<0>"
+    by_pos = {}
+    for v in elements:
+        c, m = v.packed[0]
+        by_pos.setdefault(m & POSMASK, []).append(
+            _reference_format_term(v.ambient.ring, c, v.order.codec.exps(m), names)
+        )
+    rank = elements[0].ambient.rank
+    parts = []
+    for pos in sorted(by_pos):
+        gens = ", ".join(by_pos[pos])
+        if rank == 1:
+            parts.append(f"<{gens}>")
+        else:
+            parts.append(f"<{gens}>e{pos + 1}")
+    return " (+) ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -286,3 +286,12 @@ def test_text_output_refuses_an_unknown_record_kind(goldens, capsys, monkeypatch
     assert err == "internal error: no text form for record kind 'mystery'\n"
     code, out, _ = run(capsys, "gb", goldens["zint_ideal"], "--format", "json-like")
     assert code == 0 and jrecords(out)[-1] == {"kind": "mystery"}
+
+
+def test_out_of_memory_is_a_one_line_internal_error(goldens, capsys, monkeypatch):
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_problem", exhausted)
+    code, out, err = run(capsys, "gb", goldens["zint_ideal"])
+    assert (code, out, err) == (3, "", "internal error: out of memory\n")

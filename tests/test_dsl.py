@@ -16,6 +16,7 @@ from gbsyz import (
     TruncatedF2y,
     UsageError,
     Vector,
+    format_lt_module,
     format_vector,
     parse_problem,
     parse_vector_literal,
@@ -27,6 +28,8 @@ from helpers import (
     parse_in,
     problem,
     random_vector,
+    reference_format_lt_module,
+    reference_format_vector,
     reference_parse_problem,
     reference_parse_vector_literal,
     reference_tokenize,
@@ -144,6 +147,28 @@ def test_format_parse_round_trip_random():
             v = random_vector(rng, amb, TopLex(2), max_terms=5, max_exp=5)
             text = format_vector(v, base.var_names)
             assert parse_in(base, 3, text) == v
+
+
+def test_memoised_printing_matches_the_decoded_reference():
+    # the vectors of the round trip above, rank 1 and rank 3, under the
+    # declared and the reversed priority, all printed through one memo
+    rng = random.Random(77)
+    for ring in rings_under_test():
+        names = ("B", "A")
+        texts = {}
+        for rank in (1, 3):
+            amb = Ambient(ring, 2, rank)
+            for order in (TopLex(2), TopLex(2, (1, 0))):
+                vectors = [random_vector(rng, amb, order, max_terms=5, max_exp=5) for _ in range(120)]
+                for v in vectors:
+                    assert format_vector(v, names, texts) == reference_format_vector(v, names)
+                    assert format_vector(v, names) == reference_format_vector(v, names)
+                nonzero = [v for v in vectors if not v.is_zero()]
+                for elements in (nonzero, nonzero[:1], []):
+                    assert (format_lt_module(elements, names, texts)
+                            == format_lt_module(elements, names)
+                            == reference_format_lt_module(elements, names))
+        assert len(texts) == 2  # one memo per codec
 
 
 def test_format_negative_and_unit_coefficients():

@@ -450,9 +450,14 @@ def test_normalize_and_sort_basis_follow_the_reference():
                                 Vector(amb, order, [v.terms[0]._replace(coeff=random_element(rng, ring))])]
             vectors = [v for v in vectors if not v.is_zero()]
             rng.shuffle(vectors)
-            assert [v.terms for v in sort_basis(vectors, order)] == [
-                v.terms for v in reference_sort_basis(vectors, order)
-            ]
+            # also without leading-term ties, and with a zero vector
+            untied = list({v.packed[0]: v for v in vectors}.values())
+            with_zero = untied + [Vector.zero(amb, order)]
+            rng.shuffle(with_zero)
+            for inputs in (vectors, untied, with_zero):
+                assert [v.terms for v in sort_basis(inputs, order)] == [
+                    v.terms for v in reference_sort_basis(inputs, order)
+                ]
 
 
 def test_equal_priorities_give_equal_keys():

@@ -374,3 +374,47 @@ def test_valuation_methods_match_per_ring_reference_zloc_seeded():
             got = _outcome(getattr(ring, name), *_as_pairs(args))
             want = _outcome(getattr(ref, name), *args)
             assert _matches_oracle(p, got, want), (ring, name, args, got, want)
+
+
+def _values_that_reach_vectors(ring, rng):
+    """Seeded elements and every result of theirs that a Vector can hold."""
+    seeds = [random_element(rng, ring) for _ in range(12)] + [ring.zero(), ring.one()]
+    out = list(seeds) + [ring.from_int(n) for n in range(-13, 14)]
+    for num in range(-6, 7):
+        for den in range(1, 7):
+            try:
+                out.append(ring.from_fraction(num, den))
+            except UsageError:
+                pass
+    for a in seeds:
+        out += [ring.neg(a), *ring.normalize_unit(a), ring.canonical(a), ring.ann_gen(a)]
+        if ring.is_unit(a):
+            out.append(ring.unit_inverse(a))
+        for b in seeds:
+            out += [ring.add(a, b), ring.mul(a, b), *ring.euclid_step(a, b)]
+            if (q := ring.divides(a, b)) is not None:
+                out.append(q)
+            if not (ring.is_zero(a) and ring.is_zero(b)):
+                out += ring.spair_cofactors(a, b)
+            d, coeffs = ring.gcd_bezout([a, b])
+            out += [d, *coeffs]
+    return out
+
+
+def test_equal_elements_are_equal_python_values():
+    # labels and memos key vectors by their packed terms, so ring
+    # equality must be == on the values that reach a Vector, with equal
+    # hashes
+    rng = random.Random(59)
+    rings = [Integers(), IntegersMod(7), IntegersMod(12), TruncatedF2y(3),
+             IntegersLocalizedAt(2), IntegersLocalizedAt(3)]
+    for ring in rings:
+        values = _values_that_reach_vectors(ring, rng)
+        first = {}
+        for v in values:
+            assert hash(first.setdefault(v, v)) == hash(v)
+        distinct = list(first)
+        for a in distinct:
+            for b in distinct:
+                assert ring.eq(a, b) == (a == b), (ring, a, b)
+                assert ring.is_zero(ring.sub(a, b)) == (a == b), (ring, a, b)

@@ -24,9 +24,8 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
-# private helpers that `cli` still imports from `syzygy`; the benchmark's
-# tracer wraps them by these names
-PRIVATE_IMPORT_ALLOWLIST = {"_buchberger_level0", "_pseudo_reduce_labeled"}
+# private helpers that one package module may import from another: none
+PRIVATE_IMPORT_ALLOWLIST = set()
 
 
 def test_no_private_imports_between_package_modules():
