@@ -20,12 +20,16 @@ from .errors import PackedOverflow, ParseError, UsageError
 from .poly import EXP_BITS, POSMASK, Accumulator, Ambient, TopLex, Vector, check_product
 from .rings import Integers, IntegersLocalizedAt, IntegersMod, TruncatedF2y
 
-_SKIP = r"(?:\s+|#[^\n]*)*"  # whitespace and comments; only whitespace holds a newline
 _TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\d+|[;=+\-*^/\[\](),]"  # name, int or symbol
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-# the match ends at the first character outside the language
-_VALID_RE = re.compile(rf"(?:{_TOKEN}|\s+|#[^\n]*)*")
-_TOKEN_RE = re.compile(rf"{_SKIP}({_TOKEN}|\Z)")  # group 1: a token, or "" at the end of input
+# the match ends at the first character outside the language; compiled on
+# first use, through re's cache, since the check below rarely needs it
+_VALID = rf"(?:{_TOKEN}|\s+|#[^\n]*)*"
+# a character that can start no token, comment or whitespace; text
+# without one is made of the language alone, while one found may still
+# sit in a comment or be a non-ASCII digit
+_OUTSIDE_RE = re.compile(r"[^\sA-Za-z0-9_;=+\-*^/\[\](),#]")
+_TOKEN_RE = re.compile(rf"{_TOKEN}|#[^\n]*")  # a token or a comment
 
 
 def tokenize(text):
@@ -33,11 +37,13 @@ def tokenize(text):
     is a name if it starts with an ASCII letter or `_`, an int if it
     starts with a decimal digit (`str.isdecimal`, exactly `\\d`), and
     a symbol otherwise."""
-    if (pos := _VALID_RE.match(text).end()) < len(text):
+    if _OUTSIDE_RE.search(text) and (pos := re.match(_VALID, text).end()) < len(text):
         raise ParseError(f"unexpected character {text[pos]!r}", *_line_column(text, pos))
+    # valid text is tokens, comments and whitespace, which findall skips
     tokens = _TOKEN_RE.findall(text)
-    if tokens[-2:] == ["", ""]:  # after trailing whitespace or a comment, the end matches twice
-        tokens.pop()
+    if "#" in text:
+        tokens = [tok for tok in tokens if tok[0] != "#"]
+    tokens.append("")
     return tokens
 
 
@@ -49,10 +55,12 @@ def token_position(text, index):
     """(line, column) of token `index` of `text`, the end of input
     included, counted from 1. Positions are only needed for errors, so
     they are found again from the text."""
-    matches = _TOKEN_RE.finditer(text)
-    for _ in range(index):
-        next(matches)
-    return _line_column(text, next(matches).start(1))
+    for match in _TOKEN_RE.finditer(text):
+        if match[0][0] != "#":
+            if not index:
+                return _line_column(text, match.start())
+            index -= 1
+    return _line_column(text, len(text))
 
 
 # generators: a tuple of (name, Vector)
@@ -73,6 +81,7 @@ class _Parser:
         self.i = 0
         self.last = len(self.tokens) - 1
         self.problem = problem
+        self.monos = None  # variable name -> packed monomial, made by the first assemble
 
     def fail(self, message, i=None):
         i = self.i if i is None else i
@@ -235,7 +244,8 @@ class _Parser:
             message = f"rank above {POSMASK + 1}"
         if message is not None:
             raise ParseError(message, *((1, 1) if at is None else token_position(self.text, at)))
-        self.monos = dict(zip(problem.var_names, (1 << s for s in problem.order.codec.shifts)))
+        if self.monos is None:
+            self.monos = dict(zip(problem.var_names, (1 << s for s in problem.order.codec.shifts)))
         coeffs = {}
         for pos, (start, stop) in enumerate(spans):
             self.tokens[stop] = ""
@@ -243,8 +253,11 @@ class _Parser:
             value = self.expr()
             if tok := self.tokens[self.i]:
                 self.fail(f"unexpected {tok!r}")
-            for c, m in _terms(value):
-                coeffs[m + pos] = c
+            if type(value) is tuple:
+                coeffs[value[1] + pos] = value[0]
+            else:
+                for m, c in value.coeffs.items():
+                    coeffs[m + pos] = c
         return Vector.from_coeffs(problem.ambient, problem.order, coeffs)
 
     # -- polynomial expressions ---------------------------------------------
@@ -266,12 +279,15 @@ class _Parser:
         acc = value if type(value) is Accumulator else _accumulator(self.problem, (value,))
         while op == "+" or op == "-":
             self.i += 1
-            rhs = _terms(self.term())
-            if op == "+":
-                for c, m in rhs:
+            rhs = self.term()
+            if type(rhs) is tuple:
+                c, m = rhs
+                acc.add(c if op == "+" else ring.neg(c), m)
+            elif op == "+":
+                for m, c in rhs.coeffs.items():
                     acc.add(c, m)
             else:
-                for c, m in rhs:
+                for m, c in rhs.coeffs.items():
                     acc.add(ring.neg(c), m)
             op = self.tokens[self.i]
         return acc

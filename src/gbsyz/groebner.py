@@ -173,26 +173,28 @@ def _reduce(work, index, lift, trace):
     `reduction_step` event names them all.
     """
     ring = work.ring
+    neg = ring.neg
+    lead, add_term_mul = work.lead, work.add_term_mul
     packed, coeffs = index.packed, work.coeffs
     r_terms = []
-    while (t := work.lead()) is not None:
+    while (t := lead()) is not None:
         lc, lm = t
         D, step, rest = _lead_step(index, ring, lc, lm, trace is not None)
         if not D:
             r_terms.append(t)
-            work.add(ring.neg(lc), lm)
+            work.add(neg(lc), lm)
         else:
             if trace is not None:
                 trace({"event": "reduction_step", "lm": work.order.codec.decode(lm),
                        "divisors": [j for j, _, _ in D]})
             for j, gamma, w in step:
-                w = ring.neg(w)
+                w = neg(w)
                 if lift is not None:
                     lift.add(w, gamma + j)
-                work.add_term_mul(w, gamma, packed[j])
+                add_term_mul(w, gamma, packed[j])
             if rest is not None and not ring.is_zero(e := rest[0]):
                 r_terms.append((e, lm))
-                work.add(ring.neg(e), lm)
+                work.add(neg(e), lm)
         if lm in coeffs:
             lm = work.order.codec.decode(lm)
             raise InternalError(f"reduction step left its leading monomial {lm} in place")
@@ -337,8 +339,9 @@ def s_poly(f, g, order=None):
 def buchberger(gens, order, guard=10_000, trace=None):
     """Buchberger's algorithm with the deterministic (i, j) pair queue.
 
-    Auto pairs whose leading coefficient is regular are skipped without
-    a division. Remainders are taken against the full current basis.
+    A pair without a cofactor, an auto pair whose leading coefficient is
+    regular or a cross pair at distinct positions, is skipped without a
+    division. Remainders are taken against the full current basis.
     The guard bounds the basis size; all shipped rings are Groebner
     rings, so hitting it means a bug, not a hard instance. The generators
     are re-sorted under `order` first.
@@ -358,9 +361,11 @@ def buchberger(gens, order, guard=10_000, trace=None):
     while queue:
         i, j = queue.popleft()
         value = Accumulator(amb, order)
-        kind, _, _ = _s_pair(packed[i], packed[j], i == j, amb.ring, codec, value)
+        kind, left, _ = _s_pair(packed[i], packed[j], i == j, amb.ring, codec, value)
         if trace is not None:
             trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": kind})
+        if left is None:
+            continue
         r_terms = _reduce(value, index, None, trace)
         if not r_terms:
             continue
@@ -454,7 +459,7 @@ def _head_exhaust(g, index):
     lc, lm = g.packed[0]
     while True:
         n, _canon = ring.normalize_unit(lc)
-        if not ring.eq(n, one):
+        if n != one:
             work = _opened(work, g)
             n_inv = ring.unit_inverse(n)
             u, u_inv, lc = ring.mul(u, n_inv), ring.mul(u_inv, n), ring.mul(lc, n_inv)
@@ -496,7 +501,7 @@ def _head_exhaust(g, index):
         lc = ring.mul(u, c)
     if work is None:
         return g
-    if not ring.eq(u, one):
+    if u != one:
         work.scale(u)
     return work.vector()
 

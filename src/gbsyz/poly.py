@@ -523,17 +523,21 @@ class Accumulator:
     comes from a min-heap of int order keys, built on the first `lead()`
     and kept up to date from then on; a key whose monomial has left the
     dict is dropped when it surfaces. This is the dict-plus-heap of
-    Monagan and Pearce 2007. `terms` seeds the sum with packed
-    (coeff, mono) pairs of distinct monomials and nonzero coefficients.
+    Monagan and Pearce 2007. A sum of 0 or 1 terms needs no heap, so
+    `lead()` builds none for it. A coefficient is tested for zero by
+    == with the ring's zero: equal ring elements are equal values.
+    `terms` seeds the sum with packed (coeff, mono) pairs of distinct
+    monomials and nonzero coefficients.
     """
 
-    __slots__ = ("ambient", "ring", "order", "coeffs", "heap", "guard")
+    __slots__ = ("ambient", "ring", "zero", "order", "coeffs", "heap", "guard")
 
     def __init__(self, ambient, order, terms=()):
         self.ambient = ambient
         self.ring = ambient.ring
+        self.zero = self.ring.zero()
         self.order = order
-        self.coeffs = {m: c for c, m in terms}
+        self.coeffs = {m: c for c, m in terms} if terms else {}
         self.heap = None
         self.guard = order.codec.guard
 
@@ -544,6 +548,10 @@ class Accumulator:
         """The leading (coeff, mono) pair, or None for zero."""
         heap, coeffs = self.heap, self.coeffs
         if heap is None:
+            if len(coeffs) < 2:
+                for m, c in coeffs.items():
+                    return c, m
+                return None
             heap = self.heap = list(map(self.order.key, coeffs))
             heapq.heapify(heap)
         unkey = self.order.unkey
@@ -562,7 +570,7 @@ class Accumulator:
             self.coeffs[m] = c
             if self.heap is not None:
                 heapq.heappush(self.heap, self.order.key(m))
-        elif self.ring.is_zero(s := self.ring.add(old, c)):
+        elif (s := self.ring.add(old, c)) == self.zero:
             del self.coeffs[m]
         else:
             self.coeffs[m] = s
@@ -570,13 +578,12 @@ class Accumulator:
     def add_term_mul(self, c, shift, terms):
         """Add c * X^shift * v for the packed terms of a v, term by term;
         shift is a packed monomial at position 0."""
-        ring = self.ring
-        mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+        mul, add, zero = self.ring.mul, self.ring.add, self.zero
         coeffs, heap, guard = self.coeffs, self.heap, self.guard
         key = self.order.key
         for d, n in terms:
             p = mul(c, d)
-            if is_zero(p):
+            if p == zero:
                 continue
             m = n + shift
             if m & guard:
@@ -586,7 +593,7 @@ class Accumulator:
                 coeffs[m] = p
                 if heap is not None:
                     heapq.heappush(heap, key(m))
-            elif is_zero(s := add(old, p)):
+            elif (s := add(old, p)) == zero:
                 del coeffs[m]
             else:
                 coeffs[m] = s

@@ -621,12 +621,12 @@ class IntegersLocalizedAt(_ValuationRing):
             return (0, 1) if bn == 0 else None
         if bn == 0:
             return 0, 1
-        if self.valuation(a) > self.valuation(b):
-            return None
-        # b/a = (bn * ad) / (bd * an), reduced; v(a) <= v(b) keeps p out
-        # of the denominator
+        # b/a = (bn * ad) / (bd * an), reduced; it lies in the ring, that
+        # is v(a) <= v(b), exactly when p does not divide its denominator
         g, h = gcd(bn, an), gcd(ad, bd)
         n, d = (bn // g) * (ad // h), (bd // h) * (an // g)
+        if d % self.p == 0:
+            return None
         return (n, d) if d > 0 else (-n, -d)
 
     def ann_gen(self, a):

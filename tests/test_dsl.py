@@ -490,6 +490,57 @@ def test_tokenizer_positions_match_reference():
         assert got == [(t.text, t.line, t.column) for t in reference_tokenize(text)], text
 
 
+TOKENIZER_EDGES = [
+    "ring Z; vars X; # costs $5, \u00e9 or X\u00b2\ng = X + 1;\n",  # outside characters in a comment
+    "ring Z; vars X; g = X # \u00e9",
+    "ring Z; vars X; g = \u0663*X + 12\u0663;",  # a non-ASCII decimal digit
+    "ring Z; vars X; g = X # note\n$ + 1;",  # an outside character right after a comment's newline
+    "ring Z; vars X; g = X # note\n\u00b2;",
+    "ring Z; vars X; g = X\u00b2;",
+    "ring Z; vars X; g = \u00e9;",
+    "ring Z;\r\nvars X Y;\r\ng = X^2 - Y;\r\n",  # CRLF line ends
+    "ring Z;\r\nvars X;\r\n  g = X ? 1;\r\n",
+    "ring Z; vars X; g = X; # a final comment with no newline",
+    "ring Z; vars X; g = X; #",
+    "",
+    "# only a comment \u00b2",
+    "\u00a0ring Z;\u2028vars X; g = X;",  # non-ASCII whitespace
+]
+
+
+def _token_outcome(text, tokens_at):
+    """tokens_at(text), the (text, line, column) of every token with the
+    end of input, or the text and position of its error."""
+    try:
+        return ("tokens", tokens_at(text))
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+
+
+def test_tokenizer_edges_match_reference():
+    # the pre-check for characters outside the language must not decide
+    # alone: texts whose outside characters sit in comments, digits
+    # outside ASCII and every line end give the tokens, positions, values
+    # and errors of the reference tokenizer and parser
+    def tokens_at(text):
+        return [(tok, *dsl.token_position(text, k)) for k, tok in enumerate(dsl.tokenize(text))]
+
+    def reference_tokens_at(text):
+        return [(t.text, t.line, t.column) for t in reference_tokenize(text)]
+
+    errors = 0
+    for text in TOKENIZER_EDGES:
+        got = _token_outcome(text, tokens_at)
+        assert got == _token_outcome(text, reference_tokens_at), text
+        assert _problem_outcome(parse_problem, text) == _problem_outcome(reference_parse_problem, text), text
+        errors += got[0] == "error"
+    assert errors == 5
+    prob = problem("zint_ideal")
+    for text in ("X + \u0663", "X # \u00b2\n", "X\r\n + Y #", "X\n\u00e9", "[X, # $\n Y]", ""):
+        got = _parse_outcome(parse_vector_literal, text, prob)
+        assert got == _parse_outcome(reference_parse_vector_literal, text, prob), text
+
+
 def test_parsing_builds_one_vector_per_generator(monkeypatch):
     # expressions evaluate in accumulators of packed monomials: no Vector
     # arithmetic, no normalisation of decoded terms, and one sort of the

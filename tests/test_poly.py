@@ -203,6 +203,48 @@ def test_accumulator_matches_vector_arithmetic():
             assert lead(acc) == want.lt()
 
 
+def test_accumulator_lead_on_short_sums():
+    # lead() after every operation, on sums that shrink to 1 and to 0
+    # terms and grow again, before the heap exists and after; a sum of 0
+    # or 1 terms builds no heap, so the heap exists from the first lead()
+    # asked of 2 or more terms on
+    rng = random.Random(29)
+    for ring in TERM_PRODUCT_RINGS:
+        order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
+        codec = order.codec
+        amb = Ambient(ring, 2, 2)
+        one = ring.one()
+        for _ in range(60):
+            start = random_vector(rng, amb, order, 1, 2)
+            acc, want = Accumulator(amb, order, start.packed), start
+            asked_long = False
+
+            def check():
+                nonlocal asked_long
+                t = acc.lead()
+                assert (None if t is None else Term(t[0], codec.decode(t[1]))) == want.lt()
+                asked_long |= len(want.terms) >= 2
+                assert (acc.heap is None) == (not asked_long)
+                assert acc.vector().terms == want.terms
+
+            check()
+            for size in (rng.randint(2, 4), rng.randint(0, 1), rng.randint(2, 5), 1, 0, 3):
+                while len(want.terms) != size:
+                    if len(want.terms) < size:
+                        # a new term or a product into one already there
+                        c, mono = random_nonzero(rng, ring), random_mono(rng, 2, 2, 2)
+                    else:
+                        # cancel the leading term or another one
+                        t = want.terms[0] if rng.random() < 0.5 else rng.choice(want.terms)
+                        c, mono = ring.neg(t.coeff), t.mono
+                    if rng.random() < 0.5:
+                        acc.add(c, codec.encode(mono))
+                    else:
+                        acc.add_term_mul(c, codec.pack(mono.exps, 0), [(one, mono.pos)])
+                    want = want.add(Vector(amb, order, [Term(c, mono)]))
+                    check()
+
+
 def test_s_pair_values_match_whole_vector_reference():
     # s_pair_indexed forms a cross value in one accumulator (and hands
     # that on, for the division), the reference merges two term_mul

@@ -376,6 +376,35 @@ def test_valuation_methods_match_per_ring_reference_zloc_seeded():
             assert _matches_oracle(p, got, want), (ring, name, args, got, want)
 
 
+def test_localized_divides_matches_the_reference_seeded():
+    # divides decides membership from the reduced quotient's denominator
+    # alone; the Fraction oracle decides it from the definition, on
+    # zeros, negative numerators, valuations up to 5 and denominators of
+    # up to 60 bits
+    rng = random.Random(41)
+    for p in (2, 3, 5, 7):
+        ring, ref = IntegersLocalizedAt(p), ReferenceIntegersLocalizedAt(p)
+
+        def draw():
+            den = rng.choice([rng.randrange(1, 30), rng.getrandbits(60) | 1])
+            while den % p == 0:
+                den += 1
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 50) * p ** rng.randrange(6), den)
+
+        elements = [Fraction(0)] + [draw() for _ in range(400)]
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(3000)]
+        pairs += [(a, Fraction(0)) for a in elements[:20]] + [(Fraction(0), a) for a in elements[:20]]
+        pairs += [(a, -a) for a in elements[:20]] + [(a, a * p) for a in elements[:20]]
+        pairs += [(a * p, a) for a in elements[:20]]
+        exact = 0
+        for a, b in pairs:
+            got = ring.divides(*_as_pairs((a, b)))
+            want = ref.divides(a, b)
+            assert _matches_oracle(p, got, want), (p, a, b, got, want)
+            exact += want is not None
+        assert 0.25 * len(pairs) < exact < 0.9 * len(pairs), (p, exact)
+
+
 def _values_that_reach_vectors(ring, rng):
     """Seeded elements and every result of theirs that a Vector can hold."""
     seeds = [random_element(rng, ring) for _ in range(12)] + [ring.zero(), ring.one()]
