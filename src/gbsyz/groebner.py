@@ -269,14 +269,16 @@ def _s_pair(ft, gt, auto, ring, codec, value=None):
     with left = (b, X^beta) and right = (a, X^alpha) packed at position
     0, None where there is no cofactor. The auto pair of f is b f with
     Ann(LC(f)) = <b>; a cross pair at distinct positions is "zero".
-    Unless `value` is None, the pair's value is added into it."""
+    Unless `value` is None, the pair's value is added into it from the
+    tails ft[1:] and gt[1:] alone: the leading products cancel exactly,
+    as b LC(f) = 0 (auto) and b LC(f) = a LC(g) (cross, at the lcm)."""
     fc, mu = ft[0]
     if auto:
         b = ring.ann_gen(fc)
         if ring.is_zero(b):
             return "auto", None, None
         if value is not None:
-            value.add_term_mul(b, 0, ft)
+            value.add_term_mul(b, 0, ft[1:])
         return "auto", (b, 0), None
     gc, nu = gt[0]
     if (mu ^ nu) & POSMASK:
@@ -284,8 +286,8 @@ def _s_pair(ft, gt, auto, ring, codec, value=None):
     a, b = ring.spair_cofactors(fc, gc)
     lcm = codec.lcm(mu, nu)
     if value is not None:
-        value.add_term_mul(b, lcm - mu, ft)
-        value.add_term_mul(ring.neg(a), lcm - nu, gt)
+        value.add_term_mul(b, lcm - mu, ft[1:])
+        value.add_term_mul(ring.neg(a), lcm - nu, gt[1:])
     return "cross", (b, lcm - mu), (a, lcm - nu)
 
 
@@ -341,10 +343,11 @@ def buchberger(gens, order, guard=10_000, trace=None):
 
     A pair without a cofactor, an auto pair whose leading coefficient is
     regular or a cross pair at distinct positions, is skipped without a
-    division. Remainders are taken against the full current basis.
-    The guard bounds the basis size; all shipped rings are Groebner
-    rings, so hitting it means a bug, not a hard instance. The generators
-    are re-sorted under `order` first.
+    division. Remainders are taken against the full current basis. One
+    work `Accumulator` per call holds every pair's value: `_reduce`
+    drains it. The guard bounds the basis size; all shipped rings are
+    Groebner rings, so hitting it means a bug, not a hard instance. The
+    generators are re-sorted under `order` first.
     """
     gens = [reorder(g, order) for g in gens]
     if not gens:
@@ -357,16 +360,16 @@ def buchberger(gens, order, guard=10_000, trace=None):
     index = Divisors(gens)
     basis, packed = index.vectors, index.packed
     amb, codec = basis[0].ambient, order.codec
+    work = Accumulator(amb, order)
     queue = deque((i, j) for i in range(len(basis)) for j in range(i, len(basis)))
     while queue:
         i, j = queue.popleft()
-        value = Accumulator(amb, order)
-        kind, left, _ = _s_pair(packed[i], packed[j], i == j, amb.ring, codec, value)
+        kind, left, _ = _s_pair(packed[i], packed[j], i == j, amb.ring, codec, work)
         if trace is not None:
             trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": kind})
         if left is None:
             continue
-        r_terms = _reduce(value, index, None, trace)
+        r_terms = _reduce(work, index, None, trace)
         if not r_terms:
             continue
         index.append(Vector.from_packed(amb, order, r_terms))
@@ -388,24 +391,25 @@ def s_pairs(source, order, trace=None, start_lift=None):
     remainders are computed and lift is None; otherwise lift is
     start_lift(i, j, left, right) for the packed cofactor terms of the
     pair, an `Accumulator` into which the division adds -sum q_l eps_l.
-    `order` must equal the elements' own."""
+    One work `Accumulator` per call holds every pair's value: `_reduce`
+    drains it. `order` must equal the elements' own."""
     if not source:
         return
     index = Divisors(source)
     order = _order_of(source[0], order)
     amb, codec, packed = source[0].ambient, order.codec, index.packed
+    work = Accumulator(amb, order)
     for i, ft in enumerate(packed):
         # only elements at the same leading position pair up
         bucket = index.by_pos[ft[0][1] & POSMASK]
         for j, _, _ in bucket[bisect_left(bucket, (i,)):]:
-            value = Accumulator(amb, order)
-            kind, left, right = _s_pair(ft, packed[j], i == j, amb.ring, codec, value)
+            kind, left, right = _s_pair(ft, packed[j], i == j, amb.ring, codec, work)
             if left is None:
                 continue
             if trace is not None:
                 trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": kind})
             lift = None if start_lift is None else start_lift(i, j, left, right)
-            yield i, j, lift, _reduce(value, index, lift, trace)
+            yield i, j, lift, _reduce(work, index, lift, trace)
 
 
 def is_groebner(elements, order) -> bool:

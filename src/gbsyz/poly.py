@@ -515,53 +515,66 @@ def reorder(v, order):
     return Vector.from_coeffs(v.ambient, order, coeffs)
 
 
+# the sum size from which `Accumulator.lead()` keeps a heap: 96% of its calls
+# on the seed 1001 `gb` corpus see 7 terms or fewer; 16 measured within 1%
+HEAP_MIN = 8
+
+
 class Accumulator:
     """A sparse sum of packed terms in `ambient` under `order`.
 
     Coefficients live in a dict packed monomial -> nonzero coefficient,
-    so a sum that cancels leaves the dict at once. The leading term
-    comes from a min-heap of int order keys, built on the first `lead()`
-    and kept up to date from then on; a key whose monomial has left the
-    dict is dropped when it surfaces. This is the dict-plus-heap of
-    Monagan and Pearce 2007. A sum of 0 or 1 terms needs no heap, so
-    `lead()` builds none for it. A coefficient is tested for zero by
-    == with the ring's zero: equal ring elements are equal values.
+    so a sum that cancels leaves the dict at once. Below HEAP_MIN terms
+    the leading term is the least key; from the first `lead()` that sees
+    HEAP_MIN or more on, it comes from a min-heap of int order keys, kept
+    up to date, where a key whose monomial has left the dict is dropped
+    when it surfaces (the dict-plus-heap of Monagan and Pearce 2007). A
+    `lead()` that finds the sum empty drops the heap, so a drained
+    accumulator can be refilled. The ring's `mul` and `add` and the
+    order's `key` and `unkey` are bound once. A coefficient is tested for
+    zero by == with the ring's zero: equal ring elements are equal values.
     `terms` seeds the sum with packed (coeff, mono) pairs of distinct
     monomials and nonzero coefficients.
     """
 
-    __slots__ = ("ambient", "ring", "zero", "order", "coeffs", "heap", "guard")
+    __slots__ = ("ambient", "ring", "zero", "order", "coeffs", "heap", "guard",
+                 "_mul", "_add", "_key", "_unkey")
 
     def __init__(self, ambient, order, terms=()):
         self.ambient = ambient
-        self.ring = ambient.ring
-        self.zero = self.ring.zero()
+        self.ring = ring = ambient.ring
+        self.zero = ring.zero()
         self.order = order
         self.coeffs = {m: c for c, m in terms} if terms else {}
         self.heap = None
         self.guard = order.codec.guard
+        self._mul, self._add = ring.mul, ring.add
+        self._key, self._unkey = order.key, order.unkey
 
     def is_zero(self):
         return not self.coeffs
 
     def lead(self):
-        """The leading (coeff, mono) pair, or None for zero."""
-        heap, coeffs = self.heap, self.coeffs
+        """The leading (coeff, mono) pair, or None for zero, which drops
+        the heap; without a heap, HEAP_MIN or more terms build one."""
+        coeffs = self.coeffs
+        if not coeffs:
+            self.heap = None
+            return None
+        heap = self.heap
         if heap is None:
-            if len(coeffs) < 2:
-                for m, c in coeffs.items():
-                    return c, m
-                return None
-            heap = self.heap = list(map(self.order.key, coeffs))
+            if len(coeffs) < HEAP_MIN:
+                m = min(coeffs, key=self._key)
+                return coeffs[m], m
+            heap = self.heap = list(map(self._key, coeffs))
             heapq.heapify(heap)
-        unkey = self.order.unkey
-        while heap:
+        unkey = self._unkey
+        while True:
             m = unkey(heap[0])
             c = coeffs.get(m)
             if c is not None:
                 return c, m
             heapq.heappop(heap)
-        return None
 
     def add(self, c, m):
         """Add the nonzero term c * m."""
@@ -569,8 +582,8 @@ class Accumulator:
         if old is None:
             self.coeffs[m] = c
             if self.heap is not None:
-                heapq.heappush(self.heap, self.order.key(m))
-        elif (s := self.ring.add(old, c)) == self.zero:
+                heapq.heappush(self.heap, self._key(m))
+        elif (s := self._add(old, c)) == self.zero:
             del self.coeffs[m]
         else:
             self.coeffs[m] = s
@@ -578,9 +591,8 @@ class Accumulator:
     def add_term_mul(self, c, shift, terms):
         """Add c * X^shift * v for the packed terms of a v, term by term;
         shift is a packed monomial at position 0."""
-        mul, add, zero = self.ring.mul, self.ring.add, self.zero
+        mul, add, zero = self._mul, self._add, self.zero
         coeffs, heap, guard = self.coeffs, self.heap, self.guard
-        key = self.order.key
         for d, n in terms:
             p = mul(c, d)
             if p == zero:
@@ -592,7 +604,7 @@ class Accumulator:
             if old is None:
                 coeffs[m] = p
                 if heap is not None:
-                    heapq.heappush(heap, key(m))
+                    heapq.heappush(heap, self._key(m))
             elif (s := add(old, p)) == zero:
                 del coeffs[m]
             else:
@@ -600,7 +612,7 @@ class Accumulator:
 
     def scale(self, u):
         """Multiply by the unit u in place (no coefficient vanishes)."""
-        mul, coeffs = self.ring.mul, self.coeffs
+        mul, coeffs = self._mul, self.coeffs
         for m, c in coeffs.items():
             coeffs[m] = mul(u, c)
 

@@ -44,6 +44,7 @@ from helpers import (
     reference_buchberger,
     reference_certificate,
     reference_pseudo_reduce,
+    reference_s_pairs,
     rings_under_test,
     vec,
 )
@@ -197,23 +198,29 @@ def assert_same_certificate(got, want):
 
 def assert_certified_like_the_reference(source, order):
     # Schreyer's certificate (s_pairs with lifts) and is_groebner
-    # (s_pairs without) against the per-pair loop, trace events included
+    # (s_pairs without) against the per-pair loop, trace events included;
+    # then without a trace, where a step stops at its first exact
+    # candidate: certificates, and each pair's remainder terms
     sch = Schreyer(source, order)
     got_events, want_events = [], []
     got = syzygy._certify(source, sch, trace=got_events.append)
     want = reference_certificate(source, sch, trace=want_events.append)
     assert_same_certificate(got, want)
     assert got_events == want_events
+    assert_same_certificate(syzygy._certify(source, sch), reference_certificate(source, sch))
+    rests = [(i, j, rest) for i, j, _, rest in groebner.s_pairs(source, order)]
+    assert rests == [(i, j, [] if res is None else list(res.remainder.packed))
+                     for i, j, _, _, res in reference_s_pairs(source, order, groebner.Divisors(source))]
     assert is_groebner(source, order) == (not want.unreduced)
 
 
 def test_pair_loops_match_the_per_pair_reference():
     # Buchberger's loop and s_pairs reduce each pair on the prepared
     # index; the reference runs s_pair_indexed and divide per pair. Same
-    # bases, trace events and certificates: on every level of the golden
-    # resolutions, and on seeded problems of rank 1 and 2 over every
-    # ring of the benchmark corpus, for their generators (not always a
-    # Groebner basis) and their bases
+    # bases, trace events and certificates, with a trace and without: on
+    # every level of the golden resolutions, and on seeded problems of
+    # rank 1 and 2 over every ring of the benchmark corpus, for their
+    # generators (not always a Groebner basis) and their bases
     problems = [gens_of(problem(key))[1] for key in GOLDEN]
     for key in GOLDEN:
         for level in free_resolution(gens_of(problem(key))[1]).levels:
@@ -237,6 +244,8 @@ def test_pair_loops_match_the_per_pair_reference():
         want = reference_buchberger(gens, order, trace=want_events.append)
         assert [v.packed for v in gb.elements] == [v.packed for v in want.elements]
         assert got_events == want_events
+        untraced = [v.packed for v in buchberger(gens, order).elements]
+        assert untraced == [v.packed for v in reference_buchberger(gens, order).elements]
         kinds.update(e["kind"] for e in got_events if e["event"] == "pair")
         assert_certified_like_the_reference(tuple(gens), order)
         assert_certified_like_the_reference(gb.elements, order)

@@ -28,7 +28,7 @@ from gbsyz import (
     sort_basis,
 )
 from gbsyz.groebner import s_pair_indexed
-from gbsyz.poly import EXP_BITS, POSMASK, Accumulator
+from gbsyz.poly import EXP_BITS, HEAP_MIN, POSMASK, Accumulator
 from helpers import (
     GOLDEN,
     gens_of,
@@ -205,9 +205,9 @@ def test_accumulator_matches_vector_arithmetic():
 
 def test_accumulator_lead_on_short_sums():
     # lead() after every operation, on sums that shrink to 1 and to 0
-    # terms and grow again, before the heap exists and after; a sum of 0
-    # or 1 terms builds no heap, so the heap exists from the first lead()
-    # asked of 2 or more terms on
+    # terms and grow again, past HEAP_MIN and back, before the heap exists
+    # and after; there is no heap until a lead() sees HEAP_MIN or more
+    # terms, and none after a lead() that finds the sum empty
     rng = random.Random(29)
     for ring in TERM_PRODUCT_RINGS:
         order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
@@ -217,18 +217,24 @@ def test_accumulator_lead_on_short_sums():
         for _ in range(60):
             start = random_vector(rng, amb, order, 1, 2)
             acc, want = Accumulator(amb, order, start.packed), start
-            asked_long = False
+            has_heap = False
 
             def check():
-                nonlocal asked_long
+                nonlocal has_heap
                 t = acc.lead()
                 assert (None if t is None else Term(t[0], codec.decode(t[1]))) == want.lt()
-                asked_long |= len(want.terms) >= 2
-                assert (acc.heap is None) == (not asked_long)
+                if not want.terms:
+                    has_heap = False
+                elif len(want.terms) >= HEAP_MIN:
+                    has_heap = True
+                assert (acc.heap is None) == (not has_heap)
                 assert acc.vector().terms == want.terms
 
             check()
-            for size in (rng.randint(2, 4), rng.randint(0, 1), rng.randint(2, 5), 1, 0, 3):
+            sizes = (rng.randint(2, 4), rng.randint(0, 1), rng.randint(2, 5), 1, 0, 3,
+                     rng.randint(HEAP_MIN, HEAP_MIN + 3), rng.randint(1, HEAP_MIN - 1),
+                     rng.randint(HEAP_MIN, HEAP_MIN + 3), 0, HEAP_MIN - 1, 1)
+            for size in sizes:
                 while len(want.terms) != size:
                     if len(want.terms) < size:
                         # a new term or a product into one already there
@@ -243,6 +249,42 @@ def test_accumulator_lead_on_short_sums():
                         acc.add_term_mul(c, codec.pack(mono.exps, 0), [(one, mono.pos)])
                     want = want.add(Vector(amb, order, [Term(c, mono)]))
                     check()
+
+
+def test_accumulator_reuse_matches_a_fresh_one_per_sum():
+    # one accumulator drained by lead() and refilled, the way Buchberger's
+    # loop and s_pairs reuse their work accumulator, against a fresh one
+    # per sum: the same lead() sequence and vector(), on sums that regrow
+    # past HEAP_MIN after a drain
+    rng = random.Random(31)
+    for ring in TERM_PRODUCT_RINGS:
+        order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
+        amb = Ambient(ring, 2, 2)
+        reused = Accumulator(amb, order)
+        for _ in range(80):
+            fresh = Accumulator(amb, order)
+            size = rng.choice((0, 1, 3, HEAP_MIN - 1, HEAP_MIN, HEAP_MIN + 4))
+            for _ in range(size):
+                v = random_nonzero_vector(rng, amb, order, 3, 2)
+                c, shift = random_nonzero(rng, ring), order.codec.pack(random_mono(rng, 2, 1, 1).exps, 0)
+                for acc in (reused, fresh):
+                    acc.add_term_mul(c, shift, v.packed)
+            assert reused.vector().terms == fresh.vector().terms
+            # drain both, a leading term at a time, with extra products
+            # on the way as a reduction step adds them
+            while True:
+                got, want = reused.lead(), fresh.lead()
+                assert got == want
+                if want is None:
+                    break
+                c, m = want
+                extra = random_nonzero_vector(rng, amb, order, 3, 1)
+                extra = [(d, n) for d, n in extra.packed
+                         if order.key(n) > order.key(m) and rng.random() < 0.5]
+                for acc in (reused, fresh):
+                    acc.add(ring.neg(c), m)
+                    acc.add_term_mul(ring.one(), 0, extra)
+            assert reused.is_zero() and reused.heap is None
 
 
 def test_s_pair_values_match_whole_vector_reference():
