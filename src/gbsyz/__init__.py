@@ -8,19 +8,15 @@ from .rings import (
     IntegersLocalizedAt,
     IntegersMod,
     TruncatedF2y,
-    ring_from_descriptor,
 )
 from .poly import (
     Ambient,
-    MDEG_NEG_INF,
     Mono,
     Schreyer,
     Term,
     TopLex,
     Vector,
     mono_divides,
-    positive_part,
-    term_divides,
     reorder,
     sort_basis,
 )
@@ -71,7 +67,6 @@ __all__ = [
     "IntegersLocalizedAt",
     "IntegersMod",
     "InternalError",
-    "MDEG_NEG_INF",
     "Mono",
     "ParseError",
     "PeriodicTail",
@@ -98,14 +93,11 @@ __all__ = [
     "mono_divides",
     "parse_problem",
     "parse_vector_literal",
-    "positive_part",
     "pseudo_reduce",
     "reorder",
-    "ring_from_descriptor",
     "s_poly",
     "schreyer_syzygies",
     "sort_basis",
-    "term_divides",
     "term_module_member",
     "term_syzygies",
     "verify_resolution",

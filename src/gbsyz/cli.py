@@ -434,7 +434,7 @@ def main(argv=None):
             out = "\n".join(json.dumps(rec) for rec in records) + "\n"
         else:
             out = _render_text(records)
-    except (ParseError, UsageError, OSError) as exc:
+    except (ParseError, UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalError, GuardExceeded) as exc:

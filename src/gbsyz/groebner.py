@@ -17,12 +17,14 @@ whole term over: `divide` then is the first-divisor division, and
 The working polynomial of every reduction, the quotients of a division
 and the value of an S-pair are sums of term products c * X^gamma * v,
 formed in `poly.Accumulator`. Every S-pair takes its cofactors and value
-from one kernel, `_s_pair`. Buchberger's loop and `s_pairs` read their
-pairs from a prepared `Divisors` and reduce them on it with `divide`'s
-loop. `s_pairs` enumerates the S-pairs of a basis with their divisions,
-once for `is_groebner` and Schreyer's syzygies, whose divisions write
-their quotients straight into each pair's lift; `pair_cofactors` gives
-the cofactors alone, for the resolution verifier, which divides nothing.
+from one kernel, `_s_pair`. `divide` prepares a `Divisors` of its list
+and reduces h on it with `_reduce`. Buchberger's loop and `s_pairs`
+read their pairs from one prepared `Divisors` and reduce them on it
+with the same loop. `s_pairs` enumerates the S-pairs of a basis with
+their divisions, once for `is_groebner` and Schreyer's syzygies, whose
+divisions write their quotients straight into each pair's lift;
+`pair_cofactors` gives the cofactors alone, for the resolution
+verifier, which divides nothing.
 
 `pseudo_reduce` is the leading-term exhaustion used between syzygy
 levels: unit-normalize leading coefficients, reduce a leading term away
@@ -51,9 +53,9 @@ from .poly import (
 
 
 DivisionResult = namedtuple("DivisionResult", "quotients remainder")
-# kind is "auto", "cross" or "zero"; a cofactor is None when absent. From
-# s_pair_indexed, a cross pair's value is its Accumulator and the
-# cofactors are packed (coeff, int) pairs; s_poly decodes them
+# kind is "auto", "cross" or "zero"; a cofactor is None when absent. The
+# value is a sorted Vector; from s_pair_indexed the cofactors are packed
+# (coeff, int) pairs, which s_poly decodes
 SPair = namedtuple("SPair", "value left_cofactor right_cofactor kind")
 GroebnerBasis = namedtuple("GroebnerBasis", "elements order")
 
@@ -106,15 +108,6 @@ class Divisors:
         if v is not None:
             lc, lm = v.packed[0]
             insort(self.by_pos.setdefault(lm & POSMASK, []), (j, lc, lm))
-
-
-def _prepared(h, divisors):
-    """divisors as a Divisors checked against h."""
-    if isinstance(divisors, Divisors):
-        if divisors.vectors:
-            divisors.vectors[0]._check_compatible(h)
-        return divisors
-    return Divisors(divisors, like=h)
 
 
 def _lead_step(index, ring, lc, lm, scan_all=False):
@@ -211,43 +204,30 @@ def _order_of(v, order):
     return order
 
 
-def divide(h, divisors, order=None, trace=None, *, quotients=True, lift=None):
+def divide(h, divisors, order=None, trace=None):
     """Divide h by the list of divisors (gcd-aggregating division).
 
     Returns quotients as rank-1 polynomials and a remainder none of
     whose terms lies in the leading-term module of the divisors. With
-    an empty divisor list the remainder is h itself. `divisors` is a
-    sequence of vectors or a prepared `Divisors`; a prepared set was
-    checked when it was built, so h is checked against its first
-    divisor only. h may also be the `Accumulator` of a cross S-pair
-    from `s_pair_indexed`, which the division consumes. With
-    `quotients=False` only the remainder is computed and the quotients
-    field is None; the remainder and the trace events are the same.
-    With an `Accumulator` `lift`, of rank the number of divisors and
-    under their codec, the quotients go into it instead, as
-    -sum q_j eps_j, and the quotients field is None. `order` defaults
-    to h's and must equal it.
+    an empty divisor list the remainder is h itself. Each divisor must
+    be nonzero and compatible with h. `order` defaults to h's and must
+    equal it.
     """
-    index = _prepared(h, divisors)
+    index = Divisors(divisors, like=h)
     order = _order_of(h, order)
-    sink = lift
-    if lift is None and quotients:
-        sink = Accumulator(h.ambient._replace(rank=len(index.vectors)), order)
-    work = h if type(h) is Accumulator else Accumulator(h.ambient, order, h.packed)
+    lift = Accumulator(h.ambient._replace(rank=len(index.vectors)), order)
     # the remainder terms are already descending: each step removes the
     # leading term of the working polynomial and adds only smaller ones
-    r_terms = _reduce(work, index, sink, trace)
-    remainder = Vector.from_packed(h.ambient, order, r_terms)
-    if sink is lift:
-        return DivisionResult(None, remainder)
+    r_terms = _reduce(Accumulator(h.ambient, order, h.packed), index, lift, trace)
     # split -sum q_j eps_j by position, flipping the signs back
     neg = h.ambient.ring.neg
     parts = [{} for _ in index.vectors]
-    for m, c in sink.coeffs.items():
+    for m, c in lift.coeffs.items():
         pos = m & POSMASK
         parts[pos][m - pos] = neg(c)
     ring_amb = h.ambient._replace(rank=1)
-    return DivisionResult(tuple(Vector.from_coeffs(ring_amb, order, q) for q in parts), remainder)
+    quotients = tuple(Vector.from_coeffs(ring_amb, order, q) for q in parts)
+    return DivisionResult(quotients, Vector.from_packed(h.ambient, order, r_terms))
 
 
 def divide_valuation(h, divisors, order=None, trace=None):
@@ -255,8 +235,7 @@ def divide_valuation(h, divisors, order=None, trace=None):
     divisor whose leading term divides (as a term) is used alone, and a
     leading term without one moves to the remainder. On a valuation ring
     that is what `divide` does, so this is `divide` with the ring
-    checked first. `divisors` is a sequence of vectors or a prepared
-    `Divisors`.
+    checked first.
     """
     if not h.ambient.ring.is_valuation_ring:
         raise UsageError(f"{h.ambient.ring} is not a valuation ring")
@@ -296,9 +275,8 @@ def s_pair_indexed(f, g, order, auto):
 
     Buchberger's loop and the syzygy algorithms take the auto case for
     the index pair i = j; two equal values at distinct indices still
-    form a cross pair (their syzygy eps_i - eps_j matters). The value of
-    a cross pair is the `Accumulator` that formed it, for `divide` to
-    reduce in place, and the cofactors are packed `pair_cofactors`.
+    form a cross pair (their syzygy eps_i - eps_j matters). The value
+    is a sorted `Vector` and the cofactors are packed `pair_cofactors`.
     """
     if f.is_zero() or g.is_zero():
         raise UsageError("S-polynomial of the zero vector")
@@ -307,7 +285,7 @@ def s_pair_indexed(f, g, order, auto):
     kind, left, right = _s_pair(f.packed, g.packed, auto, f.ambient.ring, f.order.codec, value)
     if left is None:
         return SPair(Vector.zero(f.ambient, order), None, None, kind)
-    return SPair(value.vector() if auto else value, left, right, kind)
+    return SPair(value.vector(), left, right, kind)
 
 
 def pair_cofactors(f, g, auto):
@@ -331,11 +309,10 @@ def s_poly(f, g, order=None):
     The value is a sorted `Vector` and the cofactors are `Term`s.
     """
     sp = s_pair_indexed(f, g, _order_of(f, order), auto=(f == g))
-    value = sp.value.vector() if type(sp.value) is Accumulator else sp.value
     decode = f.order.codec.decode
     left, right = (None if t is None else Term(t[0], decode(t[1]))
                    for t in (sp.left_cofactor, sp.right_cofactor))
-    return SPair(value, left, right, sp.kind)
+    return sp._replace(left_cofactor=left, right_cofactor=right)
 
 
 def buchberger(gens, order, guard=10_000, trace=None):

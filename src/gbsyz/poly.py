@@ -39,37 +39,8 @@ from .errors import PackedOverflow, UsageError
 
 Mono = namedtuple("Mono", "exps pos")
 Term = namedtuple("Term", "coeff mono")
-
-
-class _NegInfinity:
-    """mdeg of the zero vector; compares below every exponent tuple."""
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __repr__(self):
-        return "-inf"
-
-
-MDEG_NEG_INF = _NegInfinity()
-
-
 Ambient = namedtuple("Ambient", "ring nvars rank")
 Ambient.__doc__ = """The data of H_m = R[X1..Xn]^m."""
-
-
-def positive_part(alpha):
-    """Componentwise max(alpha_i, 0)."""
-    return tuple(a if a > 0 else 0 for a in alpha)
 
 
 def mono_divides(m, n):
@@ -82,21 +53,6 @@ def mono_divides(m, n):
             return None
         out.append(b - a)
     return tuple(out)
-
-
-def term_divides(t, u, ring):
-    """Quotient term u/t when both coefficient and monomial divide, else None.
-
-    The quotient is a ring-level term (coefficient, exponent vector);
-    multiplying it back onto t recovers u exactly.
-    """
-    gamma = mono_divides(t.mono, u.mono)
-    if gamma is None:
-        return None
-    c = ring.divides(t.coeff, u.coeff)
-    if c is None:
-        return None
-    return Term(c, Mono(gamma, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +303,6 @@ class Vector:
     def is_zero(self):
         return not self.packed
 
-    def lt(self):
-        if not self.packed:
-            return None
-        c, m = self.packed[0]
-        return Term(c, self.order.codec.decode(m))
-
     def lm(self):
         if not self.packed:
             raise UsageError("leading monomial of the zero vector")
@@ -367,11 +317,6 @@ class Vector:
         if not self.packed:
             raise UsageError("leading position of the zero vector")
         return self.packed[0][1] & POSMASK
-
-    def mdeg(self):
-        if not self.packed:
-            return MDEG_NEG_INF
-        return self.order.codec.exps(self.packed[0][1])
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -49,14 +49,36 @@ def xgcd(a, b):
     return g, x, y
 
 
+# Miller-Rabin to these bases decides every n below _MR_BOUND (Sorenson
+# and Webster 2015, *Strong pseudoprimes to twelve prime bases*)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
+    """Miller-Rabin to _MR_BASES. At or above _MR_BOUND a witness still
+    proves n composite, and trial division decides the rest."""
     if n < 2:
         return False
-    if n < 4:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n < _MR_BOUND:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
+    d = _MR_BASES[-1] + 2
     while d * d <= n:
         if n % d == 0:
             return False
@@ -641,26 +663,3 @@ class IntegersLocalizedAt(_ValuationRing):
 
     def descriptor(self):
         return f"Z_({self.p})"
-
-
-def ring_from_descriptor(text):
-    """Parse a ring descriptor string as written in the DSL."""
-    s = text.strip()
-    if s == "Z":
-        return Integers()
-    if s.startswith("Z/"):
-        try:
-            return IntegersMod(int(s[2:]))
-        except ValueError:
-            raise UsageError(f"unknown ring {text!r}") from None
-    if s.startswith("F2[y]/y^"):
-        try:
-            return TruncatedF2y(int(s[8:]))
-        except ValueError:
-            raise UsageError(f"unknown ring {text!r}") from None
-    if s.startswith("Z_(") and s.endswith(")"):
-        try:
-            return IntegersLocalizedAt(int(s[3:-1]))
-        except ValueError:
-            raise UsageError(f"unknown ring {text!r}") from None
-    raise UsageError(f"unknown ring {text!r}")

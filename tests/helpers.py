@@ -13,7 +13,6 @@ from typing import NamedTuple
 from gbsyz import (
     Ambient,
     DivisionResult,
-    Divisors,
     GroebnerBasis,
     GuardExceeded,
     Integers,
@@ -31,7 +30,6 @@ from gbsyz import (
     is_groebner,
     mono_divides,
     parse_problem,
-    positive_part,
     sort_basis,
 )
 from gbsyz.dsl import ProblemFile, parse_vector_literal
@@ -79,6 +77,10 @@ def exps_add(a, b):
 
 def exps_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def positive_part(alpha):
+    return tuple(max(a, 0) for a in alpha)
 
 
 def problem(key):
@@ -433,14 +435,13 @@ def reference_level_verdicts(res, samples=20, seed=0):
         groebner = is_groebner(list(level.basis), level.order)
         sampling = None
         if level.basis:
-            index = Divisors(level.basis)
             amb = level.basis[0].ambient
             sampling = True
             for _ in range(samples):
                 sample = random_sample(rng, level.basis)
                 terms = [Term(c, m) for m, c in sample.items()]
                 h = Vector(amb, level.order, terms)
-                if not divide(h, index, level.order, quotients=False).remainder.is_zero():
+                if not divide(h, list(level.basis), level.order).remainder.is_zero():
                     sampling = False
                     break
         out.append((groebner, sampling))
@@ -474,19 +475,17 @@ def reference_s_pair_value(f, g, order, auto):
     if f.lp() != g.lp():
         return Vector.zero(f.ambient, order)
     a, b = ring.spair_cofactors(f.lc(), g.lc())
-    mu, nu = f.mdeg(), g.mdeg()
+    mu, nu = f.lm().exps, g.lm().exps
     beta = positive_part(exps_sub(nu, mu))
     alpha = positive_part(exps_sub(mu, nu))
     return f.term_mul(b, beta).sub(g.term_mul(a, alpha))
 
 
 def reference_buchberger(gens, order, guard=10_000, trace=None):
-    """Buchberger's loop with one `s_pair_indexed` and one
-    `divide(..., quotients=False)` per pair: the reference for
-    `groebner.buchberger`, whose pairs reduce on its prepared index."""
-    gens = [reorder(g, order) for g in gens]
-    index = Divisors(gens)
-    basis = index.vectors
+    """Buchberger's loop with one `s_pair_indexed` and one `divide` per
+    pair: the reference for `groebner.buchberger`, whose pairs reduce on
+    its prepared index."""
+    basis = [reorder(g, order) for g in gens]
     queue = deque((i, j) for i in range(len(basis)) for j in range(i, len(basis)))
     while queue:
         i, j = queue.popleft()
@@ -495,10 +494,10 @@ def reference_buchberger(gens, order, guard=10_000, trace=None):
             trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
         if sp.value.is_zero():
             continue
-        rem = divide(sp.value, index, order, trace=trace, quotients=False).remainder
+        rem = divide(sp.value, basis, order, trace=trace).remainder
         if rem.is_zero():
             continue
-        index.append(rem)
+        basis.append(rem)
         t = len(basis) - 1
         if len(basis) > guard:
             raise GuardExceeded(f"basis grew past guard={guard}", tuple(basis))
@@ -509,10 +508,12 @@ def reference_buchberger(gens, order, guard=10_000, trace=None):
     return GroebnerBasis(tuple(basis), order)
 
 
-def reference_s_pairs(source, order, index, trace=None, start_lift=None):
+def reference_s_pairs(source, order, trace=None, start_lift=None):
     """(i, j, sp, lift, res) per S-pair of source with a cofactor, by
-    `s_pair_indexed` and `divide(..., lift=lift)`; res is None for a zero
-    value: the reference for `groebner.s_pairs`."""
+    `s_pair_indexed` and `divide`, which adds -sum q_l eps_l for the
+    quotients q_l into the lift; res is None for a zero value: the
+    reference for `groebner.s_pairs`."""
+    neg = source[0].ambient.ring.neg
     for i in range(len(source)):
         for j in range(i, len(source)):
             if source[i].lp() != source[j].lp():
@@ -525,7 +526,11 @@ def reference_s_pairs(source, order, index, trace=None, start_lift=None):
             lift = None if start_lift is None else start_lift(i, j, sp)
             res = None
             if not sp.value.is_zero():
-                res = divide(sp.value, index, order, trace=trace, quotients=False, lift=lift)
+                res = divide(sp.value, source, order, trace=trace)
+                if lift is not None:
+                    for ell, q in enumerate(res.quotients):
+                        for c, m in q.packed:
+                            lift.add(neg(c), m + ell)
             yield i, j, sp, lift, res
 
 
@@ -545,8 +550,7 @@ def reference_certificate(source, sch, trace=None):
         return lift
 
     pairs, unreduced = {}, set()
-    for i, j, _, lift, res in reference_s_pairs(source, sch.parent, Divisors(source), trace,
-                                                start_lift):
+    for i, j, _, lift, res in reference_s_pairs(source, sch.parent, trace, start_lift):
         if res is not None and not res.remainder.is_zero():
             unreduced.add((i, j))
         pairs[i, j] = lift.vector()

@@ -176,7 +176,7 @@ def test_criterion_5_z4_ideal_periodic():
         extra = res.levels[-1]
         assert sorted(v.lp() for v in extra.basis) == [0, 1, 2, 3]
         assert all(
-            v.mdeg() == (0, 0) and ring.eq(ring.canonical(v.lc()), 2)
+            v.lm().exps == (0, 0) and ring.eq(ring.canonical(v.lc()), 2)
             for v in extra.basis
         )
         assert verify_resolution(res).ok

@@ -1,9 +1,11 @@
 """End-to-end CLI checks over the worked-example corpus."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +171,34 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "gb", "/nonexistent/problem.gb")
     assert code == 2
     assert "error" in err
+
+
+NOT_UTF8 = b"ring Z; vars X; g = X\xff;\n"
+NOT_UTF8_ERROR = "error: 'utf-8' codec can't decode byte 0xff in position 21: invalid start byte\n"
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.gb"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "gb", str(bad))
+    assert (code, out, err) == (2, "", NOT_UTF8_ERROR)
+
+
+def test_a_stdin_that_is_not_utf8_is_an_input_error(capsys, monkeypatch):
+    # a strict decoder on stdin raises as the read goes
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    code, out, err = run(capsys, "gb", "-")
+    assert (code, out, err) == (2, "", NOT_UTF8_ERROR)
+
+
+def test_a_large_prime_localization_is_quick(tmp_path, capsys):
+    # a 21-digit prime: trial division up to its square root took minutes
+    path = tmp_path / "big.gb"
+    path.write_text("ring Z_(100000000000000000039); vars X; g = 3*X + 1;\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "gb", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "g = 3*X + 1" in out
 
 
 def test_trace_emits_events(goldens, capsys):

@@ -10,7 +10,6 @@ from gbsyz import (
     InternalError,
     TopLex,
     UsageError,
-    Vector,
     divide,
     divide_valuation,
     expand_combination,
@@ -193,9 +192,7 @@ def test_members_reduce_to_zero_under_both_divisions():
 def _assert_same_division(h, divisors, order):
     """divide against the full-merge reference: identical terms and
     trace streams. On valuation rings divide_valuation gives the terms
-    of the first-divisor reference and the trace stream of divide. The
-    remainder-only mode of divide gives the same remainder and stream,
-    and so do the prepared-divisor paths."""
+    of the first-divisor reference and the trace stream of divide."""
     got_trace, want_trace = [], []
     got = divide(h, divisors, order, trace=got_trace.append)
     want = reference_divide(h, divisors, order, trace=want_trace.append)
@@ -209,10 +206,6 @@ def _assert_same_division(h, divisors, order):
         assert val.remainder.terms == ref.remainder.terms
         assert [q.terms for q in val.quotients] == [q.terms for q in ref.quotients]
         assert val_trace == want_trace
-    rem_trace = []
-    rem = divide(h, divisors, order, trace=rem_trace.append, quotients=False)
-    assert rem.quotients is None
-    assert (rem.remainder.terms, rem_trace) == (want.remainder.terms, want_trace)
     _assert_same_kernel_paths(h, divisors, order)
 
 
@@ -250,10 +243,10 @@ def test_accumulator_matches_full_merge_randomized():
 
 
 def _assert_same_kernel_paths(h, divisors, order):
-    """A prepared Divisors, reused, gives what the plain list gives: the
-    same quotients, remainder and reduction_step stream. Untraced divide
-    stops scanning at the first exactly dividing candidate and still
-    gives the traced result."""
+    """A Divisors grown one divisor at a time, as Buchberger's basis
+    grows, equals one built at once. Untraced divide stops scanning at
+    the first exactly dividing candidate and still gives the traced
+    result."""
     ring = h.ambient.ring
     index = Divisors(divisors)
     grown = Divisors(divisors[:1])
@@ -262,15 +255,10 @@ def _assert_same_kernel_paths(h, divisors, order):
     assert grown.by_pos == index.by_pos and grown.vectors == index.vectors
     fns = [divide, divide_valuation] if ring.is_valuation_ring else [divide]
     for fn in fns:
-        want_trace, got_trace = [], []
-        want = fn(h, divisors, order, trace=want_trace.append)
-        got = fn(h, index, order, trace=got_trace.append)
-        assert got_trace == want_trace
-        for res in (got, fn(h, index, order), fn(h, divisors, order)):
-            assert res.remainder.terms == want.remainder.terms
-            assert [q.terms for q in res.quotients] == [q.terms for q in want.quotients]
-    want = divide(h, divisors, order)
-    assert divide(h, index, order, quotients=False).remainder.terms == want.remainder.terms
+        want = fn(h, divisors, order, trace=lambda event: None)
+        got = fn(h, divisors, order)
+        assert got.remainder.terms == want.remainder.terms
+        assert [q.terms for q in got.quotients] == [q.terms for q in want.quotients]
 
 
 def test_division_errors_keep_their_text():
@@ -296,13 +284,11 @@ def test_division_errors_keep_their_text():
         for fn in (divide, divide_valuation):
             with pytest.raises(UsageError, match=f"^{text}$"):
                 fn(h, divisors, p.order)
-        with pytest.raises(UsageError, match=f"^{text}$"):
-            divide(h, divisors, p.order, quotients=False)
 
 
 def test_prepared_divisor_errors_keep_their_text():
     # a prepared set checks its divisors against its first one when it is
-    # built or grown, and divide checks h against that first divisor only
+    # built or grown
     p = problem("zloc2_ideal")
     h, d, zero = vec(p, "X^2 + 1"), vec(p, "X"), vec(p, "0")
     rank2 = parse_in(p, 2, "[X, 1]")
@@ -318,12 +304,6 @@ def test_prepared_divisor_errors_keep_their_text():
         index = Divisors(divisors[:1]) if divisors[0] is d else Divisors()
         with pytest.raises(UsageError, match=f"^{text}$"):
             index.append(divisors[-1])
-    index = Divisors([d])
-    for target, text in ((rank2, "vectors from different ambients"),
-                         (swapped, "vectors under different monomial orders")):
-        for fn in (divide, divide_valuation):
-            with pytest.raises(UsageError, match=f"^{text}$"):
-                fn(target, index, p.order)
 
 
 def test_divisors_put_keeps_each_position_in_index_order():
@@ -414,36 +394,4 @@ def test_divide_raises_when_a_step_keeps_its_leading_monomial(monkeypatch):
     with pytest.raises(InternalError, match="left its leading monomial"):
         divide(h, divisors)
     with pytest.raises(InternalError):
-        divide(h, divisors, quotients=False, trace=lambda event: None)
-
-
-def test_divide_into_a_lift_adds_minus_the_quotients_randomized():
-    # a lift seeded with other terms ends up holding them minus
-    # sum q_l eps_l for the quotients divide returns; the remainder and
-    # the trace stream are the same
-    rng = random.Random(16)
-    for ring in rings_under_test():
-        amb = Ambient(ring, 2, 2)
-        order = TopLex(2)
-        for _ in range(60):
-            h = random_vector(rng, amb, order, max_terms=5, max_exp=4)
-            divisors = [
-                random_nonzero_vector(rng, amb, order, max_terms=3, max_exp=2)
-                for _ in range(rng.randrange(1, 5))
-            ]
-            want_trace, got_trace = [], []
-            want = divide(h, divisors, order, trace=want_trace.append)
-            lift_amb = amb._replace(rank=len(divisors))
-            seed = random_vector(rng, lift_amb, order, max_terms=2, max_exp=2)
-            lift = Accumulator(lift_amb, order, seed.packed)
-            got = divide(h, divisors, order, trace=got_trace.append, lift=lift)
-            assert got.quotients is None
-            assert got.remainder.terms == want.remainder.terms
-            assert got_trace == want_trace
-            expected = {m: c for c, m in seed.packed}
-            for ell, q in enumerate(want.quotients):
-                for c, m in q.packed:
-                    s = ring.add(expected.pop(m + ell, ring.zero()), ring.neg(c))
-                    if not ring.is_zero(s):
-                        expected[m + ell] = s
-            assert lift.vector().terms == Vector.from_coeffs(lift_amb, order, expected).terms
+        divide(h, divisors, trace=lambda event: None)

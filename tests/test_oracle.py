@@ -12,14 +12,24 @@ Z, whose leading term the basis divides.
 A resolution is a complex: every relation of level k, applied to the
 elements of level k - 1, must vanish, over QQ for Z (an integer
 polynomial is zero there exactly when it is zero over Z), modulo N for
-Z/N, prime or not, and over QQ for Z_(p), whose elements are fractions.
+Z/N, prime or not, over QQ for Z_(p), whose elements are fractions, and
+for F2[y]/y^r over GF(2) in an extra variable y, modulo y^r.
 """
 
 import random
 
 import pytest
 
-from gbsyz import Ambient, Integers, IntegersLocalizedAt, IntegersMod, TopLex, buchberger, free_resolution
+from gbsyz import (
+    Ambient,
+    Integers,
+    IntegersLocalizedAt,
+    IntegersMod,
+    TopLex,
+    TruncatedF2y,
+    buchberger,
+    free_resolution,
+)
 from helpers import gens_of, problem, random_nonzero_vector
 
 sympy = pytest.importorskip("sympy")
@@ -35,6 +45,8 @@ def as_expr(v, symbols):
 
 
 def domain_of(ring):
+    if isinstance(ring, TruncatedF2y):
+        return {"modulus": 2}
     return {"modulus": ring.n} if isinstance(ring, IntegersMod) else {"domain": "QQ"}
 
 
@@ -92,18 +104,34 @@ def test_buchberger_matches_sympy_over_the_rationals():
 
 def coordinates(v, symbols):
     """The coordinates of a module vector v as sympy expressions; a Z_(p)
-    coefficient, the pair (num, den), is the fraction num/den."""
-    local = isinstance(v.ambient.ring, IntegersLocalizedAt)
+    coefficient, the pair (num, den), is the fraction num/den, and an
+    F2[y]/y^r coefficient, a bit mask, is a polynomial in the symbol
+    after the variables, y."""
+    ring = v.ambient.ring
     out = [sympy.Integer(0)] * v.ambient.rank
     for c, m in v.terms:
-        c = sympy.Rational(*c) if local else c
+        if isinstance(ring, IntegersLocalizedAt):
+            c = sympy.Rational(*c)
+        elif isinstance(ring, TruncatedF2y):
+            y = symbols[len(m.exps)]
+            c = sum(y**i for i in range(c.bit_length()) if c >> i & 1)
         out[m.pos] += c * sympy.prod(x**e for x, e in zip(symbols, m.exps))
     return out
 
 
+def vanishes(value, symbols, ring):
+    """Whether the sympy expression value is zero in the ring's
+    polynomial ring; for F2[y]/y^r, once reduced modulo y^r."""
+    poly = sympy.Poly(value, *symbols, **domain_of(ring))
+    if isinstance(ring, TruncatedF2y):
+        return all(m[-1] >= ring.r for m in poly.as_dict())
+    return poly.is_zero
+
+
 def assert_complex_in_sympy(res):
-    symbols = sympy.symbols(f"x0:{res.ambient.nvars}")
-    kwargs = domain_of(res.ambient.ring)
+    ring = res.ambient.ring
+    extra = 1 if isinstance(ring, TruncatedF2y) else 0
+    symbols = sympy.symbols(f"x0:{res.ambient.nvars + extra}")
     for below, level in zip(res.levels, res.levels[1:]):
         images = [coordinates(g, symbols) for g in below.basis]
         for rel in level.basis:
@@ -111,7 +139,7 @@ def assert_complex_in_sympy(res):
             assert len(coeffs) == len(images)
             for pos in range(below.basis[0].ambient.rank):
                 value = sum(c * image[pos] for c, image in zip(coeffs, images))
-                assert sympy.Poly(value, *symbols, **kwargs).is_zero
+                assert vanishes(value, symbols, ring)
 
 
 def seeded_resolutions(ring, seed, count):
@@ -127,7 +155,8 @@ def seeded_resolutions(ring, seed, count):
             yield free_resolution(gens)
 
 
-@pytest.mark.parametrize("key", ["zint_ideal", "z2_rank2", "z4_ideal", "z12_ideal", "zloc2_ideal"])
+@pytest.mark.parametrize("key", ["zint_ideal", "z2_rank2", "z4_ideal", "z12_ideal", "zloc2_ideal",
+                                 "f2y_spair"])
 def test_golden_resolutions_are_complexes_in_sympy(key):
     res = free_resolution(gens_of(problem(key))[1])
     assert len(res.levels) > 1
@@ -163,5 +192,13 @@ def test_resolutions_are_complexes_in_sympy_over_local_rings(p):
 def test_resolutions_are_complexes_in_sympy_over_the_integers():
     resolutions = list(seeded_resolutions(Integers(), seed=47, count=6))
     assert any(len(res.levels) > 2 for res in resolutions)
+    for res in resolutions:
+        assert_complex_in_sympy(res)
+
+
+@pytest.mark.parametrize("r", (2, 3))
+def test_resolutions_are_complexes_in_sympy_over_truncated_f2y(r):
+    resolutions = list(seeded_resolutions(TruncatedF2y(r), seed=90 + r, count=4))
+    assert sum(len(res.levels) > 1 for res in resolutions) >= 4
     for res in resolutions:
         assert_complex_in_sympy(res)

@@ -106,7 +106,7 @@ def test_resolution_z4_ideal_periodic():
     # the explicitly computed extra level realises (+) Ann(b_j) eps_j
     extra = res.levels[-1]
     assert sorted(v.lp() for v in extra.basis) == [0, 1, 2, 3]
-    assert all(v.mdeg() == (0, 0) for v in extra.basis)
+    assert all(v.lm().exps == (0, 0) for v in extra.basis)
     assert all(ring.eq(ring.canonical(v.lc()), 2) for v in extra.basis)
     assert verify_resolution(res).ok
 

@@ -14,8 +14,9 @@ from gbsyz import (
     IntegersMod,
     TruncatedF2y,
     UsageError,
-    ring_from_descriptor,
+    parse_problem,
 )
+from gbsyz.rings import _is_prime
 from helpers import (
     ReferenceIntegersLocalizedAt,
     ReferenceTruncatedF2y,
@@ -48,7 +49,7 @@ def z2loc():
 
 def test_descriptors_round_trip():
     for ring in rings_under_test():
-        assert ring_from_descriptor(ring.descriptor()) == ring
+        assert parse_problem(f"ring {ring.descriptor()}; vars X;").ring == ring
 
 
 def test_constructor_validation():
@@ -59,6 +60,32 @@ def test_constructor_validation():
     with pytest.raises(UsageError):
         IntegersLocalizedAt(4)  # not prime
     IntegersLocalizedAt(13)
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_and_sympy():
+    # every n below 10^5 against trial division, then seeded 20- to
+    # 80-bit n against sympy, strong pseudoprimes to the base 2 included
+    for n in range(10**5):
+        assert _is_prime(n) == _trial_division_is_prime(n), n
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for n in [2047, 3215031751, 3825123056546413051, 318665857834031151167461]:
+        assert not _is_prime(n) and not sympy.isprime(n)
+    for _ in range(3000):
+        bits = rng.randint(20, 80)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        assert _is_prime(n) == sympy.isprime(n), n
 
 
 def test_arithmetic_examples(z12, f2y2, z2loc):
