@@ -31,6 +31,7 @@ S-polynomials, lifted relations, parsed expressions) is formed in one
 """
 
 import heapq
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -285,10 +286,13 @@ class Vector:
 
     @classmethod
     def from_coeffs(cls, ambient, order, coeffs):
-        """The vector of a dict packed monomial -> nonzero coefficient."""
-        return cls.from_packed(
-            ambient, order, [(coeffs[m], m) for m in sorted(coeffs, key=order.key)]
-        )
+        """The vector of a dict packed monomial -> nonzero coefficient.
+        Under TOP-lex on rank 1 the key -m is a plain descending sort."""
+        if _is_toplex_rank1(ambient, order):
+            monos = sorted(coeffs, reverse=True)
+        else:
+            monos = sorted(coeffs, key=order.key)
+        return cls.from_packed(ambient, order, [(coeffs[m], m) for m in monos])
 
     @property
     def terms(self):
@@ -427,6 +431,12 @@ class Vector:
         return f"<{format_vector(self, names)}>"
 
 
+def _is_toplex_rank1(ambient, order):
+    """Whether order is TOP-lex on a rank-1 ambient, where every position
+    is 0 and the key 2 * pos - m of a monomial m is -m."""
+    return ambient.rank == 1 and type(order) is TopLex
+
+
 def _normalize(ambient, order, terms):
     """The packed, merged and sorted form of (coeff, Mono) terms."""
     ring = ambient.ring
@@ -476,8 +486,10 @@ class Accumulator:
     when it surfaces (the dict-plus-heap of Monagan and Pearce 2007). A
     `lead()` that finds the sum empty drops the heap, so a drained
     accumulator can be refilled. The ring's `mul` and `add` and the
-    order's `key` and `unkey` are bound once. A coefficient is tested for
-    zero by == with the ring's zero: equal ring elements are equal values.
+    order's `key` and `unkey` are bound once; under TOP-lex on rank 1
+    both are `operator.neg`, since the key there is -m. A coefficient is
+    tested for zero by == with the ring's zero: equal ring elements are
+    equal values.
     `terms` seeds the sum with packed (coeff, mono) pairs of distinct
     monomials and nonzero coefficients.
     """
@@ -494,7 +506,10 @@ class Accumulator:
         self.heap = None
         self.guard = order.codec.guard
         self._mul, self._add = ring.mul, ring.add
-        self._key, self._unkey = order.key, order.unkey
+        if _is_toplex_rank1(ambient, order):
+            self._key = self._unkey = operator.neg
+        else:
+            self._key, self._unkey = order.key, order.unkey
 
     def is_zero(self):
         return not self.coeffs

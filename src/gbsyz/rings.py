@@ -57,7 +57,8 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 def _is_prime(n):
     """Miller-Rabin to _MR_BASES. At or above _MR_BOUND a witness still
-    proves n composite, and trial division decides the rest."""
+    proves n composite; a number that no base witnesses there has no
+    fast exact verdict, so it is a `UsageError` naming the bound."""
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -76,13 +77,8 @@ def _is_prime(n):
                 break
         else:
             return False
-    if n < _MR_BOUND:
-        return True
-    d = _MR_BASES[-1] + 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    if n >= _MR_BOUND:
+        raise UsageError(f"cannot decide whether {n} is prime: primality is decided only below {_MR_BOUND}")
     return True
 
 

@@ -11,7 +11,6 @@ a check and the rest reported symbolically. Each level carries its
 certificate, which `verify_resolution` checks without dividing again.
 """
 
-import re
 from collections import namedtuple
 
 from .errors import GuardExceeded, InternalError, UsageError
@@ -48,8 +47,12 @@ SyzygyBasis = namedtuple("SyzygyBasis", "relations order source labels certifica
 
 
 def _inner_label(label, index):
-    m = re.fullmatch(r"u\[(.*)\]'*\**", label or "")
-    return m.group(1) if m else str(index + 1)
+    """X of a label u[X] followed by primes and then stars, where X has
+    no newline; else index + 1."""
+    core = (label or "").rstrip("*").rstrip("'")
+    if core.startswith("u[") and core.endswith("]") and "\n" not in core:
+        return core[2:-1]
+    return str(index + 1)
 
 
 def _pair_label(a, b):
@@ -122,22 +125,25 @@ def _certify(source, sch, trace=None, strict=False):
     the parent of the Schreyer order sch, and its division lifted to
     b X^beta eps_i - a X^alpha eps_j - sum q_l eps_l under sch: the lift
     starts from the cofactor terms and the division adds the quotient
-    terms into it. With `strict` the first nonzero remainder raises
-    `UsageError`."""
+    terms into it. One lift `Accumulator` per call serves every pair:
+    each lift becomes a `Vector` before the next pair, and `start_lift`
+    clears it and seeds it with the pair's cofactor terms. With `strict`
+    the first nonzero remainder raises `UsageError`."""
     amb0 = source[0].ambient
-    amb = Ambient(amb0.ring, amb0.nvars, len(source))
-    neg = amb.ring.neg
+    lift = Accumulator(Ambient(amb0.ring, amb0.nvars, len(source)), sch)
+    coeffs, neg = lift.coeffs, amb0.ring.neg
 
     def start_lift(i, j, left, right):
+        coeffs.clear()
         b, beta = left
-        lift = Accumulator(amb, sch, [(b, beta + i)])
+        coeffs[beta + i] = b
         if right is not None:
             a, alpha = right
-            lift.add(neg(a), alpha + j)
+            coeffs[alpha + j] = neg(a)
         return lift
 
     pairs, unreduced = {}, set()
-    for i, j, lift, rest in s_pairs(source, sch.parent, trace, start_lift):
+    for i, j, _, rest in s_pairs(source, sch.parent, trace, start_lift):
         if rest:
             if strict:
                 raise UsageError(_NOT_GROEBNER)
@@ -485,58 +491,79 @@ def _certificate_of(level):
     return _certify(level.basis, Schreyer(level.basis, level.order))
 
 
+def _pair_name(i, j):
+    return f"S-pair ({i + 1},{j + 1})"
+
+
 def _check_level(level, cert, ring):
     """(standard, identity): witnesses of the first S-pair of the level
     without a lift, with a remainder or with a quotient term over the
     degree bound, and of the first whose lift does not vanish on the
     level; None if none. The quotient terms are the verifier's own
-    cofactor terms b X^beta eps_i - a X^alpha eps_j minus the lift. S
-    and then the lift applied to the level form in one accumulator."""
+    cofactor terms b X^beta eps_i - a X^alpha eps_j minus the lift.
+
+    One work `Accumulator` per level takes each pair's S and then its
+    quotient terms applied to the level, so it ends the pair holding the
+    lift applied to the level: empty when the identity holds, and
+    cleared only after a pair where it fails. The least position of a
+    quotient term over the bound is kept as the terms go in."""
     basis, key, codec = level.basis, level.order.key, level.order.codec
+    if not basis:
+        return None, None
     packed = [packed_under(g, codec) for g in basis]
     lms = [terms[0][1] for terms in packed]
-    add, neg, is_zero = ring.add, ring.neg, ring.is_zero
+    add, neg = ring.add, ring.neg
+    work = Accumulator(basis[0].ambient, level.order)
+    zero, coeffs, add_term_mul = work.zero, work.coeffs, work.add_term_mul
     standard = identity = None
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
+    n = len(basis)
+    for i in range(n):
+        for j in range(i, n):
             if (lms[i] ^ lms[j]) & POSMASK:
                 continue
             cofactors = pair_cofactors(basis[i], basis[j], auto=(i == j))
             if cofactors is None:
                 continue
-            pair = f"S-pair ({i + 1},{j + 1})"
             lift = cert.pairs.get((i, j))
-            if lift is None or lift.ambient.rank != len(basis):
-                standard = standard or f"{pair} has no certificate for its cofactors"
+            if lift is None or lift.ambient.rank != n:
+                standard = standard or f"{_pair_name(i, j)} has no certificate for its cofactors"
                 continue
             (b, beta), right = cofactors
             own = {beta + i: b}
+            add_term_mul(b, beta, packed[i])
             if right is not None:
-                own[right[1] + j] = neg(right[0])
-            work = Accumulator(basis[i].ambient, level.order)
-            for m, c in own.items():
-                pos = m & POSMASK
-                work.add_term_mul(c, m - pos, packed[pos])
+                a, alpha = right
+                own[alpha + j] = c = neg(a)
+                add_term_mul(c, alpha, packed[j])
             # LM(S) from the sum, before the quotients go in; when S is
             # zero, every quotient term breaks the bound
-            bound = min(map(key, work.coeffs), default=None)
-            # the lift minus the own terms: -q X^m eps_l per quotient term
-            rest = [(c if (o := own.pop(m, None)) is None else add(c, neg(o)), m)
-                    for c, m in packed_under(lift, codec)]
-            over = []
-            for c, m in rest + [(neg(o), m) for m, o in own.items()]:
-                if is_zero(c):
+            bound = min(map(key, coeffs), default=None)
+            # the lift minus the own terms: -q X^m eps_l per quotient term;
+            # over is the least position over the bound, n if there is none
+            over = n
+            for c, m in packed_under(lift, codec):
+                if (o := own.pop(m, None)) is not None:
+                    c = add(c, neg(o))
+                if c == zero:
                     continue
                 pos = m & POSMASK
-                if bound is None or key(m - pos + lms[pos]) < bound:
-                    over.append(pos + 1)
-                work.add_term_mul(c, m - pos, packed[pos])
+                if pos < over and (bound is None or key(m - pos + lms[pos]) < bound):
+                    over = pos
+                add_term_mul(c, m - pos, packed[pos])
+            for m, o in own.items():
+                if (c := neg(o)) == zero:
+                    continue
+                pos = m & POSMASK
+                if pos < over and (bound is None or key(m - pos + lms[pos]) < bound):
+                    over = pos
+                add_term_mul(c, m - pos, packed[pos])
             if standard is None and (i, j) in cert.unreduced:
-                standard = f"{pair} leaves a nonzero remainder"
-            elif standard is None and over:
-                standard = f"{pair} has LM(q{min(over)}) * LM(g{min(over)}) above LM(S)"
-            if identity is None and work.coeffs:
-                identity = f"{pair} differs from sum q_l g_l"
+                standard = f"{_pair_name(i, j)} leaves a nonzero remainder"
+            elif standard is None and over < n:
+                standard = f"{_pair_name(i, j)} has LM(q{over + 1}) * LM(g{over + 1}) above LM(S)"
+            if coeffs:
+                identity = identity or f"{_pair_name(i, j)} differs from sum q_l g_l"
+                coeffs.clear()
             if standard is not None and identity is not None:
                 return standard, identity
     return standard, identity

@@ -34,8 +34,8 @@ from gbsyz import (
 )
 from gbsyz.dsl import ProblemFile, parse_vector_literal
 from gbsyz.errors import PackedOverflow
-from gbsyz.groebner import s_pair_indexed
-from gbsyz.poly import EXP_BITS, POSMASK, Accumulator, reorder
+from gbsyz.groebner import pair_cofactors, s_pair_indexed
+from gbsyz.poly import EXP_BITS, POSMASK, Accumulator, packed_under, reorder
 from gbsyz.syzygy import Certificate
 
 GOLDEN = {
@@ -555,6 +555,66 @@ def reference_certificate(source, sch, trace=None):
             unreduced.add((i, j))
         pairs[i, j] = lift.vector()
     return Certificate(source, pairs, frozenset(unreduced))
+
+
+def reference_check_level(level, cert, ring):
+    """The verifier's pair check with a new work `Accumulator` per pair,
+    each pair's quotient terms listed before they go in and every
+    position over the bound collected: the reference for
+    `syzygy._check_level`, which returns the same (standard, identity)
+    witnesses."""
+    basis, key, codec = level.basis, level.order.key, level.order.codec
+    packed = [packed_under(g, codec) for g in basis]
+    lms = [terms[0][1] for terms in packed]
+    add, neg, is_zero = ring.add, ring.neg, ring.is_zero
+    standard = identity = None
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            if (lms[i] ^ lms[j]) & POSMASK:
+                continue
+            cofactors = pair_cofactors(basis[i], basis[j], auto=(i == j))
+            if cofactors is None:
+                continue
+            pair = f"S-pair ({i + 1},{j + 1})"
+            lift = cert.pairs.get((i, j))
+            if lift is None or lift.ambient.rank != len(basis):
+                standard = standard or f"{pair} has no certificate for its cofactors"
+                continue
+            (b, beta), right = cofactors
+            own = {beta + i: b}
+            if right is not None:
+                own[right[1] + j] = neg(right[0])
+            work = Accumulator(basis[i].ambient, level.order)
+            for m, c in own.items():
+                pos = m & POSMASK
+                work.add_term_mul(c, m - pos, packed[pos])
+            bound = min(map(key, work.coeffs), default=None)
+            rest = [(c if (o := own.pop(m, None)) is None else add(c, neg(o)), m)
+                    for c, m in packed_under(lift, codec)]
+            over = []
+            for c, m in rest + [(neg(o), m) for m, o in own.items()]:
+                if is_zero(c):
+                    continue
+                pos = m & POSMASK
+                if bound is None or key(m - pos + lms[pos]) < bound:
+                    over.append(pos + 1)
+                work.add_term_mul(c, m - pos, packed[pos])
+            if standard is None and (i, j) in cert.unreduced:
+                standard = f"{pair} leaves a nonzero remainder"
+            elif standard is None and over:
+                standard = f"{pair} has LM(q{min(over)}) * LM(g{min(over)}) above LM(S)"
+            if identity is None and work.coeffs:
+                identity = f"{pair} differs from sum q_l g_l"
+            if standard is not None and identity is not None:
+                return standard, identity
+    return standard, identity
+
+
+def reference_inner_label(label, index):
+    """The regular-expression reading of a relation label: the reference
+    for `syzygy._inner_label`."""
+    m = re.fullmatch(r"u\[(.*)\]'*\**", label or "")
+    return m.group(1) if m else str(index + 1)
 
 
 def reference_expand_combination(quotients, vectors):

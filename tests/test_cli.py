@@ -201,6 +201,21 @@ def test_a_large_prime_localization_is_quick(tmp_path, capsys):
     assert code == 0 and "g = 3*X + 1" in out
 
 
+@pytest.mark.parametrize("p", [3317044064679887385961981, 10**25 + 13])
+def test_a_localization_at_or_above_the_primality_bound_is_refused(tmp_path, capsys, p):
+    # the least strong pseudoprime to the bases 2..41, and a 26-digit
+    # prime: no Miller-Rabin base witnesses either, and trial division
+    # up to the square root ran for hours
+    path = tmp_path / "huge.gb"
+    path.write_text(f"ring Z_({p}); vars X; g = X;\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gb", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: 1:9: cannot decide whether {p} is prime: "
+                   "primality is decided only below 3317044064679887385961981\n")
+
+
 def test_trace_emits_events(goldens, capsys):
     code, _, err = run(capsys, "gb", goldens["z2_rank2"], "--trace")
     assert code == 0

@@ -13,7 +13,10 @@ A resolution is a complex: every relation of level k, applied to the
 elements of level k - 1, must vanish, over QQ for Z (an integer
 polynomial is zero there exactly when it is zero over Z), modulo N for
 Z/N, prime or not, over QQ for Z_(p), whose elements are fractions, and
-for F2[y]/y^r over GF(2) in an extra variable y, modulo y^r.
+for F2[y]/y^r over GF(2) in an extra variable y, modulo y^r. Each
+level's certificate is checked the same way: every lift of an S-pair,
+applied to the elements of its level, must vanish, which is the
+verifier's `lift_identity` computed without the package's arithmetic.
 """
 
 import random
@@ -36,6 +39,12 @@ sympy = pytest.importorskip("sympy")
 
 PRIMES = (2, 3, 5, 7)
 COMPOSITES = (4, 6, 12)
+GOLDEN_KEYS = ("zint_ideal", "z2_rank2", "z4_ideal", "z12_ideal", "zloc2_ideal", "f2y_spair")
+# (ring, seed) per ring of the paper: Z, prime and composite Z/N, Z_(p)
+# and F2[y]/y^r
+LIFT_RINGS = ((Integers(), 47), (IntegersMod(5), 45), (IntegersMod(2), 42), (IntegersMod(12), 72),
+              (IntegersMod(6), 66), (IntegersLocalizedAt(2), 82), (IntegersLocalizedAt(3), 83),
+              (TruncatedF2y(2), 92), (TruncatedF2y(3), 93))
 
 
 def as_expr(v, symbols):
@@ -128,18 +137,43 @@ def vanishes(value, symbols, ring):
     return poly.is_zero
 
 
+def symbols_of(res):
+    """The sympy symbols of the variables, then y for F2[y]/y^r."""
+    extra = 1 if isinstance(res.ambient.ring, TruncatedF2y) else 0
+    return sympy.symbols(f"x0:{res.ambient.nvars + extra}")
+
+
+def assert_relations_vanish(relations, basis, symbols):
+    """Each relation, applied to the elements of basis, vanishes."""
+    ring = basis[0].ambient.ring
+    images = [coordinates(g, symbols) for g in basis]
+    for rel in relations:
+        coeffs = coordinates(rel, symbols)
+        assert len(coeffs) == len(images)
+        for pos in range(basis[0].ambient.rank):
+            value = sum(c * image[pos] for c, image in zip(coeffs, images))
+            assert vanishes(value, symbols, ring)
+
+
 def assert_complex_in_sympy(res):
-    ring = res.ambient.ring
-    extra = 1 if isinstance(ring, TruncatedF2y) else 0
-    symbols = sympy.symbols(f"x0:{res.ambient.nvars + extra}")
+    symbols = symbols_of(res)
     for below, level in zip(res.levels, res.levels[1:]):
-        images = [coordinates(g, symbols) for g in below.basis]
-        for rel in level.basis:
-            coeffs = coordinates(rel, symbols)
-            assert len(coeffs) == len(images)
-            for pos in range(below.basis[0].ambient.rank):
-                value = sum(c * image[pos] for c, image in zip(coeffs, images))
-                assert vanishes(value, symbols, ring)
+        assert_relations_vanish(level.basis, below.basis, symbols)
+
+
+def assert_lifts_vanish_in_sympy(res):
+    """Every lift of every level's certificate, zero lifts included,
+    applied to its level vanishes: the verifier's `lift_identity`,
+    computed in sympy. Returns the number of lifts."""
+    symbols = symbols_of(res)
+    count = 0
+    for level in res.levels:
+        if level.certificate is not None and level.basis:
+            lifts = list(level.certificate.pairs.values())
+            assert all(lift.ambient.rank == len(level.basis) for lift in lifts)
+            assert_relations_vanish(lifts, level.basis, symbols)
+            count += len(lifts)
+    return count
 
 
 def seeded_resolutions(ring, seed, count):
@@ -155,8 +189,7 @@ def seeded_resolutions(ring, seed, count):
             yield free_resolution(gens)
 
 
-@pytest.mark.parametrize("key", ["zint_ideal", "z2_rank2", "z4_ideal", "z12_ideal", "zloc2_ideal",
-                                 "f2y_spair"])
+@pytest.mark.parametrize("key", GOLDEN_KEYS)
 def test_golden_resolutions_are_complexes_in_sympy(key):
     res = free_resolution(gens_of(problem(key))[1])
     assert len(res.levels) > 1
@@ -202,3 +235,15 @@ def test_resolutions_are_complexes_in_sympy_over_truncated_f2y(r):
     assert sum(len(res.levels) > 1 for res in resolutions) >= 4
     for res in resolutions:
         assert_complex_in_sympy(res)
+
+
+@pytest.mark.parametrize("key", GOLDEN_KEYS)
+def test_golden_lifts_vanish_in_sympy(key):
+    res = free_resolution(gens_of(problem(key))[1])
+    assert assert_lifts_vanish_in_sympy(res) > 0
+
+
+@pytest.mark.parametrize("ring, seed", LIFT_RINGS, ids=str)
+def test_lifts_vanish_in_sympy(ring, seed):
+    resolutions = list(seeded_resolutions(ring, seed=seed, count=3))
+    assert sum(assert_lifts_vanish_in_sympy(res) for res in resolutions) >= 6

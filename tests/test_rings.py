@@ -88,6 +88,21 @@ def test_is_prime_agrees_with_trial_division_and_sympy():
         assert _is_prime(n) == sympy.isprime(n), n
 
 
+def test_is_prime_refuses_what_it_cannot_decide_at_the_bound():
+    # at or above the bound a witness still proves a number composite;
+    # one that no base witnesses, prime or strong pseudoprime, has no
+    # fast exact verdict
+    bound = 3317044064679887385961981
+    assert _is_prime(bound - 4) is False and _is_prime(bound + 2) is False
+    assert _is_prime(10**13 + 37) is True
+    assert _is_prime((10**13 + 37) * (10**13 + 51)) is False
+    for n in (bound, 10**25 + 13, 2**89 - 1):
+        with pytest.raises(UsageError, match=f"below {bound}"):
+            _is_prime(n)
+        with pytest.raises(UsageError, match=f"whether {n} is prime"):
+            IntegersLocalizedAt(n)
+
+
 def test_arithmetic_examples(z12, f2y2, z2loc):
     assert z12.add(9, 9) == 6
     y_plus_1 = 3

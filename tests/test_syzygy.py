@@ -21,7 +21,7 @@ from gbsyz import (
     schreyer_syzygies,
     term_syzygies,
 )
-from gbsyz import groebner
+from gbsyz import groebner, syzygy
 from gbsyz.poly import Accumulator
 from helpers import (
     GOLDEN,
@@ -30,6 +30,7 @@ from helpers import (
     problem,
     random_nonzero,
     random_nonzero_vector,
+    reference_inner_label,
     rings_under_test,
     vec,
 )
@@ -351,3 +352,20 @@ def test_syzygy_basis_is_groebner_under_schreyer_order():
             syz = schreyer_syzygies(gb)
             if syz.relations:
                 assert is_groebner(list(syz.relations), syz.order)
+
+
+INNER_LABEL_EDGES = (None, "", "u[]", "u[a]'*", "u[a]*'", "u[a]]''**", "xu[a]", "u[a\nb]",
+                     "u[u[1,2];3]'")
+
+
+def test_inner_label_matches_the_regular_expression():
+    # the edges, then seeded labels over the characters that matter
+    rng = random.Random(7)
+    labels = list(INNER_LABEL_EDGES)
+    for _ in range(3000):
+        body = "".join(rng.choice("u[]'*,;g1\n ") for _ in range(rng.randrange(8)))
+        labels += [body, f"u[{body}]" + "'" * rng.randrange(3) + "*" * rng.randrange(3)]
+    assert {syzygy._inner_label(label, 4) for label in INNER_LABEL_EDGES} == {
+        "5", "", "a", "a]", "u[1,2];3"}
+    for k, label in enumerate(labels):
+        assert syzygy._inner_label(label, k) == reference_inner_label(label, k), label
