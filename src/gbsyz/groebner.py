@@ -32,8 +32,10 @@ whenever the other leading terms divide it, and replace coefficients by
 proper gcd combinations when they improve the displayed leading-term
 module (its rule for a residue). Tails are deliberately left alone;
 full tail reduction would rewrite the bases the worked examples pin
-down. `term_module_member` decides membership of a term without the
-step, as an independent check of what the divisions leave.
+down. Given a `GroebnerBasis` record, it drops an element whose leading
+term the others generate without reducing it to zero.
+`term_module_member` decides membership of a term without the step, as
+an independent check of what the divisions leave.
 """
 
 from bisect import bisect_left, insort
@@ -58,6 +60,8 @@ DivisionResult = namedtuple("DivisionResult", "quotients remainder")
 # (coeff, int) pairs, which s_poly decodes
 SPair = namedtuple("SPair", "value left_cofactor right_cofactor kind")
 GroebnerBasis = namedtuple("GroebnerBasis", "elements order")
+GroebnerBasis.__doc__ = """elements, which must form a Groebner basis under order:
+`pseudo_reduce` trusts a record to be one. Pass any other list plain."""
 
 
 class Divisors:
@@ -501,8 +505,24 @@ def pseudo_reduce(gb, order=None, guard=10_000):
     taken out of it while it is exhausted against the rest, and put back
     rewritten; the combinations join it at the end. An element that
     nothing changes is kept as the same object.
+
+    A `GroebnerBasis` record is trusted to be one, and then an element g
+    whose first leading-term step against the others O is full (exact,
+    or a combination with a zero residue) is dropped at once: the full
+    exhaustion would reduce it to zero and change nothing else. Let the
+    pass's index O + {g} be a Groebner basis of a module M. LT(g) lies
+    in the module of LT(O), so LT(O) generates LT(M): O is a Groebner
+    basis of M and g lies in the span of O. Every leading term of an
+    element of M then has a full step, so `_head_exhaust` takes only
+    full steps, appends no combination and returns None. The index stays
+    a Groebner basis of M through the pass: a rewrite or a drop keeps
+    each old leading term in the new index's leading-term module, and
+    each appended combination lies in M; the next pass starts from that
+    index. A plain list is not known to be a Groebner basis, so each of
+    its elements is exhausted in full.
     """
-    if isinstance(gb, GroebnerBasis):
+    trusted = isinstance(gb, GroebnerBasis)
+    if trusted:
         elements, order = list(gb.elements), gb.order
     else:
         if order is None:
@@ -521,6 +541,12 @@ def pseudo_reduce(gb, order=None, guard=10_000):
         for idx, g in enumerate(index.vectors):
             size = len(index.vectors)
             index.put(idx, None)
+            if trusted:
+                ring = g.ambient.ring
+                D, _, rest = _lead_step(index, ring, *g.packed[0])
+                if D and (rest is None or ring.is_zero(rest[0])):
+                    changed = True
+                    continue
             new = _head_exhaust(g, index)
             if new is not None:
                 index.put(idx, new)

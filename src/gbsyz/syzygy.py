@@ -203,6 +203,11 @@ def _exhausted_level(syz, guard):
 def pseudo_reduce_labeled(relations, order, labels, guard):
     """pseudo_reduce that keeps a display label attached to each element.
 
+    The relations must form a Groebner basis under order, as a
+    Buchberger basis or Schreyer's relations of one do: they are passed
+    as a `GroebnerBasis`, whose elements with a leading term that the
+    others generate are dropped without being reduced.
+
     An element equal to an input takes its label. Otherwise it takes the
     label of an input it equals after unit-normalizing that input, or
     else of an input with its leading monomial, with a `'` added; the
@@ -214,7 +219,7 @@ def pseudo_reduce_labeled(relations, order, labels, guard):
     elements are equal Python values, so two of them are equal exactly
     when their packed terms are: values are matched by `tuple(packed)`.
     """
-    reduced = pseudo_reduce(list(relations), order, guard=guard)
+    reduced = pseudo_reduce(GroebnerBasis(tuple(relations), order), guard=guard)
     by_value = {}
     for r, lab in zip(relations, labels):
         by_value.setdefault(tuple(r.packed), lab)

@@ -1,6 +1,7 @@
 """Compare the CPU time of two gbsyz source trees on one benchmark corpus.
 
     python3 tests/speed.py OLD_SRC [NEW_SRC] --workload W --seed N --rounds R
+    python3 tests/speed.py OLD_SRC [NEW_SRC] --case katsura3-z12-resolve --rounds R
 
 Each source argument is a directory that holds a `gbsyz` package, such as
 the `src/` of a `git archive` export of the parent commit; NEW_SRC
@@ -13,6 +14,12 @@ runs through one tree and then the other, and which tree goes first flips
 from chunk to chunk and from round to round, so that drift in the
 machine's speed falls on both alike. The process CPU time of each tree's
 chunks is summed per round.
+
+`--case` times one named heavy op in place of a corpus:
+`katsura3-z12-resolve` is `gbsyz resolve` on `bench/corpus.py`'s
+Katsura-3 generators over `Z/12`, the op of `bench/run.py --case` of the
+same name. It is one chunk, so the tree that goes first flips from round
+to round.
 
 Prints, per round, both sums and their ratio NEW/OLD, then the number of
 rounds in which NEW was faster and the median ratio. A ratio below 1
@@ -29,6 +36,7 @@ from pathlib import Path
 from same_output import ROOT, load_cli, run
 
 CHUNK = 32
+CASES = ("katsura3-z12-resolve",)
 
 
 def parse_args(argv):
@@ -36,12 +44,16 @@ def parse_args(argv):
         prog="speed.py", description=__doc__.strip().split("\n\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src", nargs="?", default=str(ROOT / "src"))
-    parser.add_argument("--workload", choices=("query", "gb", "resolve"), required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=("query", "gb", "resolve"))
+    what.add_argument("--case", choices=CASES)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if (args.seed is None) != (args.case is not None):
+        parser.error("--seed goes with --workload, and only with it")
     return args
 
 
@@ -59,12 +71,17 @@ def main(argv):
     sys.path.insert(0, str(ROOT / "bench"))
     import corpus
 
-    ops = [(op.argv, op.problem.text()) for op in corpus.workload_ops(args.workload, args.seed)]
+    if args.case:  # katsura3-z12-resolve, the only case
+        ops = [(("resolve", "-"), corpus.shape_problem("Z/12", corpus.KATSURA3).text())]
+        title = args.case
+    else:
+        ops = [(op.argv, op.problem.text()) for op in corpus.workload_ops(args.workload, args.seed)]
+        title = f"{args.workload} seed {args.seed}"
     chunks = [ops[k:k + CHUNK] for k in range(0, len(ops), CHUNK)]
     for cli in clis:
         for argv, text in ops:
             run(cli, argv, text)
-    print(f"{args.workload} seed {args.seed}: {len(ops)} ops in {len(chunks)} chunks of {CHUNK}")
+    print(f"{title}: {len(ops)} ops in {len(chunks)} chunks of {CHUNK}")
     ratios = []
     for r in range(args.rounds):
         spent = [0.0, 0.0]

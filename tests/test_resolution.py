@@ -1,12 +1,14 @@
 """Free resolutions: golden examples, tails, verification."""
 
 import random
+from collections import Counter, namedtuple
 
 import pytest
 
 from gbsyz import (
     Ambient,
     FreeTail,
+    GroebnerBasis,
     GuardExceeded,
     Integers,
     IntegersLocalizedAt,
@@ -19,10 +21,12 @@ from gbsyz import (
     UsageError,
     Vector,
     apply_relation,
+    buchberger,
     divide,
     free_resolution,
     parse_problem,
     schreyer_syzygies,
+    term_module_member,
     verify_resolution,
 )
 from gbsyz import groebner, syzygy
@@ -37,6 +41,7 @@ from helpers import (
     reference_apply_relation,
     reference_labels,
     reference_level_verdicts,
+    rings_under_test,
     vec,
 )
 
@@ -276,6 +281,128 @@ def test_pseudo_reduce_labels_match_the_scanning_reference():
         assert got == reference_labels(reduced, relations, labels)
         count += 1
     assert count > 50
+
+
+def _groebner_inputs():
+    """(golden, elements, order) of Groebner bases: the Buchberger basis
+    and every level's Schreyer relations of the golden resolutions, and
+    seeded Buchberger bases and their relations over `rings_under_test`;
+    each once as it is and once with a duplicate and two unit associates
+    added, which keeps it a Groebner basis."""
+    bases = []
+    for key in GOLDEN:
+        res = free_resolution(gens_of(problem(key))[1])
+        bases.append((True, res.levels[0].basis, res.levels[0].order))
+        for level in res.levels:
+            syz = schreyer_syzygies((level.basis, level.order))
+            if syz.relations:
+                bases.append((True, syz.relations, syz.order))
+    rng = random.Random(26)
+    for ring in rings_under_test():
+        amb, order = Ambient(ring, 2, 2), TopLex(2)
+        for _ in range(6):
+            gb = buchberger([random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(3)], order)
+            bases.append((False, gb.elements, order))
+            syz = schreyer_syzygies(gb)
+            if syz.relations:
+                bases.append((False, syz.relations, syz.order))
+    for golden, elements, order in bases:
+        ring = elements[0].ambient.ring
+        unit = next((u for u in element_candidates(ring, 3)
+                     if ring.is_unit(u) and not ring.eq(u, ring.one())), ring.one())
+        elements = list(elements)
+        yield golden, elements, order
+        yield golden, elements + [elements[0], elements[-1].scale(unit), elements[0].scale(unit)], order
+
+
+DROPPED = "dropped"
+Visit = namedtuple("Visit", "element others outcome steps")
+
+
+def _pseudo_reduce_visits(monkeypatch, gb, order=None):
+    """pseudo_reduce(gb, order) and its visits, in order: each element
+    taken out of a pass's index, the decoded leading terms of the others
+    left in it, the outcome (what `_head_exhaust` returned, or DROPPED
+    when it was not called) and the `_lead_step` calls the visit made."""
+    visits, steps = [], [0]
+    lead_step, head_exhaust = groebner._lead_step, groebner._head_exhaust
+
+    class Recorded(groebner.Divisors):
+        def put(self, j, v):
+            g = self.vectors[j]
+            super().put(j, v)
+            if v is None:
+                others = [u.terms[0] for u in self.vectors if u is not None]
+                visits.append([g, others, DROPPED, steps[0]])
+
+    def counted(*args, **kwargs):
+        steps[0] += 1
+        return lead_step(*args, **kwargs)
+
+    def exhausted(g, index):
+        visits[-1][2] = new = head_exhaust(g, index)
+        return new
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "Divisors", Recorded)
+        m.setattr(groebner, "_lead_step", counted)
+        m.setattr(groebner, "_head_exhaust", exhausted)
+        reduced = groebner.pseudo_reduce(gb, order)
+    ends = [start for *_, start in visits[1:]] + [steps[0]]
+    return reduced, [Visit(g, others, outcome, end - start)
+                     for (g, others, outcome, start), end in zip(visits, ends)]
+
+
+def test_pseudo_reduce_of_a_groebner_basis_drops_only_what_exhaustion_zeroes(monkeypatch):
+    # a GroebnerBasis record takes the same passes as the plain list and
+    # gives the same result: a visit that drops its element at the first
+    # step is one where full exhaustion reduces it to zero, and a kept
+    # element repeats that one step
+    fewer = False
+    dropped = 0
+    for golden, elements, order in _groebner_inputs():
+        got, trusted = _pseudo_reduce_visits(monkeypatch, GroebnerBasis(tuple(elements), order))
+        want, full = _pseudo_reduce_visits(monkeypatch, elements, order)
+        assert [v.terms for v in got.elements] == [v.terms for v in want.elements]
+        assert [t.element.terms for t in trusted] == [f.element.terms for f in full]
+        for t, f in zip(trusted, full):
+            if t.outcome is DROPPED:
+                assert f.outcome is None and t.steps == 1 <= f.steps
+                dropped += 1
+            else:
+                assert getattr(t.outcome, "terms", None) == getattr(f.outcome, "terms", None)
+                assert t.steps == f.steps + 1
+        fewer |= golden and sum(t.steps for t in trusted) < sum(f.steps for f in full)
+    assert fewer and dropped
+
+
+def test_pseudo_reduce_drops_exactly_the_leading_terms_the_others_generate(monkeypatch):
+    # each drop-or-keep decision, checked by term_module_member on the
+    # decoded leading terms, which shares no code with _lead_step
+    decisions = Counter()
+    for _, elements, order in _groebner_inputs():
+        _, visits = _pseudo_reduce_visits(monkeypatch, GroebnerBasis(tuple(elements), order))
+        for visit in visits:
+            ring = visit.element.ambient.ring
+            member = term_module_member(visit.element.terms[0], visit.others, ring) is not None
+            assert member == (visit.outcome is DROPPED)
+            decisions[member] += 1
+    assert decisions[True] and decisions[False]
+
+
+def test_each_level_generates_the_lifts_of_the_level_below():
+    # the next level is the pseudo-reduced module of the nonzero lifts,
+    # so each of them divides to zero by it under its own order; that is
+    # the exactness the pseudo-reduction's drops rely on
+    golden = len(GOLDEN)
+    checked = Counter()
+    for k, res in enumerate(all_resolutions()):
+        for level, above in zip(res.levels, res.levels[1:]):
+            for lift in level.certificate.pairs.values():
+                if not lift.is_zero():
+                    assert divide(lift, list(above.basis), above.order).remainder.is_zero()
+                    checked[k < golden] += 1
+    assert checked[True] == 52 and checked[False] > 0
 
 
 def test_resolution_is_deterministic():
