@@ -14,10 +14,9 @@ variables, and `y` for the F2[y]/(y^r) nilpotent. Everything printed by
 """
 
 import re
-from collections import namedtuple
 
 from .errors import PackedOverflow, ParseError, UsageError
-from .poly import EXP_BITS, POSMASK, Accumulator, Ambient, TopLex, Vector, check_product
+from .poly import EXP_BITS, POSMASK, Accumulator, Ambient, TopLex, Vector, check_product, record
 from .rings import Integers, IntegersLocalizedAt, IntegersMod, TruncatedF2y
 
 _TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\d+|[;=+\-*^/\[\](),]"  # name, int or symbol
@@ -64,7 +63,7 @@ def token_position(text, index):
 
 
 # generators: a tuple of (name, Vector)
-ProblemFile = namedtuple("ProblemFile", "ring var_names rank order ambient poly_ambient generators")
+ProblemFile = record("ProblemFile", "ring var_names rank order ambient poly_ambient generators")
 
 
 class _Parser:

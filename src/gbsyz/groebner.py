@@ -38,7 +38,7 @@ an independent check of what the divisions leave.
 """
 
 from bisect import bisect_left, insort
-from collections import deque, namedtuple
+from collections import deque
 
 from .errors import GuardExceeded, InternalError, UsageError
 from .poly import (
@@ -48,17 +48,18 @@ from .poly import (
     Vector,
     combination,
     mono_divides,
+    record,
     reorder,
     sort_basis,
 )
 
 
-DivisionResult = namedtuple("DivisionResult", "quotients remainder")
+DivisionResult = record("DivisionResult", "quotients remainder")
 # kind is "auto", "cross" or "zero"; a cofactor is None when absent. The
 # value is a sorted Vector; from s_pair_indexed the cofactors are packed
 # (coeff, int) pairs, which s_poly decodes
-SPair = namedtuple("SPair", "value left_cofactor right_cofactor kind")
-GroebnerBasis = namedtuple("GroebnerBasis", "elements order")
+SPair = record("SPair", "value left_cofactor right_cofactor kind")
+GroebnerBasis = record("GroebnerBasis", "elements order")
 GroebnerBasis.__doc__ = """elements, which must form a Groebner basis under order:
 `pseudo_reduce` trusts a record to be one, and takes nothing else."""
 
@@ -520,7 +521,7 @@ def pseudo_reduce(gb, guard=10_000):
 # ---------------------------------------------------------------------------
 
 
-TermCertificate = namedtuple("TermCertificate", "entries")  # of (index, coeff, gamma)
+TermCertificate = record("TermCertificate", "entries")  # of (index, coeff, gamma)
 TermCertificate.__doc__ = """T = sum coeff_i * X^gamma_i * gens[index_i]."""
 
 

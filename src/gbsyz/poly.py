@@ -32,15 +32,92 @@ S-polynomials, lifted relations, parsed expressions) is formed in one
 
 import heapq
 import operator
-from collections import namedtuple
-from functools import lru_cache
+import sys
+from _collections import _tuplegetter
+from functools import lru_cache, partial
 
 from .errors import PackedOverflow, UsageError
 
 
-Mono = namedtuple("Mono", "exps pos")
-Term = namedtuple("Term", "coeff mono")
-Ambient = namedtuple("Ambient", "ring nvars rank")
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+_tuple_new = tuple.__new__
+
+
+class Record(tuple):
+    """The base of the package's records, tuples with named fields that
+    `record` makes. A record behaves as the `collections.namedtuple` of
+    its fields does: `_fields`, `_field_defaults`, `__match_args__`,
+    `_make`, `_replace`, `_asdict`, repr, copy and pickle. The methods
+    are shared here, so making a record compiles nothing."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        result = _tuple_new(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **kwds):
+        result = _tuple_new(type(self), map(kwds.pop, self._fields, self))
+        if kwds:
+            raise ValueError(f"Got unexpected field names: {list(kwds)!r}")
+        return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
+
+    def _asdict(self):
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+def _bind(cls, args, kwargs):
+    """The field values of cls(*args, **kwargs), or TypeError."""
+    rest = cls._fields[len(args):]
+    values = {**cls._field_defaults, **kwargs}
+    if len(args) > len(cls._fields) or not kwargs.keys() <= set(rest) <= values.keys():
+        raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(cls._fields)}); got "
+                        f"{len(args)} positional and the keywords {list(kwargs)}")
+    return args + tuple(values[field] for field in rest)
+
+
+def record(name, fields, defaults=()):
+    """A Record subclass `name` of the space-separated `fields`, the last
+    of which take the tuple `defaults`, defined in the calling module."""
+    fields = tuple(fields.split())
+    n, required = len(fields), len(fields) - len(defaults)
+
+    def __new__(cls, *args, **kwargs):
+        if len(args) == n and not kwargs:
+            return _tuple_new(cls, args)
+        if required <= len(args) < n and not kwargs:
+            return _tuple_new(cls, args + defaults[len(args) - required:])
+        return _tuple_new(cls, _bind(cls, args, kwargs))
+
+    namespace = {
+        "__doc__": f"{name}({', '.join(fields)})",
+        "__module__": sys._getframe(1).f_globals["__name__"],
+        "__slots__": (),
+        "__new__": __new__,
+        "_fields": fields,
+        "_field_defaults": dict(zip(fields[required:], defaults)),
+        "__match_args__": fields,
+    }
+    for i, field in enumerate(fields):
+        namespace[field] = _tuplegetter(i, f"Alias for field number {i}")
+    return type(name, (Record,), namespace)
+
+
+Mono = record("Mono", "exps pos")
+Term = record("Term", "coeff mono")
+Ambient = record("Ambient", "ring nvars rank")
 Ambient.__doc__ = """The data of H_m = R[X1..Xn]^m."""
 
 
@@ -485,9 +562,11 @@ class Accumulator:
     up to date, where a key whose monomial has left the dict is dropped
     when it surfaces (the dict-plus-heap of Monagan and Pearce 2007). A
     `lead()` that finds the sum empty drops the heap, so a drained
-    accumulator can be refilled. The ring's `mul` and `add` and the
-    order's `key` and `unkey` are bound once; under TOP-lex on rank 1
-    both are `operator.neg`, since the key there is -m. A coefficient is
+    accumulator can be refilled. The ring's `mul` and `add`, the
+    order's `key` and `unkey` and the leader of a small sum are bound
+    once; under TOP-lex on rank 1 the key and `unkey` are both
+    `operator.neg`, since the key there is -m, and the least key of
+    distinct monomials is their `max`. A coefficient is
     tested for zero by == with the ring's zero: equal ring elements are
     equal values.
     `terms` seeds the sum with packed (coeff, mono) pairs of distinct
@@ -495,7 +574,7 @@ class Accumulator:
     """
 
     __slots__ = ("ambient", "ring", "zero", "order", "coeffs", "heap", "guard",
-                 "_mul", "_add", "_key", "_unkey")
+                 "_mul", "_add", "_key", "_unkey", "_leading")
 
     def __init__(self, ambient, order, terms=()):
         self.ambient = ambient
@@ -508,8 +587,10 @@ class Accumulator:
         self._mul, self._add = ring.mul, ring.add
         if _is_toplex_rank1(ambient, order):
             self._key = self._unkey = operator.neg
+            self._leading = max
         else:
             self._key, self._unkey = order.key, order.unkey
+            self._leading = partial(min, key=order.key)
 
     def is_zero(self):
         return not self.coeffs
@@ -524,7 +605,7 @@ class Accumulator:
         heap = self.heap
         if heap is None:
             if len(coeffs) < HEAP_MIN:
-                m = min(coeffs, key=self._key)
+                m = self._leading(coeffs)
                 return coeffs[m], m
             heap = self.heap = list(map(self._key, coeffs))
             heapq.heapify(heap)

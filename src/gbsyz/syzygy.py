@@ -11,8 +11,6 @@ a check and the rest reported symbolically. Each level carries its
 certificate, which `verify_resolution` checks without dividing again.
 """
 
-from collections import namedtuple
-
 from .errors import GuardExceeded, InternalError, UsageError
 from .groebner import (
     GroebnerBasis,
@@ -33,17 +31,18 @@ from .poly import (
     Vector,
     combination,
     packed_under,
+    record,
     reorder,
     sort_basis,
 )
 
 
-Certificate = namedtuple("Certificate", "basis pairs unreduced")
+Certificate = record("Certificate", "basis pairs unreduced")
 Certificate.__doc__ = """Per S-pair (i, j) of `basis` that carries a cofactor, 0-based and
 in enumeration order, its lifted relation, zero included; and the
 pairs whose division left a nonzero remainder."""
-SyzygyBasis = namedtuple("SyzygyBasis", "relations order source labels certificate",
-                         defaults=(None,))
+SyzygyBasis = record("SyzygyBasis", "relations order source labels certificate",
+                     defaults=(None,))
 
 
 def _inner_label(label, index):
@@ -160,13 +159,13 @@ def apply_relation(rel, source):
 # ---------------------------------------------------------------------------
 
 
-ResolutionLevel = namedtuple("ResolutionLevel", "basis order labels certificate", defaults=(None,))
-FreeTail = namedtuple("FreeTail", "kind", defaults=("free",))
-PeriodicTail = namedtuple("PeriodicTail", "b ann_b ann_ann_b positions stable_index kind",
-                          defaults=("periodic",))
+ResolutionLevel = record("ResolutionLevel", "basis order labels certificate", defaults=(None,))
+FreeTail = record("FreeTail", "kind", defaults=("free",))
+PeriodicTail = record("PeriodicTail", "b ann_b ann_ann_b positions stable_index kind",
+                      defaults=("periodic",))
 
 
-class Resolution(namedtuple("Resolution", "ambient levels tail")):
+class Resolution(record("Resolution", "ambient levels tail")):
     __slots__ = ()
 
     @property
@@ -387,7 +386,7 @@ def _check_periodic_level(level, ann_b, ring):
 # ---------------------------------------------------------------------------
 
 
-class VerificationReport(namedtuple("VerificationReport", "ok checks")):
+class VerificationReport(record("VerificationReport", "ok checks")):
     __slots__ = ()
 
     def failures(self):
@@ -439,7 +438,7 @@ def verify_resolution(res):
     ring = res.ambient.ring
     checks = []
 
-    def record(name, level, ok, witness=None):
+    def add_check(name, level, ok, witness=None):
         checks.append({"check": name, "level": level, "ok": ok, "witness": witness})
 
     for k in range(1, len(res.levels)):
@@ -447,36 +446,36 @@ def verify_resolution(res):
         bad = [lab for rel, lab in zip(level.basis, level.labels)
                if rel.ambient.rank != len(prev)
                or combination(((rel, 0),), prev)]
-        record("composite_zero", k, not bad, bad[0] if bad else None)
+        add_check("composite_zero", k, not bad, bad[0] if bad else None)
 
     certs = [_certificate_of(level) for level in res.levels]
     checked = [_check_level(level, cert, ring) for level, cert in zip(res.levels, certs)]
     for k, (standard, _) in enumerate(checked):
-        record("standard_representation", k, standard is None, standard)
+        add_check("standard_representation", k, standard is None, standard)
     for k, (_, identity) in enumerate(checked):
         if res.levels[k].basis:
-            record("lift_identity", k, identity is None, identity)
+            add_check("lift_identity", k, identity is None, identity)
 
     if isinstance(res.tail, FreeTail):
         cert = certs[-1]
         ok = not cert.unreduced and all(lift.is_zero() for lift in cert.pairs.values())
-        record("free_tail_kernel_zero", len(res.levels) - 1, ok,
-               _NOT_GROEBNER if cert.unreduced else None)
+        add_check("free_tail_kernel_zero", len(res.levels) - 1, ok,
+                  _NOT_GROEBNER if cert.unreduced else None)
     elif isinstance(res.tail, PeriodicTail):
         tail = res.tail
         ok = all(
             ring.is_zero(ring.mul(x, a)) for x, a in zip(tail.b, tail.ann_b)
         )
-        record("tail_annihilation", tail.stable_index, ok)
+        add_check("tail_annihilation", tail.stable_index, ok)
         triple = [ring.canonical(ring.ann_gen(a)) for a in tail.ann_ann_b]
         ok = all(ring.eq(t, a) for t, a in zip(triple, tail.ann_b))
-        record("tail_triple_ann", tail.stable_index, ok)
+        add_check("tail_triple_ann", tail.stable_index, ok)
         extra = res.levels[-1]
         try:
             _check_periodic_level(extra, tail.ann_b, ring)
-            record("tail_extra_level", len(res.levels) - 1, True)
+            add_check("tail_extra_level", len(res.levels) - 1, True)
         except InternalError as exc:
-            record("tail_extra_level", len(res.levels) - 1, False, str(exc))
+            add_check("tail_extra_level", len(res.levels) - 1, False, str(exc))
 
     return VerificationReport(all(c["ok"] for c in checks), tuple(checks))
 

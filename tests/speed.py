@@ -2,6 +2,7 @@
 
     python3 tests/speed.py OLD_SRC [NEW_SRC] --workload W --seed N --rounds R
     python3 tests/speed.py OLD_SRC [NEW_SRC] --case katsura3-z12-resolve --rounds R
+    python3 tests/speed.py OLD_SRC [NEW_SRC] --import [--samples S]
 
 Each source argument is a directory that holds a `gbsyz` package, such as
 the `src/` of a `git archive` export of the parent commit; NEW_SRC
@@ -23,20 +24,47 @@ to round.
 
 Prints, per round, both sums and their ratio NEW/OLD, then the number of
 rounds in which NEW was faster and the median ratio. A ratio below 1
-means NEW is faster. Only the standard library is needed and nothing is
-written; pytest does not collect this file.
+means NEW is faster.
+
+`--import` times `import gbsyz.cli` instead, as `bench/run.py`'s
+`import_sample` does for `setup_s`: each sample is a fresh `python -I`
+interpreter that imports the tree, and its wall time is also scaled to
+the reference speed by `bench/refspeed.py`'s `module_kernel`, run in the
+same interpreter just before and after the import. The two trees
+alternate on every one of the `--samples` (default 30) samples, and
+which goes first flips from sample to sample; one child runs at a time,
+with a limit of 60 s, after one untimed import per tree that writes its
+bytecode cache. Prints each pair of samples, then per tree
+the median and quartiles of the raw and the scaled times, the number of
+pairs in which NEW was faster (scaled) and the ratio NEW/OLD of the
+scaled medians.
+
+Only the standard library is needed, and nothing is written but the
+trees' bytecode caches; pytest does not collect this file.
 """
 
 import argparse
 import statistics
+import subprocess
 import sys
 import time
-from pathlib import Path
 
 from same_output import ROOT, load_cli, run
 
+BENCH = ROOT / "bench"
+sys.path.insert(0, str(BENCH))
+from refspeed import REF_NOMINAL_S
+
 CHUNK = 32
 CASES = ("katsura3-z12-resolve",)
+SAMPLES = 30
+SAMPLE_TIMEOUT_S = 60
+# the child of bench/run.py's import_sample: the import's wall seconds and
+# the mean module-kernel time around it
+IMPORT_CODE = ("import sys, time; sys.path[:0] = sys.argv[1:]; "
+               "from refspeed import module_kernel, reference_seconds; "
+               "r = reference_seconds(module_kernel); t = time.perf_counter(); import gbsyz.cli; "
+               "d = time.perf_counter() - t; print(d, (r + reference_seconds(module_kernel)) / 2)")
 
 
 def parse_args(argv):
@@ -47,13 +75,25 @@ def parse_args(argv):
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload", choices=("query", "gb", "resolve"))
     what.add_argument("--case", choices=CASES)
+    what.add_argument("--import", dest="imports", action="store_true")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int)
+    parser.add_argument("--samples", type=int)
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    if (args.seed is None) != (args.case is not None):
+    if (args.seed is None) == (args.workload is not None):
         parser.error("--seed goes with --workload, and only with it")
+    if args.imports:
+        if args.rounds is not None:
+            parser.error("--rounds does not go with --import")
+        args.samples = SAMPLES if args.samples is None else args.samples
+        if args.samples < 1:
+            parser.error("--samples must be at least 1")
+    else:
+        if args.samples is not None:
+            parser.error("--samples goes with --import, and only with it")
+        args.rounds = 5 if args.rounds is None else args.rounds
+        if args.rounds < 1:
+            parser.error("--rounds must be at least 1")
     return args
 
 
@@ -65,10 +105,49 @@ def timed_chunk(cli, chunk):
     return time.process_time() - t0
 
 
+def import_sample(src):
+    """(wall seconds, scaled seconds) of one fresh interpreter's import
+    of the gbsyz.cli under src."""
+    proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_CODE, str(src), str(BENCH)],
+                          capture_output=True, text=True, timeout=SAMPLE_TIMEOUT_S, check=True)
+    d, ref = map(float, proc.stdout.split())
+    return d, d * REF_NOMINAL_S / ref
+
+
+def spread(values):
+    """'median ms [first quartile-third quartile]' of seconds."""
+    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return f"{med * 1e3:.3f} ms [{q1 * 1e3:.3f}-{q3 * 1e3:.3f}]"
+
+
+def time_imports(srcs, samples):
+    for src in srcs:
+        import_sample(src)
+    print(f"import gbsyz.cli: {samples} alternated samples per tree, "
+          "one fresh `python -I` at a time; ms raw (scaled)")
+    taken = ([], [])
+    for k in range(samples):
+        first = k % 2
+        for side in (first, 1 - first):
+            taken[side].append(import_sample(srcs[side]))
+        (old, old_scaled), (new, new_scaled) = taken[0][-1], taken[1][-1]
+        print(f"sample {k + 1}: old {old * 1e3:.3f} ({old_scaled * 1e3:.3f}), "
+              f"new {new * 1e3:.3f} ({new_scaled * 1e3:.3f})", flush=True)
+    for name, pairs in zip(("old", "new"), taken):
+        print(f"{name}: raw {spread([raw for raw, _ in pairs])}, "
+              f"scaled {spread([scaled for _, scaled in pairs])}")
+    scaled = [[s for _, s in pairs] for pairs in taken]
+    faster = sum(new < old for old, new in zip(*scaled))
+    print(f"new faster in {faster} of {samples} samples (scaled); "
+          f"median new/old {statistics.median(scaled[1]) / statistics.median(scaled[0]):.4f}")
+    return 0
+
+
 def main(argv):
     args = parse_args(argv)
+    if args.imports:
+        return time_imports((args.old_src, args.new_src), args.samples)
     clis = (load_cli(args.old_src, "gbsyz_old"), load_cli(args.new_src, "gbsyz_new"))
-    sys.path.insert(0, str(ROOT / "bench"))
     import corpus
 
     if args.case:  # katsura3-z12-resolve, the only case

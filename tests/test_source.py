@@ -162,6 +162,25 @@ def test_no_module_imports_random():
     assert not found, found
 
 
+def test_no_module_makes_records_with_namedtuple():
+    # each namedtuple class compiles its own __new__ at import; records
+    # come from poly.record, which compiles nothing
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "namedtuple" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def _literal(tree, name):
     """The value of the module-level literal assignment `name = ...`."""
     for node in tree.body:
