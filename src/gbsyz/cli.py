@@ -251,17 +251,17 @@ def cmd_gb(args, problem):
     return records
 
 
-def _divide_for(args, target, divisors, order, trace):
+def _divide_for(args, target, divisors, trace):
     if getattr(args, "valuation_division", False):
-        return divide_valuation(target, divisors, order, trace=trace)
-    return divide(target, divisors, order, trace=trace)
+        return divide_valuation(target, divisors, trace=trace)
+    return divide(target, divisors, trace=trace)
 
 
 def cmd_reduce(args, problem):
     order = _pick_order(args, problem)
     names, vecs = _gens(problem, order)
     target = reorder(parse_vector_literal(args.target, problem), order)
-    res = _divide_for(args, target, vecs, order, _trace_sink(args))
+    res = _divide_for(args, target, vecs, _trace_sink(args))
     records = [_header(args, problem, order), _vector_record("target", target, args, problem)]
     records += [_vector_record("quotient", q, args, problem, name=name) for name, q in zip(names, res.quotients)]
     records.append(_vector_record("remainder", res.remainder, args, problem))
@@ -274,7 +274,7 @@ def cmd_member(args, problem):
     target = reorder(parse_vector_literal(args.target, problem), order)
     trace = _trace_sink(args)
     basis, labels = buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
-    res = _divide_for(args, target, basis, order, trace)
+    res = _divide_for(args, target, basis, trace)
     member = res.remainder.is_zero()
     records = [_header(args, problem, order), _vector_record("target", target, args, problem)]
     records.append({"kind": "member", "value": "yes" if member else "no"})
@@ -307,16 +307,8 @@ def cmd_syz(args, problem):
 def cmd_resolve(args, problem):
     order = _pick_order(args, problem)
     names, vecs = _gens(problem, order)
-    trace = _trace_sink(args)
-    unsafe = order if getattr(args, "unsafe_order", None) else None
-    res = free_resolution(
-        vecs,
-        order=order,
-        max_levels=args.max_levels,
-        labels=names,
-        trace=trace,
-        unsafe_order=unsafe,
-    )
+    res = free_resolution(vecs, order=order, max_levels=args.max_levels, labels=names,
+                          trace=_trace_sink(args))
     records = [_header(args, problem, order)]
     for k, level in enumerate(res.levels):
         records.append({"kind": "level", "index": k, "rank": len(level.basis)})

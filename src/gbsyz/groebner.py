@@ -198,27 +198,17 @@ def _reduce(work, index, lift, trace):
     return r_terms
 
 
-def _order_of(v, order):
-    """order, by default v's own. The terms of v are sorted under its own
-    order, so any other order is a `UsageError`."""
-    if order is None:
-        return v.order
-    if order is not v.order and order != v.order:
-        raise UsageError("order differs from the vectors' monomial order")
-    return order
-
-
-def divide(h, divisors, order=None, trace=None):
-    """Divide h by the list of divisors (gcd-aggregating division).
+def divide(h, divisors, *, trace=None):
+    """Divide h by the list of divisors (gcd-aggregating division) under
+    h's order.
 
     Returns quotients as rank-1 polynomials and a remainder none of
     whose terms lies in the leading-term module of the divisors. With
     an empty divisor list the remainder is h itself. Each divisor must
-    be nonzero and compatible with h. `order` defaults to h's and must
-    equal it.
+    be nonzero and compatible with h.
     """
     index = Divisors(divisors, like=h)
-    order = _order_of(h, order)
+    order = h.order
     lift = Accumulator(h.ambient._replace(rank=len(index.vectors)), order)
     # the remainder terms are already descending: each step removes the
     # leading term of the working polynomial and adds only smaller ones
@@ -234,7 +224,7 @@ def divide(h, divisors, order=None, trace=None):
     return DivisionResult(quotients, Vector.from_packed(h.ambient, order, r_terms))
 
 
-def divide_valuation(h, divisors, order=None, trace=None):
+def divide_valuation(h, divisors, *, trace=None):
     """First-divisor division for the valuation-ring backends: the first
     divisor whose leading term divides (as a term) is used alone, and a
     leading term without one moves to the remainder. On a valuation ring
@@ -243,7 +233,7 @@ def divide_valuation(h, divisors, order=None, trace=None):
     """
     if not h.ambient.ring.is_valuation_ring:
         raise UsageError(f"{h.ambient.ring} is not a valuation ring")
-    return divide(h, divisors, order, trace=trace)
+    return divide(h, divisors, trace=trace)
 
 
 def _s_pair(ft, gt, auto, ring, codec, value=None):
@@ -274,7 +264,7 @@ def _s_pair(ft, gt, auto, ring, codec, value=None):
     return "cross", (b, lcm - mu), (a, lcm - nu)
 
 
-def s_pair_indexed(f, g, order, auto):
+def s_pair_indexed(f, g, auto):
     """S-pair computation with the auto/cross split decided by the caller.
 
     Buchberger's loop and the syzygy algorithms take the auto case for
@@ -288,7 +278,7 @@ def s_pair_indexed(f, g, order, auto):
     value = Accumulator(f.ambient, f.order)
     kind, left, right = _s_pair(f.packed, g.packed, auto, f.ambient.ring, f.order.codec, value)
     if left is None:
-        return SPair(Vector.zero(f.ambient, order), None, None, kind)
+        return SPair(Vector.zero(f.ambient, f.order), None, None, kind)
     return SPair(value.vector(), left, right, kind)
 
 
@@ -303,16 +293,16 @@ def pair_cofactors(f, g, auto):
     return None if left is None else (left, right)
 
 
-def s_poly(f, g, order=None):
+def s_poly(f, g):
     """The S-polynomial of f and g, with its cofactors.
 
     f = g (as values) is the auto case b*f with Ann(LC(f)) = <b>;
     distinct leading positions give the zero S-polynomial; otherwise
     the cofactors come from the ring's coprime decomposition of the
-    leading coefficients. `order` defaults to f's and must equal it.
-    The value is a sorted `Vector` and the cofactors are `Term`s.
+    leading coefficients. The value is a sorted `Vector` and the
+    cofactors are `Term`s.
     """
-    sp = s_pair_indexed(f, g, _order_of(f, order), auto=(f == g))
+    sp = s_pair_indexed(f, g, auto=(f == g))
     decode = f.order.codec.decode
     left, right = (None if t is None else Term(t[0], decode(t[1]))
                    for t in (sp.left_cofactor, sp.right_cofactor))
@@ -364,7 +354,7 @@ def buchberger(gens, order, guard=10_000, trace=None):
     return GroebnerBasis(tuple(basis), order)
 
 
-def s_pairs(source, order, trace=None, start_lift=None):
+def s_pairs(source, trace=None, start_lift=None):
     """(i, j, lift, rest) for the S-pairs of the nonzero elements source
     that carry a cofactor, in (i, j) order: rest is the list of
     remainder terms of the pair's value divided by source, descending,
@@ -373,12 +363,12 @@ def s_pairs(source, order, trace=None, start_lift=None):
     start_lift(i, j, left, right) for the packed cofactor terms of the
     pair, an `Accumulator` into which the division adds -sum q_l eps_l.
     One work `Accumulator` per call holds every pair's value: `_reduce`
-    drains it. `order` must equal the elements' own."""
+    drains it."""
     if not source:
         return
     index = Divisors(source)
-    order = _order_of(source[0], order)
-    amb, codec, packed = source[0].ambient, order.codec, index.packed
+    amb, order, packed = source[0].ambient, source[0].order, index.packed
+    codec = order.codec
     work = Accumulator(amb, order)
     for i, ft in enumerate(packed):
         # only elements at the same leading position pair up
@@ -393,13 +383,13 @@ def s_pairs(source, order, trace=None, start_lift=None):
             yield i, j, lift, _reduce(work, index, lift, trace)
 
 
-def is_groebner(elements, order) -> bool:
+def is_groebner(elements) -> bool:
     """Buchberger's criterion: every S-pair (auto included) reduces to zero."""
     elements = list(elements)
     for g in elements:
         if g.is_zero():
             raise UsageError("zero element in candidate basis")
-    return not any(rest for *_, rest in s_pairs(elements, order))
+    return not any(rest for *_, rest in s_pairs(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +397,9 @@ def is_groebner(elements, order) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _unit_normalize(v):
+def unit_normalize(v):
+    """v scaled by the inverse of its leading coefficient's unit part;
+    v itself when that unit is one."""
     ring = v.ambient.ring
     u, _canon = ring.normalize_unit(v.lc())
     if ring.eq(u, ring.one()):
@@ -491,7 +483,7 @@ def pseudo_reduce(gb, guard=10_000):
     if not isinstance(gb, GroebnerBasis):
         raise UsageError("pseudo_reduce needs a GroebnerBasis record")
     elements, order = gb
-    work = sort_basis([_unit_normalize(v) for v in elements], order)
+    work = sort_basis([unit_normalize(v) for v in elements], order)
     passes = 0
     changed = True
     while changed:
@@ -555,7 +547,7 @@ def term_module_member(term, gens, ring):
 
 def module_member(h, gb):
     """Quotients expressing h over a Groebner basis, or None."""
-    res = divide(h, list(gb.elements), gb.order)
+    res = divide(h, list(gb.elements))
     if res.remainder.is_zero():
         return res.quotients
     return None

@@ -19,6 +19,7 @@ from .groebner import (
     pair_cofactors,
     pseudo_reduce,
     s_pairs,
+    unit_normalize,
 )
 from .poly import (
     POSMASK,
@@ -124,7 +125,10 @@ def _certify(source, sch, trace=None, strict=False):
     terms into it. One lift `Accumulator` per call serves every pair:
     each lift becomes a `Vector` before the next pair, and `start_lift`
     clears it and seeds it with the pair's cofactor terms. With `strict`
-    the first nonzero remainder raises `UsageError`."""
+    the first nonzero remainder raises `UsageError`. The divisions run
+    under the elements' own order, so sch's parent must be that order."""
+    if sch.parent is not source[0].order and sch.parent != source[0].order:
+        raise UsageError("order differs from the vectors' monomial order")
     amb0 = source[0].ambient
     lift = Accumulator(Ambient(amb0.ring, amb0.nvars, len(source)), sch)
     coeffs, neg = lift.coeffs, amb0.ring.neg
@@ -139,7 +143,7 @@ def _certify(source, sch, trace=None, strict=False):
         return lift
 
     pairs, unreduced = {}, set()
-    for i, j, _, rest in s_pairs(source, sch.parent, trace, start_lift):
+    for i, j, _, rest in s_pairs(source, trace, start_lift):
         if rest:
             if strict:
                 raise UsageError(_NOT_GROEBNER)
@@ -243,10 +247,8 @@ def _near_labels(relations, labels):
     for r, lab in zip(relations, labels):
         if r.is_zero():
             continue
-        ring = r.ambient.ring
-        u, _ = ring.normalize_unit(r.lc())
-        if not ring.eq(u, ring.one()):
-            by_normalized.setdefault(tuple(r.scale(ring.unit_inverse(u)).packed), lab + "'")
+        if (n := unit_normalize(r)) is not r:
+            by_normalized.setdefault(tuple(n.packed), lab + "'")
         by_lm.setdefault(r.packed[0][1], lab + "'")
     return by_normalized, by_lm
 
@@ -258,7 +260,6 @@ def free_resolution(
     labels=None,
     guard=10_000,
     trace=None,
-    unsafe_order=None,
 ):
     """Iterated Schreyer syzygies of the module generated by gens.
 
@@ -268,7 +269,9 @@ def free_resolution(
     constant: a free tail when every stabilized leading coefficient is
     regular, otherwise a periodic annihilator tail with one explicitly
     verified extra level. A level `max_levels` that has not stabilized
-    raises `GuardExceeded` with the levels so far.
+    raises `GuardExceeded` with the levels so far. `order` is a TOP-lex
+    order of any variable priority, by default declaration order; the
+    length bound of the syzygy theorem is asserted at that default.
 
     Every level whose syzygies were computed carries their
     `certificate`, the lifts of its S-pairs, and so does the periodic
@@ -281,12 +284,10 @@ def free_resolution(
     if max_levels < 0:
         raise UsageError("max_levels must be >= 0")
     amb = gens[0].ambient
-    if unsafe_order is not None:
-        order = unsafe_order
-    elif order is None:
+    if order is None:
         order = TopLex(amb.nvars)
     elif not isinstance(order, TopLex):
-        raise UsageError("free_resolution requires the TOP-lex order (use unsafe_order to override)")
+        raise UsageError("free_resolution requires a TOP-lex order")
     gens = [reorder(g, order) for g in gens]
     gb0, labels0 = buchberger_level0(gens, order, labels, guard=guard, trace=trace)
     levels = [ResolutionLevel(gb0, order, labels0)]
@@ -325,15 +326,15 @@ def free_resolution(
             tail = PeriodicTail(b, ann_b, ann_ann_b, positions, len(levels) - 2)
             break
     res = Resolution(amb, tuple(levels), tail)
-    _assert_length_bound(res, order, unsafe_order)
+    _assert_length_bound(res, order)
     return res
 
 
-def _assert_length_bound(res, order, unsafe_order):
+def _assert_length_bound(res, order):
     """The syzygy theorems bound the quotient resolution by n + 1
     (and place the stabilized kernel at some p <= n + 1) under the
-    default TOP-lex order; nothing is claimed for override orders."""
-    if unsafe_order is not None or order.priority != tuple(range(res.ambient.nvars)):
+    default TOP-lex order; nothing is claimed for other priorities."""
+    if order.priority != tuple(range(res.ambient.nvars)):
         return
     bound = res.ambient.nvars + 1
     if isinstance(res.tail, FreeTail):

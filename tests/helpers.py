@@ -432,7 +432,7 @@ def reference_level_verdicts(res, samples=20, seed=0):
     rng = random.Random(seed)
     out = []
     for level in res.levels:
-        groebner = is_groebner(list(level.basis), level.order)
+        groebner = is_groebner(list(level.basis))
         sampling = None
         if level.basis:
             amb = level.basis[0].ambient
@@ -441,7 +441,7 @@ def reference_level_verdicts(res, samples=20, seed=0):
                 sample = random_sample(rng, level.basis)
                 terms = [Term(c, m) for m, c in sample.items()]
                 h = Vector(amb, level.order, terms)
-                if not divide(h, list(level.basis), level.order).remainder.is_zero():
+                if not divide(h, list(level.basis)).remainder.is_zero():
                     sampling = False
                     break
         out.append((groebner, sampling))
@@ -489,12 +489,12 @@ def reference_buchberger(gens, order, guard=10_000, trace=None):
     queue = deque((i, j) for i in range(len(basis)) for j in range(i, len(basis)))
     while queue:
         i, j = queue.popleft()
-        sp = s_pair_indexed(basis[i], basis[j], order, auto=(i == j))
+        sp = s_pair_indexed(basis[i], basis[j], auto=(i == j))
         if trace is not None:
             trace({"event": "pair", "i": i + 1, "j": j + 1, "kind": sp.kind})
         if sp.value.is_zero():
             continue
-        rem = divide(sp.value, basis, order, trace=trace).remainder
+        rem = divide(sp.value, basis, trace=trace).remainder
         if rem.is_zero():
             continue
         basis.append(rem)
@@ -508,7 +508,7 @@ def reference_buchberger(gens, order, guard=10_000, trace=None):
     return GroebnerBasis(tuple(basis), order)
 
 
-def reference_s_pairs(source, order, trace=None, start_lift=None):
+def reference_s_pairs(source, trace=None, start_lift=None):
     """(i, j, sp, lift, res) per S-pair of source with a cofactor, by
     `s_pair_indexed` and `divide`, which adds -sum q_l eps_l for the
     quotients q_l into the lift; res is None for a zero value: the
@@ -518,7 +518,7 @@ def reference_s_pairs(source, order, trace=None, start_lift=None):
         for j in range(i, len(source)):
             if source[i].lp() != source[j].lp():
                 continue
-            sp = s_pair_indexed(source[i], source[j], order, auto=(i == j))
+            sp = s_pair_indexed(source[i], source[j], auto=(i == j))
             if sp.kind == "auto" and sp.left_cofactor is None:
                 continue
             if trace is not None:
@@ -526,7 +526,7 @@ def reference_s_pairs(source, order, trace=None, start_lift=None):
             lift = None if start_lift is None else start_lift(i, j, sp)
             res = None
             if not sp.value.is_zero():
-                res = divide(sp.value, source, order, trace=trace)
+                res = divide(sp.value, source, trace=trace)
                 if lift is not None:
                     for ell, q in enumerate(res.quotients):
                         for c, m in q.packed:
@@ -550,7 +550,7 @@ def reference_certificate(source, sch, trace=None):
         return lift
 
     pairs, unreduced = {}, set()
-    for i, j, _, lift, res in reference_s_pairs(source, sch.parent, trace, start_lift):
+    for i, j, _, lift, res in reference_s_pairs(source, trace, start_lift):
         if res is not None and not res.remainder.is_zero():
             unreduced.add((i, j))
         pairs[i, j] = lift.vector()

@@ -22,9 +22,14 @@ Katsura-3 generators over `Z/12`, the op of `bench/run.py --case` of the
 same name. It is one chunk, so the tree that goes first flips from round
 to round.
 
-Prints, per round, both sums and their ratio NEW/OLD, then the number of
-rounds in which NEW was faster and the median ratio. A ratio below 1
-means NEW is faster.
+OLD_SRC is always imported and warmed first, and the first output line
+names it. Prints, per round, both sums and their ratio NEW/OLD, then the
+number of rounds in which NEW was faster and the median ratio. A ratio
+below 1 means NEW is faster. The import order alone can shift the ratio
+by about 0.5%, as a tree timed against a byte-identical copy of itself
+shows, so a median within 1% of 1.0 needs a second run with the two
+trees swapped (`speed.py NEW_SRC OLD_SRC ...`): a difference holds only
+if both orders put the same tree ahead.
 
 `--import` times `import gbsyz.cli` instead, as `bench/run.py`'s
 `import_sample` does for `setup_s`: each sample is a fresh `python -I`
@@ -160,7 +165,8 @@ def main(argv):
     for cli in clis:
         for argv, text in ops:
             run(cli, argv, text)
-    print(f"{title}: {len(ops)} ops in {len(chunks)} chunks of {CHUNK}")
+    print(f"{title}: {len(ops)} ops in {len(chunks)} chunks of {CHUNK}; "
+          f"imported first: old {args.old_src}")
     ratios = []
     for r in range(args.rounds):
         spent = [0.0, 0.0]

@@ -90,8 +90,8 @@ def relation(p, source_level_rank, order, template):
 
 def module_equal(basis, order, vectors):
     return all(
-        divide(v, list(basis), order).remainder.is_zero() for v in vectors
-    ) and all(divide(v, vectors, order).remainder.is_zero() for v in basis)
+        divide(v, list(basis)).remainder.is_zero() for v in vectors
+    ) and all(divide(v, vectors).remainder.is_zero() for v in basis)
 
 
 def test_criterion_1_f2y_spolynomials():
@@ -99,9 +99,9 @@ def test_criterion_1_f2y_spolynomials():
         p = problem("f2y_spair")
         f = vec(p, "y*X2 + X1")
         g = vec(p, "y*X1 + y")
-        assert s_poly(f, g, p.order).value == vec(p, "X1^2 + y*X2")
-        assert s_poly(f, f, p.order).value == vec(p, "y*X1")
-        assert s_poly(g, g, p.order).value == vec(p, "0")
+        assert s_poly(f, g).value == vec(p, "X1^2 + y*X2")
+        assert s_poly(f, f).value == vec(p, "y*X1")
+        assert s_poly(g, g).value == vec(p, "0")
 
 
 def test_criterion_2_z2_rank2_buchberger():
@@ -229,7 +229,7 @@ def test_criterion_7_property_suite():
             amb = Ambient(ring, 2, rng.randrange(1, 4))
             h = random_vector(rng, amb, order2, max_terms=4, max_exp=4)
             divisors = _random_gens(rng, amb, order2, rng.randrange(1, 4), 3, 3)
-            res = divide(h, divisors, order2)
+            res = divide(h, divisors)
             recon = res.remainder.add(expand_combination(res.quotients, divisors))
             assert recon == h
             lts = [(d.lc(), d.lm()) for d in divisors]
@@ -243,7 +243,7 @@ def test_criterion_7_property_suite():
             amb = Ambient(ring, 2, 1 + k % 3)
             gens = _random_gens(rng, amb, order2, 2 + k % 2, 3, 2)
             gb = buchberger(gens, order2)
-            assert is_groebner(list(gb.elements), order2)
+            assert is_groebner(list(gb.elements))
 
         # every syzygy relation annihilates its source + LT formulas (>= 1000)
         from test_syzygy import check_lt_formulas

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import gbsyz
-from gbsyz import cli, syzygy
+from gbsyz import TopLex, cli, free_resolution, syzygy, verify_resolution
 from gbsyz.cli import main
+from gbsyz.dsl import format_vector
 from helpers import GOLDEN, parse_in, problem
 
 
@@ -131,6 +132,45 @@ def test_resolve_unsafe_order(goldens, capsys):
     code, out, _ = run(capsys, "resolve", goldens["zint_ideal"], "--unsafe-order", "X,Y")
     assert code == 0
     assert "tail: free" in out
+
+
+def test_unsafe_order_resolve_matches_the_library(goldens, capsys):
+    # free_resolution under a TOP-lex order of another priority gives the
+    # levels and labels that `resolve --unsafe-order` prints for it
+    order = TopLex(2, (1, 0))
+    for key in GOLDEN:
+        p = problem(key)
+        spec = ",".join(p.var_names[i] for i in order.priority)
+        code, out, _ = run(capsys, "resolve", goldens[key], "--unsafe-order", spec,
+                           "--format", "json-like")
+        assert code == 0, key
+        printed = [(r["level"], r["name"], r["value"]) for r in jrecords(out)
+                   if r["kind"] == "relation"]
+        res = free_resolution([v for _, v in p.generators], order=order,
+                              labels=[n for n, _ in p.generators])
+        assert verify_resolution(res).ok, key
+        assert printed == [(k, lab, format_vector(v, p.var_names))
+                           for k, level in enumerate(res.levels)
+                           for lab, v in zip(level.labels, level.basis)], key
+
+
+def test_unsafe_order_at_the_default_priority_is_plain_resolve(goldens, capsys, monkeypatch):
+    # the default priority spelled out prints what plain resolve prints,
+    # and the length bound of the syzygy theorem is checked on it
+    checked = []
+    bound = syzygy._assert_length_bound
+
+    def spy(res, order):
+        checked.append(order.priority)
+        bound(res, order)
+
+    monkeypatch.setattr(syzygy, "_assert_length_bound", spy)
+    for key in GOLDEN:
+        spec = ",".join(problem(key).var_names)
+        plain = run(capsys, "resolve", goldens[key])
+        checked.clear()
+        assert run(capsys, "resolve", goldens[key], "--unsafe-order", spec) == plain, key
+        assert plain[0] == 0 and checked == [(0, 1)], key
 
 
 def test_order_override_on_gb(goldens, capsys):

@@ -275,7 +275,7 @@ def test_s_pair_values_match_whole_vector_reference():
     # vectors: equal terms and order on seeded pairs, then on every pair
     # of every golden resolution level
     def check(f, g, order, auto):
-        got = s_pair_indexed(f, g, order, auto).value
+        got = s_pair_indexed(f, g, auto).value
         want = reference_s_pair_value(f, g, order, auto)
         assert got.terms == want.terms and got.order is want.order
 

@@ -60,10 +60,10 @@ def rel_in(level, p, polys):
 def module_equal(level, vectors):
     basis = list(level.basis)
     for v in vectors:
-        if not divide(v, basis, level.order).remainder.is_zero():
+        if not divide(v, basis).remainder.is_zero():
             return False
     for v in basis:
-        if not divide(v, vectors, level.order).remainder.is_zero():
+        if not divide(v, vectors).remainder.is_zero():
             return False
     return True
 
@@ -152,17 +152,16 @@ def test_resolution_stabilizes_immediately_for_constant_ideal():
     assert res.quotient_length == 1
 
 
-def test_resolution_rejects_non_toplex_without_unsafe():
+def test_resolution_rejects_non_toplex_and_accepts_any_priority():
     p = problem("zint_ideal")
     _, gens = gens_of(p)
     from gbsyz import Schreyer
 
     sch = Schreyer(gens, p.order)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^free_resolution requires a TOP-lex order$"):
         free_resolution(gens, order=sch)
-    # explicit unsafe order (a different variable priority) is accepted
-    alt = TopLex(2, (1, 0))
-    res = free_resolution(gens, unsafe_order=alt)
+    # a TOP-lex order of another variable priority is accepted
+    res = free_resolution(gens, order=TopLex(2, (1, 0)))
     assert verify_resolution(res).ok
 
 
@@ -403,7 +402,7 @@ def test_each_level_generates_the_lifts_of_the_level_below():
         for level, above in zip(res.levels, res.levels[1:]):
             for lift in level.certificate.pairs.values():
                 if not lift.is_zero():
-                    assert divide(lift, list(above.basis), above.order).remainder.is_zero()
+                    assert divide(lift, list(above.basis)).remainder.is_zero()
                     checked[k < golden] += 1
     assert checked[True] == 52 and checked[False] > 0
 

@@ -106,6 +106,29 @@ def test_one_s_pair_rule_in_groebner():
         assert not names & {"divide", "s_pair_indexed"}, name
 
 
+def _parameters(fn):
+    """The names of every parameter of a function node."""
+    args = fn.args
+    every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return {arg.arg for arg in every if arg is not None}
+
+
+def test_orders_come_from_the_vectors():
+    # every vector carries its order and keeps its terms sorted under it,
+    # so an order passed next to vectors could only repeat theirs: of the
+    # public functions in groebner only buchberger, which re-sorts its
+    # generators, takes one, and free_resolution takes its order once
+    def public(module):
+        tree = ast.parse((PACKAGE / module).read_text())
+        return {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+    takers = {name for name, fn in public("groebner.py").items() if "order" in _parameters(fn)}
+    assert takers == {"buchberger"}, takers
+    resolution = _parameters(public("syzygy.py")["free_resolution"])
+    assert "order" in resolution and "unsafe_order" not in resolution, resolution
+
+
 def test_one_sparse_accumulator():
     # poly.Accumulator owns the heap and the term products: no other
     # module imports heapq, and groebner forms no monomial products itself

@@ -18,6 +18,7 @@ from gbsyz import (
     apply_relation,
     buchberger,
     is_groebner,
+    parse_problem,
     schreyer_syzygies,
     term_syzygies,
 )
@@ -112,7 +113,7 @@ def test_term_syzygies_annihilate_and_complete_small():
                     continue
                 if apply_relation(cand, source).is_zero():
                     if syz.relations:
-                        res = divide(cand, list(syz.relations), syz.order)
+                        res = divide(cand, list(syz.relations))
                         assert res.remainder.is_zero()
                     else:
                         raise AssertionError("kernel element but no generators")
@@ -146,7 +147,7 @@ def test_term_syzygies_complete_two_vars():
                 if cand.is_zero() or not apply_relation(cand, source).is_zero():
                     continue
                 assert syz.relations, "kernel element without generators"
-                assert divide(cand, list(syz.relations), syz.order).remainder.is_zero()
+                assert divide(cand, list(syz.relations)).remainder.is_zero()
 
 
 def test_term_syzygies_z12_leading_terms():
@@ -199,9 +200,9 @@ def test_schreyer_z4_ideal_module_equal():
     assert len(syz.relations) == 4
     assert rel(p, syz, ["0", "2", "0"]) in set(syz.relations)
     for v in reference:
-        assert divide(v, list(syz.relations), syz.order).remainder.is_zero()
+        assert divide(v, list(syz.relations)).remainder.is_zero()
     for v in syz.relations:
-        assert divide(v, reference, syz.order).remainder.is_zero()
+        assert divide(v, reference).remainder.is_zero()
 
 
 def test_schreyer_zloc2_ideal_exact():
@@ -224,6 +225,16 @@ def test_schreyer_requires_groebner_input():
         schreyer_syzygies((gens, p.order))
 
 
+def test_schreyer_rejects_an_order_other_than_its_elements():
+    # the divisions run under the elements' own order: a Schreyer order
+    # over another one gave relations that were no Groebner basis under it
+    p = parse_problem("ring Z; vars Y X; rank 1; g1 = X*Y + Y^3; g2 = X^2 + Y;")
+    gb = buchberger([v for _, v in p.generators], p.order)
+    with pytest.raises(UsageError, match="^order differs from the vectors' monomial order$"):
+        schreyer_syzygies((gb.elements, TopLex(2, (1, 0))))
+    assert schreyer_syzygies((gb.elements, TopLex(2))).relations == schreyer_syzygies(gb).relations
+
+
 def test_schreyer_divisions_are_the_groebner_check():
     # no separate criterion runs first: a (list, order) input raises
     # exactly when is_groebner rejects it, from the failing division
@@ -233,7 +244,7 @@ def test_schreyer_divisions_are_the_groebner_check():
         amb, order = Ambient(ring, 2, 2), TopLex(2)
         for _ in range(25):
             gens = [random_nonzero_vector(rng, amb, order, 3, 2) for _ in range(rng.randint(1, 4))]
-            groebner = is_groebner(gens, order)
+            groebner = is_groebner(gens)
             seen.add(groebner)
             if groebner:
                 schreyer_syzygies((gens, order))
@@ -351,7 +362,7 @@ def test_syzygy_basis_is_groebner_under_schreyer_order():
             gb = buchberger(gens, order)
             syz = schreyer_syzygies(gb)
             if syz.relations:
-                assert is_groebner(list(syz.relations), syz.order)
+                assert is_groebner(list(syz.relations))
 
 
 INNER_LABEL_EDGES = (None, "", "u[]", "u[a]'*", "u[a]*'", "u[a]]''**", "xu[a]", "u[a\nb]",
