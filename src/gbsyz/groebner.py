@@ -448,7 +448,8 @@ def pseudo_reduce(gb, guard=10_000):
     """Exhaust all reductions between the leading terms of a Groebner basis.
 
     gb is a `GroebnerBasis` record, trusted to be one; anything else is
-    a `UsageError`, and so is a zero element. Elements are
+    a `UsageError`, and so are a zero element and an order that is not
+    the elements' own. Elements are
     unit-normalized and kept sorted descending. Each pass prepares one
     `Divisors` of its elements: an element is taken out of it, settled
     against the rest by `_head_exhaust` in one leading-term step, and
@@ -483,6 +484,8 @@ def pseudo_reduce(gb, guard=10_000):
     if not isinstance(gb, GroebnerBasis):
         raise UsageError("pseudo_reduce needs a GroebnerBasis record")
     elements, order = gb
+    if elements and order is not elements[0].order and order != elements[0].order:
+        raise UsageError("order differs from the vectors' monomial order")
     work = sort_basis([unit_normalize(v) for v in elements], order)
     passes = 0
     changed = True

@@ -23,17 +23,17 @@ rank-1 vectors.
 
 An order is a sort key on packed monomials, an int where a smaller key
 is a greater monomial, so sorting by `order.key` gives the vector order
-and a min-heap pops the leading term. `order.unkey` inverts it.
+and a list sorted by negated keys ends in the leading term. `order.unkey`
+inverts it.
 
 Every sum of term products c * X^gamma * v (products, divisions,
 S-polynomials, lifted relations, parsed expressions) is formed in one
 `Accumulator`, on packed monomials.
 """
 
-import heapq
-import operator
 import sys
 from _collections import _tuplegetter
+from bisect import insort
 from functools import lru_cache, partial
 
 from .errors import PackedOverflow, UsageError
@@ -547,8 +547,9 @@ def reorder(v, order):
     return Vector.from_coeffs(v.ambient, order, coeffs)
 
 
-# the sum size from which `Accumulator.lead()` keeps a heap: 96% of its calls
-# on the seed 1001 `gb` corpus see 7 terms or fewer; 16 measured within 1%
+# the sum size from which `Accumulator.lead()` keeps a sorted index: 96% of
+# its calls on the seed 1001 `gb` corpus see 7 terms or fewer; 16 measured
+# within 1%
 HEAP_MIN = 8
 
 
@@ -558,17 +559,17 @@ class Accumulator:
     Coefficients live in a dict packed monomial -> nonzero coefficient,
     so a sum that cancels leaves the dict at once. Below HEAP_MIN terms
     the leading term is the least key; from the first `lead()` that sees
-    HEAP_MIN or more on, it comes from a min-heap of int order keys, kept
-    up to date, where a key whose monomial has left the dict is dropped
-    when it surfaces (the dict-plus-heap of Monagan and Pearce 2007). A
-    `lead()` that finds the sum empty drops the heap, so a drained
-    accumulator can be refilled. The ring's `mul` and `add`, the
-    order's `key` and `unkey` and the leader of a small sum are bound
-    once; under TOP-lex on rank 1 the key and `unkey` are both
-    `operator.neg`, since the key there is -m, and the least key of
-    distinct monomials is their `max`. A coefficient is
-    tested for zero by == with the ring's zero: equal ring elements are
-    equal values.
+    HEAP_MIN or more on, it is the last entry of `heap`, a list of negated
+    order keys kept ascending by `bisect.insort`, where an entry whose
+    monomial has left the dict is popped when it comes last (the lazy
+    deletion of Monagan and Pearce 2007's dict-plus-heap). A `lead()`
+    that finds the sum empty drops the index, so a drained accumulator
+    can be refilled. The ring's `mul` and `add`, the order's `key` and
+    `unkey` and the leader of a small sum are bound once; under TOP-lex
+    on rank 1 the key is -m, so the index holds the monomials themselves,
+    `_key` and `_unkey` are None and the least key of distinct monomials
+    is their `max`. A coefficient is tested for zero by == with the
+    ring's zero: equal ring elements are equal values.
     `terms` seeds the sum with packed (coeff, mono) pairs of distinct
     monomials and nonzero coefficients.
     """
@@ -586,7 +587,7 @@ class Accumulator:
         self.guard = order.codec.guard
         self._mul, self._add = ring.mul, ring.add
         if _is_toplex_rank1(ambient, order):
-            self._key = self._unkey = operator.neg
+            self._key = self._unkey = None
             self._leading = max
         else:
             self._key, self._unkey = order.key, order.unkey
@@ -597,7 +598,7 @@ class Accumulator:
 
     def lead(self):
         """The leading (coeff, mono) pair, or None for zero, which drops
-        the heap; without a heap, HEAP_MIN or more terms build one."""
+        the index; without one, HEAP_MIN or more terms build it."""
         coeffs = self.coeffs
         if not coeffs:
             self.heap = None
@@ -607,15 +608,15 @@ class Accumulator:
             if len(coeffs) < HEAP_MIN:
                 m = self._leading(coeffs)
                 return coeffs[m], m
-            heap = self.heap = list(map(self._key, coeffs))
-            heapq.heapify(heap)
+            key = self._key
+            heap = self.heap = sorted(coeffs) if key is None else sorted([-key(m) for m in coeffs])
         unkey = self._unkey
         while True:
-            m = unkey(heap[0])
+            m = heap[-1] if unkey is None else unkey(-heap[-1])
             c = coeffs.get(m)
             if c is not None:
                 return c, m
-            heapq.heappop(heap)
+            heap.pop()
 
     def add(self, c, m):
         """Add the nonzero term c * m."""
@@ -623,7 +624,7 @@ class Accumulator:
         if old is None:
             self.coeffs[m] = c
             if self.heap is not None:
-                heapq.heappush(self.heap, self._key(m))
+                insort(self.heap, m if self._key is None else -self._key(m))
         elif (s := self._add(old, c)) == self.zero:
             del self.coeffs[m]
         else:
@@ -645,7 +646,7 @@ class Accumulator:
             if old is None:
                 coeffs[m] = p
                 if heap is not None:
-                    heapq.heappush(heap, self._key(m))
+                    insort(heap, m if self._key is None else -self._key(m))
             elif (s := add(old, p)) == zero:
                 del coeffs[m]
             else:

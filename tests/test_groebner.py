@@ -326,6 +326,16 @@ def test_pseudo_reduce_rejects_a_plain_list():
             pseudo_reduce(plain)
 
 
+def test_pseudo_reduce_rejects_an_order_other_than_its_elements():
+    # the record's order is the result's: another order than the
+    # elements' own gave a record whose elements were not under it
+    p = parse_problem("ring Z; vars Y X; rank 1; g1 = X*Y + Y^3; g2 = X^2 + Y;")
+    gb = buchberger([v for _, v in p.generators], p.order)
+    with pytest.raises(UsageError, match="^order differs from the vectors' monomial order$"):
+        pseudo_reduce(GroebnerBasis(gb.elements, TopLex(2, (1, 0))))
+    assert pseudo_reduce(GroebnerBasis(gb.elements, TopLex(2))) == pseudo_reduce(gb)
+
+
 def test_pseudo_reduce_prepares_one_divisors_per_pass(monkeypatch):
     # the passes are counted by the smallest guard that lets the
     # reduction finish; every pass must build one index, not one per

@@ -185,52 +185,61 @@ def test_accumulator_matches_vector_arithmetic():
             assert lead(acc) == leading_term(want)
 
 
+def _accumulator_inputs(rng, ring):
+    """(order, ambient) pairs, one for each path of the Accumulator's
+    leading-term index: TOP-lex on rank 2, TOP-lex on rank 1, where the
+    index holds the monomials themselves, and a Schreyer order on rank 3."""
+    order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
+    schreyer, amb = _order_tower(rng, ring, 2, (2, 3))[1]
+    return [(order, Ambient(ring, 2, 2)), (order, Ambient(ring, 2, 1)), (schreyer, amb)]
+
+
 def test_accumulator_lead_on_short_sums():
     # lead() after every operation, on sums that shrink to 1 and to 0
-    # terms and grow again, past HEAP_MIN and back, before the heap exists
-    # and after; there is no heap until a lead() sees HEAP_MIN or more
-    # terms, and none after a lead() that finds the sum empty
+    # terms and grow again, past HEAP_MIN and back, before the index
+    # exists and after; there is no index until a lead() sees HEAP_MIN or
+    # more terms, and none after a lead() that finds the sum empty
     rng = random.Random(29)
     for ring in TERM_PRODUCT_RINGS:
-        order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
-        codec = order.codec
-        amb = Ambient(ring, 2, 2)
         one = ring.one()
-        for _ in range(60):
-            start = random_vector(rng, amb, order, 1, 2)
-            acc, want = Accumulator(amb, order, start.packed), start
-            has_heap = False
+        for order, amb in _accumulator_inputs(rng, ring):
+            codec = order.codec
+            for _ in range(60):
+                start = random_vector(rng, amb, order, 1, 2)
+                acc, want = Accumulator(amb, order, start.packed), start
+                has_heap = False
 
-            def check():
-                nonlocal has_heap
-                t = acc.lead()
-                assert (None if t is None else Term(t[0], codec.decode(t[1]))) == leading_term(want)
-                if not want.terms:
-                    has_heap = False
-                elif len(want.terms) >= HEAP_MIN:
-                    has_heap = True
-                assert (acc.heap is None) == (not has_heap)
-                assert acc.vector().terms == want.terms
+                def check():
+                    nonlocal has_heap
+                    t = acc.lead()
+                    assert (None if t is None else Term(t[0], codec.decode(t[1]))) == leading_term(want)
+                    if not want.terms:
+                        has_heap = False
+                    elif len(want.terms) >= HEAP_MIN:
+                        has_heap = True
+                    assert (acc.heap is None) == (not has_heap)
+                    assert acc.vector().terms == want.terms
 
-            check()
-            sizes = (rng.randint(2, 4), rng.randint(0, 1), rng.randint(2, 5), 1, 0, 3,
-                     rng.randint(HEAP_MIN, HEAP_MIN + 3), rng.randint(1, HEAP_MIN - 1),
-                     rng.randint(HEAP_MIN, HEAP_MIN + 3), 0, HEAP_MIN - 1, 1)
-            for size in sizes:
-                while len(want.terms) != size:
-                    if len(want.terms) < size:
-                        # a new term or a product into one already there
-                        c, mono = random_nonzero(rng, ring), random_mono(rng, 2, 2, 2)
-                    else:
-                        # cancel the leading term or another one
-                        t = want.terms[0] if rng.random() < 0.5 else rng.choice(want.terms)
-                        c, mono = ring.neg(t.coeff), t.mono
-                    if rng.random() < 0.5:
-                        acc.add(c, codec.encode(mono))
-                    else:
-                        acc.add_term_mul(c, codec.pack(mono.exps, 0), [(one, mono.pos)])
-                    want = want.add(Vector(amb, order, [Term(c, mono)]))
-                    check()
+                check()
+                sizes = (rng.randint(2, 4), rng.randint(0, 1), rng.randint(2, 5), 1, 0, 3,
+                         rng.randint(HEAP_MIN, HEAP_MIN + 3), rng.randint(1, HEAP_MIN - 1),
+                         rng.randint(HEAP_MIN, HEAP_MIN + 3), 0, HEAP_MIN - 1, 1)
+                for size in sizes:
+                    while len(want.terms) != size:
+                        if len(want.terms) < size:
+                            # a new term or a product into one already there;
+                            # rank 1 has 16 monomials of exponents up to 3
+                            c, mono = random_nonzero(rng, ring), random_mono(rng, 2, amb.rank, 3)
+                        else:
+                            # cancel the leading term or another one
+                            t = want.terms[0] if rng.random() < 0.5 else rng.choice(want.terms)
+                            c, mono = ring.neg(t.coeff), t.mono
+                        if rng.random() < 0.5:
+                            acc.add(c, codec.encode(mono))
+                        else:
+                            acc.add_term_mul(c, codec.pack(mono.exps, 0), [(one, mono.pos)])
+                        want = want.add(Vector(amb, order, [Term(c, mono)]))
+                        check()
 
 
 def test_accumulator_reuse_matches_a_fresh_one_per_sum():
@@ -240,33 +249,33 @@ def test_accumulator_reuse_matches_a_fresh_one_per_sum():
     # past HEAP_MIN after a drain
     rng = random.Random(31)
     for ring in TERM_PRODUCT_RINGS:
-        order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
-        amb = Ambient(ring, 2, 2)
-        reused = Accumulator(amb, order)
-        for _ in range(80):
-            fresh = Accumulator(amb, order)
-            size = rng.choice((0, 1, 3, HEAP_MIN - 1, HEAP_MIN, HEAP_MIN + 4))
-            for _ in range(size):
-                v = random_nonzero_vector(rng, amb, order, 3, 2)
-                c, shift = random_nonzero(rng, ring), order.codec.pack(random_mono(rng, 2, 1, 1).exps, 0)
-                for acc in (reused, fresh):
-                    acc.add_term_mul(c, shift, v.packed)
-            assert reused.vector().terms == fresh.vector().terms
-            # drain both, a leading term at a time, with extra products
-            # on the way as a reduction step adds them
-            while True:
-                got, want = reused.lead(), fresh.lead()
-                assert got == want
-                if want is None:
-                    break
-                c, m = want
-                extra = random_nonzero_vector(rng, amb, order, 3, 1)
-                extra = [(d, n) for d, n in extra.packed
-                         if order.key(n) > order.key(m) and rng.random() < 0.5]
-                for acc in (reused, fresh):
-                    acc.add(ring.neg(c), m)
-                    acc.add_term_mul(ring.one(), 0, extra)
-            assert reused.is_zero() and reused.heap is None
+        for order, amb in _accumulator_inputs(rng, ring):
+            reused = Accumulator(amb, order)
+            for _ in range(80):
+                fresh = Accumulator(amb, order)
+                size = rng.choice((0, 1, 3, HEAP_MIN - 1, HEAP_MIN, HEAP_MIN + 4))
+                for _ in range(size):
+                    v = random_nonzero_vector(rng, amb, order, 3, 2)
+                    c, shift = random_nonzero(rng, ring), order.codec.pack(random_mono(rng, 2, 1, 1).exps, 0)
+                    for acc in (reused, fresh):
+                        acc.add_term_mul(c, shift, v.packed)
+                assert reused.vector().terms == fresh.vector().terms
+                # drain both, a leading term at a time, with extra products
+                # on the way as a reduction step adds them; each lead() is
+                # the first term of the sum sorted in full
+                while True:
+                    got, want = reused.lead(), fresh.lead()
+                    assert got == want == next(iter(fresh.vector().packed), None)
+                    if want is None:
+                        break
+                    c, m = want
+                    extra = random_nonzero_vector(rng, amb, order, 3, 1)
+                    extra = [(d, n) for d, n in extra.packed
+                             if order.key(n) > order.key(m) and rng.random() < 0.5]
+                    for acc in (reused, fresh):
+                        acc.add(ring.neg(c), m)
+                        acc.add_term_mul(ring.one(), 0, extra)
+                assert reused.is_zero() and reused.heap is None
 
 
 def test_s_pair_values_match_whole_vector_reference():
