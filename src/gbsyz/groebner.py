@@ -46,6 +46,7 @@ from .poly import (
     Accumulator,
     Term,
     Vector,
+    check_order,
     combination,
     mono_divides,
     record,
@@ -484,8 +485,8 @@ def pseudo_reduce(gb, guard=10_000):
     if not isinstance(gb, GroebnerBasis):
         raise UsageError("pseudo_reduce needs a GroebnerBasis record")
     elements, order = gb
-    if elements and order is not elements[0].order and order != elements[0].order:
-        raise UsageError("order differs from the vectors' monomial order")
+    if elements:
+        check_order(order, elements[0])
     work = sort_basis([unit_normalize(v) for v in elements], order)
     passes = 0
     changed = True

@@ -538,6 +538,12 @@ def packed_under(v, codec):
     return tuple([(c, codec.encode(m)) for c, m in v.terms])
 
 
+def check_order(order, v):
+    """Raise `UsageError` unless order is the monomial order of v."""
+    if order != v.order:
+        raise UsageError("order differs from the vectors' monomial order")
+
+
 def reorder(v, order):
     """The same vector re-sorted under a different monomial order; v
     itself when it already is under that order."""
@@ -566,9 +572,8 @@ class Accumulator:
     that finds the sum empty drops the index, so a drained accumulator
     can be refilled. The ring's `mul` and `add`, the order's `key` and
     `unkey` and the leader of a small sum are bound once; under TOP-lex
-    on rank 1 the key is -m, so the index holds the monomials themselves,
-    `_key` and `_unkey` are None and the least key of distinct monomials
-    is their `max`. A coefficient is tested for zero by == with the
+    on rank 1 the key is -m, so the least key of distinct monomials is
+    their `max`. A coefficient is tested for zero by == with the
     ring's zero: equal ring elements are equal values.
     `terms` seeds the sum with packed (coeff, mono) pairs of distinct
     monomials and nonzero coefficients.
@@ -586,12 +591,8 @@ class Accumulator:
         self.heap = None
         self.guard = order.codec.guard
         self._mul, self._add = ring.mul, ring.add
-        if _is_toplex_rank1(ambient, order):
-            self._key = self._unkey = None
-            self._leading = max
-        else:
-            self._key, self._unkey = order.key, order.unkey
-            self._leading = partial(min, key=order.key)
+        self._key, self._unkey = order.key, order.unkey
+        self._leading = max if _is_toplex_rank1(ambient, order) else partial(min, key=order.key)
 
     def is_zero(self):
         return not self.coeffs
@@ -609,10 +610,10 @@ class Accumulator:
                 m = self._leading(coeffs)
                 return coeffs[m], m
             key = self._key
-            heap = self.heap = sorted(coeffs) if key is None else sorted([-key(m) for m in coeffs])
+            heap = self.heap = sorted([-key(m) for m in coeffs])
         unkey = self._unkey
         while True:
-            m = heap[-1] if unkey is None else unkey(-heap[-1])
+            m = unkey(-heap[-1])
             c = coeffs.get(m)
             if c is not None:
                 return c, m
@@ -624,7 +625,7 @@ class Accumulator:
         if old is None:
             self.coeffs[m] = c
             if self.heap is not None:
-                insort(self.heap, m if self._key is None else -self._key(m))
+                insort(self.heap, -self._key(m))
         elif (s := self._add(old, c)) == self.zero:
             del self.coeffs[m]
         else:
@@ -646,7 +647,7 @@ class Accumulator:
             if old is None:
                 coeffs[m] = p
                 if heap is not None:
-                    insort(heap, m if self._key is None else -self._key(m))
+                    insort(heap, -self._key(m))
             elif (s := add(old, p)) == zero:
                 del coeffs[m]
             else:

@@ -30,6 +30,7 @@ from .poly import (
     Term,
     TopLex,
     Vector,
+    check_order,
     combination,
     packed_under,
     record,
@@ -127,8 +128,7 @@ def _certify(source, sch, trace=None, strict=False):
     clears it and seeds it with the pair's cofactor terms. With `strict`
     the first nonzero remainder raises `UsageError`. The divisions run
     under the elements' own order, so sch's parent must be that order."""
-    if sch.parent is not source[0].order and sch.parent != source[0].order:
-        raise UsageError("order differs from the vectors' monomial order")
+    check_order(sch.parent, source[0])
     amb0 = source[0].ambient
     lift = Accumulator(Ambient(amb0.ring, amb0.nvars, len(source)), sch)
     coeffs, neg = lift.coeffs, amb0.ring.neg

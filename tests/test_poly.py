@@ -186,9 +186,10 @@ def test_accumulator_matches_vector_arithmetic():
 
 
 def _accumulator_inputs(rng, ring):
-    """(order, ambient) pairs, one for each path of the Accumulator's
-    leading-term index: TOP-lex on rank 2, TOP-lex on rank 1, where the
-    index holds the monomials themselves, and a Schreyer order on rank 3."""
+    """(order, ambient) pairs, one for each key the Accumulator's
+    leading-term index sorts by: TOP-lex on rank 2, TOP-lex on rank 1,
+    where the key is -m and a small sum's leader is its `max`, and a
+    Schreyer order on rank 3."""
     order = TopLex(2, rng.choice([(0, 1), (1, 0)]))
     schreyer, amb = _order_tower(rng, ring, 2, (2, 3))[1]
     return [(order, Ambient(ring, 2, 2)), (order, Ambient(ring, 2, 1)), (schreyer, amb)]
