@@ -13,37 +13,89 @@ variables, and `y` for the F2[y]/(y^r) nilpotent. Everything printed by
 `format_vector` re-parses to an equal value.
 """
 
-import re
-
 from .errors import PackedOverflow, ParseError, UsageError
 from .poly import EXP_BITS, POSMASK, Accumulator, Ambient, TopLex, Vector, check_product, record
 from .rings import Integers, IntegersLocalizedAt, IntegersMod, TruncatedF2y
 
-_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|\d+|[;=+\-*^/\[\](),]"  # name, int or symbol
+_DIGITS = "0123456789"
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-# the match ends at the first character outside the language; compiled on
-# first use, through re's cache, since the check below rarely needs it
-_VALID = rf"(?:{_TOKEN}|\s+|#[^\n]*)*"
-# a character that can start no token, comment or whitespace; text
-# without one is made of the language alone, while one found may still
-# sit in a comment or be a non-ASCII digit
-_OUTSIDE_RE = re.compile(r"[^\sA-Za-z0-9_;=+\-*^/\[\](),#]")
-_TOKEN_RE = re.compile(rf"{_TOKEN}|#[^\n]*")  # a token or a comment
+_NAME_CHARS = _NAME_START | frozenset(_DIGITS)
+_SYMBOLS = ";=+-*^/[](),"
+_PADDED = tuple((sym, f" {sym} ") for sym in _SYMBOLS)
+# each ASCII character's class: "a" starts a name, "0" is a digit, " " is
+# whitespace or a symbol, and "!" can start nothing outside a comment;
+# other characters keep themselves, so only text of the ASCII class alone
+# maps to "a", "0" and " " alone
+_CLASSES = str.maketrans({
+    ch: "a" if ch in _NAME_START else "0" if ch in _DIGITS
+    else " " if ch.isspace() or ch in _SYMBOLS else "!"
+    for ch in map(chr, range(128))
+})
 
 
 def tokenize(text):
     """The token texts of `text`, then "" for the end of input. A token
     is a name if it starts with an ASCII letter or `_`, an int if it
     starts with a decimal digit (`str.isdecimal`, exactly `\\d`), and
-    a symbol otherwise."""
-    if _OUTSIDE_RE.search(text) and (pos := re.match(_VALID, text).end()) < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", *_line_column(text, pos))
-    # valid text is tokens, comments and whitespace, which findall skips
-    tokens = _TOKEN_RE.findall(text)
+    a symbol otherwise.
+
+    The text is first cut at its comments, which keeps each line's
+    start, so every character left keeps its line and column. Text then
+    made of the ASCII class alone (whitespace, letters, digits, `_` and
+    the symbols) is padded around each symbol and split on whitespace;
+    a chunk that starts with digits and goes on with a name is then
+    split in two. Any other text goes through `_scan`, which raises the
+    `ParseError` of its first character outside the language."""
     if "#" in text:
-        tokens = [tok for tok in tokens if tok[0] != "#"]
+        text = "\n".join(line.partition("#")[0] for line in text.split("\n"))
+    classes = text.translate(_CLASSES)
+    if not classes.isascii() or "!" in classes:
+        tokens = [tok for _, tok in _scan(text)]
+    else:
+        for sym, padded in _PADDED:
+            text = text.replace(sym, padded)
+        tokens = text.split()
+        if "0a" in classes:  # a digit right before a name character
+            tokens = [part for chunk in tokens for part in _int_then_name(chunk)]
     tokens.append("")
     return tokens
+
+
+def _int_then_name(chunk):
+    """The tokens of a chunk of ASCII name characters or a symbol: a
+    leading run of digits is an int of its own."""
+    name = chunk.lstrip(_DIGITS)
+    return (chunk,) if name in ("", chunk) else (chunk[: len(chunk) - len(name)], name)
+
+
+def _scan(text):
+    """(offset, token text) of each token of `text`, one character at a
+    time: the definition of the language. Whitespace (`str.isspace`) and
+    comments, from `#` to the next newline, separate tokens; a name is
+    an ASCII letter or `_` followed by ASCII letters, digits and `_`, an
+    int a run of decimal digits (`str.isdecimal`), and each symbol a
+    token of its own. Any other character raises a `ParseError` at its
+    line and column."""
+    pos, end = 0, len(text)
+    while pos < end:
+        start, ch = pos, text[pos]
+        pos += 1
+        if ch in _NAME_START:
+            while pos < end and text[pos] in _NAME_CHARS:
+                pos += 1
+        elif ch.isdecimal():
+            while pos < end and text[pos].isdecimal():
+                pos += 1
+        elif ch.isspace():
+            continue
+        elif ch == "#":
+            pos = text.find("\n", pos)
+            if pos < 0:
+                return
+            continue
+        elif ch not in _SYMBOLS:
+            raise ParseError(f"unexpected character {ch!r}", *_line_column(text, start))
+        yield start, text[start:pos]
 
 
 def _line_column(text, pos):
@@ -53,12 +105,11 @@ def _line_column(text, pos):
 def token_position(text, index):
     """(line, column) of token `index` of `text`, the end of input
     included, counted from 1. Positions are only needed for errors, so
-    they are found again from the text."""
-    for match in _TOKEN_RE.finditer(text):
-        if match[0][0] != "#":
-            if not index:
-                return _line_column(text, match.start())
-            index -= 1
+    they are found again by `_scan`."""
+    for start, _ in _scan(text):
+        if not index:
+            return _line_column(text, start)
+        index -= 1
     return _line_column(text, len(text))
 
 
@@ -531,7 +582,7 @@ def format_lt_module(elements, names, texts=None):
 
 def order_from_names(problem, names_spec):
     """Build a TopLex priority from a list like "Y,X" of the problem's vars."""
-    wanted = [w for w in re.split(r"[\s,]+", names_spec.strip()) if w]
+    wanted = names_spec.replace(",", " ").split()
     if sorted(wanted) != sorted(problem.var_names):
         raise UsageError(
             f"order spec {names_spec!r} must be a permutation of {' '.join(problem.var_names)}"

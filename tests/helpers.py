@@ -1187,6 +1187,17 @@ def reference_parse_vector_literal(text, problem):
     return _reference_assemble(problem, pending, Token("name", "<target>", 1, 1))
 
 
+def reference_order_from_names(problem, names_spec):
+    """`dsl.order_from_names` as it split its spec, on the regular
+    expression `[\\s,]+`: the TopLex order, or a UsageError."""
+    wanted = [w for w in re.split(r"[\s,]+", names_spec.strip()) if w]
+    if sorted(wanted) != sorted(problem.var_names):
+        raise UsageError(
+            f"order spec {names_spec!r} must be a permutation of {' '.join(problem.var_names)}"
+        )
+    return TopLex(len(problem.var_names), tuple(problem.var_names.index(w) for w in wanted))
+
+
 @functools.cache
 def reference_argparser():
     """The command-line parser as it was written with `add_argument` calls,

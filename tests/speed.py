@@ -2,7 +2,7 @@
 
     python3 tests/speed.py OLD_SRC [NEW_SRC] --workload W --seed N --rounds R
     python3 tests/speed.py OLD_SRC [NEW_SRC] --case katsura3-z12-resolve --rounds R
-    python3 tests/speed.py OLD_SRC [NEW_SRC] --import [--samples S]
+    python3 tests/speed.py OLD_SRC [NEW_SRC] --import [--samples S] [--no-site]
 
 Each source argument is a directory that holds a `gbsyz` package, such as
 the `src/` of a `git archive` export of the parent commit; NEW_SRC
@@ -42,7 +42,10 @@ with a limit of 60 s, after one untimed import per tree that writes its
 bytecode cache. Prints each pair of samples, then per tree
 the median and quartiles of the raw and the scaled times, the number of
 pairs in which NEW was faster (scaled) and the ratio NEW/OLD of the
-scaled medians.
+scaled medians. `--no-site` runs the children as `python -I -S`, so the
+import also pays for the standard modules that `site` would have loaded
+first (such as `functools` and `collections`); the benchmark's `setup_s`
+does not time that case.
 
 Only the standard library is needed, and nothing is written but the
 trees' bytecode caches; pytest does not collect this file.
@@ -84,6 +87,7 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int)
     parser.add_argument("--rounds", type=int)
     parser.add_argument("--samples", type=int)
+    parser.add_argument("--no-site", action="store_true")
     args = parser.parse_args(argv)
     if (args.seed is None) == (args.workload is not None):
         parser.error("--seed goes with --workload, and only with it")
@@ -94,8 +98,8 @@ def parse_args(argv):
         if args.samples < 1:
             parser.error("--samples must be at least 1")
     else:
-        if args.samples is not None:
-            parser.error("--samples goes with --import, and only with it")
+        if args.samples is not None or args.no_site:
+            parser.error("--samples and --no-site go with --import, and only with it")
         args.rounds = 5 if args.rounds is None else args.rounds
         if args.rounds < 1:
             parser.error("--rounds must be at least 1")
@@ -110,10 +114,10 @@ def timed_chunk(cli, chunk):
     return time.process_time() - t0
 
 
-def import_sample(src):
+def import_sample(src, flags):
     """(wall seconds, scaled seconds) of one fresh interpreter's import
-    of the gbsyz.cli under src."""
-    proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_CODE, str(src), str(BENCH)],
+    of the gbsyz.cli under src, the interpreter started with flags."""
+    proc = subprocess.run([sys.executable, *flags, "-c", IMPORT_CODE, str(src), str(BENCH)],
                           capture_output=True, text=True, timeout=SAMPLE_TIMEOUT_S, check=True)
     d, ref = map(float, proc.stdout.split())
     return d, d * REF_NOMINAL_S / ref
@@ -125,16 +129,17 @@ def spread(values):
     return f"{med * 1e3:.3f} ms [{q1 * 1e3:.3f}-{q3 * 1e3:.3f}]"
 
 
-def time_imports(srcs, samples):
+def time_imports(srcs, samples, no_site):
+    flags = ("-I", "-S") if no_site else ("-I",)
     for src in srcs:
-        import_sample(src)
+        import_sample(src, flags)
     print(f"import gbsyz.cli: {samples} alternated samples per tree, "
-          "one fresh `python -I` at a time; ms raw (scaled)")
+          f"one fresh `python {' '.join(flags)}` at a time; ms raw (scaled)")
     taken = ([], [])
     for k in range(samples):
         first = k % 2
         for side in (first, 1 - first):
-            taken[side].append(import_sample(srcs[side]))
+            taken[side].append(import_sample(srcs[side], flags))
         (old, old_scaled), (new, new_scaled) = taken[0][-1], taken[1][-1]
         print(f"sample {k + 1}: old {old * 1e3:.3f} ({old_scaled * 1e3:.3f}), "
               f"new {new * 1e3:.3f} ({new_scaled * 1e3:.3f})", flush=True)
@@ -151,7 +156,7 @@ def time_imports(srcs, samples):
 def main(argv):
     args = parse_args(argv)
     if args.imports:
-        return time_imports((args.old_src, args.new_src), args.samples)
+        return time_imports((args.old_src, args.new_src), args.samples, args.no_site)
     clis = (load_cli(args.old_src, "gbsyz_old"), load_cli(args.new_src, "gbsyz_new"))
     import corpus
 

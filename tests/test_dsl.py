@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -30,6 +31,7 @@ from helpers import (
     random_vector,
     reference_format_lt_module,
     reference_format_vector,
+    reference_order_from_names,
     reference_parse_problem,
     reference_parse_vector_literal,
     reference_tokenize,
@@ -221,6 +223,29 @@ def test_order_from_names():
     assert order.priority == (1, 0)
     with pytest.raises(UsageError):
         order_from_names(p, "X,Z")
+
+
+def _order_outcome(build, prob, spec):
+    """The order that build(prob, spec) gives, or its UsageError text."""
+    try:
+        return ("order", build(prob, spec))
+    except UsageError as exc:
+        return ("error", str(exc))
+
+
+def test_order_from_names_splits_like_the_reference():
+    # commas and whitespace (`str.isspace`, exactly `\s`), in runs, at
+    # either end or alone, separate the names as `[\s,]+` did
+    p = problem("zint_ideal")
+    specs = ["X,Y", "Y,X", "X Y", "X ,, Y", " X,\tY ", "\tX\t\tY\n", ",X,Y,", ", X\r\n,\fY\v",
+             "X\x1cY", "X\u00a0Y", "X\u2003,\u3000Y", "X\x85Y", "", " ", ",", " , ,", "X", "X,Z",
+             "X,Y,X", "X;Y", "X,,Y,Z", "x,y"]
+    outcomes = set()
+    for spec in specs:
+        got = _order_outcome(order_from_names, p, spec)
+        assert got == _order_outcome(reference_order_from_names, p, spec), repr(spec)
+        outcomes.add(got[0])
+    assert outcomes == {"order", "error"}
 
 
 def test_resized_problem_parses_relations():
@@ -490,6 +515,17 @@ def test_tokenizer_positions_match_reference():
         assert got == [(t.text, t.line, t.column) for t in reference_tokenize(text)], text
 
 
+def test_the_scanner_premise_holds_under_this_interpreter():
+    # `tokenize` splits on `str.isspace` and reads ints by `str.isdecimal`
+    # where the reference matches `\s` and `\d`: over every code point,
+    # `\s` is exactly what `str.isspace` accepts and `str.split()` splits
+    # on, and `\d` exactly what `str.isdecimal` accepts
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == list(filter(str.isspace, every))
+    assert every.split() == re.split(r"\s+", every)
+    assert re.findall(r"\d", every) == list(filter(str.isdecimal, every))
+
+
 TOKENIZER_EDGES = [
     "ring Z; vars X; # costs $5, \u00e9 or X\u00b2\ng = X + 1;\n",  # outside characters in a comment
     "ring Z; vars X; g = X # \u00e9",
@@ -505,6 +541,19 @@ TOKENIZER_EDGES = [
     "",
     "# only a comment \u00b2",
     "\u00a0ring Z;\u2028vars X; g = X;",  # non-ASCII whitespace
+    "ring Z; vars X; g = 2X;",  # digits, then a name, in one chunk
+    "ring Z; vars X ab3; g = X + 12ab3;",
+    "ring Z; vars X _x; g = X*3_x;",
+    "ring Z; vars X; g = X + 12\u0663X;",  # mixed digits, then a name
+    "ring Z; vars u0a X; g = u0a*X + 10;",  # a digit before a letter inside a name
+    "ring Z;\x1cvars X\x1dY;\x1eg\x1f=\vX\f+ 1;",  # the other ASCII whitespace
+    "ring Z; vars X; g = X\u0663;",  # a name, then a non-ASCII digit
+    "ring Z; vars X; g = X#c\n+ 1;",  # a comment glued to a token
+    "ring Z; vars X; g = X;#c\n#d\nh = 2;# 2X $",
+    "ring Z; vars X Y; g = X # c\x1cY\r+ 1\v- 2\n;",  # a comment runs past the other line ends
+    "ring Z;vars X Y;rank 2;g=[X^2*Y-3,(X+1)*Y];",  # symbols with no spaces
+    "ring Z; vars X;\x1cg = 3_x\v$;",
+    "ring Z; vars _ _a __1; g = _*_a^2 - __1;",  # `_`-leading names
 ]
 
 
@@ -518,10 +567,11 @@ def _token_outcome(text, tokens_at):
 
 
 def test_tokenizer_edges_match_reference():
-    # the pre-check for characters outside the language must not decide
-    # alone: texts whose outside characters sit in comments, digits
-    # outside ASCII and every line end give the tokens, positions, values
-    # and errors of the reference tokenizer and parser
+    # both the split of ASCII-class text and `_scan` for the rest:
+    # texts whose outside characters sit in comments, digits outside
+    # ASCII, chunks of digits then a name, every line end and separator
+    # give the tokens, positions, values and errors of the reference
+    # tokenizer and parser
     def tokens_at(text):
         return [(tok, *dsl.token_position(text, k)) for k, tok in enumerate(dsl.tokenize(text))]
 
@@ -534,7 +584,7 @@ def test_tokenizer_edges_match_reference():
         assert got == _token_outcome(text, reference_tokens_at), text
         assert _problem_outcome(parse_problem, text) == _problem_outcome(reference_parse_problem, text), text
         errors += got[0] == "error"
-    assert errors == 5
+    assert errors == 6
     prob = problem("zint_ideal")
     for text in ("X + \u0663", "X # \u00b2\n", "X\r\n + Y #", "X\n\u00e9", "[X, # $\n Y]", ""):
         got = _parse_outcome(parse_vector_literal, text, prob)

@@ -253,10 +253,10 @@ def test_importing_the_cli_leaves_out_fractions_and_decimal():
 def _fresh_main(argv, stdin_text):
     """(stdout, stderr) of `gbsyz.cli.main(argv)` in a fresh `python -I
     -S` on the package's sources. The last stderr line is the exit code,
-    then which of json, typing, __future__, argparse and gettext were
-    imported after `import gbsyz.cli` and after `main`."""
+    then which of json, typing, __future__, argparse, gettext, re and enum
+    were imported after `import gbsyz.cli` and after `main`."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "unused = {'json', 'typing', '__future__', 'argparse', 'gettext'}; "
+            "unused = {'json', 'typing', '__future__', 'argparse', 'gettext', 're', 'enum'}; "
             "import gbsyz.cli; before = sorted(unused & set(sys.modules)); "
             "rc = gbsyz.cli.main(sys.argv[2:]); "
             "print(rc, before, sorted(unused & set(sys.modules)), file=sys.stderr)")
@@ -270,14 +270,15 @@ def _fresh_main(argv, stdin_text):
 def test_the_cli_imports_json_only_to_write_json(capsys):
     # `typing` and `__future__` are never needed, `json` only for
     # `json-like` output and `--trace`, and `argparse` (with `gettext`)
-    # only to report a usage error; the output is the in-process one
+    # only to report a usage error; `re` and `enum` load only with json
+    # or argparse; the output is the in-process one
     text = GOLDEN["z12_ideal"]
     for argv, rc, imported in (
         (["gb", "-"], 0, "[]"),
         (["resolve", "-"], 0, "[]"),
-        (["resolve", "-", "--format", "json-like"], 0, "['json']"),
-        (["resolve", "-", "--trace"], 0, "['json']"),
-        (["resolve", "-", "--max-levels", "x"], 2, "['argparse', 'gettext']"),
+        (["resolve", "-", "--format", "json-like"], 0, "['enum', 'json', 're']"),
+        (["resolve", "-", "--trace"], 0, "['enum', 'json', 're']"),
+        (["resolve", "-", "--max-levels", "x"], 2, "['argparse', 'enum', 'gettext', 're']"),
     ):
         out, err = _fresh_main(argv, text)
         *err_lines, summary = err.splitlines(keepends=True)
