@@ -31,6 +31,9 @@ _CLASSES = str.maketrans({
     else " " if ch.isspace() or ch in _SYMBOLS else "!"
     for ch in map(chr, range(128))
 })
+# the characters outside ASCII that `str.isspace` accepts
+_SPACES = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+           "\u2028\u2029\u202f\u205f\u3000")
 
 
 def tokenize(text):
@@ -44,12 +47,19 @@ def tokenize(text):
     made of the ASCII class alone (whitespace, letters, digits, `_` and
     the symbols) is padded around each symbol and split on whitespace;
     a chunk that starts with digits and goes on with a name is then
-    split in two. Any other text goes through `_scan`, which raises the
-    `ParseError` of its first character outside the language."""
+    split in two. Whitespace outside ASCII is first mapped to " ", one
+    character for one, so such text takes the same path. Any other text
+    goes through `_scan`, which raises the `ParseError` of its first
+    character outside the language."""
     if "#" in text:
         text = "\n".join(line.partition("#")[0] for line in text.split("\n"))
     classes = text.translate(_CLASSES)
-    if not classes.isascii() or "!" in classes:
+    if not classes.isascii():
+        for space in _SPACES:
+            text = text.replace(space, " ")
+        # what is left outside ASCII, a digit or a character outside the language, goes to _scan
+        classes = text.translate(_CLASSES) if text.isascii() else "!"
+    if "!" in classes:
         tokens = [tok for _, tok in _scan(text)]
     else:
         for sym, padded in _PADDED:
@@ -122,6 +132,12 @@ class _Parser:
     pass records each vector component as a (start, stop) span of
     tokens; `assemble` reads each span as a polynomial in the ambient of
     `problem`, with the end marker "" written over the token at stop.
+    `expr` evaluates a polynomial in one loop over its terms, and an
+    inner loop over each term's factors; it recurses only at `(`. While
+    every factor of a term is a single term, their product is a
+    coefficient and a packed monomial held in locals, as is a power of
+    one variable; a polynomial factor goes through `_product`, any other
+    power through `_power`, and a sum of terms into one `Accumulator`.
     Errors name a token by its index; past the span being read, that is
     the span's last token."""
 
@@ -131,7 +147,7 @@ class _Parser:
         self.i = 0
         self.last = len(self.tokens) - 1
         self.problem = problem
-        self.monos = None  # variable name -> packed monomial, made by the first assemble
+        self.monos = None  # variable name -> packed monomial, bound with one, zero and guard by assemble
 
     def fail(self, message, i=None):
         i = self.i if i is None else i
@@ -295,7 +311,9 @@ class _Parser:
         if message is not None:
             raise ParseError(message, *((1, 1) if at is None else token_position(self.text, at)))
         if self.monos is None:
-            self.monos = dict(zip(problem.var_names, (1 << s for s in problem.order.codec.shifts)))
+            codec = problem.order.codec
+            self.monos = dict(zip(problem.var_names, (1 << s for s in codec.shifts)))
+            self.one, self.zero, self.guard = problem.ring.one(), problem.ring.zero(), codec.guard
         coeffs = {}
         for pos, (start, stop) in enumerate(spans):
             self.tokens[stop] = ""
@@ -305,6 +323,8 @@ class _Parser:
                 self.fail(f"unexpected {tok!r}")
             if type(value) is tuple:
                 coeffs[value[1] + pos] = value[0]
+            elif not pos:  # the first component's own sum, at position 0
+                coeffs = value.coeffs
             else:
                 for m, c in value.coeffs.items():
                     coeffs[m + pos] = c
@@ -313,92 +333,111 @@ class _Parser:
     # -- polynomial expressions ---------------------------------------------
 
     def expr(self):
-        ring = self.problem.ring
-        negate = self.accept("-")
-        value = self.term()
-        if negate:
-            if type(value) is tuple:
-                value = (ring.neg(value[0]), value[1])
-            else:
-                coeffs = value.coeffs
-                for m, c in coeffs.items():
-                    coeffs[m] = ring.neg(c)
-        op = self.tokens[self.i]
-        if op != "+" and op != "-":
-            return value
-        acc = value if type(value) is Accumulator else _accumulator(self.problem, (value,))
-        while op == "+" or op == "-":
-            self.i += 1
-            rhs = self.term()
-            if type(rhs) is tuple:
-                c, m = rhs
-                acc.add(c if op == "+" else ring.neg(c), m)
-            elif op == "+":
-                for m, c in rhs.coeffs.items():
+        """The value of the expression from token self.i, which it leaves
+        at the first token past the expression."""
+        problem, tokens, monos, one, zero = self.problem, self.tokens, self.monos, self.one, self.zero
+        ring, mul, guard = problem.ring, problem.ring.mul, self.guard
+        i = self.i
+        op = tokens[i]  # the sign of the term: "-", or any other token for "+"
+        if op == "-":
+            i += 1
+        acc = None
+        while True:
+            at = None  # the index of the `*` before this factor, None for the first
+            while True:
+                tok = tokens[i]
+                i += 1
+                f = None  # the factor when it is a polynomial, else fc * fm
+                if (fm := monos.get(tok)) is not None:
+                    fc = one
+                elif tok == "(":
+                    self.i = i
+                    f = self.expr()
+                    i = self.i
+                    if tokens[i] != ")":
+                        self.fail("expected ')'", i)
+                    i += 1
+                else:
+                    if tok.isdecimal():
+                        if tokens[i] != "/":
+                            fc = ring.from_int(int(tok))
+                        elif not (den := tokens[i + 1]).isdecimal():
+                            self.fail("expected integer denominator", i + 1)
+                        else:
+                            try:
+                                fc = ring.from_fraction(int(tok), int(den))
+                            except UsageError as exc:
+                                self.fail(str(exc), i - 1)
+                            i += 2
+                    elif tok == "y" and isinstance(ring, TruncatedF2y):
+                        fc = ring.y()
+                    elif tok[:1] in _NAME_START:
+                        self.fail(f"unknown variable {tok!r}", i - 1)
+                    else:
+                        self.fail(f"unexpected {tok or 'end of input'!r}", i - 1)
+                    fm = 0
+                    if fc == zero:
+                        f = _accumulator(problem)
+                if tokens[i] == "^":
+                    if not (e := tokens[i + 1]).isdecimal():
+                        self.fail("exponent must be a nonnegative integer", i + 1)
+                    i += 2
+                    if tok in monos and (e := int(e)) <= _TOP:  # a power of one variable
+                        fm *= e
+                    else:
+                        try:
+                            f = _power(problem, (fc, fm) if f is None else f, int(e))
+                        except PackedOverflow:
+                            self.fail(_TOO_LARGE, i - 1)
+                if type(f) is tuple:
+                    (fc, fm), f = f, None
+                if at is None:
+                    value = f
+                    if f is None:
+                        c, m = fc, fm
+                elif value is None and f is None:
+                    c = mul(c, fc)
+                    if c == zero:
+                        value = _accumulator(problem)
+                    elif (m := m + fm) & guard:
+                        self.fail(_TOO_LARGE, at)
+                else:
+                    try:
+                        value = _product(problem, (c, m) if value is None else value,
+                                         (fc, fm) if f is None else f)
+                    except PackedOverflow:
+                        self.fail(_TOO_LARGE, at)
+                if tokens[i] != "*":
+                    break
+                at = i
+                i += 1
+            # the term: value, or c * m when value is None
+            if value is None:
+                if op == "-":
+                    c = ring.neg(c)
+                if acc is not None:
                     acc.add(c, m)
             else:
-                for m, c in rhs.coeffs.items():
-                    acc.add(ring.neg(c), m)
-            op = self.tokens[self.i]
-        return acc
-
-    def term(self):
-        value = self.factor()
-        while self.tokens[self.i] == "*":
-            at = self.i
-            self.i += 1
-            rhs = self.factor()
-            try:
-                value = _product(self.problem, value, rhs)
-            except PackedOverflow:
-                self.fail(_TOO_LARGE, at)
-        return value
-
-    def factor(self):
-        value = self.atom()
-        if self.accept("^"):
-            if not (e := self.tokens[self.i]).isdecimal():
-                self.fail("exponent must be a nonnegative integer")
-            self.i += 1
-            try:
-                value = _power(self.problem, value, int(e))
-            except PackedOverflow:
-                self.fail(_TOO_LARGE, self.i - 1)
-        return value
-
-    def atom(self):
-        problem = self.problem
-        tokens = self.tokens
-        at = self.i
-        tok = tokens[at]
-        self.i = at + 1
-        if (mono := self.monos.get(tok)) is not None:
-            return problem.ring.one(), mono
-        if tok == "(":
-            value = self.expr()
-            if tokens[self.i] != ")":
-                self.fail("expected ')'")
-            self.i += 1
-            return value
-        if tok.isdecimal():
-            if self.accept("/"):
-                if not (den := tokens[self.i]).isdecimal():
-                    self.fail("expected integer denominator")
-                self.i += 1
-                try:
-                    coeff = problem.ring.from_fraction(int(tok), int(den))
-                except UsageError as exc:
-                    self.fail(str(exc), at)
-                return _constant(problem, coeff)
-            return _constant(problem, problem.ring.from_int(int(tok)))
-        if tok == "y" and isinstance(problem.ring, TruncatedF2y):
-            return _constant(problem, problem.ring.y())
-        if tok[:1] in _NAME_START:
-            self.fail(f"unknown variable {tok!r}", at)
-        self.fail(f"unexpected {tok or 'end of input'!r}", at)
+                if op == "-":
+                    coeffs = value.coeffs
+                    for mono in coeffs:
+                        coeffs[mono] = ring.neg(coeffs[mono])
+                if acc is None:
+                    acc = value
+                else:
+                    for mono, coeff in value.coeffs.items():
+                        acc.add(coeff, mono)
+            op = tokens[i]
+            if op != "+" and op != "-":
+                self.i = i
+                return (c, m) if acc is None else acc
+            i += 1
+            if acc is None:
+                acc = _accumulator(problem, ((c, m),))
 
 
-_TOO_LARGE = f"exponent above {(1 << (EXP_BITS - 1)) - 1}"
+_TOP = (1 << (EXP_BITS - 1)) - 1
+_TOO_LARGE = f"exponent above {_TOP}"
 
 # A polynomial expression evaluates to a nonzero single term, a tuple
 # (coeff, packed monomial), or to an Accumulator that the evaluation

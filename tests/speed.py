@@ -1,6 +1,6 @@
 """Compare the CPU time of two gbsyz source trees on one benchmark corpus.
 
-    python3 tests/speed.py OLD_SRC [NEW_SRC] --workload W --seed N --rounds R
+    python3 tests/speed.py OLD_SRC [NEW_SRC] --workload W --seed N --rounds R [--parse]
     python3 tests/speed.py OLD_SRC [NEW_SRC] --case katsura3-z12-resolve --rounds R
     python3 tests/speed.py OLD_SRC [NEW_SRC] --import [--samples S] [--no-site]
 
@@ -15,6 +15,11 @@ runs through one tree and then the other, and which tree goes first flips
 from chunk to chunk and from round to round, so that drift in the
 machine's speed falls on both alike. The process CPU time of each tree's
 chunks is summed per round.
+
+`--parse` times the parser alone on the same ops and chunks: each op
+runs `dsl.parse_problem` on its problem text and, for a `reduce` or
+`member`, `dsl.parse_vector_literal` on its target in that problem,
+so that a parser change is timed at its own layer.
 
 `--case` times one named heavy op in place of a corpus:
 `katsura3-z12-resolve` is `gbsyz resolve` on `bench/corpus.py`'s
@@ -88,9 +93,12 @@ def parse_args(argv):
     parser.add_argument("--rounds", type=int)
     parser.add_argument("--samples", type=int)
     parser.add_argument("--no-site", action="store_true")
+    parser.add_argument("--parse", action="store_true")
     args = parser.parse_args(argv)
     if (args.seed is None) == (args.workload is not None):
         parser.error("--seed goes with --workload, and only with it")
+    if args.parse and args.workload is None:
+        parser.error("--parse goes with --workload")
     if args.imports:
         if args.rounds is not None:
             parser.error("--rounds does not go with --import")
@@ -106,12 +114,30 @@ def parse_args(argv):
     return args
 
 
-def timed_chunk(cli, chunk):
-    """CPU seconds of running every (argv, text) of chunk through cli."""
+def timed_chunk(run_op, chunk):
+    """CPU seconds of run_op(argv, text) on every (argv, text) of chunk."""
     t0 = time.process_time()
     for argv, text in chunk:
-        run(cli, argv, text)
+        run_op(argv, text)
     return time.process_time() - t0
+
+
+def op_runner(cli):
+    """run_op for the whole command through cli."""
+    return lambda argv, text: run(cli, argv, text)
+
+
+def parse_runner(cli):
+    """run_op for the parsing of an op alone, by the dsl beside cli: the
+    problem text, then the target of a `reduce` or `member`."""
+    dsl = sys.modules[cli.__package__ + ".dsl"]
+
+    def parse(argv, text):
+        problem = dsl.parse_problem(text)
+        if argv[0] in ("reduce", "member"):
+            dsl.parse_vector_literal(argv[2], problem)
+
+    return parse
 
 
 def import_sample(src, flags):
@@ -158,6 +184,7 @@ def main(argv):
     if args.imports:
         return time_imports((args.old_src, args.new_src), args.samples, args.no_site)
     clis = (load_cli(args.old_src, "gbsyz_old"), load_cli(args.new_src, "gbsyz_new"))
+    runners = [(parse_runner if args.parse else op_runner)(cli) for cli in clis]
     import corpus
 
     if args.case:  # katsura3-z12-resolve, the only case
@@ -165,11 +192,11 @@ def main(argv):
         title = args.case
     else:
         ops = [(op.argv, op.problem.text()) for op in corpus.workload_ops(args.workload, args.seed)]
-        title = f"{args.workload} seed {args.seed}"
+        title = f"{args.workload} seed {args.seed}" + (" parse" if args.parse else "")
     chunks = [ops[k:k + CHUNK] for k in range(0, len(ops), CHUNK)]
-    for cli in clis:
+    for run_op in runners:
         for argv, text in ops:
-            run(cli, argv, text)
+            run_op(argv, text)
     print(f"{title}: {len(ops)} ops in {len(chunks)} chunks of {CHUNK}; "
           f"imported first: old {args.old_src}")
     ratios = []
@@ -178,7 +205,7 @@ def main(argv):
         for k, chunk in enumerate(chunks):
             first = (k + r) % 2
             for side in (first, 1 - first):
-                spent[side] += timed_chunk(clis[side], chunk)
+                spent[side] += timed_chunk(runners[side], chunk)
         ratios.append(spent[1] / spent[0])
         print(f"round {r + 1}: old {spent[0]:.3f} s, new {spent[1]:.3f} s, "
               f"new/old {ratios[-1]:.4f}", flush=True)

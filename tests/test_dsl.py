@@ -119,6 +119,17 @@ def test_exponents_past_the_packed_field_are_parse_errors():
             parse_problem(f"ring Z; vars Y X;\ng = {text};")
         assert (exc.value.line, exc.value.column) == (2, column), text
         assert "exponent above" in exc.value.message
+    # a product of single terms that reaches zero stays zero past an
+    # overflowing factor, and one that overflows fails at its `*`; a
+    # power fails at its exponent. Each outcome is the reference's too.
+    for ring, text, column in (("Z/4", f"2*2*X^{top}*X", None), ("Z", f"2*2*X^{top}*X", 17),
+                               ("Z/4", f"2*X^{top}*(2*X)", None), ("Z", f"2*X^{top}*(2*X)", 15),
+                               ("F2[y]/y^3", f"y^3*X^{top}*X", None), ("F2[y]/y^4", f"y^3*X^{top}*X", 17),
+                               ("Z/4", f"(2*X)^{1 << 31}", None), ("Z/6", f"(2*X)^{1 << 31}", 7)):
+        prob = parse_problem(f"ring {ring}; vars Y X; g = X;")
+        got = _parse_outcome(parse_vector_literal, text, prob)
+        assert got == _parse_outcome(reference_parse_vector_literal, text, prob), (ring, text)
+        assert got == (("value", []) if column is None else ("error", f"exponent above {top}", 1, column))
 
 
 def test_vector_literals_and_rank():
@@ -345,6 +356,8 @@ def _accepts_fraction(ring, num, den):
     return True
 
 
+TOP = (1 << (poly.EXP_BITS - 1)) - 1
+
 PARSE_EDGES = [
     "((X - (Y + 1)) * -(Z))",  # unary minus only starts an expression
     "((X - (Y + 1)) * (-Z))",
@@ -359,6 +372,13 @@ PARSE_EDGES = [
     "1/3*X + 2/5",
     "1/5*(X + 1)^2",
     "[X, -X + Y^2, 0]",
+    f"2*2*X^{TOP}*X",  # a product that is zero over Z/4 before it overflows
+    f"2*X^{TOP}*(2*X)",
+    f"y^3*X^{TOP}*X",
+    "1/5^2",
+    "(-2)*X",
+    "-(X + 1)*2",  # a leading minus on a polynomial product
+    "((X))^2",
 ]
 
 
@@ -524,6 +544,8 @@ def test_the_scanner_premise_holds_under_this_interpreter():
     assert re.findall(r"\s", every) == list(filter(str.isspace, every))
     assert every.split() == re.split(r"\s+", every)
     assert re.findall(r"\d", every) == list(filter(str.isdecimal, every))
+    # the whitespace outside ASCII that `tokenize` maps to " "
+    assert dsl._SPACES == "".join(filter(str.isspace, every[128:]))
 
 
 TOKENIZER_EDGES = [
@@ -541,6 +563,10 @@ TOKENIZER_EDGES = [
     "",
     "# only a comment \u00b2",
     "\u00a0ring Z;\u2028vars X; g = X;",  # non-ASCII whitespace
+    "ring Z;\x85vars X\u3000Y; g =\u2000X\u202f+\u205f2Y\u1680-\u200a12\u2029;",
+    "ring Z; vars X;\u00a0g = 2X\u2003#\u2003c\n+ 1;",
+    "ring Z; vars X; g = X\u00a0+\u2009\u0663;",  # non-ASCII whitespace and a non-ASCII digit
+    "ring Z; vars X;\n g =\u3000X\u00a0$;",  # non-ASCII whitespace, then an outside character
     "ring Z; vars X; g = 2X;",  # digits, then a name, in one chunk
     "ring Z; vars X ab3; g = X + 12ab3;",
     "ring Z; vars X _x; g = X*3_x;",
@@ -584,7 +610,7 @@ def test_tokenizer_edges_match_reference():
         assert got == _token_outcome(text, reference_tokens_at), text
         assert _problem_outcome(parse_problem, text) == _problem_outcome(reference_parse_problem, text), text
         errors += got[0] == "error"
-    assert errors == 6
+    assert errors == 7
     prob = problem("zint_ideal")
     for text in ("X + \u0663", "X # \u00b2\n", "X\r\n + Y #", "X\n\u00e9", "[X, # $\n Y]", ""):
         got = _parse_outcome(parse_vector_literal, text, prob)
