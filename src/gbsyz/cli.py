@@ -237,16 +237,12 @@ def _vector_record(kind, v, args, problem, **head):
             "value": format_vector(v, problem.var_names, args.texts)}
 
 
-def cmd_gb(args, problem):
-    order = _pick_order(args, problem)
-    names, vecs = _gens(problem, order)
-    trace = _trace_sink(args)
+def cmd_gb(args, problem, order, names, vecs, trace):
     basis, labels = buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
     if args.pseudo_reduce:
         gbr, labels = pseudo_reduce_labeled(basis, order, labels, guard=10_000)
         basis = gbr.elements
-    records = [_header(args, problem, order)]
-    records += [_vector_record("basis", v, args, problem, name=lab) for lab, v in zip(labels, basis)]
+    records = [_vector_record("basis", v, args, problem, name=lab) for lab, v in zip(labels, basis)]
     records.append({"kind": "lt_module", "value": format_lt_module(list(basis), problem.var_names, args.texts)})
     return records
 
@@ -257,26 +253,21 @@ def _divide_for(args, target, divisors, trace):
     return divide(target, divisors, trace=trace)
 
 
-def cmd_reduce(args, problem):
-    order = _pick_order(args, problem)
-    names, vecs = _gens(problem, order)
+def cmd_reduce(args, problem, order, names, vecs, trace):
     target = reorder(parse_vector_literal(args.target, problem), order)
-    res = _divide_for(args, target, vecs, _trace_sink(args))
-    records = [_header(args, problem, order), _vector_record("target", target, args, problem)]
+    res = _divide_for(args, target, vecs, trace)
+    records = [_vector_record("target", target, args, problem)]
     records += [_vector_record("quotient", q, args, problem, name=name) for name, q in zip(names, res.quotients)]
     records.append(_vector_record("remainder", res.remainder, args, problem))
     return records
 
 
-def cmd_member(args, problem):
-    order = _pick_order(args, problem)
-    names, vecs = _gens(problem, order)
+def cmd_member(args, problem, order, names, vecs, trace):
     target = reorder(parse_vector_literal(args.target, problem), order)
-    trace = _trace_sink(args)
     basis, labels = buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
     res = _divide_for(args, target, basis, trace)
     member = res.remainder.is_zero()
-    records = [_header(args, problem, order), _vector_record("target", target, args, problem)]
+    records = [_vector_record("target", target, args, problem)]
     records.append({"kind": "member", "value": "yes" if member else "no"})
     if member:
         records += [_vector_record("certificate", q, args, problem, name=lab)
@@ -285,18 +276,14 @@ def cmd_member(args, problem):
     return records
 
 
-def cmd_syz(args, problem):
-    order = _pick_order(args, problem)
-    names, vecs = _gens(problem, order)
-    trace = _trace_sink(args)
+def cmd_syz(args, problem, order, names, vecs, trace):
     basis, labels = buchberger_level0(vecs, order, names, guard=10_000, trace=trace)
     syz = schreyer_syzygies((basis, order), labels=labels, trace=trace)
     relations, rel_labels = syz.relations, syz.labels
     if args.pseudo_reduce:
         gbr, rel_labels = pseudo_reduce_labeled(relations, syz.order, rel_labels, guard=10_000)
         relations = gbr.elements
-    records = [_header(args, problem, order)]
-    records += [_vector_record("basis", v, args, problem, name=lab) for lab, v in zip(labels, basis)]
+    records = [_vector_record("basis", v, args, problem, name=lab) for lab, v in zip(labels, basis)]
     records += [_vector_record("syzygy", v, args, problem, name=lab) for lab, v in zip(rel_labels, relations)]
     records.append(
         {"kind": "lt_module", "value": format_lt_module(list(relations), problem.var_names, args.texts) if relations else "<0>"}
@@ -304,12 +291,9 @@ def cmd_syz(args, problem):
     return records
 
 
-def cmd_resolve(args, problem):
-    order = _pick_order(args, problem)
-    names, vecs = _gens(problem, order)
-    res = free_resolution(vecs, order=order, max_levels=args.max_levels, labels=names,
-                          trace=_trace_sink(args))
-    records = [_header(args, problem, order)]
+def cmd_resolve(args, problem, order, names, vecs, trace):
+    res = free_resolution(vecs, order=order, max_levels=args.max_levels, labels=names, trace=trace)
+    records = []
     for k, level in enumerate(res.levels):
         records.append({"kind": "level", "index": k, "rank": len(level.basis)})
         records += [_vector_record("relation", v, args, problem, level=k, name=lab)
@@ -419,7 +403,11 @@ def main(argv=None):
     args.texts = {}  # the printers' monomial texts, shared for this call only
     try:
         problem = _read_problem(args)
-        records = _COMMANDS[args.command](args, problem)
+        order = _pick_order(args, problem)
+        names, vecs = _gens(problem, order)
+        trace = _trace_sink(args)
+        records = [_header(args, problem, order)]
+        records += _COMMANDS[args.command](args, problem, order, names, vecs, trace)
         if args.format == "json-like":
             import json
 

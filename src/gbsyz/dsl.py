@@ -15,7 +15,7 @@ variables, and `y` for the F2[y]/(y^r) nilpotent. Everything printed by
 
 from .errors import PackedOverflow, ParseError, UsageError
 from .poly import EXP_BITS, POSMASK, Accumulator, Ambient, TopLex, Vector, check_product, record
-from .rings import Integers, IntegersLocalizedAt, IntegersMod, TruncatedF2y
+from .rings import Integers, IntegersLocalizedAt, IntegersMod, TruncatedF2y, text_to_int
 
 _DIGITS = "0123456789"
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -188,7 +188,7 @@ class _Parser:
             elif head == "rank":
                 if rank is not None:
                     self.fail("duplicate rank declaration", at)
-                rank = int(self.expect("int"))
+                rank = text_to_int(self.expect("int"))
                 if rank < 1:
                     self.fail("rank must be >= 1", self.i - 1)
             else:
@@ -220,7 +220,7 @@ class _Parser:
             if self.accept("/"):
                 n = self.expect("int")
                 try:
-                    return IntegersMod(int(n))
+                    return IntegersMod(text_to_int(n))
                 except UsageError as exc:
                     self.fail(str(exc), self.i - 1)
             return Integers()
@@ -229,7 +229,7 @@ class _Parser:
             p = self.expect("int")
             self.expect(")")
             try:
-                return IntegersLocalizedAt(int(p))
+                return IntegersLocalizedAt(text_to_int(p))
             except UsageError as exc:
                 self.fail(str(exc), self.i - 2)
         if tok == "F2":
@@ -243,7 +243,7 @@ class _Parser:
             self.expect("^")
             r = self.expect("int")
             try:
-                return TruncatedF2y(int(r))
+                return TruncatedF2y(text_to_int(r))
             except UsageError as exc:
                 self.fail(str(exc), self.i - 1)
         self.fail(f"unknown ring {tok!r}", self.i - 1)
@@ -360,12 +360,12 @@ class _Parser:
                 else:
                     if tok.isdecimal():
                         if tokens[i] != "/":
-                            fc = ring.from_int(int(tok))
+                            fc = ring.from_int(text_to_int(tok))
                         elif not (den := tokens[i + 1]).isdecimal():
                             self.fail("expected integer denominator", i + 1)
                         else:
                             try:
-                                fc = ring.from_fraction(int(tok), int(den))
+                                fc = ring.from_fraction(text_to_int(tok), text_to_int(den))
                             except UsageError as exc:
                                 self.fail(str(exc), i - 1)
                             i += 2
@@ -382,11 +382,11 @@ class _Parser:
                     if not (e := tokens[i + 1]).isdecimal():
                         self.fail("exponent must be a nonnegative integer", i + 1)
                     i += 2
-                    if tok in monos and (e := int(e)) <= _TOP:  # a power of one variable
+                    if tok in monos and (e := text_to_int(e)) <= _TOP:  # a power of one variable
                         fm *= e
                     else:
                         try:
-                            f = _power(problem, (fc, fm) if f is None else f, int(e))
+                            f = _power(problem, (fc, fm) if f is None else f, text_to_int(e))
                         except PackedOverflow:
                             self.fail(_TOO_LARGE, i - 1)
                 if type(f) is tuple:

@@ -22,9 +22,9 @@ and reduces h on it with `_reduce`. Buchberger's loop and `s_pairs`
 read their pairs from one prepared `Divisors` and reduce them on it
 with the same loop. `s_pairs` enumerates the S-pairs of a basis with
 their divisions, once for `is_groebner` and Schreyer's syzygies, whose
-divisions write their quotients straight into each pair's lift;
-`pair_cofactors` gives the cofactors alone, for the resolution
-verifier, which divides nothing.
+lifts it seeds with each pair's cofactor terms before the division adds
+the quotient terms; `pair_cofactors` gives the cofactors alone, for the
+resolution verifier, which divides nothing.
 
 `pseudo_reduce` is the leading-term exhaustion used between syzygy
 levels, on a `GroebnerBasis` record: unit-normalize leading
@@ -355,21 +355,20 @@ def buchberger(gens, order, guard=10_000, trace=None):
     return GroebnerBasis(tuple(basis), order)
 
 
-def s_pairs(source, trace=None, start_lift=None):
-    """(i, j, lift, rest) for the S-pairs of the nonzero elements source
-    that carry a cofactor, in (i, j) order: rest is the list of
-    remainder terms of the pair's value divided by source, descending,
-    and empty when it reduces to zero. Without `start_lift` only
-    remainders are computed and lift is None; otherwise lift is
-    start_lift(i, j, left, right) for the packed cofactor terms of the
-    pair, an `Accumulator` into which the division adds -sum q_l eps_l.
-    One work `Accumulator` per call holds every pair's value: `_reduce`
-    drains it."""
+def s_pairs(source, trace=None, lift=None):
+    """(i, j, rest) for the S-pairs of the nonzero elements source that
+    carry a cofactor, in (i, j) order: rest is the list of remainder
+    terms of the pair's value divided by source, descending, and empty
+    when it reduces to zero. Each pair clears `lift`, an `Accumulator`
+    on source's free module unless None, and seeds it with the cofactor
+    terms b X^beta eps_i - a X^alpha eps_j; the division adds -sum q_l
+    eps_l. One work `Accumulator` per call holds every pair's value:
+    `_reduce` drains it."""
     if not source:
         return
     index = Divisors(source)
     amb, order, packed = source[0].ambient, source[0].order, index.packed
-    codec = order.codec
+    codec, neg = order.codec, amb.ring.neg
     work = Accumulator(amb, order)
     for i, ft in enumerate(packed):
         # only elements at the same leading position pair up
@@ -380,8 +379,12 @@ def s_pairs(source, trace=None, start_lift=None):
                 continue
             if trace is not None:
                 trace({"event": "syzygy_pair", "i": i + 1, "j": j + 1, "kind": kind})
-            lift = None if start_lift is None else start_lift(i, j, left, right)
-            yield i, j, lift, _reduce(work, index, lift, trace)
+            if lift is not None:
+                lift.coeffs.clear()
+                lift.coeffs[left[1] + i] = left[0]
+                if right is not None:
+                    lift.coeffs[right[1] + j] = neg(right[0])
+            yield i, j, _reduce(work, index, lift, trace)
 
 
 def is_groebner(elements) -> bool:
@@ -390,7 +393,7 @@ def is_groebner(elements) -> bool:
     for g in elements:
         if g.is_zero():
             raise UsageError("zero element in candidate basis")
-    return not any(rest for *_, rest in s_pairs(elements))
+    return not any(rest for _, _, rest in s_pairs(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +490,7 @@ def pseudo_reduce(gb, guard=10_000):
     elements, order = gb
     if elements:
         check_order(order, elements[0])
-    work = sort_basis([unit_normalize(v) for v in elements], order)
+    work = sort_basis([unit_normalize(v) for v in elements])
     passes = 0
     changed = True
     while changed:
@@ -504,7 +507,7 @@ def pseudo_reduce(gb, guard=10_000):
                 index.put(idx, new)
             changed |= new is not g
         if changed:
-            work = sort_basis([v for v in index.vectors if v is not None], order)
+            work = sort_basis([v for v in index.vectors if v is not None])
         else:
             # none was dropped, rewritten or appended, so the list is
             # still in sort_basis order

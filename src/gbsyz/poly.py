@@ -265,7 +265,8 @@ class TopLex:
 
 
 class Schreyer:
-    """Order induced by a parent order and nonzero images g_1..g_p.
+    """Order induced by a parent order and nonzero images g_1..g_p,
+    vectors under the parent order (else `UsageError`).
 
     X^a*eps_l > X^b*eps_k iff LM(X^a g_l) > LM(X^b g_k) under the
     parent order, with ties broken by l < k. Folded down to the base
@@ -282,6 +283,7 @@ class Schreyer:
         for g in images:
             if g.is_zero():
                 raise UsageError("Schreyer order images must be nonzero")
+            check_order(parent, g)
         if len(images) > POSMASK + 1:
             raise PackedOverflow(f"{len(images)} positions outside the packed field of {POS_BITS} bits")
         self.images = tuple(images)
@@ -290,7 +292,7 @@ class Schreyer:
         self.codec = codec = parent.codec
         shifts, chain = [], []
         for g in self.images:
-            lm = packed_under(g, codec)[0][1]
+            lm = g.packed[0][1]
             pos = lm & POSMASK
             shift, rank = parent.fold(pos)
             shift += lm - pos
@@ -531,13 +533,6 @@ def _normalize(ambient, order, terms):
     return tuple([(merged[m], m) for m in monos])
 
 
-def packed_under(v, codec):
-    """The packed terms of v under codec: v's own when it packs by it."""
-    if v.order.codec is codec:
-        return v.packed
-    return tuple([(c, codec.encode(m)) for c, m in v.terms])
-
-
 def check_order(order, v):
     """Raise `UsageError` unless order is the monomial order of v."""
     if order != v.order:
@@ -546,11 +541,12 @@ def check_order(order, v):
 
 def reorder(v, order):
     """The same vector re-sorted under a different monomial order; v
-    itself when it already is under that order."""
+    itself when it already is under that order. The only function that
+    re-encodes a vector's terms."""
     if order is v.order:
         return v
-    coeffs = {m: c for c, m in packed_under(v, order.codec)}
-    return Vector.from_coeffs(v.ambient, order, coeffs)
+    encode = order.codec.encode
+    return Vector.from_coeffs(v.ambient, order, {encode(m): c for c, m in v.terms})
 
 
 # the sum size from which `Accumulator.lead()` keeps a sorted index: 96% of
@@ -661,7 +657,8 @@ class Accumulator:
 def combination(rows, source):
     """sum c * X^a * source[pos + offset] over the terms c * X^a * e_pos
     of each (vector, offset) in rows, by plain term products, as a dict
-    packed monomial -> coefficient without zeros."""
+    packed monomial -> coefficient without zeros. Each row must be packed
+    by the source's codec."""
     if not source:
         raise UsageError("empty source")
     first = source[0]
@@ -670,7 +667,9 @@ def combination(rows, source):
     codec = first.order.codec
     acc = Accumulator(first.ambient, first.order)
     for row, offset in rows:
-        for c, m in packed_under(row, codec):
+        if row.order.codec.shifts != codec.shifts:
+            raise UsageError("row packed by another codec than its source")
+        for c, m in row.packed:
             pos = m & POSMASK
             if pos + offset >= len(source):
                 raise UsageError(f"position {pos + offset + 1} past a source of {len(source)}")
@@ -678,29 +677,28 @@ def combination(rows, source):
     return acc.coeffs
 
 
-def vector_key(order, v):
-    """Total deterministic sort key of a vector, term by term: a smaller
-    key is a greater monomial, then a smaller coefficient sort key. The
-    closing (1,) sorts after every (0, ...) term key, so a vector that is
-    a prefix of another sorts after it."""
-    sort_key, key = v.ambient.ring.sort_key, order.key
-    return tuple([(0, key(m), sort_key(c)) for c, m in packed_under(v, order.codec)] + [(1,)])
+def vector_key(v):
+    """Total deterministic sort key of a vector under its order, term by
+    term: a smaller key is a greater monomial, then a smaller coefficient
+    sort key. The closing (1,) sorts after every (0, ...) term key, so a
+    vector that is a prefix of another sorts after it."""
+    sort_key, key = v.ambient.ring.sort_key, v.order.key
+    return tuple([(0, key(m), sort_key(c)) for c, m in v.packed] + [(1,)])
 
 
-def sort_basis(vectors, order):
-    """Descending by leading term, the stable display and Schreyer-source
-    order: by `vector_key`. When the vectors are nonzero and their pairs
-    (key of LM, sort key of LC) are distinct, those pairs, the first
-    items of the vector keys, decide alone."""
+def sort_basis(vectors):
+    """Descending by leading term under the vectors' one order, the
+    stable display and Schreyer-source order: by `vector_key`. When the
+    vectors are nonzero and their pairs (key of LM, sort key of LC) are
+    distinct, those first items of the vector keys decide alone."""
     vectors = list(vectors)  # read twice
-    key, codec = order.key, order.codec
     heads = []
     for v in vectors:
         if not v.packed:
             break
-        c, m = packed_under(v, codec)[0]
-        heads.append((key(m), v.ambient.ring.sort_key(c)))
+        c, m = v.packed[0]
+        heads.append((v.order.key(m), v.ambient.ring.sort_key(c)))
     else:
         if len(set(heads)) == len(heads):
             return [v for _, v in sorted(zip(heads, vectors))]
-    return sorted(vectors, key=lambda v: vector_key(order, v))
+    return sorted(vectors, key=vector_key)

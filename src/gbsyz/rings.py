@@ -49,6 +49,31 @@ def xgcd(a, b):
     return g, x, y
 
 
+def text_to_int(digits):
+    """The int of a string of decimal digits, exact at any length: one
+    past the interpreter's int/str digit limit goes through `decimal`,
+    imported only then, and no interpreter setting changes."""
+    try:
+        return int(digits)
+    except ValueError:
+        if not digits.isdecimal():
+            raise
+        from decimal import Decimal
+
+        return int(Decimal(digits))
+
+
+def int_to_text(n):
+    """repr(n), for an int its decimal text, exact at any length as
+    `text_to_int` reads it."""
+    try:
+        return repr(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
 # Miller-Rabin to these bases decides every n below _MR_BOUND (Sorenson
 # and Webster 2015, *Strong pseudoprimes to twelve prime bases*)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -78,7 +103,7 @@ def _is_prime(n):
         else:
             return False
     if n >= _MR_BOUND:
-        raise UsageError(f"cannot decide whether {n} is prime: primality is decided only below {_MR_BOUND}")
+        raise UsageError(f"cannot decide whether {int_to_text(n)} is prime: primality is decided only below {_MR_BOUND}")
     return True
 
 
@@ -124,7 +149,7 @@ class Ring:
         """Interpret a literal num/den, or raise UsageError if it has no meaning here."""
         if den == 0:
             raise UsageError("zero denominator")
-        raise UsageError(f"fraction {num}/{den} is not a valid coefficient in {self}")
+        raise UsageError(f"fraction {int_to_text(num)}/{int_to_text(den)} is not a valid coefficient in {self}")
 
     # -- Bezout structure -------------------------------------------------
 
@@ -224,7 +249,7 @@ class Integers(Ring):
     def from_fraction(self, num, den):
         if den != 0 and num % den == 0:
             return num // den
-        raise UsageError(f"{num}/{den} is not an integer coefficient")
+        raise UsageError(f"{int_to_text(num)}/{int_to_text(den)} is not an integer coefficient")
 
     def divides(self, a, b):
         if a == 0:
@@ -268,8 +293,7 @@ class Integers(Ring):
             return -1, -a
         return 1, a
 
-    def format(self, a):
-        return str(a)
+    format = staticmethod(int_to_text)
 
     def sort_key(self, a):
         return (abs(a), -a)
@@ -283,7 +307,7 @@ class IntegersMod(Ring):
 
     def __init__(self, n):
         if not isinstance(n, int) or n < 2:
-            raise UsageError(f"modulus must be an integer >= 2, got {n!r}")
+            raise UsageError(f"modulus must be an integer >= 2, got {int_to_text(n)}")
         self.n = n
 
     def __eq__(self, other):
@@ -316,7 +340,7 @@ class IntegersMod(Ring):
     def from_fraction(self, num, den):
         inv = self.divides(den % self.n, self.one())
         if den == 0 or inv is None:
-            raise UsageError(f"{num}/{den} is not a valid coefficient mod {self.n}")
+            raise UsageError(f"{int_to_text(num)}/{int_to_text(den)} is not a valid coefficient mod {int_to_text(self.n)}")
         return (num * inv) % self.n
 
     def divides(self, a, b):
@@ -389,13 +413,13 @@ class IntegersMod(Ring):
         return u % self.n, g
 
     def format(self, a):
-        return str(a % self.n)
+        return int_to_text(a % self.n)
 
     def sort_key(self, a):
         return a % self.n
 
     def descriptor(self):
-        return f"Z/{self.n}"
+        return f"Z/{int_to_text(self.n)}"
 
 
 class _ValuationRing(Ring):
@@ -449,7 +473,7 @@ class TruncatedF2y(_ValuationRing):
 
     def __init__(self, r):
         if not isinstance(r, int) or r < 2:
-            raise UsageError(f"truncation order must be an integer >= 2, got {r!r}")
+            raise UsageError(f"truncation order must be an integer >= 2, got {int_to_text(r)}")
         self.r = r
         self.mask = (1 << r) - 1
 
@@ -549,7 +573,7 @@ class TruncatedF2y(_ValuationRing):
         return a & self.mask
 
     def descriptor(self):
-        return f"F2[y]/y^{self.r}"
+        return f"F2[y]/y^{int_to_text(self.r)}"
 
 
 class IntegersLocalizedAt(_ValuationRing):
@@ -562,7 +586,7 @@ class IntegersLocalizedAt(_ValuationRing):
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
-            raise UsageError(f"localization requires a prime, got {p!r}")
+            raise UsageError(f"localization requires a prime, got {int_to_text(p)}")
         self.p = p
 
     def __eq__(self, other):
@@ -613,7 +637,7 @@ class IntegersLocalizedAt(_ValuationRing):
         g = gcd(num, den)
         a = (num // g, den // g) if den > 0 else (-num // g, -den // g)
         if a[1] % self.p == 0:
-            raise UsageError(f"{self.format(a)} does not lie in Z localized at {self.p}")
+            raise UsageError(f"{self.format(a)} does not lie in Z localized at {int_to_text(self.p)}")
         return a
 
     def valuation(self, a):
@@ -652,10 +676,10 @@ class IntegersLocalizedAt(_ValuationRing):
 
     def format(self, a):
         num, den = a
-        return str(num) if den == 1 else f"{num}/{den}"
+        return int_to_text(num) if den == 1 else f"{int_to_text(num)}/{int_to_text(den)}"
 
     def sort_key(self, a):
         return a
 
     def descriptor(self):
-        return f"Z_({self.p})"
+        return f"Z_({int_to_text(self.p)})"

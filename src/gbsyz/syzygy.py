@@ -24,7 +24,6 @@ from .groebner import (
 from .poly import (
     POSMASK,
     Accumulator,
-    Ambient,
     Mono,
     Schreyer,
     Term,
@@ -32,7 +31,6 @@ from .poly import (
     Vector,
     check_order,
     combination,
-    packed_under,
     record,
     reorder,
     sort_basis,
@@ -77,7 +75,7 @@ def term_syzygies(terms, ambient, order):
         if ring.is_zero(c):
             raise UsageError("zero term")
         vecs.append(Vector(ambient, order, [Term(c, Mono(tuple(m.exps), m.pos))]))
-    return _syzygies_of(vecs, order, labels=None)
+    return schreyer_syzygies((vecs, order))
 
 
 def schreyer_syzygies(gb, trace=None, labels=None):
@@ -95,12 +93,7 @@ def schreyer_syzygies(gb, trace=None, labels=None):
     they come as a tuple.
     """
     source, order = gb
-    return _syzygies_of(tuple(source), order, labels=labels, trace=trace)
-
-
-def _syzygies_of(source, order, labels, trace=None):
-    """The nonzero lifts of source's S-pairs under its Schreyer order:
-    the first nonzero remainder raises `UsageError`."""
+    source = tuple(source)
     if not source:
         raise UsageError("syzygies of the empty list")
     sch = Schreyer(source, order)
@@ -119,31 +112,15 @@ _NOT_GROEBNER = "S-polynomial does not reduce to zero: not a Groebner basis"
 
 
 def _certify(source, sch, trace=None, strict=False):
-    """The `Certificate` of source: every S-pair divided by source under
-    the parent of the Schreyer order sch, and its division lifted to
-    b X^beta eps_i - a X^alpha eps_j - sum q_l eps_l under sch: the lift
-    starts from the cofactor terms and the division adds the quotient
-    terms into it. One lift `Accumulator` per call serves every pair:
-    each lift becomes a `Vector` before the next pair, and `start_lift`
-    clears it and seeds it with the pair's cofactor terms. With `strict`
-    the first nonzero remainder raises `UsageError`. The divisions run
-    under the elements' own order, so sch's parent must be that order."""
-    check_order(sch.parent, source[0])
-    amb0 = source[0].ambient
-    lift = Accumulator(Ambient(amb0.ring, amb0.nvars, len(source)), sch)
-    coeffs, neg = lift.coeffs, amb0.ring.neg
-
-    def start_lift(i, j, left, right):
-        coeffs.clear()
-        b, beta = left
-        coeffs[beta + i] = b
-        if right is not None:
-            a, alpha = right
-            coeffs[alpha + j] = neg(a)
-        return lift
-
+    """The `Certificate` of source: every S-pair divided by source, and
+    its division lifted to b X^beta eps_i - a X^alpha eps_j - sum q_l
+    eps_l under sch, the Schreyer order of source. `s_pairs` forms each
+    lift in one `Accumulator` per call, which becomes a `Vector` before
+    the next pair. With `strict` the first nonzero remainder raises
+    `UsageError`."""
+    lift = Accumulator(source[0].ambient._replace(rank=len(source)), sch)
     pairs, unreduced = {}, set()
-    for i, j, _, rest in s_pairs(source, trace, start_lift):
+    for i, j, rest in s_pairs(source, trace, lift):
         if rest:
             if strict:
                 raise UsageError(_NOT_GROEBNER)
@@ -319,8 +296,7 @@ def free_resolution(
             # stabilized elements, so Ann(b_j) sits at index j there
             extra = levels[-1]
             _check_periodic_level(extra, ann_b, ring)
-            sch = Schreyer(extra.basis, extra.order)
-            levels[-1] = extra._replace(certificate=_certify(extra.basis, sch))
+            levels[-1] = extra._replace(certificate=_certificate_of(extra))
             ann_ann_b = tuple(ring.canonical(ring.ann_gen(a)) for a in ann_b)
             positions = tuple(v.lp() for v in cur.basis)
             tail = PeriodicTail(b, ann_b, ann_ann_b, positions, len(levels) - 2)
@@ -354,7 +330,7 @@ def buchberger_level0(gens, order, labels, guard, trace=None):
     names = list(labels) if labels is not None else []
     names += [f"g{i + 1}" for i in range(len(names), len(gb.elements))]
     by_id = {id(v): names[i] for i, v in enumerate(gb.elements)}
-    ordered = sort_basis(list(gb.elements), order)
+    ordered = sort_basis(gb.elements)
     return tuple(ordered), tuple(by_id[id(v)] for v in ordered)
 
 
@@ -434,7 +410,8 @@ def verify_resolution(res):
     generating syzygy, which is Schreyer's argument and Moeller's
     lifting theorem (Moeller 1988; Adams and Loustaunau 1994, ch. 4).
     The witnesses name the first failing S-pair. The printed
-    `(N checks)` counts every check.
+    `(N checks)` counts every check. A level whose elements are not
+    under its `order` raises `UsageError`.
     """
     ring = res.ambient.ring
     checks = []
@@ -501,17 +478,20 @@ def _check_level(level, cert, ring):
     without a lift, with a remainder or with a quotient term over the
     degree bound, and of the first whose lift does not vanish on the
     level; None if none. The quotient terms are the verifier's own
-    cofactor terms b X^beta eps_i - a X^alpha eps_j minus the lift.
+    cofactor terms b X^beta eps_i - a X^alpha eps_j minus the lift. An
+    element that is not under the level's order raises `UsageError`.
 
     One work `Accumulator` per level takes each pair's S and then its
     quotient terms applied to the level, so it ends the pair holding the
     lift applied to the level: empty when the identity holds, and
     cleared only after a pair where it fails. The least position of a
     quotient term over the bound is kept as the terms go in."""
-    basis, key, codec = level.basis, level.order.key, level.order.codec
+    basis, key = level.basis, level.order.key
     if not basis:
         return None, None
-    packed = [packed_under(g, codec) for g in basis]
+    for g in basis:
+        check_order(level.order, g)
+    packed = [g.packed for g in basis]
     lms = [terms[0][1] for terms in packed]
     add, neg = ring.add, ring.neg
     work = Accumulator(basis[0].ambient, level.order)
@@ -542,7 +522,7 @@ def _check_level(level, cert, ring):
             # the lift minus the own terms: -q X^m eps_l per quotient term;
             # over is the least position over the bound, n if there is none
             over = n
-            for c, m in packed_under(lift, codec):
+            for c, m in lift.packed:
                 if (o := own.pop(m, None)) is not None:
                     c = add(c, neg(o))
                 if c == zero:

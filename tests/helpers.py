@@ -35,7 +35,7 @@ from gbsyz import (
 from gbsyz.dsl import ProblemFile, parse_vector_literal
 from gbsyz.errors import PackedOverflow
 from gbsyz.groebner import pair_cofactors, s_pair_indexed
-from gbsyz.poly import EXP_BITS, POSMASK, Accumulator, packed_under, reorder
+from gbsyz.poly import EXP_BITS, POSMASK, Accumulator, reorder
 from gbsyz.syzygy import Certificate
 
 GOLDEN = {
@@ -557,6 +557,11 @@ def reference_certificate(source, sch, trace=None):
     return Certificate(source, pairs, frozenset(unreduced))
 
 
+def _reencoded(v, codec):
+    """The terms of v packed by codec, from its decoded terms."""
+    return [(c, codec.encode(m)) for c, m in v.terms]
+
+
 def reference_check_level(level, cert, ring):
     """The verifier's pair check with a new work `Accumulator` per pair,
     each pair's quotient terms listed before they go in and every
@@ -564,7 +569,7 @@ def reference_check_level(level, cert, ring):
     `syzygy._check_level`, which returns the same (standard, identity)
     witnesses."""
     basis, key, codec = level.basis, level.order.key, level.order.codec
-    packed = [packed_under(g, codec) for g in basis]
+    packed = [_reencoded(g, codec) for g in basis]
     lms = [terms[0][1] for terms in packed]
     add, neg, is_zero = ring.add, ring.neg, ring.is_zero
     standard = identity = None
@@ -590,7 +595,7 @@ def reference_check_level(level, cert, ring):
                 work.add_term_mul(c, m - pos, packed[pos])
             bound = min(map(key, work.coeffs), default=None)
             rest = [(c if (o := own.pop(m, None)) is None else add(c, neg(o)), m)
-                    for c, m in packed_under(lift, codec)]
+                    for c, m in _reencoded(lift, codec)]
             over = []
             for c, m in rest + [(neg(o), m) for m, o in own.items()]:
                 if is_zero(c):
@@ -706,7 +711,7 @@ def reference_pseudo_reduce(gb, guard=10_000, branches=None):
     if not isinstance(gb, GroebnerBasis):
         raise UsageError("pseudo_reduce needs a GroebnerBasis record")
     elements, order = gb
-    work = sort_basis([_reference_unit_normalize(v) for v in elements], order)
+    work = sort_basis([_reference_unit_normalize(v) for v in elements])
     passes = 0
     changed = True
     while changed:
@@ -730,7 +735,7 @@ def reference_pseudo_reduce(gb, guard=10_000, branches=None):
                 changed = True
             work[idx] = new
             idx += 1
-        work = sort_basis(work, order)
+        work = sort_basis(work)
     return GroebnerBasis(tuple(work), order)
 
 

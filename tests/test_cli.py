@@ -13,7 +13,7 @@ import pytest
 import gbsyz
 from gbsyz import TopLex, cli, free_resolution, syzygy, verify_resolution
 from gbsyz.cli import main
-from gbsyz.dsl import format_vector
+from gbsyz.dsl import format_vector, parse_problem, parse_vector_literal
 from helpers import GOLDEN, parse_in, problem
 
 
@@ -365,7 +365,7 @@ def test_text_output_refuses_an_unknown_record_kind(goldens, capsys, monkeypatch
     # every record kind a command emits has a text form; another one is a
     # broken invariant, not a line of JSON
     cmd_gb = cli._COMMANDS["gb"]
-    monkeypatch.setitem(cli._COMMANDS, "gb", lambda args, p: cmd_gb(args, p) + [{"kind": "mystery"}])
+    monkeypatch.setitem(cli._COMMANDS, "gb", lambda *prologue: cmd_gb(*prologue) + [{"kind": "mystery"}])
     code, out, err = run(capsys, "gb", goldens["zint_ideal"])
     assert (code, out) == (3, "")
     assert err == "internal error: no text form for record kind 'mystery'\n"
@@ -380,3 +380,47 @@ def test_out_of_memory_is_a_one_line_internal_error(goldens, capsys, monkeypatch
     monkeypatch.setattr(cli, "parse_problem", exhausted)
     code, out, err = run(capsys, "gb", goldens["zint_ideal"])
     assert (code, out, err) == (3, "", "internal error: out of memory\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-like"])
+def test_numbers_past_the_int_str_digit_limit_round_trip(tmp_path, capsys, fmt):
+    # Python converts between int and str only up to 4300 digits by
+    # default; the DSL reads and the printers write longer numbers exactly
+    big, ten = "9" * 5000, "1" + "0" * 5000
+    path = tmp_path / "big.gb"
+    for source, printed in ((f"{big}*X + 1", f"{big}*X + 1"), ("10^5000*X", f"{ten}*X")):
+        path.write_text(f"ring Z; vars X; g = {source};\n", encoding="utf-8")
+        code, out, err = run(capsys, "gb", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json-like":
+            value = jrecords(out)[1]["value"]
+        else:
+            value = out.splitlines()[3].removeprefix("g = ")
+        assert value == printed
+        p = parse_problem(path.read_text(encoding="utf-8"))
+        assert parse_vector_literal(value, p) == p.generators[0][1]
+
+
+def test_a_modulus_past_the_int_str_digit_limit_prints_its_header(tmp_path, capsys):
+    modulus = "7" * 5000
+    path = tmp_path / "mod.gb"
+    path.write_text(f"ring Z/{modulus}; vars X; g = 2*X + 3;\n", encoding="utf-8")
+    code, out, err = run(capsys, "gb", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"# gb over Z/{modulus}[X]^1\n# order: top-lex X\n")
+    assert out.splitlines()[3] == "g = 2*X + 3"
+    code, out, err = run(capsys, "gb", str(path), "--format", "json-like")
+    assert (code, err, jrecords(out)[0]["ring"]) == (0, "", f"Z/{modulus}")
+
+
+def test_numbers_past_the_int_str_digit_limit_in_errors(tmp_path, capsys):
+    # a long number in an error message is printed in full, and a long
+    # exponent is the usual parse error at its token
+    big = "9" * 5000
+    path = tmp_path / "bad.gb"
+    for text, message in (
+        (f"ring Z; vars X; g = 1/{big}*X;\n", f"1:21: 1/{big} is not an integer coefficient"),
+        (f"ring Z; vars X; g = X^{big};\n", "1:23: exponent above 2147483647"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, "gb", str(path)) == (2, "", f"error: {message}\n")

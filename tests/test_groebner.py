@@ -209,7 +209,7 @@ def assert_certified_like_the_reference(source, order):
     assert_same_certificate(got, want)
     assert got_events == want_events
     assert_same_certificate(syzygy._certify(source, sch), reference_certificate(source, sch))
-    rests = [(i, j, rest) for i, j, _, rest in groebner.s_pairs(source)]
+    rests = list(groebner.s_pairs(source))
     assert rests == [(i, j, [] if res is None else list(res.remainder.packed))
                      for i, j, _, _, res in reference_s_pairs(source)]
     assert is_groebner(source) == (not want.unreduced)

@@ -423,6 +423,20 @@ def test_schreyer_rejects_zero_images():
         Schreyer([Vector.zero(p.ambient, p.order)], p.order)
 
 
+def test_schreyer_reads_its_images_under_the_parent_order():
+    # the order compares the images' leading monomials under the parent:
+    # images under another variable priority are refused, not read by
+    # their own leading monomials (which made eps1 < eps2 here)
+    amb, parent, swapped = Ambient(Integers(), 2, 1), TopLex(2), TopLex(2, (1, 0))
+    g1 = Vector(amb, swapped, [Term(1, Mono((1, 0), 0)), Term(1, Mono((0, 2), 0))])
+    g2 = Vector(amb, swapped, [Term(1, Mono((0, 3), 0))])
+    with pytest.raises(UsageError, match="^order differs from the vectors' monomial order$"):
+        Schreyer([g1, g2], parent)
+    # under the parent, LM(g1) = X1 > X2^3 = LM(g2)
+    sch = Schreyer([reorder(g, parent) for g in (g1, g2)], parent)
+    assert sch.compare(Mono((0, 0), 0), Mono((0, 0), 1)) == 1
+
+
 # -- sort keys against the recursive comparator they replaced ---------------
 
 
@@ -529,7 +543,7 @@ def test_normalize_and_sort_basis_follow_the_reference():
             with_zero = untied + [Vector.zero(amb, order)]
             rng.shuffle(with_zero)
             for inputs in (vectors, untied, with_zero):
-                assert [v.terms for v in sort_basis(inputs, order)] == [
+                assert [v.terms for v in sort_basis(inputs)] == [
                     v.terms for v in reference_sort_basis(inputs, order)
                 ]
 

@@ -25,6 +25,7 @@ from gbsyz import (
     divide,
     free_resolution,
     parse_problem,
+    reorder,
     schreyer_syzygies,
     term_module_member,
     verify_resolution,
@@ -227,6 +228,39 @@ def test_apply_relation_rejects_a_position_past_the_source():
     for rel in past:
         with pytest.raises(UsageError, match="past"):
             apply_relation(rel, short)
+
+
+def test_a_row_packed_by_another_codec_is_a_usage_error():
+    # combination reads each row under its own order: a row under another
+    # variable priority than its source is refused, not re-encoded
+    labels, gens = gens_of(problem("zint_ideal"))
+    res = free_resolution(gens, labels=labels)
+    swapped = TopLex(2, (1, 0))
+    source = list(res.levels[0].basis)
+    for rel in res.levels[1].basis:
+        assert not apply_relation(rel, source).packed
+        with pytest.raises(UsageError, match="^row packed by another codec than its source$"):
+            apply_relation(reorder(rel, swapped), source)
+    h = vec(problem("zint_ideal"), "X^3*Y + 2*X")
+    division = divide(h, gens)
+    assert groebner.expand_combination(division.quotients, gens) == h.sub(division.remainder)
+    with pytest.raises(UsageError, match="^row packed by another codec than its source$"):
+        groebner.expand_combination([reorder(q, swapped) for q in division.quotients], gens)
+
+
+def test_verify_refuses_a_level_under_another_order():
+    # the verifier reads each level under its own order: a level whose
+    # order is not its elements' is a UsageError, with its certificate
+    # (the pair check) or without (Schreyer's order of the level)
+    labels, gens = gens_of(problem("zint_ideal"))
+    res = free_resolution(gens, labels=labels)
+    swapped = TopLex(2, (1, 0))
+    for k, level in enumerate(res.levels):
+        for certificate in (level.certificate, None):
+            bad = level._replace(order=swapped, certificate=certificate)
+            levels = res.levels[:k] + (bad,) + res.levels[k + 1:]
+            with pytest.raises(UsageError, match="^order differs from the vectors' monomial order$"):
+                verify_resolution(res._replace(levels=levels))
 
 
 def test_an_empty_source_is_a_usage_error():

@@ -1,6 +1,7 @@
 """Coefficient-ring backends: arithmetic, divisibility, Bezout structure."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -16,7 +17,7 @@ from gbsyz import (
     UsageError,
     parse_problem,
 )
-from gbsyz.rings import _is_prime
+from gbsyz.rings import _is_prime, int_to_text, text_to_int
 from helpers import (
     ReferenceIntegersLocalizedAt,
     ReferenceTruncatedF2y,
@@ -489,3 +490,26 @@ def test_equal_elements_are_equal_python_values():
             for b in distinct:
                 assert ring.eq(a, b) == (a == b), (ring, a, b)
                 assert ring.is_zero(ring.sub(a, b)) == (a == b), (ring, a, b)
+
+
+def test_int_text_conversions_are_exact_at_any_length():
+    # below the interpreter's int/str digit limit they are int() and
+    # repr(); past it they stay exact and leave the limit as it was
+    limit = sys.get_int_max_str_digits()
+    for n in (0, 7, -12, 10**30 + 1, -(10**4299)):
+        assert int_to_text(n) == repr(n) and text_to_int(repr(abs(n))) == abs(n)
+    for digits in (4301, 5000):
+        assert text_to_int("9" * digits) == 10**digits - 1
+        assert text_to_int("0" + "1" + "0" * digits) == 10**digits
+        assert int_to_text(-(10**digits - 1)) == "-" + "9" * digits
+        assert int_to_text(10**digits) == "1" + "0" * digits
+    assert text_to_int("\u0663" * 5000) == 3 * (10**5000 - 1) // 9
+    with pytest.raises(ValueError):
+        text_to_int("1." + "0" * 5000)
+    assert int_to_text("7") == "'7'"
+    assert sys.get_int_max_str_digits() == limit
+    # the ring printers and descriptors go through them
+    n = 10**5000 + 1
+    assert IntegersMod(n).descriptor() == "Z/1" + "0" * 4999 + "1"
+    assert Integers().format(-n) == "-1" + "0" * 4999 + "1"
+    assert IntegersLocalizedAt(2).format((n, 3)) == "1" + "0" * 4999 + "1/3"

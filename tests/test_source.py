@@ -117,16 +117,29 @@ def test_orders_come_from_the_vectors():
     # every vector carries its order and keeps its terms sorted under it,
     # so an order passed next to vectors could only repeat theirs: of the
     # public functions in groebner only buchberger, which re-sorts its
-    # generators, takes one, and free_resolution takes its order once
+    # generators, takes one; in poly only reorder, which re-encodes a
+    # vector, and check_order, which compares one with its order; and
+    # free_resolution takes its order once
     def public(module):
         tree = ast.parse((PACKAGE / module).read_text())
         return {node.name: node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
-    takers = {name for name, fn in public("groebner.py").items() if "order" in _parameters(fn)}
-    assert takers == {"buchberger"}, takers
+    for module, allowed in (("groebner.py", {"buchberger"}), ("poly.py", {"check_order", "reorder"})):
+        takers = {name for name, fn in public(module).items() if "order" in _parameters(fn)}
+        assert takers == allowed, (module, takers)
     resolution = _parameters(public("syzygy.py")["free_resolution"])
     assert "order" in resolution and "unsafe_order" not in resolution, resolution
+    # no reader takes a vector under a codec other than its own, and the
+    # pair loop seeds Schreyer's lifts itself: s_pairs calls no parameter
+    # but its trace sink
+    for path in sorted(PACKAGE.rglob("*.py")):
+        names = {name.rsplit(".", 1)[-1] for name, _ in _functions(ast.parse(path.read_text()))}
+        assert "packed_under" not in names, path.name
+    s_pairs = dict(_functions(ast.parse((PACKAGE / "groebner.py").read_text())))["s_pairs"]
+    called = {node.func.id for node in ast.walk(s_pairs)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called & _parameters(s_pairs) == {"trace"}, called
 
 
 def test_one_sparse_accumulator():
